@@ -1,5 +1,7 @@
-//! The experiment harness: regenerates every figure and table of the
-//! paper plus the ablations indexed in DESIGN.md.
+//! The experiment harness: regenerates every figure (f1–f3) and table
+//! (t1–t3) of the paper, plus the ablations a1–a5 (stretching,
+//! rotorouter, decoder optimisation, conditional assembly, smart cells),
+//! the glue-fault probe g1 and the extraction timings bx.
 //!
 //! Run everything:    `cargo run --release -p bristle-bench --bin experiments`
 //! Run one:           `cargo run --release -p bristle-bench --bin experiments -- t1`

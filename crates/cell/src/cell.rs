@@ -15,10 +15,10 @@
 //!
 //! * Each cache entry holds the cell's **subtree-local** flat shapes —
 //!   every shape of the cell and its descendants, transformed into the
-//!   cell's own coordinate frame, paths relative to the cell.
+//!   cell's own coordinate frame.
 //! * A parent entry is composed from child entries by applying the
-//!   instance transform to each cached child shape and prefixing the
-//!   instance name onto the path. Transform composition is associative
+//!   instance transform to each cached child shape. Transform
+//!   composition is associative
 //!   (`s.transform(a).transform(b) == s.transform(b.after(&a))`), so the
 //!   composed result is identical to a direct recursive flatten, in the
 //!   same depth-first order.
@@ -293,16 +293,6 @@ impl fmt::Display for Cell {
     }
 }
 
-/// A flattened shape with its absolute transform applied, produced by
-/// [`Library::flatten`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatShape {
-    /// The transformed shape in top-cell coordinates.
-    pub shape: Shape,
-    /// Slash-separated instance path, empty for top-level shapes.
-    pub path: String,
-}
-
 /// An arena of cells forming a DAG via instances.
 ///
 /// The paper stores cell definitions "in disk files … to allow for the use
@@ -318,7 +308,7 @@ pub struct Library {
     by_name: HashMap<String, CellId>,
     /// Memoized subtree-local flat shapes, keyed by cell. Cleared on any
     /// mutation; see the module docs.
-    flat_cache: RwLock<HashMap<CellId, Arc<Vec<FlatShape>>>>,
+    flat_cache: RwLock<HashMap<CellId, Arc<Vec<Shape>>>>,
     /// Memoized subtree-local flat bristles, same invariants as
     /// `flat_cache` (cleared together with it).
     bristle_cache: RwLock<HashMap<CellId, Arc<Vec<Bristle>>>>,
@@ -500,7 +490,7 @@ impl Library {
     }
 
     /// Flattens a cell: every shape in the hierarchy, transformed into the
-    /// top cell's coordinates, tagged with its instance path.
+    /// top cell's coordinates, in depth-first order.
     ///
     /// Memoized — see [`Library::flatten_shared`] for the zero-copy
     /// variant the hot passes use.
@@ -509,7 +499,7 @@ impl Library {
     ///
     /// Panics if `id` did not come from this library.
     #[must_use]
-    pub fn flatten(&self, id: CellId) -> Vec<FlatShape> {
+    pub fn flatten(&self, id: CellId) -> Vec<Shape> {
         self.flatten_shared(id).as_ref().clone()
     }
 
@@ -522,36 +512,18 @@ impl Library {
     ///
     /// Panics if `id` did not come from this library.
     #[must_use]
-    pub fn flatten_shared(&self, id: CellId) -> Arc<Vec<FlatShape>> {
+    pub fn flatten_shared(&self, id: CellId) -> Arc<Vec<Shape>> {
         if let Some(hit) = self.flat_cache.read().expect("flat cache poisoned").get(&id) {
             return Arc::clone(hit);
         }
         let cell = self.cell(id);
-        let mut out: Vec<FlatShape> = cell
-            .shapes()
-            .iter()
-            .map(|s| FlatShape {
-                shape: s.clone(),
-                path: String::new(),
-            })
-            .collect();
+        let mut out: Vec<Shape> = cell.shapes().to_vec();
         for inst in cell.instances() {
-            // Compose the child's cached subtree at this instance:
-            // transform its shapes and prefix its paths. This equals a
-            // direct recursive flatten because shape transforms compose.
+            // Compose the child's cached subtree at this instance by
+            // transforming its shapes. This equals a direct recursive
+            // flatten because shape transforms compose.
             let child = self.flatten_shared(inst.cell);
-            out.reserve(child.len());
-            for fs in child.iter() {
-                let path = if fs.path.is_empty() {
-                    inst.name.clone()
-                } else {
-                    format!("{}/{}", inst.name, fs.path)
-                };
-                out.push(FlatShape {
-                    shape: fs.shape.transform(&inst.transform),
-                    path,
-                });
-            }
+            out.extend(child.iter().map(|s| s.transform(&inst.transform)));
         }
         let arc = Arc::new(out);
         // Racing computations of the same cell produce identical values;
@@ -646,7 +618,7 @@ impl Library {
     /// Panics if `id` did not come from this library.
     #[must_use]
     pub fn drawn_area(&self, id: CellId) -> i64 {
-        self.flatten_shared(id).iter().map(|fs| fs.shape.area()).sum()
+        self.flatten_shared(id).iter().map(Shape::area).sum()
     }
 }
 
@@ -740,8 +712,8 @@ mod tests {
         let t = lib.add_cell(top).unwrap();
         let flat = lib.flatten(t);
         assert_eq!(flat.len(), 1);
-        assert_eq!(flat[0].path, "v/u");
-        assert_eq!(flat[0].shape.bbox(), Rect::new(5, 5, 9, 7));
+        assert_eq!(flat[0].bbox(), Rect::new(5, 5, 9, 7));
+        assert_eq!(flat, flatten_reference(&lib, t));
     }
 
     #[test]
@@ -795,27 +767,16 @@ mod tests {
     }
 
     /// Reference flatten: the direct recursion the cache must match.
-    fn flatten_reference(lib: &Library, id: CellId) -> Vec<FlatShape> {
-        fn go(lib: &Library, id: CellId, t: &Transform, path: &str, out: &mut Vec<FlatShape>) {
+    fn flatten_reference(lib: &Library, id: CellId) -> Vec<Shape> {
+        fn go(lib: &Library, id: CellId, t: &Transform, out: &mut Vec<Shape>) {
             let cell = lib.cell(id);
-            for s in cell.shapes() {
-                out.push(FlatShape {
-                    shape: s.transform(t),
-                    path: path.to_owned(),
-                });
-            }
+            out.extend(cell.shapes().iter().map(|s| s.transform(t)));
             for inst in cell.instances() {
-                let child_t = t.after(&inst.transform);
-                let child_path = if path.is_empty() {
-                    inst.name.clone()
-                } else {
-                    format!("{path}/{}", inst.name)
-                };
-                go(lib, inst.cell, &child_t, &child_path, out);
+                go(lib, inst.cell, &t.after(&inst.transform), out);
             }
         }
         let mut out = Vec::new();
-        go(lib, id, &Transform::IDENTITY, "", &mut out);
+        go(lib, id, &Transform::IDENTITY, &mut out);
         out
     }
 

@@ -140,8 +140,6 @@ pub struct GenCtx {
     pub data_width: u32,
     /// Element parameters from the user's chip description.
     pub params: BTreeMap<String, i64>,
-    /// Global conditional-assembly flags (e.g. `PROTOTYPE`).
-    pub flags: BTreeMap<String, bool>,
     /// Bus topology at this element.
     pub buses: BusConfig,
     /// Name prefix making generated cell names unique per element
@@ -156,7 +154,6 @@ impl GenCtx {
         GenCtx {
             data_width,
             params: BTreeMap::new(),
-            flags: BTreeMap::new(),
             buses: BusConfig::default(),
             prefix: String::new(),
         }
@@ -178,12 +175,6 @@ impl GenCtx {
     #[must_use]
     pub fn param_or(&self, name: &str, default: i64) -> i64 {
         self.params.get(name).copied().unwrap_or(default)
-    }
-
-    /// Reads a conditional-assembly flag (absent ⇒ `false`).
-    #[must_use]
-    pub fn flag(&self, name: &str) -> bool {
-        self.flags.get(name).copied().unwrap_or(false)
     }
 
     /// Prefixes a cell name with this element's unique prefix.
@@ -344,16 +335,13 @@ mod tests {
     }
 
     #[test]
-    fn ctx_params_and_flags() {
+    fn ctx_params_and_cell_names() {
         let mut ctx = GenCtx::new(8);
         ctx.params.insert("count".into(), 4);
-        ctx.flags.insert("PROTOTYPE".into(), true);
         ctx.prefix = "e2_reg".into();
         assert_eq!(ctx.param("count").unwrap(), 4);
         assert!(matches!(ctx.param("nope"), Err(GenError::MissingParam(_))));
         assert_eq!(ctx.param_or("nope", 7), 7);
-        assert!(ctx.flag("PROTOTYPE"));
-        assert!(!ctx.flag("DEBUG"));
         assert_eq!(ctx.cell_name("bit"), "e2_reg_bit");
     }
 

@@ -70,11 +70,11 @@ pub fn render_svg(lib: &Library, top: CellId, opts: &SvgOptions) -> String {
     // already-flattened geometry instead of re-walking the hierarchy.
     let flat = lib.flatten_shared(top);
     for layer in Layer::ALL {
-        for fs in flat.iter().filter(|f| f.shape.layer == layer) {
+        for shape in flat.iter().filter(|s| s.layer == layer) {
             let color = layer.color();
-            match &fs.shape.geom {
+            match &shape.geom {
                 ShapeGeom::Box(_) | ShapeGeom::Wire(_) => {
-                    for r in fs.shape.to_rects() {
+                    for r in shape.to_rects() {
                         let _ = writeln!(
                             out,
                             r#"<rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}" fill="{color}" fill-opacity="{}"/>"#,

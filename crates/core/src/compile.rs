@@ -186,10 +186,9 @@ impl Compiler {
             generator: Box<dyn bristle_cell::CellGenerator>,
         }
         let mut pending: Vec<Pending> = Vec::new();
-        let push_precharge = |pending: &mut Vec<Pending>, n: &mut usize, width: u32, flags: &std::collections::BTreeMap<String, bool>| {
+        let push_precharge = |pending: &mut Vec<Pending>, n: &mut usize, width: u32| {
             let mut ctx = GenCtx::new(width);
             ctx.prefix = format!("pc{n}");
-            ctx.flags = flags.clone();
             *n += 1;
             pending.push(Pending {
                 index: usize::MAX,
@@ -199,7 +198,7 @@ impl Compiler {
             });
         };
         let mut pc_count = 0usize;
-        push_precharge(&mut pending, &mut pc_count, spec.data_width, &spec.flags);
+        push_precharge(&mut pending, &mut pc_count, spec.data_width);
         // Escape-lane numbering: every port of one kind gets its own lane
         // so the pad pass can route all their east escape wires without
         // the < 7λ collision that used to cap specs at one port per kind.
@@ -210,7 +209,6 @@ impl Compiler {
             let mut ctx = GenCtx::new(spec.data_width);
             ctx.prefix = format!("e{i}_{}", e.kind);
             ctx.params = e.params.clone();
-            ctx.flags = spec.flags.clone();
             if matches!(e.kind.as_str(), "inport" | "outport") {
                 let lane = lanes.entry(e.kind.as_str()).or_insert(0);
                 ctx.params.entry("lane".into()).or_insert(*lane);
@@ -223,7 +221,7 @@ impl Compiler {
                 generator,
             });
             if e.break_bus_a || e.break_bus_b {
-                push_precharge(&mut pending, &mut pc_count, spec.data_width, &spec.flags);
+                push_precharge(&mut pending, &mut pc_count, spec.data_width);
             }
         }
 
@@ -513,9 +511,12 @@ impl Compiler {
         for (i, (_name, _line, core_pos)) in controls.iter().enumerate() {
             let track_y = -(10 + 8 * (slot_of[i] as i64 + 2));
             let out_pos = outs[i];
-            // Riser from the decoder output (metal, active low → buffer
-            // behavior folded into decode polarity; see DESIGN.md) up to
-            // the track, then along, then up to the core control point.
+            // Riser from the decoder output (metal) up to the track, then
+            // along, then up to the core control point. The PLA outputs
+            // are active low, and the polarity-restoring control buffer
+            // (`bristle_stdcells::control_buffer`) is not drawn in the
+            // channel: SIMULATION and the co-sim bridge drive each control
+            // at its decoded, active-high level.
             push_via(&mut frame, Point::new(out_pos.x, track_y));
             push_via(&mut frame, Point::new(core_pos.x, track_y));
             if out_pos.x != core_pos.x {
@@ -840,22 +841,11 @@ impl CompiledChip {
             let count = espec.params.get("count").copied().unwrap_or(2) as usize;
             let words = espec.params.get("words").copied().unwrap_or(4) as usize;
             let depth = espec.params.get("depth").copied().unwrap_or(4) as usize;
-            let legacy = self
-                .spec
-                .flags
-                .get(bristle_stdcells::LEGACY_INVERTING_READ)
-                .copied()
-                .unwrap_or(false);
             let behavior = match espec.kind.as_str() {
                 "registers" => bristle_sim::behaviors::register_file(&e.prefix, count),
                 "alu" => bristle_sim::behaviors::alu(&e.prefix),
                 "shifter" => bristle_sim::behaviors::shifter(&e.prefix),
-                // Legacy cells carry no selw/sel columns in their
-                // write/select topology; each behavior variant mirrors
-                // the cell library the flag selects.
-                "ram" if legacy => bristle_sim::behaviors::decoded_ram_legacy(&e.prefix, words),
                 "ram" => bristle_sim::behaviors::decoded_ram(&e.prefix, words),
-                "stack" if legacy => bristle_sim::behaviors::stack(&e.prefix, depth),
                 "stack" => bristle_sim::behaviors::decoded_stack(&e.prefix, depth),
                 "inport" => {
                     bristle_sim::behaviors::input_port(&e.prefix, format!("{}_pad", e.prefix))

@@ -42,7 +42,6 @@ mod parse;
 mod reprs;
 mod spec;
 
-pub use bristle_stdcells::LEGACY_INVERTING_READ;
 pub use compile::{CompileError, CompiledChip, Compiler, ElementInfo, PassTimings};
 pub use parse::{parse_page, ParsePageError};
 pub use reprs::Representation;

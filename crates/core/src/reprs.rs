@@ -65,24 +65,24 @@ impl CompiledChip {
     #[must_use]
     pub fn sticks(&self) -> Vec<Stick> {
         let mut sticks = Vec::new();
-        for fs in self.lib.flatten(self.top) {
-            if !fs.shape.layer.is_conductor() {
+        for shape in self.lib.flatten(self.top) {
+            if !shape.layer.is_conductor() {
                 continue;
             }
-            match &fs.shape.geom {
+            match &shape.geom {
                 ShapeGeom::Box(r) => {
                     // Long thin boxes become sticks along their long axis.
                     if r.width() >= 3 * r.height() {
                         let y = (r.y0 + r.y1) / 2;
                         sticks.push(Stick::new(
-                            fs.shape.layer,
+                            shape.layer,
                             Point::new(r.x0, y),
                             Point::new(r.x1, y),
                         ));
                     } else if r.height() >= 3 * r.width() {
                         let x = (r.x0 + r.x1) / 2;
                         sticks.push(Stick::new(
-                            fs.shape.layer,
+                            shape.layer,
                             Point::new(x, r.y0),
                             Point::new(x, r.y1),
                         ));
@@ -90,7 +90,7 @@ impl CompiledChip {
                 }
                 ShapeGeom::Wire(p) => {
                     for seg in p.points().windows(2) {
-                        sticks.push(Stick::new(fs.shape.layer, seg[0], seg[1]));
+                        sticks.push(Stick::new(shape.layer, seg[0], seg[1]));
                     }
                 }
                 ShapeGeom::Poly(_) => {}

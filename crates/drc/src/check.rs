@@ -383,7 +383,7 @@ fn check_soup(
 #[must_use]
 pub fn check_flat(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
     let flat = lib.flatten_shared(top);
-    let shapes: Vec<(&Shape, u32)> = flat.iter().map(|fs| (&fs.shape, OWN_GROUP)).collect();
+    let shapes: Vec<(&Shape, u32)> = flat.iter().map(|s| (s, OWN_GROUP)).collect();
     check_soup(lib.cell(top).name(), &shapes, rules, false, true, true)
 }
 
@@ -468,7 +468,7 @@ fn check_cell(lib: &Library, id: CellId, rules: &RuleSet) -> Report {
     if has_own_device_shapes {
         let own_flat = lib.flatten_shared(id);
         let mut dev = Report::default();
-        let soup = Soup::build(own_flat.iter().map(|fs| (&fs.shape, OWN_GROUP)));
+        let soup = Soup::build(own_flat.iter().map(|s| (s, OWN_GROUP)));
         check_transistors(cell.name(), &soup, rules, &mut dev);
         check_poly_diff_spacing(cell.name(), &soup, rules, &mut dev);
         check_contacts(cell.name(), &soup, rules, &mut dev);
@@ -483,8 +483,8 @@ fn check_cell(lib: &Library, id: CellId, rules: &RuleSet) -> Report {
         for (gi, inst) in cell.instances().iter().enumerate() {
             let child = lib.flatten_shared(inst.cell);
             placed.reserve(child.len());
-            for fs in child.iter() {
-                placed.push((fs.shape.transform(&inst.transform), gi as u32));
+            for shape in child.iter() {
+                placed.push((shape.transform(&inst.transform), gi as u32));
             }
         }
         let mut tagged: Vec<(&Shape, u32)> =

@@ -197,18 +197,18 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     let mut contacts: Vec<Rect> = Vec::new();
     let mut buried: Vec<Rect> = Vec::new();
     let mut implants: Vec<Rect> = Vec::new();
-    for fs in flat.iter() {
-        let label = fs.shape.label();
-        for r in fs.shape.to_rects() {
+    for shape in flat.iter() {
+        let label = shape.label();
+        for r in shape.to_rects() {
             if r.is_degenerate() {
                 continue;
             }
             let piece = Piece {
-                layer: fs.shape.layer,
+                layer: shape.layer,
                 rect: r,
                 label: label.map(str::to_owned),
             };
-            match fs.shape.layer {
+            match shape.layer {
                 Layer::Poly => poly.push(piece),
                 Layer::Diffusion => diff.push(piece),
                 Layer::Metal => metal.push(piece),
@@ -524,18 +524,18 @@ pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
     let mut contacts: Vec<Rect> = Vec::new();
     let mut buried: Vec<Rect> = Vec::new();
     let mut implants: Vec<Rect> = Vec::new();
-    for fs in &flat {
-        let label = fs.shape.label().map(str::to_owned);
-        for r in fs.shape.to_rects() {
+    for shape in &flat {
+        let label = shape.label().map(str::to_owned);
+        for r in shape.to_rects() {
             if r.is_degenerate() {
                 continue;
             }
             let piece = Piece {
-                layer: fs.shape.layer,
+                layer: shape.layer,
                 rect: r,
                 label: label.clone(),
             };
-            match fs.shape.layer {
+            match shape.layer {
                 Layer::Poly => poly.push(piece),
                 Layer::Diffusion => diff.push(piece),
                 Layer::Metal => metal.push(piece),

@@ -14,13 +14,6 @@ use bristle_cell::{
 
 use crate::frame::{BitCellSpec, Chain, Region, Slot, Tap};
 
-/// Conditional-assembly flag selecting the pre-inverter cell library:
-/// discharge-only (inverting) read chains and non-`sel`-gated RAM/stack
-/// writes. Kept for one release so the pinned differential seeds can be
-/// migrated deliberately; the restoring (non-inverting) read path is the
-/// default.
-pub const LEGACY_INVERTING_READ: &str = "LEGACY_INVERTING_READ";
-
 fn ctl(name: &str, field: &str, active: ActiveWhen, phase: Phase) -> Slot {
     Slot::Control {
         name: name.into(),
@@ -88,130 +81,73 @@ impl CellGenerator for RegistersGen {
         let rda_field = format!("{}_rda", ctx.prefix);
         let rdb_field = format!("{}_rdb", ctx.prefix);
         let ld_field = format!("{}_ld", ctx.prefix);
-        let legacy = ctx.flag(LEGACY_INVERTING_READ);
         let mut columns = Vec::new();
         for r in 0..count {
             let mut spec = BitCellSpec::new(ctx.cell_name(&format!("reg{r}_bit")));
             let sel = ActiveWhen::Equals(r as u64 + 1);
-            if legacy {
-                spec.slots = vec![
-                    ctl(&format!("rda{r}"), &rda_field, sel.clone(), Phase::Phi1),
-                    plate("storeA"),
-                    ctl(&format!("ld{r}"), &ld_field, sel.clone(), Phase::Phi1),
-                    Slot::Gap,
-                    ctl(&format!("ldb{r}"), &ld_field, sel.clone(), Phase::Phi1),
-                    plate("storeB"),
-                    ctl(&format!("rdb{r}"), &rdb_field, sel, Phase::Phi1),
-                ];
-                spec.chains = vec![
-                    // Read A: storeA & rda in series discharge bus A
-                    // (inverting: the bus shows ~storeA).
-                    Chain {
-                        region: Region::GndBusA,
-                        from_slot: 0,
-                        to_slot: 1,
-                        left: Tap::Gnd,
-                        right: Tap::BusA,
-                    },
-                    // Write copy A from bus A.
-                    Chain {
-                        region: Region::BusABusB,
-                        from_slot: 1,
-                        to_slot: 2,
-                        left: Tap::Plate,
-                        right: Tap::BusA,
-                    },
-                    // Write copy B from bus A.
-                    Chain {
-                        region: Region::BusABusB,
-                        from_slot: 4,
-                        to_slot: 5,
-                        left: Tap::BusA,
-                        right: Tap::Plate,
-                    },
-                    // Read B: storeB & rdb discharge bus B (long tap
-                    // crosses bus A without contact).
-                    Chain {
-                        region: Region::GndBusA,
-                        from_slot: 5,
-                        to_slot: 6,
-                        left: Tap::Gnd,
-                        right: Tap::BusB,
-                    },
-                ];
-            } else {
-                // Restoring read path: each storage plate drives an
-                // in-frame depletion-load inverter; the inverted copy
-                // gates the read chain, so a read discharges the bus
-                // exactly where the stored bit is 0 — the bus shows the
-                // stored word directly.
-                spec.slots = vec![
-                    ctl(&format!("rda{r}"), &rda_field, sel.clone(), Phase::Phi1),
-                    plate("nstoreA"),
-                    Slot::Gap,
-                    inverter(5, 1),
-                    Slot::Gap,
-                    plate("storeA"),
-                    ctl(&format!("ld{r}"), &ld_field, sel.clone(), Phase::Phi1),
-                    Slot::Gap,
-                    ctl(&format!("ldb{r}"), &ld_field, sel.clone(), Phase::Phi1),
-                    plate("storeB"),
-                    Slot::Gap,
-                    inverter(9, 13),
-                    Slot::Gap,
-                    plate("nstoreB"),
-                    ctl(&format!("rdb{r}"), &rdb_field, sel, Phase::Phi1),
-                ];
-                spec.chains = vec![
-                    // Read A: rda & ~storeA pull bus A low where the
-                    // stored bit is 0.
-                    Chain {
-                        region: Region::GndBusA,
-                        from_slot: 0,
-                        to_slot: 1,
-                        left: Tap::BusA,
-                        right: Tap::Gnd,
-                    },
-                    // Write copy A from bus A.
-                    Chain {
-                        region: Region::BusABusB,
-                        from_slot: 5,
-                        to_slot: 6,
-                        left: Tap::Plate,
-                        right: Tap::BusA,
-                    },
-                    // Write copy B from bus A.
-                    Chain {
-                        region: Region::BusABusB,
-                        from_slot: 8,
-                        to_slot: 9,
-                        left: Tap::BusA,
-                        right: Tap::Plate,
-                    },
-                    // Read B: rdb & ~storeB onto bus B (long tap crosses
-                    // bus A without contact).
-                    Chain {
-                        region: Region::GndBusA,
-                        from_slot: 13,
-                        to_slot: 14,
-                        left: Tap::Gnd,
-                        right: Tap::BusB,
-                    },
-                ];
-            }
+            // Restoring read path: each storage plate drives an in-frame
+            // depletion-load inverter; the inverted copy gates the read
+            // chain, so a read discharges the bus exactly where the stored
+            // bit is 0 — the bus shows the stored word directly.
+            spec.slots = vec![
+                ctl(&format!("rda{r}"), &rda_field, sel.clone(), Phase::Phi1),
+                plate("nstoreA"),
+                Slot::Gap,
+                inverter(5, 1),
+                Slot::Gap,
+                plate("storeA"),
+                ctl(&format!("ld{r}"), &ld_field, sel.clone(), Phase::Phi1),
+                Slot::Gap,
+                ctl(&format!("ldb{r}"), &ld_field, sel.clone(), Phase::Phi1),
+                plate("storeB"),
+                Slot::Gap,
+                inverter(9, 13),
+                Slot::Gap,
+                plate("nstoreB"),
+                ctl(&format!("rdb{r}"), &rdb_field, sel, Phase::Phi1),
+            ];
+            spec.chains = vec![
+                // Read A: rda & ~storeA pull bus A low where the stored bit
+                // is 0.
+                Chain {
+                    region: Region::GndBusA,
+                    from_slot: 0,
+                    to_slot: 1,
+                    left: Tap::BusA,
+                    right: Tap::Gnd,
+                },
+                // Write copy A from bus A.
+                Chain {
+                    region: Region::BusABusB,
+                    from_slot: 5,
+                    to_slot: 6,
+                    left: Tap::Plate,
+                    right: Tap::BusA,
+                },
+                // Write copy B from bus A.
+                Chain {
+                    region: Region::BusABusB,
+                    from_slot: 8,
+                    to_slot: 9,
+                    left: Tap::BusA,
+                    right: Tap::Plate,
+                },
+                // Read B: rdb & ~storeB onto bus B (long tap crosses
+                // bus A without contact).
+                Chain {
+                    region: Region::GndBusA,
+                    from_slot: 13,
+                    to_slot: 14,
+                    left: Tap::Gnd,
+                    right: Tap::BusB,
+                },
+            ];
             spec.power_ua = 60;
             spec.reprs = CellReprs {
-                doc: if legacy {
-                    format!(
-                        "Register {r} bit: dual dynamic storage, write from bus A, inverting \
-                         read to either bus."
-                    )
-                } else {
-                    format!(
-                        "Register {r} bit: dual dynamic storage with restoring inverters; \
-                         write from bus A, non-inverting read to either bus."
-                    )
-                },
+                doc: format!(
+                    "Register {r} bit: dual dynamic storage with restoring inverters; \
+                     write from bus A, non-inverting read to either bus."
+                ),
                 behavior: Some("registers".into()),
                 block_label: Some("REG".into()),
                 logic: vec![
@@ -439,84 +375,50 @@ impl CellGenerator for RamGen {
         }
         let sel_field = format!("{}_sel", ctx.prefix);
         let rw_field = format!("{}_rw", ctx.prefix);
-        let legacy = ctx.flag(LEGACY_INVERTING_READ);
         let mut columns = Vec::new();
         for wd in 0..words {
             let mut spec = BitCellSpec::new(ctx.cell_name(&format!("ram{wd}_bit")));
             let sel = ActiveWhen::Equals(wd as u64 + 1);
-            if legacy {
-                spec.slots = vec![
-                    ctl(&format!("sel{wd}"), &sel_field, sel, Phase::Phi1),
-                    plate("cell"),
-                    ctl("wr", &rw_field, ActiveWhen::Equals(1), Phase::Phi1),
-                    Slot::Gap,
-                    ctl("rd", &rw_field, ActiveWhen::Equals(2), Phase::Phi1),
-                ];
-                spec.chains = vec![
-                    // Read: cell & sel discharge bus A (inverting; the
-                    // write path is NOT sel-gated — the legacy limit).
-                    Chain {
-                        region: Region::GndBusA,
-                        from_slot: 0,
-                        to_slot: 1,
-                        left: Tap::Gnd,
-                        right: Tap::BusA,
-                    },
-                    // Write: bus A through wr onto the cell plate.
-                    Chain {
-                        region: Region::BusABusB,
-                        from_slot: 1,
-                        to_slot: 2,
-                        left: Tap::Plate,
-                        right: Tap::BusA,
-                    },
-                ];
-            } else {
-                // Restoring + faithful: the read chain crosses the word
-                // select, the rd control and the inverted plate, so a
-                // read asserts the stored word; the write chain crosses
-                // wr AND a second select column (`selw`), so only the
-                // addressed word's plate samples the bus.
-                spec.slots = vec![
-                    ctl(&format!("sel{wd}"), &sel_field, sel.clone(), Phase::Phi1),
-                    ctl("rd", &rw_field, ActiveWhen::Equals(2), Phase::Phi1),
-                    plate("ncell"),
-                    Slot::Gap,
-                    inverter(6, 2),
-                    Slot::Gap,
-                    plate("cell"),
-                    ctl("wr", &rw_field, ActiveWhen::Equals(1), Phase::Phi1),
-                    ctl(&format!("selw{wd}"), &sel_field, sel, Phase::Phi1),
-                ];
-                spec.chains = vec![
-                    // Read: sel & rd & ~cell pull bus A low where the
-                    // stored bit is 0.
-                    Chain {
-                        region: Region::GndBusA,
-                        from_slot: 0,
-                        to_slot: 2,
-                        left: Tap::BusA,
-                        right: Tap::Gnd,
-                    },
-                    // Write: bus A through selw & wr onto the cell plate.
-                    Chain {
-                        region: Region::BusABusB,
-                        from_slot: 6,
-                        to_slot: 8,
-                        left: Tap::Plate,
-                        right: Tap::BusA,
-                    },
-                ];
-            }
+            // Restoring + faithful: the read chain crosses the word select,
+            // the rd control and the inverted plate, so a read asserts the
+            // stored word; the write chain crosses wr AND a second select
+            // column (`selw`), so only the addressed word's plate samples
+            // the bus.
+            spec.slots = vec![
+                ctl(&format!("sel{wd}"), &sel_field, sel.clone(), Phase::Phi1),
+                ctl("rd", &rw_field, ActiveWhen::Equals(2), Phase::Phi1),
+                plate("ncell"),
+                Slot::Gap,
+                inverter(6, 2),
+                Slot::Gap,
+                plate("cell"),
+                ctl("wr", &rw_field, ActiveWhen::Equals(1), Phase::Phi1),
+                ctl(&format!("selw{wd}"), &sel_field, sel, Phase::Phi1),
+            ];
+            spec.chains = vec![
+                // Read: sel & rd & ~cell pull bus A low where the stored
+                // bit is 0.
+                Chain {
+                    region: Region::GndBusA,
+                    from_slot: 0,
+                    to_slot: 2,
+                    left: Tap::BusA,
+                    right: Tap::Gnd,
+                },
+                // Write: bus A through selw & wr onto the cell plate.
+                Chain {
+                    region: Region::BusABusB,
+                    from_slot: 6,
+                    to_slot: 8,
+                    left: Tap::Plate,
+                    right: Tap::BusA,
+                },
+            ];
             spec.power_ua = 40;
             spec.reprs = CellReprs {
-                doc: if legacy {
-                    format!("RAM word {wd} bit: decoded word line, dynamic storage.")
-                } else {
-                    format!(
-                        "RAM word {wd} bit: decoded word line, sel-gated write, restoring read."
-                    )
-                },
+                doc: format!(
+                    "RAM word {wd} bit: decoded word line, sel-gated write, restoring read."
+                ),
                 behavior: Some("ram".into()),
                 block_label: Some("RAM".into()),
                 ..CellReprs::default()
@@ -527,8 +429,9 @@ impl CellGenerator for RamGen {
     }
 }
 
-/// `stack` — a hardware stack, one column per level; `push`/`pop`
-/// broadcast to every level (shift-register stack).
+/// `stack` — a hardware stack, one column per level; the `_sp` field
+/// carries the decoded stack-pointer level, so `push`/`pop` reach only
+/// the selected level.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StackGen;
 
@@ -538,15 +441,11 @@ impl CellGenerator for StackGen {
     }
 
     fn fields(&self, ctx: &GenCtx) -> Vec<(String, u32)> {
-        if ctx.flag(LEGACY_INVERTING_READ) {
-            vec![(format!("{}_stk", ctx.prefix), 2)]
-        } else {
-            let depth = ctx.param_or("depth", 4).max(1) as u64;
-            vec![
-                (format!("{}_stk", ctx.prefix), 2),
-                (format!("{}_sp", ctx.prefix), bits_for(depth)),
-            ]
-        }
+        let depth = ctx.param_or("depth", 4).max(1) as u64;
+        vec![
+            (format!("{}_stk", ctx.prefix), 2),
+            (format!("{}_sp", ctx.prefix), bits_for(depth)),
+        ]
     }
 
     fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
@@ -560,77 +459,46 @@ impl CellGenerator for StackGen {
         }
         let f = format!("{}_stk", ctx.prefix);
         let sp_field = format!("{}_sp", ctx.prefix);
-        let legacy = ctx.flag(LEGACY_INVERTING_READ);
         let mut columns = Vec::new();
         for lvl in 0..depth {
             let mut spec = BitCellSpec::new(ctx.cell_name(&format!("stack{lvl}_bit")));
-            if legacy {
-                spec.slots = vec![
-                    ctl("pop", &f, ActiveWhen::Equals(2), Phase::Phi1),
-                    plate("level"),
-                    ctl("push", &f, ActiveWhen::Equals(1), Phase::Phi1),
-                ];
-                spec.chains = vec![
-                    Chain {
-                        region: Region::GndBusA,
-                        from_slot: 0,
-                        to_slot: 1,
-                        left: Tap::Gnd,
-                        right: Tap::BusA,
-                    },
-                    Chain {
-                        region: Region::BusABusB,
-                        from_slot: 1,
-                        to_slot: 2,
-                        left: Tap::Plate,
-                        right: Tap::BusA,
-                    },
-                ];
-            } else {
-                // sp-faithful stack: the microcode carries the decoded
-                // stack-pointer level (`_sp` field, maintained by the
-                // microcode generator), so each level is selected exactly
-                // like a RAM word — push writes level sp, pop restores
-                // level sp−1 onto the bus.
-                let sel = ActiveWhen::Equals(lvl as u64 + 1);
-                spec.slots = vec![
-                    ctl(&format!("sel{lvl}"), &sp_field, sel.clone(), Phase::Phi1),
-                    ctl("pop", &f, ActiveWhen::Equals(2), Phase::Phi1),
-                    plate("nlevel"),
-                    Slot::Gap,
-                    inverter(6, 2),
-                    Slot::Gap,
-                    plate("level"),
-                    ctl("push", &f, ActiveWhen::Equals(1), Phase::Phi1),
-                    ctl(&format!("selw{lvl}"), &sp_field, sel, Phase::Phi1),
-                ];
-                spec.chains = vec![
-                    // Pop: sel & pop & ~level restore the level word.
-                    Chain {
-                        region: Region::GndBusA,
-                        from_slot: 0,
-                        to_slot: 2,
-                        left: Tap::BusA,
-                        right: Tap::Gnd,
-                    },
-                    // Push: bus A through selw & push onto the level
-                    // plate.
-                    Chain {
-                        region: Region::BusABusB,
-                        from_slot: 6,
-                        to_slot: 8,
-                        left: Tap::Plate,
-                        right: Tap::BusA,
-                    },
-                ];
-            }
+            // sp-faithful stack: the microcode carries the decoded
+            // stack-pointer level (`_sp` field, maintained by the microcode
+            // generator), so each level is selected exactly like a RAM word
+            // — push writes level sp, pop restores level sp−1 onto the bus.
+            let sel = ActiveWhen::Equals(lvl as u64 + 1);
+            spec.slots = vec![
+                ctl(&format!("sel{lvl}"), &sp_field, sel.clone(), Phase::Phi1),
+                ctl("pop", &f, ActiveWhen::Equals(2), Phase::Phi1),
+                plate("nlevel"),
+                Slot::Gap,
+                inverter(6, 2),
+                Slot::Gap,
+                plate("level"),
+                ctl("push", &f, ActiveWhen::Equals(1), Phase::Phi1),
+                ctl(&format!("selw{lvl}"), &sp_field, sel, Phase::Phi1),
+            ];
+            spec.chains = vec![
+                // Pop: sel & pop & ~level restore the level word.
+                Chain {
+                    region: Region::GndBusA,
+                    from_slot: 0,
+                    to_slot: 2,
+                    left: Tap::BusA,
+                    right: Tap::Gnd,
+                },
+                // Push: bus A through selw & push onto the level plate.
+                Chain {
+                    region: Region::BusABusB,
+                    from_slot: 6,
+                    to_slot: 8,
+                    left: Tap::Plate,
+                    right: Tap::BusA,
+                },
+            ];
             spec.power_ua = 50;
             spec.reprs = CellReprs {
-                doc: if legacy {
-                    format!("Stack level {lvl} bit: shift-register stack cell.")
-                } else {
-                    format!("Stack level {lvl} bit: sp-decoded level, restoring pop.")
-                },
+                doc: format!("Stack level {lvl} bit: sp-decoded level, restoring pop."),
                 behavior: Some("stack".into()),
                 block_label: Some("STACK".into()),
                 ..CellReprs::default()
@@ -852,44 +720,6 @@ mod tests {
             .filter(|t| t.kind == TransistorKind::Depletion)
             .count();
         assert_eq!(dep, 2, "one depletion load per storage copy: {n}");
-    }
-
-    #[test]
-    fn legacy_flag_reproduces_inverting_cells() {
-        let mut c = ctx();
-        c.flags.insert(LEGACY_INVERTING_READ.into(), true);
-        let mut lib = Library::new("t");
-        let cols = RegistersGen.generate(&c, &mut lib).unwrap();
-        // The pre-inverter library: 6 all-enhancement devices.
-        let n = extract(&lib, cols[0]);
-        assert_eq!(n.transistors.len(), 6, "{n}");
-        assert!(n
-            .transistors
-            .iter()
-            .all(|t| t.kind == bristle_extract::TransistorKind::Enhancement));
-        // And it still checks clean.
-        for id in cols {
-            let report = check_flat(&lib, id, &RuleSet::mead_conway());
-            assert!(report.is_clean(), "{report}");
-        }
-    }
-
-    #[test]
-    fn every_generator_is_drc_clean_legacy() {
-        let mut c = ctx();
-        c.flags.insert(LEGACY_INVERTING_READ.into(), true);
-        for gen in all_generators() {
-            let mut lib = Library::new("t");
-            for id in gen.generate(&c, &mut lib).unwrap() {
-                let report = check_flat(&lib, id, &RuleSet::mead_conway());
-                assert!(
-                    report.is_clean(),
-                    "{} cell `{}`:\n{report}",
-                    gen.name(),
-                    lib.cell(id).name()
-                );
-            }
-        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! | `registers` | `count` | one per register (rda/rdb/ld + storage) |
 //! | `alu` | — | operand latches, precharged carry, result drive |
 //! | `shifter` | — | load, shift left/right, output |
-//! | `ram` | `words` | one per word (sel + wr/rd) |
-//! | `stack` | `depth` | one per level (push/pop) |
+//! | `ram` | `words` | one per word (sel/selw + wr/rd) |
+//! | `stack` | `depth` | one per level (sel/selw + push/pop) |
 //! | `inport` / `outport` | — | pad-connected bus taps |
 //! | `precharge` | — | φ2 bus pull-ups (inserted automatically) |
 //!
@@ -44,6 +44,6 @@ mod pads;
 
 pub use generators::{
     all_generators, generator_named, AluGen, InPortGen, OutPortGen, PrechargeGen, RamGen,
-    RegistersGen, ShifterGen, StackGen, LEGACY_INVERTING_READ,
+    RegistersGen, ShifterGen, StackGen,
 };
 pub use pads::{control_buffer, pad_cell, PAD_SIZE};

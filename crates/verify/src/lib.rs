@@ -15,34 +15,33 @@
 //!
 //! ## The equivalence relation
 //!
-//! The compiled nMOS core is compared against the machine through an
-//! explicit abstraction function (computed by [`cosim`]), not raw signal
-//! identity, because the silicon speaks precharged-bus dialect:
+//! The compiled nMOS core is compared against the machine by direct
+//! equality, checked in [`cosim`] on the netlist extracted from the
+//! emitted layout:
 //!
-//! * **Storage is direct:** a register's `storeA`/`storeB` plates hold
-//!   exactly the machine's register word (writes are non-inverting pass
-//!   gates from bus A), so plate words must equal `Machine` state after
-//!   every cycle. This is the strongest end-to-end check: it covers the
-//!   write path, charge retention across arbitrarily many cycles and
-//!   freedom from disturbs.
-//! * **Reads are inverting:** a read chain discharges a precharged bus
-//!   bit where the stored bit is **1** (`bus = ~r`, wired together as
-//!   `AND(~rᵢ)` for multiple drivers), while the functional model's
-//!   wired-AND convention is `AND(rᵢ)`. The driver therefore predicts
-//!   the physical bus word from the machine's pre-cycle state and the
-//!   decoded controls, and the switch-level bus must match the
-//!   prediction bit for bit.
+//! * **Storage is direct:** a register's `storeA`/`storeB` plates, a RAM
+//!   word's `cell` plates and a stack level's `level` plates hold exactly
+//!   the machine's word (writes are non-inverting pass gates from bus A),
+//!   so plate words must equal `Machine` state after every cycle. This is
+//!   the strongest end-to-end check: it covers the write path, charge
+//!   retention across arbitrarily many cycles and freedom from disturbs.
+//! * **Reads are direct:** each storage plate drives a restoring
+//!   inverter whose output gates the read chain, so a read discharges a
+//!   precharged bus bit exactly where the stored bit is **0**. Several
+//!   drivers wire-AND (`AND(rᵢ)`), which is the functional model's bus
+//!   convention, so the settled φ1 buses must equal the machine's buses
+//!   bit for bit.
 //! * **Port transfers are direct:** an input port passes its pad word
 //!   onto bus A unmodified, and an output port samples bus A onto its
-//!   pad wire, so write-cycle buses and output pads must equal the
-//!   machine's values exactly.
+//!   pad wire, so output pads must equal the machine's pads.
 //! * **Precharge:** after every φ2 both buses must read all-ones.
 //!
-//! Programs are restricted to the transfer-faithful subset the cell
-//! library physically implements (register read/write, port in/out,
-//! wired multi-driver reads); ALU/shifter/RAM/stack columns ride along
-//! as passive layout. Divergences shrink to a minimal reproducer
-//! ([`shrink`]) before being reported.
+//! Programs cover the transfer-faithful subset the cell library
+//! physically implements: register reads and loads, RAM reads and
+//! `selw`-gated writes, sp-decoded stack pushes and pops, port in/out
+//! and wired multi-driver reads. RAM and stack co-simulate actively;
+//! ALU and shifter columns ride along as passive layout. Divergences
+//! shrink to a minimal reproducer ([`shrink`]) before being reported.
 //!
 //! ## Reproducing a failure
 //!

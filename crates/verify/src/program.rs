@@ -21,10 +21,6 @@
 //! Generation is prefix-stable: the first `k` cycles of a longer program
 //! generated from the same seed are identical, which is what lets the
 //! shrinker truncate programs without re-rolling earlier cycles.
-//!
-//! Under the `LEGACY_INVERTING_READ` spec flag, RAM and stack ops are
-//! not generated (the legacy cells are not `sel`-gated), matching the
-//! pre-inverter co-sim subset.
 
 use std::collections::BTreeMap;
 
@@ -176,11 +172,6 @@ impl Program {
             !p.regs.is_empty(),
             "cosim spec must carry a register element"
         );
-        let legacy = spec
-            .flags
-            .get(bristle_core::LEGACY_INVERTING_READ)
-            .copied()
-            .unwrap_or(false);
         let mut rng = Rng::new(seed);
         let mask = if spec.data_width == 64 {
             u64::MAX
@@ -209,18 +200,16 @@ impl Program {
                                 Some(rng.range_u64(0, *count as u64) as usize);
                         }
                     }
-                    if !legacy {
-                        for (pfx, words) in &p.rams {
-                            if rng.chance(1, 3) {
-                                let w = rng.range_u64(0, *words as u64) as usize;
-                                c.rams.insert(pfx.clone(), MemOp::Write(w));
-                            }
+                    for (pfx, words) in &p.rams {
+                        if rng.chance(1, 3) {
+                            let w = rng.range_u64(0, *words as u64) as usize;
+                            c.rams.insert(pfx.clone(), MemOp::Write(w));
                         }
-                        for (si, (pfx, depth)) in p.stacks.iter().enumerate() {
-                            if sps[si] < *depth && rng.chance(1, 3) {
-                                c.stacks.insert(pfx.clone(), StackOp::Push(sps[si]));
-                                sps[si] += 1;
-                            }
+                    }
+                    for (si, (pfx, depth)) in p.stacks.iter().enumerate() {
+                        if sps[si] < *depth && rng.chance(1, 3) {
+                            c.stacks.insert(pfx.clone(), StackOp::Push(sps[si]));
+                            sps[si] += 1;
                         }
                     }
                     for pfx in &p.outports {
@@ -240,18 +229,16 @@ impl Program {
                             ops.read_b = Some(rng.range_u64(0, *count as u64) as usize);
                         }
                     }
-                    if !legacy {
-                        for (pfx, words) in &p.rams {
-                            if rng.chance(1, 3) {
-                                let w = rng.range_u64(0, *words as u64) as usize;
-                                c.rams.insert(pfx.clone(), MemOp::Read(w));
-                            }
+                    for (pfx, words) in &p.rams {
+                        if rng.chance(1, 3) {
+                            let w = rng.range_u64(0, *words as u64) as usize;
+                            c.rams.insert(pfx.clone(), MemOp::Read(w));
                         }
-                        for (si, (pfx, _)) in p.stacks.iter().enumerate() {
-                            if sps[si] > 0 && rng.chance(1, 3) {
-                                sps[si] -= 1;
-                                c.stacks.insert(pfx.clone(), StackOp::Pop(sps[si]));
-                            }
+                    }
+                    for (si, (pfx, _)) in p.stacks.iter().enumerate() {
+                        if sps[si] > 0 && rng.chance(1, 3) {
+                            sps[si] -= 1;
+                            c.stacks.insert(pfx.clone(), StackOp::Pop(sps[si]));
                         }
                     }
                     for pfx in &p.inports {
@@ -393,17 +380,36 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the `Debug` text: a stable fingerprint of a program.
+    fn fingerprint(prog: &Program) -> u64 {
+        format!("{prog:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Pins the program stream behind the differential seeds and the
+    /// benchmark's fuzz/soak/shrink traffic: three case seeds drawn
+    /// exactly as `tests/differential.rs` draws them, two of them with
+    /// RAM and stack ops. A change here reshuffles every seeded case.
     #[test]
-    fn legacy_flag_suppresses_ram_and_stack_ops() {
-        for seed in 0..20 {
-            let mut spec = SpecGen::random_cosim_spec(&mut Rng::new(seed), "p");
-            spec.flags
-                .insert(bristle_core::LEGACY_INVERTING_READ.into(), true);
-            let prog = Program::random(&spec, seed, 30);
-            for c in &prog.cycles {
-                assert!(c.rams.is_empty(), "seed {seed}: RAM op in legacy mode");
-                assert!(c.stacks.is_empty(), "seed {seed}: stack op in legacy mode");
-            }
-        }
+    fn seeded_programs_are_pinned() {
+        let got: Vec<u64> = [0, 10, 12]
+            .iter()
+            .map(|i| {
+                let seed = 0xB215_713E + i;
+                let spec = SpecGen::random_cosim_spec(&mut Rng::new(seed), "p");
+                fingerprint(&Program::random(&spec, seed ^ 0x9E37_79B9, 18))
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0xc22d_0899_662e_0f82,
+                0xc74a_1e9f_63d6_f32a,
+                0x9374_6150_4e9d_4bbb
+            ]
+        );
     }
 }

@@ -64,9 +64,8 @@ fn candidate_program(spec: &ChipSpec, seed: u64, skip: usize, cycles: usize) -> 
 }
 
 /// Rebuilds a spec with the given elements, carrying over everything
-/// else (data width unless overridden, user microcode fields, flags —
-/// dropping `LEGACY_INVERTING_READ` here would silently shrink against
-/// the wrong cell library and equivalence relation).
+/// else (data width unless overridden, user microcode fields, flags
+/// such as `PROTOTYPE`).
 fn rebuild(spec: &ChipSpec, width: u32, elements: Vec<ElementSpec>) -> Option<ChipSpec> {
     let mut b = ChipSpec::builder(spec.name.clone()).data_width(width);
     for (name, w) in &spec.user_fields {

@@ -24,9 +24,10 @@ fn cpu16_netlist_identical_to_reference_extractor() {
 /// connectivity drift that the reference comparison alone would miss if
 /// both implementations changed together.
 ///
-/// Re-pinned for the restoring (non-inverting) read path. Delta trail
-/// from the previous goldens (1552 nets / 1008 devices / 4096
-/// terminals), all per bit slice × 16 bits:
+/// Per-element derivation: start from the same core built of bare
+/// discharge chains, with no restoring inverters and no decoded
+/// RAM/stack selects (1552 nets / 1008 devices / 4096 terminals), and
+/// add, per bit slice × 16 bits:
 ///
 /// * **registers** (4 columns): each storage copy gains an in-frame
 ///   depletion-load inverter → per cell +2 nets (the two `nstore*`
@@ -40,7 +41,7 @@ fn cpu16_netlist_identical_to_reference_extractor() {
 ///   +3 terminals (`ncell` probe, `selw` column + its north
 ///   continuation). 4 × 16 × (4, 4, 3).
 /// * **stack** (4 levels): same restoring structure plus the sp-decoded
-///   `sel`/`selw` columns that replace the broadcast-only cell → per
+///   `sel`/`selw` columns over a broadcast-only cell → per
 ///   cell +5 nets, +4 devices (1 depletion + 3 enhancement),
 ///   +5 terminals (`nlevel` probe, `sel`, `sel_n`, `selw`, `selw_n`).
 ///   4 × 16 × (5, 4, 5).
@@ -71,29 +72,6 @@ fn cpu16_netlist_golden_counts() {
     // Extraction must be deterministic call to call.
     let again = extract(&chip.lib, chip.core_cell);
     assert_eq!(n, again, "extraction must be deterministic");
-}
-
-/// The legacy inverting-read flag reproduces the pre-inverter library
-/// exactly: the old golden counts still hold behind it, and the
-/// reference-extractor identity is flag-independent.
-#[test]
-fn cpu16_legacy_flag_reproduces_old_goldens() {
-    let mut spec = reference_specs()[3].clone();
-    spec.flags
-        .insert(bristle_blocks::core::LEGACY_INVERTING_READ.into(), true);
-    let chip = compile(&spec).unwrap();
-    let n = extract(&chip.lib, chip.core_cell);
-    assert_eq!(n.net_count(), 1552, "legacy net count");
-    assert_eq!(n.transistors.len(), 1008, "legacy transistor count");
-    assert_eq!(n.terminals.len(), 4096, "legacy terminal count");
-    assert!(
-        n.transistors
-            .iter()
-            .all(|t| t.kind == bristle_blocks::extract::TransistorKind::Enhancement),
-        "legacy precharged core is all-enhancement"
-    );
-    let slow = bristle_blocks::extract::extract_reference(&chip.lib, chip.core_cell);
-    assert_eq!(n, slow, "legacy netlist must match the reference extractor");
 }
 
 /// The remaining reference chips stay identical too (fast, so all three).
