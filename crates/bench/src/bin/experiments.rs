@@ -1,7 +1,8 @@
 //! The experiment harness: regenerates every figure (f1–f3) and table
 //! (t1–t3) of the paper, plus the ablations a1–a5 (stretching,
-//! rotorouter, decoder optimisation, conditional assembly, smart cells),
-//! the glue-fault probe g1 and the extraction timings bx.
+//! rotorouter, decoder optimisation, conditional assembly, smart cells)
+//! and the glue-fault probe g1. Performance measurement beyond the
+//! paper's t2/t3 tables is the `perfbench` benchmark's job.
 //!
 //! Run everything:    `cargo run --release -p bristle-bench --bin experiments`
 //! Run one:           `cargo run --release -p bristle-bench --bin experiments -- t1`
@@ -11,7 +12,6 @@ use std::time::Instant;
 use bristle_bench::{compile, hand_core_area, reference_specs, sweep_spec};
 use bristle_core::{ChipSpec, Compiler};
 use bristle_drc::{check_hierarchical, RuleSet};
-use bristle_extract::extract;
 use bristle_geom::Point;
 
 fn main() {
@@ -52,9 +52,6 @@ fn main() {
     }
     if run("g1") {
         g1_glue_faults();
-    }
-    if run("bx") {
-        bx_extract_pass_timings();
     }
 }
 
@@ -371,39 +368,6 @@ fn g1_glue_faults() {
     println!("  leaf mutations caught by DRC : {leaf_caught}/{trials}");
     println!("  glue mutations caught by DRC : {glue_caught}/{trials}");
     println!("  (the paper's interface standards are what make the glue checkable)");
-}
-
-/// BX — the flatten-once geometry pipeline, timed pass by pass on the
-/// reference chips and the largest sweep spec, written to
-/// `BENCH_extract.json` so CI and the perf history can track it.
-fn bx_extract_pass_timings() {
-    banner("BX", "geometry pipeline per-pass wall times -> BENCH_extract.json");
-    let mut bench = bristle_bench::harness::Bench::new();
-    let mut specs = reference_specs();
-    specs.push(sweep_spec(16, 8, 4));
-    specs.push(sweep_spec(32, 8, 4));
-    for spec in &specs {
-        let chip = compile(spec).unwrap();
-        let name = &spec.name;
-        bench.run(&format!("flatten_cold/{name}"), || {
-            // Cloning the library drops its flatten cache.
-            chip.lib.clone().flatten_shared(chip.core_cell).len()
-        });
-        bench.run(&format!("flatten_cached/{name}"), || {
-            chip.lib.flatten_shared(chip.core_cell).len()
-        });
-        bench.run(&format!("extract/{name}"), || {
-            extract(&chip.lib, chip.core_cell)
-        });
-        bench.run(&format!("drc_hier/{name}"), || {
-            check_hierarchical(&chip.lib, chip.core_cell, &RuleSet::mead_conway())
-        });
-    }
-    let json = bench.to_json();
-    match std::fs::write("BENCH_extract.json", &json) {
-        Ok(()) => println!("  wrote BENCH_extract.json ({} entries)", bench.results().len()),
-        Err(e) => println!("  could not write BENCH_extract.json: {e}"),
-    }
 }
 
 /// Test-support helpers the bench needs on `Cell`.

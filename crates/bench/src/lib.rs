@@ -1,12 +1,12 @@
 //! # bristle-bench
 //!
-//! Shared workloads for the experiment harness and the Criterion
-//! benches: the four reference chips and the chip-space sweep.
+//! The four reference chips, the chip-space sweep and the hand-layout
+//! baseline, shared by the `experiments` binary (the paper's figures,
+//! tables and ablations), the integration tests and the `perfbench`
+//! benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod harness;
 
 use bristle_core::{ChipSpec, CompileError, CompiledChip, Compiler};
 

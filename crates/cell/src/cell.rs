@@ -489,24 +489,10 @@ impl Library {
         bb
     }
 
-    /// Flattens a cell: every shape in the hierarchy, transformed into the
-    /// top cell's coordinates, in depth-first order.
-    ///
-    /// Memoized — see [`Library::flatten_shared`] for the zero-copy
-    /// variant the hot passes use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this library.
-    #[must_use]
-    pub fn flatten(&self, id: CellId) -> Vec<Shape> {
-        self.flatten_shared(id).as_ref().clone()
-    }
-
-    /// Flattens a cell through the memoized flatten cache, sharing the
-    /// result: repeated calls for the same (unmutated) cell return the
-    /// same allocation. The shapes are in the cell's own coordinate
-    /// frame, identical in content and order to [`Library::flatten`].
+    /// Flattens a cell: every shape in the hierarchy, transformed into
+    /// the cell's own coordinate frame, in depth-first order. Memoized
+    /// and shared: repeated calls for the same (unmutated) cell return
+    /// the same allocation.
     ///
     /// # Panics
     ///
@@ -537,22 +523,9 @@ impl Library {
         )
     }
 
-    /// All bristles of a cell hierarchy in top-cell coordinates, with
-    /// instance-path-qualified names (`path/name`).
-    ///
-    /// Memoized — see [`Library::flat_bristles_shared`] for the
-    /// zero-copy variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this library.
-    #[must_use]
-    pub fn flat_bristles(&self, id: CellId) -> Vec<Bristle> {
-        self.flat_bristles_shared(id).as_ref().clone()
-    }
-
-    /// Flattens a cell's bristles through the memoized cache, sharing
-    /// the result. Entries are subtree-local (names relative to the
+    /// All bristles of a cell hierarchy, with instance-path-qualified
+    /// names (`path/name`), through the memoized cache, sharing the
+    /// result. Entries are subtree-local (names relative to the
     /// cell, positions in the cell's frame) and composed at parents by
     /// transforming positions/sides and prefixing the instance name —
     /// exactly the flatten-cache discipline `flatten_shared` uses, with
@@ -710,10 +683,10 @@ mod tests {
             Transform::translate(Point::new(0, 5)),
         )];
         let t = lib.add_cell(top).unwrap();
-        let flat = lib.flatten(t);
+        let flat = lib.flatten_shared(t);
         assert_eq!(flat.len(), 1);
         assert_eq!(flat[0].bbox(), Rect::new(5, 5, 9, 7));
-        assert_eq!(flat, flatten_reference(&lib, t));
+        assert_eq!(*flat, flatten_reference(&lib, t));
     }
 
     #[test]
@@ -735,7 +708,7 @@ mod tests {
             Transform::translate(Point::new(7, 0)),
         )];
         let t = lib.add_cell(top).unwrap();
-        let bs = lib.flat_bristles(t);
+        let bs = lib.flat_bristles_shared(t);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].name, "reg0/in");
         assert_eq!(bs[0].pos, Point::new(7, 1));
@@ -807,8 +780,8 @@ mod tests {
     fn cached_flatten_matches_direct_recursion() {
         let (lib, top) = three_level_library();
         let want = flatten_reference(&lib, top);
-        assert_eq!(lib.flatten(top), want, "first (cache-filling) call");
-        assert_eq!(lib.flatten(top), want, "second (cached) call");
+        assert_eq!(*lib.flatten_shared(top), want, "first (cache-filling) call");
+        assert_eq!(*lib.flatten_shared(top), want, "second (cached) call");
         // Subtree entries must also match their own direct flatten.
         let mid = lib.find("mid").unwrap();
         assert_eq!(*lib.flatten_shared(mid), flatten_reference(&lib, mid));
@@ -825,23 +798,23 @@ mod tests {
     #[test]
     fn mutation_invalidates_flatten_cache() {
         let (mut lib, top) = three_level_library();
-        let before = lib.flatten(top);
+        let before = lib.flatten_shared(top);
         let a = lib.find("a").unwrap();
         lib.cell_mut(a)
             .push_shape(Shape::rect(Layer::Metal, Rect::new(50, 50, 54, 52)));
-        let after = lib.flatten(top);
-        assert_eq!(after, flatten_reference(&lib, top));
+        let after = lib.flatten_shared(top);
+        assert_eq!(*after, flatten_reference(&lib, top));
         assert!(after.len() > before.len());
         // Adding an instance invalidates too.
-        let count = lib.flatten(top).len();
+        let count = lib.flatten_shared(top).len();
         lib.add_instance(top, a, "w2", Transform::translate(Point::new(40, 0)))
             .unwrap();
-        assert!(lib.flatten(top).len() > count);
-        assert_eq!(lib.flatten(top), flatten_reference(&lib, top));
+        assert!(lib.flatten_shared(top).len() > count);
+        assert_eq!(*lib.flatten_shared(top), flatten_reference(&lib, top));
     }
 
     /// Reference bristle flatten: the direct recursion the cache must
-    /// match (this was `flat_bristles` before memoization).
+    /// match (this was the bristle flatten before memoization).
     fn flat_bristles_reference(lib: &Library, id: CellId) -> Vec<Bristle> {
         fn go(lib: &Library, id: CellId, t: &Transform, path: &str, out: &mut Vec<Bristle>) {
             for b in lib.cell(id).bristles() {
@@ -909,8 +882,12 @@ mod tests {
         let (lib, top) = bristled_library();
         let want = flat_bristles_reference(&lib, top);
         assert!(!want.is_empty());
-        assert_eq!(lib.flat_bristles(top), want, "first (cache-filling) call");
-        assert_eq!(lib.flat_bristles(top), want, "second (cached) call");
+        assert_eq!(
+            *lib.flat_bristles_shared(top),
+            want,
+            "first (cache-filling) call"
+        );
+        assert_eq!(*lib.flat_bristles_shared(top), want, "second (cached) call");
         // Subtree entries must also match their own direct flatten.
         let mid = lib.find("mid").unwrap();
         assert_eq!(*lib.flat_bristles_shared(mid), flat_bristles_reference(&lib, mid));
@@ -927,7 +904,7 @@ mod tests {
     #[test]
     fn mutation_invalidates_bristle_cache() {
         let (mut lib, top) = bristled_library();
-        let before = lib.flat_bristles(top).len();
+        let before = lib.flat_bristles_shared(top).len();
         let a = lib.find("a").unwrap();
         // `cell_mut` must clear the cache.
         lib.cell_mut(a).push_bristle(Bristle::new(
@@ -937,21 +914,30 @@ mod tests {
             Side::East,
             Flavor::Signal,
         ));
-        let after = lib.flat_bristles(top);
-        assert_eq!(after, flat_bristles_reference(&lib, top));
+        let after = lib.flat_bristles_shared(top);
+        assert_eq!(*after, flat_bristles_reference(&lib, top));
         assert!(after.len() > before);
         // `add_instance` must clear it too.
-        let count = lib.flat_bristles(top).len();
+        let count = lib.flat_bristles_shared(top).len();
         lib.add_instance(top, a, "w2", Transform::translate(Point::new(40, 0)))
             .unwrap();
-        assert!(lib.flat_bristles(top).len() > count);
-        assert_eq!(lib.flat_bristles(top), flat_bristles_reference(&lib, top));
+        assert!(lib.flat_bristles_shared(top).len() > count);
+        assert_eq!(
+            *lib.flat_bristles_shared(top),
+            flat_bristles_reference(&lib, top)
+        );
         // `clear_flat_cache` clears; recompute still matches.
         lib.clear_flat_cache();
-        assert_eq!(lib.flat_bristles(top), flat_bristles_reference(&lib, top));
+        assert_eq!(
+            *lib.flat_bristles_shared(top),
+            flat_bristles_reference(&lib, top)
+        );
         // Clones start cold and still agree.
         let cloned = lib.clone();
-        assert_eq!(cloned.flat_bristles(top), lib.flat_bristles(top));
+        assert_eq!(
+            cloned.flat_bristles_shared(top),
+            lib.flat_bristles_shared(top)
+        );
     }
 
     #[test]

@@ -378,18 +378,18 @@ impl Compiler {
     ) -> Result<ControlResult, CompileError> {
         // Collect decoder-facing control points: control bristles on the
         // bottom slice (y == 0) of the core.
-        let flat = lib.flat_bristles(core.cell);
+        let flat = lib.flat_bristles_shared(core.cell);
         let mut controls: Vec<(String, ControlLine, Point)> = Vec::new();
         let mut clocks: Vec<(Phase, Point)> = Vec::new();
-        for b in flat {
+        for b in flat.iter() {
             if b.pos.y != 0 || b.side != Side::South {
                 continue;
             }
-            match b.flavor {
+            match &b.flavor {
                 Flavor::Control(line) => {
-                    controls.push((sanitize(&b.name), line, b.pos));
+                    controls.push((sanitize(&b.name), line.clone(), b.pos));
                 }
-                Flavor::Clock(phase) => clocks.push((phase, b.pos)),
+                Flavor::Clock(phase) => clocks.push((*phase, b.pos)),
                 _ => {}
             }
         }
@@ -639,7 +639,7 @@ impl Compiler {
         let mut points: Vec<(String, Point, Layer)> = Vec::new();
         let mut kinds: Vec<PadKind> = Vec::new();
         let mut escapes: Vec<(Point, Point, Layer)> = Vec::new();
-        for b in lib.flat_bristles(control.frame) {
+        for b in lib.flat_bristles_shared(control.frame).iter() {
             if let Flavor::Pad(kind) = b.flavor {
                 let escaped = match b.side {
                     Side::East => Point::new(frame_bbox.x1, b.pos.y),
@@ -837,16 +837,14 @@ impl CompiledChip {
             if e.index == usize::MAX {
                 continue; // precharge is implicit in the bus model
             }
-            let espec = &self.spec.elements[e.index];
-            let count = espec.params.get("count").copied().unwrap_or(2) as usize;
-            let words = espec.params.get("words").copied().unwrap_or(4) as usize;
-            let depth = espec.params.get("depth").copied().unwrap_or(4) as usize;
-            let behavior = match espec.kind.as_str() {
-                "registers" => bristle_sim::behaviors::register_file(&e.prefix, count),
+            // Each register, RAM word and stack level is one column.
+            let n = e.columns.len();
+            let behavior = match e.kind.as_str() {
+                "registers" => bristle_sim::behaviors::register_file(&e.prefix, n),
                 "alu" => bristle_sim::behaviors::alu(&e.prefix),
                 "shifter" => bristle_sim::behaviors::shifter(&e.prefix),
-                "ram" => bristle_sim::behaviors::decoded_ram(&e.prefix, words),
-                "stack" => bristle_sim::behaviors::decoded_stack(&e.prefix, depth),
+                "ram" => bristle_sim::behaviors::decoded_ram(&e.prefix, n),
+                "stack" => bristle_sim::behaviors::decoded_stack(&e.prefix, n),
                 "inport" => {
                     bristle_sim::behaviors::input_port(&e.prefix, format!("{}_pad", e.prefix))
                 }
@@ -857,21 +855,28 @@ impl CompiledChip {
                     return Err(CompileError::UnknownElement(other.to_owned()));
                 }
             };
-            // Bind control lines: every control bristle in this element's
-            // columns, deduplicated by local name.
-            let mut refs: Vec<(&str, ControlLine)> = Vec::new();
-            for &col in &e.columns {
-                for b in self.lib.cell(col).bristles() {
-                    if let Flavor::Control(line) = &b.flavor {
-                        if !refs.iter().any(|(n, _)| *n == b.name) {
-                            refs.push((b.name.as_str(), line.clone()));
-                        }
+            machine.add_element(behavior, &self.element_controls(e))?;
+        }
+        Ok(machine)
+    }
+
+    /// The control bindings of one element, exactly as the decoder
+    /// drives them: the `(local name, decode spec)` pair of every control
+    /// bristle in the element's columns, deduplicated by local name, in
+    /// column order.
+    #[must_use]
+    pub fn element_controls(&self, e: &ElementInfo) -> Vec<(&str, ControlLine)> {
+        let mut refs: Vec<(&str, ControlLine)> = Vec::new();
+        for &col in &e.columns {
+            for b in self.lib.cell(col).bristles() {
+                if let Flavor::Control(line) = &b.flavor {
+                    if !refs.iter().any(|(n, _)| *n == b.name) {
+                        refs.push((b.name.as_str(), line.clone()));
                     }
                 }
             }
-            machine.add_element(behavior, &refs)?;
         }
-        Ok(machine)
+        refs
     }
 }
 

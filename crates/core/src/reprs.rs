@@ -65,7 +65,7 @@ impl CompiledChip {
     #[must_use]
     pub fn sticks(&self) -> Vec<Stick> {
         let mut sticks = Vec::new();
-        for shape in self.lib.flatten(self.top) {
+        for shape in self.lib.flatten_shared(self.top).iter() {
             if !shape.layer.is_conductor() {
                 continue;
             }

@@ -4,9 +4,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{CellId, Library, Shape, ShapeGeom};
-use bristle_geom::{par_map, Layer, QueryScratch, Rect, RectIndex};
+use bristle_geom::{covered_by, par_map, Layer, QueryScratch, Rect, RectIndex};
 
-use crate::cover::covered_by;
 use crate::rules::{RuleKind, RuleSet};
 
 /// One design-rule violation.
@@ -34,7 +33,7 @@ pub struct Report {
     /// All violations found.
     pub violations: Vec<Violation>,
     /// Number of candidate shape pairs examined (the hierarchical-vs-flat
-    /// cost metric reported by the benches).
+    /// cost metric; `perfbench` reports it as `drc.checked_pairs`).
     pub checked_pairs: u64,
 }
 

@@ -10,7 +10,7 @@
 //! * [`check_flat`] — flatten a hierarchy and check every shape pair,
 //! * [`check_hierarchical`] — check each distinct cell once, then check
 //!   only *inter-instance* interactions in each parent; with well-formed
-//!   abutment this visits far fewer pairs (see the `drc` benches).
+//!   abutment this visits far fewer pairs ([`Report::checked_pairs`]).
 //!
 //! Checked rules (integer-λ variants of Mead & Conway 1978):
 //!
@@ -45,9 +45,7 @@
 #![warn(missing_docs)]
 
 mod check;
-mod cover;
 mod rules;
 
 pub use check::{check_flat, check_hierarchical, Report, Violation};
-pub use cover::covered_by;
 pub use rules::{RuleKind, RuleSet};

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{CellId, Library};
-use bristle_geom::{par_chunks, Layer, QueryScratch, Rect, RectIndex};
+use bristle_geom::{covered_by, par_chunks, Layer, QueryScratch, Rect, RectIndex};
 
 use crate::union_find::UnionFind;
 
@@ -71,7 +71,7 @@ pub struct Netlist {
     ///
     /// **Stability guarantee:** a terminal's name is the bristle's name
     /// prefixed with its slash-separated instance path, exactly as
-    /// `Library::flat_bristles` reports it, in flatten (depth-first
+    /// `Library::flat_bristles_shared` reports it, in flatten (depth-first
     /// instance) order. For compiler-built cores that means every
     /// terminal reads `{element}_c{column}_b{bit}/{bristle}` and keeps
     /// its name across re-extractions, library clones and thread counts —
@@ -239,7 +239,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
         for (g, pi) in cands {
             near_buried.clear();
             buried_index.query_with(g, &mut scratch, |_, b| near_buried.push(b));
-            if !covered(g, &near_buried) {
+            if !covered_by(g, &near_buried) {
                 gates.push((g, pi));
             }
         }
@@ -382,7 +382,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     // layer index yields candidates in piece order, so the first hit is
     // the same piece the old full scan found.
     let mut terminals: Vec<(String, NetId)> = Vec::new();
-    for b in lib.flat_bristles(top) {
+    for b in lib.flat_bristles_shared(top).iter() {
         let probe = Rect::new(b.pos.x, b.pos.y, b.pos.x, b.pos.y);
         let hit = index_by_layer
             .get(&b.layer)
@@ -471,52 +471,15 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     }
 }
 
-/// True if `window` is fully covered by the union of `rects`.
-/// (Same algorithm as `bristle_drc::covered_by`; duplicated to keep the
-/// crates independent.)
-fn covered(window: Rect, rects: &[Rect]) -> bool {
-    if window.is_degenerate() {
-        return true;
-    }
-    let mut residue = vec![window];
-    for r in rects {
-        if residue.is_empty() {
-            return true;
-        }
-        let mut next = Vec::with_capacity(residue.len());
-        for piece in residue {
-            match piece.intersection(r) {
-                None => next.push(piece),
-                Some(hit) => {
-                    if piece.y1 > hit.y1 {
-                        next.push(Rect::new(piece.x0, hit.y1, piece.x1, piece.y1));
-                    }
-                    if piece.y0 < hit.y0 {
-                        next.push(Rect::new(piece.x0, piece.y0, piece.x1, hit.y0));
-                    }
-                    if piece.x0 < hit.x0 {
-                        next.push(Rect::new(piece.x0, hit.y0, hit.x0, hit.y1));
-                    }
-                    if piece.x1 > hit.x1 {
-                        next.push(Rect::new(hit.x1, hit.y0, piece.x1, hit.y1));
-                    }
-                }
-            }
-        }
-        residue = next;
-    }
-    residue.is_empty()
-}
-
 /// The pre-index reference extractor: linear scans everywhere.
 ///
 /// Kept verbatim as the oracle for the regression tests that pin the
 /// indexed/parallel [`extract`] to byte-identical output. Quadratic in
-/// the piece count — never use it outside tests and benches.
+/// the piece count — never use it outside tests and the benchmark.
 #[doc(hidden)]
 #[must_use]
 pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
-    let flat = lib.flatten(top);
+    let flat = lib.flatten_shared(top);
 
     let mut poly: Vec<Piece> = Vec::new();
     let mut diff: Vec<Piece> = Vec::new();
@@ -524,7 +487,7 @@ pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
     let mut contacts: Vec<Rect> = Vec::new();
     let mut buried: Vec<Rect> = Vec::new();
     let mut implants: Vec<Rect> = Vec::new();
-    for shape in &flat {
+    for shape in flat.iter() {
         let label = shape.label().map(str::to_owned);
         for r in shape.to_rects() {
             if r.is_degenerate() {
@@ -555,7 +518,7 @@ pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
                 continue;
             }
             if let Some(g) = p.rect.intersection(&d.rect) {
-                if !covered(g, &buried) {
+                if !covered_by(g, &buried) {
                     gates.push((g, pi));
                 }
             }
@@ -643,7 +606,7 @@ pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
     let net_of = |uf: &mut UnionFind, i: usize| -> NetId { root_to_net[&uf.find(i)] };
 
     let mut terminals: Vec<(String, NetId)> = Vec::new();
-    for b in lib.flat_bristles(top) {
+    for b in lib.flat_bristles_shared(top).iter() {
         let hit = pieces
             .iter()
             .enumerate()

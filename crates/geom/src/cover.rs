@@ -1,8 +1,9 @@
 //! Rectangle coverage: is a window fully covered by a set of rectangles?
-//! Used for enclosure rules (contacts, implants) where the enclosing
-//! material may be drawn as several abutting shapes.
+//! DRC uses it for enclosure rules (contacts, implants) where the
+//! enclosing material may be drawn as several abutting shapes;
+//! extraction uses it to tell a buried contact from a gate.
 
-use bristle_geom::Rect;
+use crate::Rect;
 
 /// True if `window` is entirely covered by the union of `rects`.
 ///
@@ -13,8 +14,7 @@ use bristle_geom::Rect;
 /// # Examples
 ///
 /// ```
-/// use bristle_geom::Rect;
-/// use bristle_drc::covered_by;
+/// use bristle_geom::{covered_by, Rect};
 ///
 /// let window = Rect::new(0, 0, 4, 4);
 /// let halves = [Rect::new(0, 0, 2, 4), Rect::new(2, 0, 4, 4)];

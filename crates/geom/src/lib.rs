@@ -16,6 +16,7 @@
 //! * [`Orientation`] and [`Transform`] — the 8-element dihedral symmetry
 //!   group of the Manhattan plane plus translation,
 //! * [`Layer`] — the nMOS mask layers with their CIF names,
+//! * [`covered_by`] — is a window covered by a union of rectangles,
 //! * [`RectIndex`] — a binned spatial index used by DRC and extraction,
 //!   with an allocation-free stamped-dedup query path ([`QueryScratch`]),
 //! * [`par`] — deterministic scoped-thread parallel maps for the
@@ -35,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cover;
 mod layer;
 pub mod par;
 mod path;
@@ -44,6 +46,7 @@ mod rect;
 mod rect_index;
 mod transform;
 
+pub use cover::covered_by;
 pub use layer::Layer;
 pub use par::{max_workers, par_chunks, par_map, set_max_workers};
 pub use path::Path;

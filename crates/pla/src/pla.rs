@@ -107,7 +107,7 @@ impl Pla {
         Some(ids.iter().any(|&i| self.terms[i].matches(word)))
     }
 
-    /// Statistics for the ablation benches.
+    /// Statistics for ablation A3 and the benchmark's `pla.terms`.
     #[must_use]
     pub fn stats(&self) -> PlaStats {
         let used_mask = self.terms.iter().fold(0u64, |m, t| m | t.care);

@@ -47,8 +47,6 @@ pub struct RouteAssignment {
     pub slot_of: Vec<usize>,
     /// Total estimated wire length (perimeter metric).
     pub cost: i64,
-    /// Rotations and swaps examined (effort metric for the benches).
-    pub candidates_examined: u64,
 }
 
 /// The Roto-Router.
@@ -86,10 +84,8 @@ impl RotoRouter {
         let slot_proj: Vec<i64> = slots.iter().map(|s| ring.project(s.pos)).collect();
         let point_proj: Vec<i64> = points.iter().map(|&p| ring.project(p)).collect();
         let order = clockwise_order(points);
-        let mut examined = 0u64;
 
-        let cost_of = |assignment: &[usize], examined: &mut u64| -> i64 {
-            *examined += 1;
+        let cost_of = |assignment: &[usize]| -> i64 {
             assignment
                 .iter()
                 .enumerate()
@@ -108,10 +104,10 @@ impl RotoRouter {
 
         let rotations = if self.skip_rotation { 1 } else { n };
         let mut best = build(0);
-        let mut best_cost = cost_of(&best, &mut examined);
+        let mut best_cost = cost_of(&best);
         for rot in 1..rotations {
             let cand = build(rot);
-            let c = cost_of(&cand, &mut examined);
+            let c = cost_of(&cand);
             if c < best_cost {
                 best = cand;
                 best_cost = c;
@@ -125,7 +121,6 @@ impl RotoRouter {
                 improved = false;
                 for i in 0..n {
                     for j in i + 1..n {
-                        examined += 1;
                         let before = ring.perimeter_distance(point_proj[i], slot_proj[best[i]])
                             + ring.perimeter_distance(point_proj[j], slot_proj[best[j]]);
                         let after = ring.perimeter_distance(point_proj[i], slot_proj[best[j]])
@@ -143,7 +138,6 @@ impl RotoRouter {
         RouteAssignment {
             slot_of: best,
             cost: best_cost,
-            candidates_examined: examined,
         }
     }
 }

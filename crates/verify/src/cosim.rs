@@ -20,14 +20,14 @@
 //!
 //! The silicon is initialized with an explicit power-on preset
 //! (all nodes low) so dynamic storage starts equal to the machine's
-//! all-zero registers; see [`SwitchSim::preset_all`].
+//! all-zero registers; see [`bristle_sim::SwitchSim::preset_all`].
 
 use std::fmt;
 
-use bristle_cell::{ControlLine, Flavor, Phase};
-use bristle_core::{ChipSpec, CompileError, CompiledChip, Compiler};
+use bristle_cell::{ControlLine, Phase};
+use bristle_core::{ChipSpec, CompileError, Compiler};
 use bristle_extract::extract;
-use bristle_sim::{BridgeError, Level, Microcode, NetlistBridge, SimError, SwitchSim};
+use bristle_sim::{BridgeError, Level, Microcode, NetlistBridge, SimError};
 
 use crate::fault::Fault;
 use crate::program::Program;
@@ -113,32 +113,12 @@ impl From<BridgeError> for CosimError {
     }
 }
 
-/// Per-element control bindings gathered from the compiled layout: the
-/// same (local name, decode spec) pairs the decoder drives.
-fn element_controls(chip: &CompiledChip) -> Vec<(String, Vec<(String, ControlLine)>)> {
-    let mut out = Vec::new();
-    for e in &chip.elements {
-        let mut refs: Vec<(String, ControlLine)> = Vec::new();
-        for &col in &e.columns {
-            for b in chip.lib.cell(col).bristles() {
-                if let Flavor::Control(line) = &b.flavor {
-                    if !refs.iter().any(|(n, _)| *n == b.name) {
-                        refs.push((b.name.clone(), line.clone()));
-                    }
-                }
-            }
-        }
-        out.push((e.prefix.clone(), refs));
-    }
-    out
-}
-
 /// Drives every decoded control column for one clock phase of `word`: a
 /// line of that phase follows its decode, every other line goes low.
 fn drive_controls(
     bridge: &mut NetlistBridge<'_>,
     mc: &Microcode,
-    controls: &[(String, Vec<(String, ControlLine)>)],
+    controls: &[(&str, Vec<(&str, ControlLine)>)],
     word: u64,
     phase: Phase,
 ) -> Result<(), CosimError> {
@@ -180,7 +160,12 @@ pub fn run_cosim_with(
         f.apply(&mut netlist);
     }
     let mut machine = chip.simulation()?;
-    let controls = element_controls(&chip);
+    // Per element prefix, the control bindings the decoder drives.
+    let controls: Vec<_> = chip
+        .elements
+        .iter()
+        .map(|e| (e.prefix.as_str(), chip.element_controls(e)))
+        .collect();
     let mut bridge = NetlistBridge::new(&netlist, spec.data_width)?;
     let mask = if spec.data_width == 64 {
         u64::MAX
@@ -285,41 +270,39 @@ pub fn run_cosim_with(
         // Storage equivalence: every register's plates equal the
         // machine's registers (both plates are written from bus A), and
         // RAM words and stack levels co-simulate actively — their plates
-        // must match too.
-        for (eidx, e) in spec.elements.iter().enumerate() {
-            let prefix = format!("e{eidx}_{}", e.kind);
+        // must match too. Each register, word or level is one column.
+        for e in &chip.elements {
+            let prefix = e.prefix.as_str();
+            let n = e.columns.len() as u32;
             match e.kind.as_str() {
                 "registers" => {
-                    let count = e.params.get("count").copied().unwrap_or(2) as usize;
-                    for r in 0..count {
-                        let want = machine.peek(&prefix, &format!("r{r}"))?;
+                    for r in 0..n {
+                        let want = machine.peek(prefix, &format!("r{r}"))?;
                         for plate in ["storeA", "storeB"] {
-                            let got = bridge.read_column_word(&prefix, plate, r as u32);
+                            let got = bridge.read_column_word(prefix, plate, r);
                             if got != Ok(want) {
-                                return Err(diverge(plate, &prefix, want, &got));
+                                return Err(diverge(plate, prefix, want, &got));
                             }
                             checks += 1;
                         }
                     }
                 }
                 "ram" => {
-                    let words = e.params.get("words").copied().unwrap_or(4) as usize;
-                    for w in 0..words {
-                        let want = machine.peek(&prefix, &format!("m{w}"))?;
-                        let got = bridge.read_column_word(&prefix, "cell", w as u32);
+                    for w in 0..n {
+                        let want = machine.peek(prefix, &format!("m{w}"))?;
+                        let got = bridge.read_column_word(prefix, "cell", w);
                         if got != Ok(want) {
-                            return Err(diverge("ram-cell", &prefix, want, &got));
+                            return Err(diverge("ram-cell", prefix, want, &got));
                         }
                         checks += 1;
                     }
                 }
                 "stack" => {
-                    let depth = e.params.get("depth").copied().unwrap_or(4) as usize;
-                    for l in 0..depth {
-                        let want = machine.peek(&prefix, &format!("s{l}"))?;
-                        let got = bridge.read_column_word(&prefix, "level", l as u32);
+                    for l in 0..n {
+                        let want = machine.peek(prefix, &format!("s{l}"))?;
+                        let got = bridge.read_column_word(prefix, "level", l);
                         if got != Ok(want) {
-                            return Err(diverge("stack-level", &prefix, want, &got));
+                            return Err(diverge("stack-level", prefix, want, &got));
                         }
                         checks += 1;
                     }
@@ -347,13 +330,4 @@ pub fn run_cosim_with(
         transistors: netlist.transistors.len(),
         checks,
     })
-}
-
-/// Convenience: build a standalone switch simulator over a netlist with
-/// the co-sim power-on preset applied (used by exploratory tests).
-#[must_use]
-pub fn preset_switch_sim(netlist: &bristle_extract::Netlist) -> SwitchSim<'_> {
-    let mut sim = SwitchSim::new(netlist);
-    sim.preset_all(Level::L0);
-    sim
 }

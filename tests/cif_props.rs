@@ -66,7 +66,11 @@ fn cif_round_trip_preserves_geometry() {
         let back = cif_to_library(&parse_cif(&text).unwrap()).unwrap();
         let btop = back.find("top").unwrap();
         assert_eq!(back.bbox(btop), lib.bbox(top), "case {case}");
-        assert_eq!(lib.flatten(top), back.flatten(btop), "case {case}");
+        assert_eq!(
+            lib.flatten_shared(top),
+            back.flatten_shared(btop),
+            "case {case}"
+        );
     }
 }
 

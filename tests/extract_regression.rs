@@ -2,7 +2,7 @@
 //! the exact netlists the naive pre-index extractor produces — the
 //! "identical netlist" guarantee of the flatten-once rework.
 
-use bristle_bench::{compile, reference_specs};
+use bristle_bench::{compile, reference_specs, sweep_spec};
 use bristle_blocks::extract::extract;
 
 /// The indexed extractor must equal the naive reference — net names,
@@ -74,10 +74,14 @@ fn cpu16_netlist_golden_counts() {
     assert_eq!(n, again, "extraction must be deterministic");
 }
 
-/// The remaining reference chips stay identical too (fast, so all three).
+/// The remaining reference chips stay identical too (fast, so all
+/// three), and so does the 16-bit sweep chip with every extra element.
 #[test]
 fn smaller_reference_chips_identical_to_reference_extractor() {
-    for spec in &reference_specs()[..3] {
+    let mut specs = reference_specs();
+    specs.truncate(3);
+    specs.push(sweep_spec(16, 8, 4));
+    for spec in &specs {
         let chip = compile(spec).unwrap();
         let fast = extract(&chip.lib, chip.core_cell);
         let slow = bristle_blocks::extract::extract_reference(&chip.lib, chip.core_cell);

@@ -1,6 +1,7 @@
 //! Integration tests spanning the whole workspace: compile complete
 //! chips and hold them to the paper's standards.
 
+use bristle_bench::sweep_spec;
 use bristle_blocks::cif::{cif_to_library, parse_cif};
 use bristle_blocks::core::{ChipSpec, Compiler};
 use bristle_blocks::drc::{check_hierarchical, RuleSet};
@@ -38,21 +39,36 @@ fn core_cell_is_drc_clean() {
 
 #[test]
 fn chip_compiles_at_many_widths() {
-    for width in [2u32, 4, 8, 16, 24] {
-        let spec = ChipSpec::builder(format!("w{width}"))
-            .data_width(width)
-            .element("registers", &[("count", 2)])
-            .element("alu", &[])
-            .build()
-            .unwrap();
-        let chip = Compiler::new().compile(&spec).unwrap();
-        assert!(chip.die_area() > 0, "width {width}");
+    let mut specs: Vec<ChipSpec> = [2u32, 4, 8, 16, 24]
+        .into_iter()
+        .map(|width| {
+            ChipSpec::builder(format!("w{width}"))
+                .data_width(width)
+                .element("registers", &[("count", 2)])
+                .element("alu", &[])
+                .build()
+                .unwrap()
+        })
+        .collect();
+    // The chip-space sweep grid, and the widest sweep chip with every
+    // extra element.
+    for width in [4u32, 8, 16] {
+        for registers in [2i64, 8] {
+            specs.push(sweep_spec(width, registers, 2));
+        }
+    }
+    specs.push(sweep_spec(32, 8, 4));
+    for spec in &specs {
+        let width = spec.data_width;
+        let chip = Compiler::new().compile(spec).unwrap();
+        assert!(chip.die_area() > 0, "{}", spec.name);
         // Core height grows with the word width: n−1 full slices plus
         // the top slice's content (which stops short of the next pitch).
         let h = chip.core_bbox.height();
         assert!(
             h > i64::from(width - 1) * chip.pitch && h <= i64::from(width) * chip.pitch,
-            "width {width}: height {h} vs pitch {}",
+            "{}: height {h} vs pitch {}",
+            spec.name,
             chip.pitch
         );
     }
@@ -67,8 +83,8 @@ fn cif_round_trips_the_whole_chip() {
     let top = back.find("it_small_chip").unwrap();
     assert_eq!(back.bbox(top), Some(chip.die_bbox));
     assert_eq!(
-        back.flatten(top).len(),
-        chip.lib.flatten(chip.top).len(),
+        back.flatten_shared(top).len(),
+        chip.lib.flatten_shared(chip.top).len(),
         "shape population must survive CIF"
     );
 }
