@@ -27,8 +27,8 @@
 //!   it: a new cell can only reference existing cells, so existing
 //!   entries stay valid.
 //! * The cache sits behind an `RwLock`, so `&Library` can be shared
-//!   across the scoped-thread parallel DRC/extraction loops; cloning a
-//!   library starts with a cold cache.
+//!   across DRC's scoped-thread per-cell loop; cloning a library starts
+//!   with a cold cache.
 //! * Bristle flattening ([`Library::flat_bristles_shared`]) is memoized
 //!   the same way, in a sibling cache with identical invariants (both
 //!   caches are cleared together).
@@ -299,8 +299,9 @@ impl fmt::Display for Cell {
 /// of common cell libraries"; see [`crate::save_library`] and
 /// [`crate::load_library`] for the file format.
 ///
-/// Flattening is memoized per cell; see the [module docs](self) for the
-/// cache invariants.
+/// Flattening is memoized per cell ([`Library::flatten_shared`]); the
+/// mutation entry points [`Library::cell_mut`] and
+/// [`Library::add_instance`] clear the cache.
 #[derive(Debug, Default)]
 pub struct Library {
     name: String,
@@ -581,17 +582,6 @@ impl Library {
             .iter()
             .map(|i| self.total_power_ua(i.cell))
             .sum::<u64>()
-    }
-
-    /// Total drawn mask area (λ²) of a flattened cell — the paper's area
-    /// figure of merit is die area; this measures actual drawn geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this library.
-    #[must_use]
-    pub fn drawn_area(&self, id: CellId) -> i64 {
-        self.flatten_shared(id).iter().map(Shape::area).sum()
     }
 }
 

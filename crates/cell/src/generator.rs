@@ -16,8 +16,6 @@ use crate::stretch::StretchError;
 pub enum VotePolicy {
     /// The parameter resolves to the maximum vote (e.g. rail width).
     Max,
-    /// The parameter resolves to the minimum vote.
-    Min,
     /// Votes accumulate (e.g. total supply current).
     Sum,
 }
@@ -26,7 +24,6 @@ impl fmt::Display for VotePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VotePolicy::Max => f.write_str("max"),
-            VotePolicy::Min => f.write_str("min"),
             VotePolicy::Sum => f.write_str("sum"),
         }
     }
@@ -87,7 +84,6 @@ impl Ballot {
                 }
                 *acc = match policy {
                     VotePolicy::Max => (*acc).max(value),
-                    VotePolicy::Min => (*acc).min(value),
                     VotePolicy::Sum => *acc + value,
                 };
                 Ok(())
@@ -107,32 +103,6 @@ impl Ballot {
     }
 }
 
-/// Bus configuration visible to a generator: how many of the two data
-/// buses pass through this element and whether each continues to the next
-/// element (a `false` is a paper-style bus *break*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusConfig {
-    /// Upper bus (bus 0) present.
-    pub bus_a: bool,
-    /// Lower bus (bus 1) present.
-    pub bus_b: bool,
-    /// Upper bus continues past this element.
-    pub bus_a_through: bool,
-    /// Lower bus continues past this element.
-    pub bus_b_through: bool,
-}
-
-impl Default for BusConfig {
-    fn default() -> BusConfig {
-        BusConfig {
-            bus_a: true,
-            bus_b: true,
-            bus_a_through: true,
-            bus_b_through: true,
-        }
-    }
-}
-
 /// Everything a procedural cell may consult while generating itself.
 #[derive(Debug, Clone)]
 pub struct GenCtx {
@@ -140,8 +110,6 @@ pub struct GenCtx {
     pub data_width: u32,
     /// Element parameters from the user's chip description.
     pub params: BTreeMap<String, i64>,
-    /// Bus topology at this element.
-    pub buses: BusConfig,
     /// Name prefix making generated cell names unique per element
     /// instance (e.g. `"e3_alu"`).
     pub prefix: String,
@@ -154,7 +122,6 @@ impl GenCtx {
         GenCtx {
             data_width,
             params: BTreeMap::new(),
-            buses: BusConfig::default(),
             prefix: String::new(),
         }
     }
@@ -318,9 +285,6 @@ mod tests {
         b.vote("i", VotePolicy::Sum, 100).unwrap();
         b.vote("i", VotePolicy::Sum, 50).unwrap();
         assert_eq!(b.result("i"), Some(150));
-        b.vote("m", VotePolicy::Min, 9).unwrap();
-        b.vote("m", VotePolicy::Min, 3).unwrap();
-        assert_eq!(b.result("m"), Some(3));
         assert_eq!(b.result("absent"), None);
     }
 

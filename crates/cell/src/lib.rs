@@ -57,7 +57,7 @@ pub mod stretch;
 pub use bristle::{ActiveWhen, Bristle, ControlLine, Flavor, PadKind, Phase, Rail, Side};
 pub use cdl::{load_library, save_library, CdlError};
 pub use cell::{Cell, CellError, CellId, Instance, Library};
-pub use generator::{Ballot, BusConfig, CellGenerator, GenCtx, GenError, VotePolicy};
+pub use generator::{Ballot, CellGenerator, GenCtx, GenError, VotePolicy};
 pub use interface::{InterfaceStd, InterfaceViolation, TrackSet, SLICE_CLEARANCE};
 pub use power::{rail_width_for_ua, PowerInfo, INVERTER_STATIC_UA, MIN_RAIL_WIDTH, UA_PER_LAMBDA};
 pub use reprs::{CellReprs, LogicGate, LogicKind, Stick};

@@ -147,7 +147,6 @@ impl Compiler {
             core_bbox: core.bbox,
             die_bbox: chip.die_bbox,
             pitch: core.std.pitch,
-            std: core.std,
             elements: core.elements,
             controls: control.controls,
             pla: control.pla,
@@ -791,8 +790,6 @@ pub struct CompiledChip {
     pub die_bbox: Rect,
     /// The resolved bit-slice pitch (the paper's common cell "width").
     pub pitch: i64,
-    /// The interface standard all cells were stretched to.
-    pub std: InterfaceStd,
     /// Per-element records.
     pub elements: Vec<ElementInfo>,
     /// All decoder-driven control lines `(name, decode)`.

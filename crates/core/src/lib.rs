@@ -44,5 +44,4 @@ mod spec;
 
 pub use compile::{CompileError, CompiledChip, Compiler, ElementInfo, PassTimings};
 pub use parse::{parse_page, ParsePageError};
-pub use reprs::Representation;
 pub use spec::{ChipSpec, ChipSpecBuilder, ElementSpec, SpecError};

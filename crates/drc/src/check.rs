@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{CellId, Library, Shape, ShapeGeom};
-use bristle_geom::{covered_by, par_map, Layer, QueryScratch, Rect, RectIndex};
+use bristle_geom::{covered_by, gate_regions, par_map, Layer, QueryScratch, Rect, RectIndex};
 
 use crate::rules::{RuleKind, RuleSet};
 
@@ -128,7 +128,8 @@ fn check_shape_widths<'a>(
         let too_thin = match &s.geom {
             ShapeGeom::Box(r) => r.width().min(r.height()) < min,
             ShapeGeom::Wire(p) => p.width() < min,
-            // Polygons are rare (pads); approximate with the bbox.
+            // No generator draws polygons (they come only from CIF or
+            // CDL input); approximate with the bbox.
             ShapeGeom::Poly(p) => {
                 let b = p.bbox();
                 b.width().min(b.height()) < min
@@ -184,36 +185,19 @@ fn check_spacing(
     }
 }
 
-/// Poly∩diffusion overlap regions that are not covered by a buried
-/// contact: the transistor gates.
-fn gate_regions(soup: &Soup) -> Vec<Rect> {
-    let mut gates = Vec::new();
-    let (Some(poly), Some(diff)) = (soup.layer(Layer::Poly), soup.layer(Layer::Diffusion))
-    else {
-        return gates;
-    };
-    let buried = soup.rects(Layer::Buried);
-    let mut scratch = QueryScratch::new();
-    for &(p, _) in &poly.rects {
-        diff.index.query_with(p, &mut scratch, |_, d| {
-            if let Some(g) = p.intersection(&d) {
-                if !covered_by(g, &buried) {
-                    gates.push(g);
-                }
-            }
-        });
-    }
-    // Merge duplicates (identical regions found via different rect pairs).
-    gates.sort_unstable();
-    gates.dedup();
-    gates
-}
-
 fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
-    let poly = soup.rects(Layer::Poly);
-    let diff = soup.rects(Layer::Diffusion);
+    let (Some(poly_soup), Some(diff_soup)) =
+        (soup.layer(Layer::Poly), soup.layer(Layer::Diffusion))
+    else {
+        return;
+    };
+    let no_buried = RectIndex::bulk_build([]);
+    let buried = soup.layer(Layer::Buried).map_or(&no_buried, |b| &b.index);
+    let gates = gate_regions(poly_soup.rects.iter().map(|&(r, _)| r), &diff_soup.index, buried);
+    let poly = poly_soup.rect_list();
+    let diff = diff_soup.rect_list();
     let implant = soup.rects(Layer::Implant);
-    for g in gate_regions(soup) {
+    for (g, _) in gates {
         let oh = rules.gate_overhang;
         let ext = rules.sd_extension;
         // Configuration A: poly runs horizontally (overhangs left/right),
@@ -397,7 +381,7 @@ pub fn check_flat(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
 ///
 /// With interface-standard abutment, the inter-instance work is confined
 /// to narrow boundary bands, so `checked_pairs` is far below
-/// [`check_flat`]'s (the `drc` bench quantifies this).
+/// [`check_flat`]'s (perfbench reports it as `drc.checked_pairs`).
 ///
 /// Limitations: devices must be contained within a single cell (the
 /// generators in `bristle-stdcells` guarantee this); cross-cell

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{CellId, Library};
-use bristle_geom::{covered_by, par_chunks, Layer, QueryScratch, Rect, RectIndex};
+use bristle_geom::{covered_by, gate_regions, Layer, QueryScratch, Rect, RectIndex};
 
 use crate::union_find::UnionFind;
 
@@ -179,8 +179,8 @@ struct Piece {
 /// library's memoized cache, every conductor layer is indexed once with
 /// [`RectIndex::bulk_build`], and all connectivity questions (same-layer
 /// touching, contact/buried joins, terminal hits, channel direction) are
-/// index queries. The same-layer union sweep runs in parallel; union
-/// pairs are merged in deterministic order, and the resulting netlist is
+/// index queries. Gate regions come from [`bristle_geom::gate_regions`],
+/// the routine DRC checks gates with. The resulting netlist is
 /// byte-identical to the naive reference ([`extract_reference`]).
 ///
 /// # Panics
@@ -220,32 +220,12 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
         }
     }
 
-    let mut scratch = QueryScratch::new();
-
-    // Find gate regions: poly ∩ diffusion, minus buried-contact cover.
-    // Buried cover is confirmed against only the buried rects near the
-    // candidate region (rects that do not touch it cannot cover it).
-    let poly_index = RectIndex::bulk_build(poly.iter().enumerate().map(|(i, p)| (i, p.rect)));
-    let buried_index = RectIndex::bulk_build(buried.iter().copied().enumerate());
-    let mut gates: Vec<(Rect, usize)> = Vec::new(); // (region, poly piece index)
-    let mut near_buried: Vec<Rect> = Vec::new();
-    for d in &diff {
-        let mut cands: Vec<(Rect, usize)> = Vec::new();
-        poly_index.query_with(d.rect, &mut scratch, |pi, pr| {
-            if let Some(g) = pr.intersection(&d.rect) {
-                cands.push((g, pi));
-            }
-        });
-        for (g, pi) in cands {
-            near_buried.clear();
-            buried_index.query_with(g, &mut scratch, |_, b| near_buried.push(b));
-            if !covered_by(g, &near_buried) {
-                gates.push((g, pi));
-            }
-        }
-    }
-    gates.sort_by_key(|&(g, _)| g);
-    gates.dedup_by_key(|&mut (g, _)| g);
+    // Gate regions: poly ∩ diffusion, minus buried-contact cover.
+    let gates = gate_regions(
+        poly.iter().map(|p| p.rect),
+        &RectIndex::bulk_build(diff.iter().enumerate().map(|(i, d)| (i, d.rect))),
+        &RectIndex::bulk_build(buried.iter().copied().enumerate()),
+    );
 
     // Split diffusion at the gates. Only cuts near a diffusion rect can
     // split it, so query the gate index instead of scanning every gate;
@@ -253,6 +233,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     // depends on for its fragment geometry.
     let gate_index =
         RectIndex::bulk_build(gates.iter().enumerate().map(|(i, &(g, _))| (i, g)));
+    let mut scratch = QueryScratch::new();
     let mut channel_pieces: Vec<Piece> = Vec::new();
     let mut near_gates: Vec<Rect> = Vec::new();
     for d in diff {
@@ -293,29 +274,14 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
 
     let mut uf = UnionFind::new(pieces.len());
 
-    // Same-layer touching rects connect. The sweep is embarrassingly
-    // parallel: workers collect (i, j) candidate pairs over contiguous
-    // piece chunks (each with its own query scratch), then the pairs are
-    // union-ed serially in chunk order. The union-find partition is
-    // independent of union order, so the result is deterministic.
-    let pair_chunks: Vec<Vec<(usize, usize)>> = par_chunks(&pieces, |off, chunk| {
-        let mut scratch = QueryScratch::new();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (k, p) in chunk.iter().enumerate() {
-            let i = off + k;
-            if let Some(idx) = index_by_layer.get(&p.layer) {
-                idx.query_with(p.rect, &mut scratch, |j, _| {
-                    if j > i {
-                        pairs.push((i, j));
-                    }
-                });
-            }
-        }
-        pairs
-    });
-    for pairs in pair_chunks {
-        for (i, j) in pairs {
-            uf.union(i, j);
+    // Same-layer touching rects connect.
+    for (i, p) in pieces.iter().enumerate() {
+        if let Some(idx) = index_by_layer.get(&p.layer) {
+            idx.query_with(p.rect, &mut scratch, |j, _| {
+                if j > i {
+                    uf.union(i, j);
+                }
+            });
         }
     }
 
@@ -474,7 +440,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
 /// The pre-index reference extractor: linear scans everywhere.
 ///
 /// Kept verbatim as the oracle for the regression tests that pin the
-/// indexed/parallel [`extract`] to byte-identical output. Quadratic in
+/// indexed [`extract`] to byte-identical output. Quadratic in
 /// the piece count — never use it outside tests and the benchmark.
 #[doc(hidden)]
 #[must_use]

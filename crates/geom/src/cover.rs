@@ -1,9 +1,10 @@
 //! Rectangle coverage: is a window fully covered by a set of rectangles?
 //! DRC uses it for enclosure rules (contacts, implants) where the
-//! enclosing material may be drawn as several abutting shapes;
-//! extraction uses it to tell a buried contact from a gate.
+//! enclosing material may be drawn as several abutting shapes.
+//! [`gate_regions`] uses it to tell a buried contact from a gate, for
+//! both DRC and extraction.
 
-use crate::Rect;
+use crate::{QueryScratch, Rect, RectIndex};
 
 /// True if `window` is entirely covered by the union of `rects`.
 ///
@@ -55,6 +56,53 @@ pub fn covered_by(window: Rect, rects: &[Rect]) -> bool {
         residue = next;
     }
     residue.is_empty()
+}
+
+/// The transistor gates of a mask set: every region where a poly rect
+/// crosses a diffusion rect, unless buried contacts cover it. Returns
+/// each region once, sorted, with the position in `poly` of the first
+/// poly rect that forms it.
+///
+/// `diff` and `buried` index the diffusion and buried-contact rects;
+/// only the buried contacts near a crossing are tested against it.
+///
+/// # Examples
+///
+/// ```
+/// use bristle_geom::{gate_regions, Rect, RectIndex};
+///
+/// let poly = [Rect::new(0, 4, 12, 6), Rect::new(0, 10, 12, 12)];
+/// let diff = RectIndex::bulk_build([(0, Rect::new(4, 0, 6, 16))]);
+/// let buried = RectIndex::bulk_build([(0, Rect::new(3, 9, 7, 13))]);
+/// let gates = gate_regions(poly, &diff, &buried);
+/// assert_eq!(gates, vec![(Rect::new(4, 4, 6, 6), 0)]);
+/// ```
+#[must_use]
+pub fn gate_regions(
+    poly: impl IntoIterator<Item = Rect>,
+    diff: &RectIndex,
+    buried: &RectIndex,
+) -> Vec<(Rect, usize)> {
+    let mut scratch = QueryScratch::new();
+    let mut crossings: Vec<Rect> = Vec::new();
+    let mut near_buried: Vec<Rect> = Vec::new();
+    let mut gates = Vec::new();
+    for (pi, p) in poly.into_iter().enumerate() {
+        crossings.clear();
+        diff.query_with(p, &mut scratch, |_, d| crossings.extend(p.intersection(&d)));
+        for &g in &crossings {
+            near_buried.clear();
+            buried.query_with(g, &mut scratch, |_, b| near_buried.push(b));
+            if !covered_by(g, &near_buried) {
+                gates.push((g, pi));
+            }
+        }
+    }
+    // The same region can come from several rect pairs; keep the first
+    // poly rect.
+    gates.sort_unstable();
+    gates.dedup_by_key(|&mut (g, _)| g);
+    gates
 }
 
 #[cfg(test)]

@@ -16,11 +16,12 @@
 //! * [`Orientation`] and [`Transform`] — the 8-element dihedral symmetry
 //!   group of the Manhattan plane plus translation,
 //! * [`Layer`] — the nMOS mask layers with their CIF names,
-//! * [`covered_by`] — is a window covered by a union of rectangles,
+//! * [`covered_by`] — is a window covered by a union of rectangles, and
+//!   [`gate_regions`] — the transistor gates DRC and extraction share,
 //! * [`RectIndex`] — a binned spatial index used by DRC and extraction,
 //!   with an allocation-free stamped-dedup query path ([`QueryScratch`]),
-//! * [`par`] — deterministic scoped-thread parallel maps for the
-//!   embarrassingly parallel DRC/extraction outer loops.
+//! * [`par`] — a deterministic scoped-thread parallel map for DRC's
+//!   per-cell loop.
 //!
 //! # Examples
 //!
@@ -46,12 +47,12 @@ mod rect;
 mod rect_index;
 mod transform;
 
-pub use cover::covered_by;
+pub use cover::{covered_by, gate_regions};
 pub use layer::Layer;
-pub use par::{max_workers, par_chunks, par_map, set_max_workers};
-pub use path::Path;
+pub use par::{max_workers, par_map, set_max_workers};
+pub use path::{Path, PathError};
 pub use point::Point;
-pub use polygon::Polygon;
+pub use polygon::{Polygon, PolygonError};
 pub use rect::Rect;
 pub use rect_index::{QueryScratch, RectIndex};
 pub use transform::{Orientation, Transform};

@@ -13,11 +13,10 @@
 //! | [`register_file`] | `rda<i>`/`rdb<i>` drive bus A/B, `ld<i>` load from bus A | — |
 //! | [`alu`] | `lda`, `ldb` latch operands; `out` drives result on bus A | `op0..op2` select the operation |
 //! | [`shifter`] | `ld` from bus A; `out` drives bus B | `sl`/`sr` shift by one |
-//! | [`decoded_stack`] | `push` & `selw<i>` latch bus A into level i; `pop` & `sel<i>` drive level i | commit + sp update |
 //! | [`decoded_ram`] | `rd` & `sel<i>` drive word i; `wr` & `selw<i>` latch bus A | write commits |
+//! | [`decoded_stack`] | the same, with `pop`/`push` for `rd`/`wr` | write commits |
 //! | [`input_port`] | `drv` drives bus A from the pad | — |
 //! | [`output_port`] | `ld` latches bus A | value appears on the pad |
-//! | [`literal`] | `en` drives bus A with the constant from bit lines `b<k>` | — |
 
 use crate::machine::{Behavior, ElementCtx};
 
@@ -252,20 +251,28 @@ pub fn shifter(name: impl Into<String>) -> Box<dyn Behavior> {
     })
 }
 
-struct DecodedRam {
+/// Decoded word storage: the shared behavior of the `ram` (words) and
+/// `stack` (levels) stdcells, which draw the same word cell.
+struct DecodedWords {
     name: String,
-    mem: Vec<u64>,
+    /// Control that drives the selected word onto bus A (`rd`/`pop`).
+    read: &'static str,
+    /// Control that writes bus A into the selected word (`wr`/`push`).
+    write: &'static str,
+    /// State-key letter: word `i` is `<key><i>`.
+    key: char,
+    words: Vec<u64>,
     pending_write: Option<(usize, u64)>,
 }
 
-impl Behavior for DecodedRam {
+impl Behavior for DecodedWords {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn phi1_drive(&mut self, ctx: &ElementCtx<'_>) -> [Option<u64>; 2] {
-        if ctx.control("rd") {
-            for (i, &v) in self.mem.iter().enumerate() {
+        if ctx.control(self.read) {
+            for (i, &v) in self.words.iter().enumerate() {
                 if ctx.control(&format!("sel{i}")) {
                     return [Some(v), None];
                 }
@@ -275,12 +282,12 @@ impl Behavior for DecodedRam {
     }
 
     fn phi1_sample(&mut self, ctx: &mut ElementCtx<'_>, buses: [u64; 2]) {
-        // The physical write chain crosses `wr` AND the word's
-        // write-select column (both decoded from the same microcode
-        // fields), so the functional model gates on the same pair — a
-        // write never disturbs unaddressed words.
-        if ctx.control("wr") {
-            for i in 0..self.mem.len() {
+        // The physical write chain crosses the write control AND the
+        // word's write-select column (both decoded from the same
+        // microcode fields), so the functional model gates on the same
+        // pair — a write never disturbs unaddressed words.
+        if ctx.control(self.write) {
+            for i in 0..self.words.len() {
                 if ctx.control(&format!("selw{i}")) {
                     self.pending_write = Some((i, buses[0] & ctx.mask));
                 }
@@ -290,140 +297,66 @@ impl Behavior for DecodedRam {
 
     fn phi2(&mut self, _ctx: &mut ElementCtx<'_>) {
         if let Some((i, v)) = self.pending_write.take() {
-            self.mem[i] = v;
+            self.words[i] = v;
         }
     }
 
     fn state(&self) -> Vec<(String, u64)> {
-        self.mem
+        self.words
             .iter()
             .enumerate()
-            .map(|(i, &v)| (format!("m{i}"), v))
+            .map(|(i, &v)| (format!("{}{i}", self.key), v))
             .collect()
     }
 
     fn poke(&mut self, key: &str, value: u64) -> bool {
-        if let Some(idx) = key.strip_prefix('m').and_then(|s| s.parse::<usize>().ok()) {
-            if idx < self.mem.len() {
-                self.mem[idx] = value;
+        if let Some(idx) = key
+            .strip_prefix(self.key)
+            .and_then(|s| s.parse::<usize>().ok())
+        {
+            if idx < self.words.len() {
+                self.words[idx] = value;
                 return true;
             }
         }
         false
     }
+}
+
+fn decoded_words(
+    name: String,
+    n: usize,
+    (read, write): (&'static str, &'static str),
+    key: char,
+) -> Box<dyn Behavior> {
+    Box::new(DecodedWords {
+        name,
+        read,
+        write,
+        key,
+        words: vec![0; n],
+        pending_write: None,
+    })
 }
 
 /// A RAM with fully decoded word lines, matching the physical layout of
 /// the `ram` stdcell: one read select `sel<i>` and one write select
 /// `selw<i>` per word (the silicon routes them as separate poly columns
 /// gating the read and write chains), plus shared `wr` (write bus A on
-/// φ2) and `rd` (drive bus A).
+/// φ2) and `rd` (drive bus A). Word `i` is state `m<i>`.
 #[must_use]
 pub fn decoded_ram(name: impl Into<String>, words: usize) -> Box<dyn Behavior> {
-    Box::new(DecodedRam {
-        name: name.into(),
-        mem: vec![0; words],
-        pending_write: None,
-    })
+    decoded_words(name.into(), words, ("rd", "wr"), 'm')
 }
 
-struct DecodedStack {
-    name: String,
-    levels: Vec<u64>,
-    sp: usize,
-    pending_push: Option<(usize, u64)>,
-    pending_pop: Option<usize>,
-}
-
-impl Behavior for DecodedStack {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn phi1_drive(&mut self, ctx: &ElementCtx<'_>) -> [Option<u64>; 2] {
-        if ctx.control("pop") {
-            for (i, &v) in self.levels.iter().enumerate() {
-                if ctx.control(&format!("sel{i}")) {
-                    self.pending_pop = Some(i);
-                    return [Some(v), None];
-                }
-            }
-        }
-        [None, None]
-    }
-
-    fn phi1_sample(&mut self, ctx: &mut ElementCtx<'_>, buses: [u64; 2]) {
-        if ctx.control("push") {
-            for i in 0..self.levels.len() {
-                if ctx.control(&format!("selw{i}")) {
-                    self.pending_push = Some((i, buses[0] & ctx.mask));
-                }
-            }
-        }
-    }
-
-    fn phi2(&mut self, _ctx: &mut ElementCtx<'_>) {
-        if let Some(i) = self.pending_pop.take() {
-            self.sp = i;
-        }
-        if let Some((i, v)) = self.pending_push.take() {
-            self.levels[i] = v;
-            self.sp = i + 1;
-        }
-    }
-
-    fn state(&self) -> Vec<(String, u64)> {
-        let mut s = vec![
-            ("sp".into(), self.sp as u64),
-            (
-                "top".into(),
-                self.sp
-                    .checked_sub(1)
-                    .and_then(|i| self.levels.get(i).copied())
-                    .unwrap_or(0),
-            ),
-        ];
-        for (i, &v) in self.levels.iter().enumerate() {
-            s.push((format!("s{i}"), v));
-        }
-        s
-    }
-
-    fn poke(&mut self, key: &str, value: u64) -> bool {
-        if key == "sp" {
-            if (value as usize) <= self.levels.len() {
-                self.sp = value as usize;
-                return true;
-            }
-            return false;
-        }
-        if let Some(idx) = key.strip_prefix('s').and_then(|s| s.parse::<usize>().ok()) {
-            if idx < self.levels.len() {
-                self.levels[idx] = value;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// The sp-faithful stack matching the sp-decoded `stack` stdcell: the
-/// microcode carries the target level (the `_sp` field the program
-/// generator maintains), decoded into per-level `sel<i>`/`selw<i>` lines
-/// exactly like RAM word selects. `push` writes bus A into level
-/// `selw<i>` and advances sp; `pop` drives level `sel<i>` onto bus A and
-/// retracts sp. Level storage therefore co-simulates word for word
-/// against the silicon plates, and `sp` is plain bookkeeping both sides
-/// derive from the same decoded selects.
+/// The sp-decoded stack matching the `stack` stdcell: a [`decoded_ram`]
+/// whose read/write controls are `pop`/`push`. The microcode carries the
+/// target level (the `_sp` field the program generator maintains),
+/// decoded into per-level `sel<i>`/`selw<i>` lines, so the stack pointer
+/// lives in the microcode, not here. Level `i` is state `s<i>`.
 #[must_use]
 pub fn decoded_stack(name: impl Into<String>, depth: usize) -> Box<dyn Behavior> {
-    Box::new(DecodedStack {
-        name: name.into(),
-        levels: vec![0; depth],
-        sp: 0,
-        pending_push: None,
-        pending_pop: None,
-    })
+    decoded_words(name.into(), depth, ("pop", "push"), 's')
 }
 
 struct InputPort {
@@ -500,44 +433,43 @@ pub fn output_port(name: impl Into<String>, pad: impl Into<String>) -> Box<dyn B
     })
 }
 
-struct Literal {
-    name: String,
-}
-
-impl Behavior for Literal {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn phi1_drive(&mut self, ctx: &ElementCtx<'_>) -> [Option<u64>; 2] {
-        if ctx.control("en") {
-            let mut v = 0u64;
-            for k in 0..ctx.width {
-                if ctx.control(&format!("b{k}")) {
-                    v |= 1 << k;
-                }
-            }
-            [Some(v), None]
-        } else {
-            [None, None]
-        }
-    }
-}
-
-/// A literal source: when `en` is asserted, drives bus A with the
-/// constant whose bit `k` is control line `b<k>` — letting a microcode
-/// field supply immediates directly through the decoder.
-#[must_use]
-pub fn literal(name: impl Into<String>) -> Box<dyn Behavior> {
-    Box::new(Literal { name: name.into() })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::Machine;
     use crate::microcode::Microcode;
     use bristle_cell::{ActiveWhen, ControlLine, Phase};
+
+    struct Literal {
+        name: String,
+    }
+
+    impl Behavior for Literal {
+        fn name(&self) -> &str {
+            &self.name
+        }
+
+        fn phi1_drive(&mut self, ctx: &ElementCtx<'_>) -> [Option<u64>; 2] {
+            if ctx.control("en") {
+                let mut v = 0u64;
+                for k in 0..ctx.width {
+                    if ctx.control(&format!("b{k}")) {
+                        v |= 1 << k;
+                    }
+                }
+                [Some(v), None]
+            } else {
+                [None, None]
+            }
+        }
+    }
+
+    /// A literal source: when `en` is asserted, drives bus A with the
+    /// constant whose bit `k` is control line `b<k>` — letting a microcode
+    /// field supply immediates directly through the decoder.
+    fn literal(name: impl Into<String>) -> Box<dyn Behavior> {
+        Box::new(Literal { name: name.into() })
+    }
 
     fn ctl(field: &str, active: ActiveWhen, phase: Phase) -> ControlLine {
         ControlLine {
@@ -717,26 +649,38 @@ mod tests {
             &[
                 ("en", ctl("stk", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("b1", ctl("stk", ActiveWhen::Always, Phase::Phi1)),
+                ("b0", ctl("sp", ActiveWhen::Equals(2), Phase::Phi1)),
             ],
         )
         .unwrap();
-        // Push twice (levels 0 then 1, the generator encodes sp).
+        let levels = |m: &Machine| -> Vec<u64> {
+            (0..3)
+                .map(|i| m.peek("st", &format!("s{i}")).unwrap())
+                .collect()
+        };
+        // Push twice (levels 0 then 1, the generator encodes sp): each
+        // push writes only its selected level.
         let p0 = m.microcode().encode(&[("stk", 1), ("sp", 1)]).unwrap();
         let p1 = m.microcode().encode(&[("stk", 1), ("sp", 2)]).unwrap();
         m.step_word(p0).unwrap();
+        assert_eq!(levels(&m), [0b10, 0, 0]);
         m.step_word(p1).unwrap();
-        assert_eq!(m.peek("st", "sp").unwrap(), 2);
-        assert_eq!(m.peek("st", "s0").unwrap(), 0b10);
-        assert_eq!(m.peek("st", "top").unwrap(), 0b10);
-        // Pop level 1: drives its word, sp falls back to 1.
-        let pop = m.microcode().encode(&[("stk", 2), ("sp", 2)]).unwrap();
-        let buses = m.step_word(pop).unwrap();
-        assert_eq!(buses[0], 0b10);
-        assert_eq!(m.peek("st", "sp").unwrap(), 1);
-        // Pop with no select (sp field 0) drives nothing and holds sp.
+        assert_eq!(levels(&m), [0b10, 0b11, 0]);
+        // Pop level 1, then level 0: each drives its word onto bus A and
+        // leaves the storage as it was.
+        for (sp, want) in [(2, 0b11), (1, 0b10)] {
+            let pop = m.microcode().encode(&[("stk", 2), ("sp", sp)]).unwrap();
+            let buses = m.step_word(pop).unwrap();
+            assert_eq!(buses[0], want, "pop level {}", sp - 1);
+            assert_eq!(levels(&m), [0b10, 0b11, 0]);
+        }
+        // Pop or push with no select (sp field 0) drives and writes
+        // nothing.
         let idle_pop = m.microcode().encode(&[("stk", 2)]).unwrap();
         let buses = m.step_word(idle_pop).unwrap();
         assert_eq!(buses[0], 0xFF, "undriven bus stays precharged");
-        assert_eq!(m.peek("st", "sp").unwrap(), 1);
+        let idle_push = m.microcode().encode(&[("stk", 1)]).unwrap();
+        m.step_word(idle_push).unwrap();
+        assert_eq!(levels(&m), [0b10, 0b11, 0]);
     }
 }

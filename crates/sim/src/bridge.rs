@@ -270,11 +270,6 @@ impl<'a> NetlistBridge<'a> {
         self.width
     }
 
-    /// Element prefixes seen in the netlist, in sorted order.
-    pub fn prefixes(&self) -> impl Iterator<Item = &str> {
-        self.groups.keys().map(String::as_str)
-    }
-
     /// The terminals of one signal group.
     ///
     /// # Errors

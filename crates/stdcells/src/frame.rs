@@ -142,7 +142,7 @@ pub struct BitCellSpec {
     /// the builder adds [`bristle_cell::INVERTER_STATIC_UA`] per
     /// [`Slot::Inverter`] itself.
     pub power_ua: u64,
-    /// Representation data to attach.
+    /// The cell's other representations to attach ([`CellReprs`]).
     pub reprs: CellReprs,
 }
 

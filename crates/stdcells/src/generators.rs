@@ -37,6 +37,20 @@ fn bits_for(n: u64) -> u32 {
     64 - n.leading_zeros()
 }
 
+/// A column-count parameter (`count`, `words`, `depth`): one column per
+/// register, word or level, 1..=16 of them.
+fn columns_param(ctx: &GenCtx, name: &str, default: i64, what: &str) -> Result<i64, GenError> {
+    let n = ctx.param_or(name, default);
+    if !(1..=16).contains(&n) {
+        return Err(GenError::BadParam {
+            name: name.into(),
+            value: n,
+            reason: format!("1..=16 {what} supported"),
+        });
+    }
+    Ok(n)
+}
+
 fn add_cell(lib: &mut Library, spec: &BitCellSpec) -> Result<CellId, GenError> {
     let cell = spec
         .build()
@@ -70,14 +84,7 @@ impl CellGenerator for RegistersGen {
     }
 
     fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
-        let count = ctx.param_or("count", 2);
-        if !(1..=16).contains(&count) {
-            return Err(GenError::BadParam {
-                name: "count".into(),
-                value: count,
-                reason: "1..=16 registers supported".into(),
-            });
-        }
+        let count = columns_param(ctx, "count", 2, "registers")?;
         let rda_field = format!("{}_rda", ctx.prefix);
         let rdb_field = format!("{}_rdb", ctx.prefix);
         let ld_field = format!("{}_ld", ctx.prefix);
@@ -346,8 +353,60 @@ impl CellGenerator for ShifterGen {
     }
 }
 
+/// One word of decoded storage — a RAM word or a stack level: the
+/// column `index` of a `ram` or `stack` element. Restoring and faithful:
+/// the read chain crosses the word select `sel<index>`, the `read`
+/// control and the inverted plate `n<plate>`, so a read asserts the
+/// stored word onto bus A; the write chain crosses `write` AND a second
+/// select column `selw<index>`, so only the addressed word's plate
+/// samples bus A. Both selects decode `index + 1` from `addr_field`; the
+/// read/write controls decode 2/1 from `op_field`. The caller sets the
+/// power and representations.
+fn decoded_word_cell(
+    name: String,
+    index: u32,
+    addr_field: &str,
+    op_field: &str,
+    (read, write): (&str, &str),
+    plate_name: &str,
+) -> BitCellSpec {
+    let mut spec = BitCellSpec::new(name);
+    let sel = ActiveWhen::Equals(u64::from(index) + 1);
+    spec.slots = vec![
+        ctl(&format!("sel{index}"), addr_field, sel.clone(), Phase::Phi1),
+        ctl(read, op_field, ActiveWhen::Equals(2), Phase::Phi1),
+        plate(&format!("n{plate_name}")),
+        Slot::Gap,
+        inverter(6, 2),
+        Slot::Gap,
+        plate(plate_name),
+        ctl(write, op_field, ActiveWhen::Equals(1), Phase::Phi1),
+        ctl(&format!("selw{index}"), addr_field, sel, Phase::Phi1),
+    ];
+    spec.chains = vec![
+        // Read: sel & read & ~plate pull bus A low where the stored bit
+        // is 0.
+        Chain {
+            region: Region::GndBusA,
+            from_slot: 0,
+            to_slot: 2,
+            left: Tap::BusA,
+            right: Tap::Gnd,
+        },
+        // Write: bus A through selw & write onto the plate.
+        Chain {
+            region: Region::BusABusB,
+            from_slot: 6,
+            to_slot: 8,
+            left: Tap::Plate,
+            right: Tap::BusA,
+        },
+    ];
+    spec
+}
+
 /// `ram` — a small memory, one column per word with fully decoded word
-/// lines.
+/// lines (`decoded_word_cell` with `rd`/`wr` and plate `cell`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RamGen;
 
@@ -365,55 +424,19 @@ impl CellGenerator for RamGen {
     }
 
     fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
-        let words = ctx.param_or("words", 4);
-        if !(1..=16).contains(&words) {
-            return Err(GenError::BadParam {
-                name: "words".into(),
-                value: words,
-                reason: "1..=16 words supported".into(),
-            });
-        }
+        let words = columns_param(ctx, "words", 4, "words")?;
         let sel_field = format!("{}_sel", ctx.prefix);
         let rw_field = format!("{}_rw", ctx.prefix);
         let mut columns = Vec::new();
-        for wd in 0..words {
-            let mut spec = BitCellSpec::new(ctx.cell_name(&format!("ram{wd}_bit")));
-            let sel = ActiveWhen::Equals(wd as u64 + 1);
-            // Restoring + faithful: the read chain crosses the word select,
-            // the rd control and the inverted plate, so a read asserts the
-            // stored word; the write chain crosses wr AND a second select
-            // column (`selw`), so only the addressed word's plate samples
-            // the bus.
-            spec.slots = vec![
-                ctl(&format!("sel{wd}"), &sel_field, sel.clone(), Phase::Phi1),
-                ctl("rd", &rw_field, ActiveWhen::Equals(2), Phase::Phi1),
-                plate("ncell"),
-                Slot::Gap,
-                inverter(6, 2),
-                Slot::Gap,
-                plate("cell"),
-                ctl("wr", &rw_field, ActiveWhen::Equals(1), Phase::Phi1),
-                ctl(&format!("selw{wd}"), &sel_field, sel, Phase::Phi1),
-            ];
-            spec.chains = vec![
-                // Read: sel & rd & ~cell pull bus A low where the stored
-                // bit is 0.
-                Chain {
-                    region: Region::GndBusA,
-                    from_slot: 0,
-                    to_slot: 2,
-                    left: Tap::BusA,
-                    right: Tap::Gnd,
-                },
-                // Write: bus A through selw & wr onto the cell plate.
-                Chain {
-                    region: Region::BusABusB,
-                    from_slot: 6,
-                    to_slot: 8,
-                    left: Tap::Plate,
-                    right: Tap::BusA,
-                },
-            ];
+        for wd in 0..words as u32 {
+            let mut spec = decoded_word_cell(
+                ctx.cell_name(&format!("ram{wd}_bit")),
+                wd,
+                &sel_field,
+                &rw_field,
+                ("rd", "wr"),
+                "cell",
+            );
             spec.power_ua = 40;
             spec.reprs = CellReprs {
                 doc: format!(
@@ -429,9 +452,11 @@ impl CellGenerator for RamGen {
     }
 }
 
-/// `stack` — a hardware stack, one column per level; the `_sp` field
-/// carries the decoded stack-pointer level, so `push`/`pop` reach only
-/// the selected level.
+/// `stack` — a hardware stack, one column per level. The microcode
+/// carries the decoded stack-pointer level in the `_sp` field (the
+/// program generator maintains it), so each level is a RAM word
+/// (`decoded_word_cell` with `pop`/`push` and plate `level`): push
+/// writes level sp, pop restores level sp−1 onto the bus.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StackGen;
 
@@ -449,53 +474,19 @@ impl CellGenerator for StackGen {
     }
 
     fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
-        let depth = ctx.param_or("depth", 4);
-        if !(1..=16).contains(&depth) {
-            return Err(GenError::BadParam {
-                name: "depth".into(),
-                value: depth,
-                reason: "1..=16 levels supported".into(),
-            });
-        }
-        let f = format!("{}_stk", ctx.prefix);
+        let depth = columns_param(ctx, "depth", 4, "levels")?;
+        let stk_field = format!("{}_stk", ctx.prefix);
         let sp_field = format!("{}_sp", ctx.prefix);
         let mut columns = Vec::new();
-        for lvl in 0..depth {
-            let mut spec = BitCellSpec::new(ctx.cell_name(&format!("stack{lvl}_bit")));
-            // sp-faithful stack: the microcode carries the decoded
-            // stack-pointer level (`_sp` field, maintained by the microcode
-            // generator), so each level is selected exactly like a RAM word
-            // — push writes level sp, pop restores level sp−1 onto the bus.
-            let sel = ActiveWhen::Equals(lvl as u64 + 1);
-            spec.slots = vec![
-                ctl(&format!("sel{lvl}"), &sp_field, sel.clone(), Phase::Phi1),
-                ctl("pop", &f, ActiveWhen::Equals(2), Phase::Phi1),
-                plate("nlevel"),
-                Slot::Gap,
-                inverter(6, 2),
-                Slot::Gap,
-                plate("level"),
-                ctl("push", &f, ActiveWhen::Equals(1), Phase::Phi1),
-                ctl(&format!("selw{lvl}"), &sp_field, sel, Phase::Phi1),
-            ];
-            spec.chains = vec![
-                // Pop: sel & pop & ~level restore the level word.
-                Chain {
-                    region: Region::GndBusA,
-                    from_slot: 0,
-                    to_slot: 2,
-                    left: Tap::BusA,
-                    right: Tap::Gnd,
-                },
-                // Push: bus A through selw & push onto the level plate.
-                Chain {
-                    region: Region::BusABusB,
-                    from_slot: 6,
-                    to_slot: 8,
-                    left: Tap::Plate,
-                    right: Tap::BusA,
-                },
-            ];
+        for lvl in 0..depth as u32 {
+            let mut spec = decoded_word_cell(
+                ctx.cell_name(&format!("stack{lvl}_bit")),
+                lvl,
+                &sp_field,
+                &stk_field,
+                ("pop", "push"),
+                "level",
+            );
             spec.power_ua = 50;
             spec.reprs = CellReprs {
                 doc: format!("Stack level {lvl} bit: sp-decoded level, restoring pop."),

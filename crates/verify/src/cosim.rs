@@ -21,6 +21,9 @@
 //! The silicon is initialized with an explicit power-on preset
 //! (all nodes low) so dynamic storage starts equal to the machine's
 //! all-zero registers; see [`bristle_sim::SwitchSim::preset_all`].
+//!
+//! [`Machine`]: bristle_sim::Machine
+//! [`Machine::step_word`]: bristle_sim::Machine::step_word
 
 use std::fmt;
 
@@ -267,47 +270,27 @@ pub fn run_cosim_with(
             checks += 1;
         }
 
-        // Storage equivalence: every register's plates equal the
-        // machine's registers (both plates are written from bus A), and
-        // RAM words and stack levels co-simulate actively — their plates
-        // must match too. Each register, word or level is one column.
+        // Storage equivalence: every register, RAM word and stack level
+        // is one column whose plates must equal the machine's state.
+        // Both register plates are written from bus A; RAM words and
+        // stack levels are the same decoded word cell.
         for e in &chip.elements {
+            let (key, plates): (char, &[(&str, &str)]) = match e.kind.as_str() {
+                "registers" => ('r', &[("storeA", "storeA"), ("storeB", "storeB")]),
+                "ram" => ('m', &[("cell", "ram-cell")]),
+                "stack" => ('s', &[("level", "stack-level")]),
+                _ => continue,
+            };
             let prefix = e.prefix.as_str();
-            let n = e.columns.len() as u32;
-            match e.kind.as_str() {
-                "registers" => {
-                    for r in 0..n {
-                        let want = machine.peek(prefix, &format!("r{r}"))?;
-                        for plate in ["storeA", "storeB"] {
-                            let got = bridge.read_column_word(prefix, plate, r);
-                            if got != Ok(want) {
-                                return Err(diverge(plate, prefix, want, &got));
-                            }
-                            checks += 1;
-                        }
+            for w in 0..e.columns.len() as u32 {
+                let want = machine.peek(prefix, &format!("{key}{w}"))?;
+                for &(plate, check) in plates {
+                    let got = bridge.read_column_word(prefix, plate, w);
+                    if got != Ok(want) {
+                        return Err(diverge(check, prefix, want, &got));
                     }
+                    checks += 1;
                 }
-                "ram" => {
-                    for w in 0..n {
-                        let want = machine.peek(prefix, &format!("m{w}"))?;
-                        let got = bridge.read_column_word(prefix, "cell", w);
-                        if got != Ok(want) {
-                            return Err(diverge("ram-cell", prefix, want, &got));
-                        }
-                        checks += 1;
-                    }
-                }
-                "stack" => {
-                    for l in 0..n {
-                        let want = machine.peek(prefix, &format!("s{l}"))?;
-                        let got = bridge.read_column_word(prefix, "level", l);
-                        if got != Ok(want) {
-                            return Err(diverge("stack-level", prefix, want, &got));
-                        }
-                        checks += 1;
-                    }
-                }
-                _ => {}
             }
         }
 

@@ -41,7 +41,7 @@
 //! `selw`-gated writes, sp-decoded stack pushes and pops, port in/out
 //! and wired multi-driver reads. RAM and stack co-simulate actively;
 //! ALU and shifter columns ride along as passive layout. Divergences
-//! shrink to a minimal reproducer ([`shrink`]) before being reported.
+//! shrink to a minimal reproducer ([`shrink()`]) before being reported.
 //!
 //! ## Reproducing a failure
 //!

@@ -117,47 +117,34 @@ pub struct Program {
     pub stacks: Vec<(String, usize)>,
 }
 
-/// Element prefixes as the compiler assigns them (`e<i>_<kind>`).
-struct Prefixes {
-    regs: Vec<(String, usize)>,
-    inports: Vec<String>,
-    outports: Vec<String>,
-    rams: Vec<(String, usize)>,
-    stacks: Vec<(String, usize)>,
-}
-
-fn prefixes(spec: &ChipSpec) -> Prefixes {
-    let mut p = Prefixes {
-        regs: Vec::new(),
-        inports: Vec::new(),
-        outports: Vec::new(),
-        rams: Vec::new(),
-        stacks: Vec::new(),
-    };
-    for (i, e) in spec.elements.iter().enumerate() {
-        let prefix = format!("e{i}_{}", e.kind);
-        match e.kind.as_str() {
-            "registers" => {
-                let count = e.params.get("count").copied().unwrap_or(2) as usize;
-                p.regs.push((prefix, count));
-            }
-            "inport" => p.inports.push(prefix),
-            "outport" => p.outports.push(prefix),
-            "ram" => {
-                let words = e.params.get("words").copied().unwrap_or(4) as usize;
-                p.rams.push((prefix, words));
-            }
-            "stack" => {
-                let depth = e.params.get("depth").copied().unwrap_or(4) as usize;
-                p.stacks.push((prefix, depth));
-            }
-            _ => {}
-        }
-    }
-    p
-}
-
 impl Program {
+    /// An empty program bound to `spec`'s elements, with the prefixes
+    /// the compiler assigns (`e<i>_<kind>`).
+    fn bound_to(spec: &ChipSpec) -> Program {
+        let mut p = Program {
+            cycles: Vec::new(),
+            reg_elements: Vec::new(),
+            inports: Vec::new(),
+            outports: Vec::new(),
+            rams: Vec::new(),
+            stacks: Vec::new(),
+        };
+        for (i, e) in spec.elements.iter().enumerate() {
+            let prefix = format!("e{i}_{}", e.kind);
+            let param =
+                |name: &str, default: i64| e.params.get(name).copied().unwrap_or(default) as usize;
+            match e.kind.as_str() {
+                "registers" => p.reg_elements.push((prefix, param("count", 2))),
+                "inport" => p.inports.push(prefix),
+                "outport" => p.outports.push(prefix),
+                "ram" => p.rams.push((prefix, param("words", 4))),
+                "stack" => p.stacks.push((prefix, param("depth", 4))),
+                _ => {}
+            }
+        }
+        p
+    }
+
     /// Generates `cycles` random transfer cycles for `spec`.
     ///
     /// # Panics
@@ -166,10 +153,10 @@ impl Program {
     /// co-sim specs guarantee both.
     #[must_use]
     pub fn random(spec: &ChipSpec, seed: u64, cycles: usize) -> Program {
-        let p = prefixes(spec);
+        let mut p = Program::bound_to(spec);
         assert!(!p.inports.is_empty(), "cosim spec must carry an inport");
         assert!(
-            !p.regs.is_empty(),
+            !p.reg_elements.is_empty(),
             "cosim spec must carry a register element"
         );
         let mut rng = Rng::new(seed);
@@ -194,7 +181,7 @@ impl Program {
                             c.inports.insert(pfx.clone(), rng.next() & mask);
                         }
                     }
-                    for (pfx, count) in &p.regs {
+                    for (pfx, count) in &p.reg_elements {
                         if rng.chance(2, 3) {
                             c.regs.entry(pfx.clone()).or_default().load =
                                 Some(rng.range_u64(0, *count as u64) as usize);
@@ -220,7 +207,7 @@ impl Program {
                 }
                 // Read cycle: random selects, optional co-driving pads.
                 4..=6 => {
-                    for (pfx, count) in &p.regs {
+                    for (pfx, count) in &p.reg_elements {
                         let ops = c.regs.entry(pfx.clone()).or_default();
                         if rng.chance(2, 3) {
                             ops.read_a = Some(rng.range_u64(0, *count as u64) as usize);
@@ -252,14 +239,8 @@ impl Program {
             }
             out.push(c);
         }
-        Program {
-            cycles: out,
-            reg_elements: p.regs,
-            inports: p.inports,
-            outports: p.outports,
-            rams: p.rams,
-            stacks: p.stacks,
-        }
+        p.cycles = out;
+        p
     }
 
     /// Encodes one cycle into a microcode word.

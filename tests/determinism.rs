@@ -1,7 +1,8 @@
-//! Deterministic-parallelism regression: the parallel DRC and
-//! extraction pipelines must produce byte-identical results regardless
-//! of worker count. Workers merge in input order by construction; this
-//! test pins that guarantee end to end on a real chip.
+//! Deterministic-parallelism regression: DRC and extraction must
+//! produce byte-identical results regardless of worker count. DRC's
+//! per-cell loop runs on `par_map`, whose workers merge in input order
+//! by construction; extraction is serial, so the worker cap must not
+//! reach it at all. This test pins both end to end on a real chip.
 //!
 //! Kept in its own integration binary because it flips the global
 //! worker cap — the cap is process-wide, and other suites must never
