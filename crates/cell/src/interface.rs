@@ -127,11 +127,12 @@ pub struct InterfaceStd {
     pub bus_b_y: i64,
     /// Standard VDD rail center y.
     pub vdd_y: i64,
-    /// Power rail metal width (λ, even).
-    pub rail_width: i64,
-    /// Bus wire metal width (λ, even).
-    pub bus_width: i64,
 }
+
+/// Metal width (λ) of every horizontal track — both power rails and both
+/// buses. Rails are not sized by current: every cell draws them at this
+/// width.
+pub const TRACK_WIDTH: i64 = 4;
 
 /// Minimum clearance kept between the VDD rail of one slice and the GND
 /// rail of the slice above (the metal spacing rule).
@@ -145,12 +146,10 @@ impl InterfaceStd {
     ///
     /// # Panics
     ///
-    /// Panics if `tracks` is empty or any width is odd/non-positive.
+    /// Panics if `tracks` is empty.
     #[must_use]
-    pub fn from_tracks(tracks: &[TrackSet], rail_width: i64, bus_width: i64) -> InterfaceStd {
+    pub fn from_tracks(tracks: &[TrackSet]) -> InterfaceStd {
         assert!(!tracks.is_empty(), "no track sets supplied");
-        assert!(rail_width > 0 && rail_width % 2 == 0, "bad rail width {rail_width}");
-        assert!(bus_width > 0 && bus_width % 2 == 0, "bad bus width {bus_width}");
         let seg0 = tracks.iter().map(|t| t.gnd_y).max().unwrap();
         let seg1 = tracks.iter().map(|t| t.bus_a_y - t.gnd_y).max().unwrap();
         let seg2 = tracks.iter().map(|t| t.bus_b_y - t.bus_a_y).max().unwrap();
@@ -162,8 +161,8 @@ impl InterfaceStd {
         let vdd_y = bus_b_y + seg3;
         // The next slice's GND bottom edge must clear this slice's
         // tallest geometry.
-        let mut pitch = (vdd_y + overhang.max(rail_width / 2) + SLICE_CLEARANCE)
-            - (gnd_y - rail_width / 2);
+        let half = TRACK_WIDTH / 2;
+        let mut pitch = (vdd_y + overhang.max(half) + SLICE_CLEARANCE) - (gnd_y - half);
         // And the pitch must land tracks of every slice on the lattice.
         if pitch % 2 == 1 {
             pitch += 1;
@@ -174,8 +173,6 @@ impl InterfaceStd {
             bus_a_y,
             bus_b_y,
             vdd_y,
-            rail_width,
-            bus_width,
         }
     }
 
@@ -326,7 +323,7 @@ mod tests {
         let c2 = tracked_cell("b", 4, 8, 20, 24);
         let t1 = TrackSet::from_cell(&c1).unwrap();
         let t2 = TrackSet::from_cell(&c2).unwrap();
-        let std = InterfaceStd::from_tracks(&[t1, t2], 4, 4);
+        let std = InterfaceStd::from_tracks(&[t1, t2]);
         assert_eq!(std.gnd_y, 4); // max(2,4)
         assert_eq!(std.bus_a_y, 4 + 8); // max(8,4)=8
         assert_eq!(std.bus_b_y, 12 + 12); // max(8,12)=12
@@ -341,7 +338,7 @@ mod tests {
         let mut c2 = tracked_cell("b", 4, 8, 20, 24);
         let t1 = TrackSet::from_cell(&c1).unwrap();
         let t2 = TrackSet::from_cell(&c2).unwrap();
-        let std = InterfaceStd::from_tracks(&[t1, t2], 4, 4);
+        let std = InterfaceStd::from_tracks(&[t1, t2]);
         for (cell, t) in [(&mut c1, t1), (&mut c2, t2)] {
             let plan = std
                 .plan_alignment(&t, &cell.stretch_y().to_vec(), cell.name())
@@ -363,7 +360,7 @@ mod tests {
             vdd_y: 30,
             top: 32,
         };
-        let std = InterfaceStd::from_tracks(&[t, other], 4, 4);
+        let std = InterfaceStd::from_tracks(&[t, other]);
         let err = std.plan_alignment(&t, &[], "a").unwrap_err();
         assert!(matches!(err, StretchError::NotStretchable { .. }));
     }
@@ -372,7 +369,7 @@ mod tests {
     fn check_reports_misalignment() {
         let c = tracked_cell("a", 2, 10, 18, 26);
         let t = TrackSet::from_cell(&c).unwrap();
-        let mut std = InterfaceStd::from_tracks(&[t], 4, 4);
+        let mut std = InterfaceStd::from_tracks(&[t]);
         std.bus_a_y += 2;
         assert!(matches!(
             std.check(&c),

@@ -20,9 +20,10 @@
 //! * [`stretch`] — the stretch engine that lets every cell match the
 //!   widest cell's pitch ("a painless operation"),
 //! * [`CellGenerator`] — the trait implemented by procedural cells,
-//!   with [`Ballot`] for the paper's global-parameter voting,
-//! * [`InterfaceStd`] — the standard cell interface (bus, rail and clock
-//!   track offsets) that lets any two elements plug together,
+//! * [`InterfaceStd`] — the standard cell interface (bus and rail track
+//!   offsets) that lets any two elements plug together; it is the
+//!   paper's global-parameter vote, resolved by
+//!   [`InterfaceStd::from_tracks`] over every column's natural tracks,
 //! * [`CellReprs`] — per-cell data for the non-layout representations
 //!   (sticks, logic, text, simulation, block).
 //!
@@ -57,8 +58,8 @@ pub mod stretch;
 pub use bristle::{ActiveWhen, Bristle, ControlLine, Flavor, PadKind, Phase, Rail, Side};
 pub use cdl::{load_library, save_library, CdlError};
 pub use cell::{Cell, CellError, CellId, Instance, Library};
-pub use generator::{Ballot, CellGenerator, GenCtx, GenError, VotePolicy};
-pub use interface::{InterfaceStd, InterfaceViolation, TrackSet, SLICE_CLEARANCE};
-pub use power::{rail_width_for_ua, PowerInfo, INVERTER_STATIC_UA, MIN_RAIL_WIDTH, UA_PER_LAMBDA};
+pub use generator::{CellGenerator, GenCtx, GenError};
+pub use interface::{InterfaceStd, InterfaceViolation, TrackSet, SLICE_CLEARANCE, TRACK_WIDTH};
+pub use power::{PowerInfo, INVERTER_STATIC_UA, MIN_RAIL_WIDTH, UA_PER_LAMBDA};
 pub use reprs::{CellReprs, LogicGate, LogicKind, Stick};
 pub use shape::{Shape, ShapeGeom};

@@ -1,8 +1,9 @@
 //! Cell power accounting.
 //!
-//! Procedural cells "compute their power requirements"; Pass 1 accumulates
-//! the per-element demands along the core and widens the metal power rails
-//! so current density stays under the electromigration limit.
+//! Procedural cells "compute their power requirements". The compiler does
+//! not yet size rails by current: every track is drawn at
+//! [`crate::TRACK_WIDTH`], and [`PowerInfo::rail_width_lambda`] is the
+//! electromigration rule a current-sized rail would follow.
 
 use std::fmt;
 
@@ -84,13 +85,6 @@ impl PowerInfo {
     }
 }
 
-/// Rail width needed for an accumulated current (helper for the core
-/// pass, which sums element demands).
-#[must_use]
-pub fn rail_width_for_ua(total_ua: u64) -> i64 {
-    PowerInfo::new(total_ua).rail_width_lambda()
-}
-
 impl fmt::Display for PowerInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}µA", self.current_ua)
@@ -119,12 +113,5 @@ mod tests {
         let a = PowerInfo::new(100);
         let b = PowerInfo::new(250);
         assert_eq!(a.plus(b).current_ua(), 350);
-    }
-
-    #[test]
-    fn helper_matches_method() {
-        for ua in [0, 1, 399, 400, 401, 10_000] {
-            assert_eq!(rail_width_for_ua(ua), PowerInfo::new(ua).rail_width_lambda());
-        }
     }
 }

@@ -4,11 +4,11 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use bristle_cell::{
-    rail_width_for_ua, Ballot, Bristle, Cell, CellError, CellId, ControlLine, Flavor, GenCtx,
-    GenError, InterfaceStd, Library, PadKind, Phase, Shape, Side, TrackSet,
+    Bristle, Cell, CellError, CellId, ControlLine, Flavor, GenCtx, GenError, InterfaceStd,
+    InterfaceViolation, Library, PadKind, Phase, Shape, Side, TrackSet,
 };
 use bristle_geom::{Layer, Orientation, Path, Point, Rect, Transform};
-use bristle_pla::{compile_on_tape, layout_pla, DecodeSpec, Pla, PlaLayoutError};
+use bristle_pla::{compile_on_tape, decode_spec_from_controls, layout_pla, Pla, PlaLayoutError};
 use bristle_route::{route_wires, Ring, RotoRouter, RouteError};
 use bristle_sim::{Machine, Microcode, MicrocodeError, SimError};
 use bristle_stdcells::{generator_named, pad_cell, PrechargeGen};
@@ -90,6 +90,12 @@ from_err!(Route, RouteError);
 from_err!(Stretch, bristle_cell::stretch::StretchError);
 from_err!(Sim, SimError);
 
+impl From<InterfaceViolation> for CompileError {
+    fn from(e: InterfaceViolation) -> CompileError {
+        CompileError::Gen(GenError::Unsupported(e.to_string()))
+    }
+}
+
 /// Per-element record in the compiled chip.
 #[derive(Debug, Clone)]
 pub struct ElementInfo {
@@ -153,7 +159,6 @@ impl Compiler {
             tape_steps: control.tape_steps,
             pad_count: chip.pad_count,
             wire_length: chip.wire_length,
-            rail_width_needed: core.rail_width_needed,
             timings: PassTimings {
                 core: t1 - t0,
                 control: t2 - t1,
@@ -231,32 +236,28 @@ impl Compiler {
             }
         }
 
-        // Global parameter voting.
-        let mut ballot = Ballot::new();
+        // Generate variants, reading each column's natural tracks once;
+        // the primaries' tracks vote on the interface standard.
+        let mut variants: Vec<Vec<Vec<(CellId, TrackSet)>>> = Vec::new();
         for p in &pending {
-            p.generator.vote(&p.ctx, &mut ballot)?;
-        }
-        let rail_width = ballot.result("rail_width").unwrap_or(4).max(4);
-
-        // Generate variants; primaries define the interface standard.
-        let mut variants: Vec<Vec<Vec<CellId>>> = Vec::new();
-        for p in &pending {
-            let v = if self.no_variants {
+            let candidates = if self.no_variants {
                 vec![p.generator.generate(&p.ctx, lib)?]
             } else {
                 p.generator.variants(&p.ctx, lib)?
             };
+            let mut v = Vec::new();
+            for cols in candidates {
+                let mut cand = Vec::new();
+                for col in cols {
+                    cand.push((col, TrackSet::from_cell(lib.cell(col))?));
+                }
+                v.push(cand);
+            }
             variants.push(v);
         }
-        let mut tracks: Vec<TrackSet> = Vec::new();
-        for v in &variants {
-            for &col in &v[0] {
-                tracks.push(TrackSet::from_cell(lib.cell(col)).map_err(|e| {
-                    CompileError::Gen(GenError::Unsupported(e.to_string()))
-                })?);
-            }
-        }
-        let std = InterfaceStd::from_tracks(&tracks, rail_width, 4);
+        let primaries: Vec<TrackSet> =
+            variants.iter().flat_map(|v| v[0].iter().map(|&(_, ts)| ts)).collect();
+        let std = InterfaceStd::from_tracks(&primaries);
 
         // Smart-cell selection: the minimum-width variant whose tracks
         // fit (are ≤) the standard, then stretch-align every column.
@@ -266,10 +267,7 @@ impl Compiler {
             for (ci, cand) in v.iter().enumerate() {
                 let mut fits = true;
                 let mut width = 0;
-                for &col in cand {
-                    let ts = TrackSet::from_cell(lib.cell(col)).map_err(|e| {
-                        CompileError::Gen(GenError::Unsupported(e.to_string()))
-                    })?;
+                for &(col, ts) in cand {
                     fits &= ts.gnd_y <= std.gnd_y
                         && ts.bus_a_y <= std.bus_a_y
                         && ts.bus_b_y <= std.bus_b_y
@@ -281,13 +279,8 @@ impl Compiler {
                 }
             }
             let pick = best.map_or(0, |(_, ci)| ci);
-            chosen.push(v.swap_remove(pick));
-        }
-        for cols in &chosen {
-            for &col in cols {
-                let ts = TrackSet::from_cell(lib.cell(col)).map_err(|e| {
-                    CompileError::Gen(GenError::Unsupported(e.to_string()))
-                })?;
+            let mut cols = Vec::new();
+            for (col, ts) in v.swap_remove(pick) {
                 let lines = lib.cell(col).stretch_y().to_vec();
                 let plan = std.plan_alignment(&ts, &lines, lib.cell(col).name())?;
                 bristle_cell::stretch::apply_plan(
@@ -295,17 +288,16 @@ impl Compiler {
                     bristle_geom::Axis::Y,
                     &plan,
                 );
-                std.check(lib.cell(col)).map_err(|e| {
-                    CompileError::Gen(GenError::Unsupported(e.to_string()))
-                })?;
+                std.check(lib.cell(col))?;
+                cols.push(col);
             }
+            chosen.push(cols);
         }
 
         // Stack columns into the core cell.
         let mut core = Cell::new(format!("{}_core", spec.name));
         let mut x = 0i64;
         let mut elements = Vec::new();
-        let mut total_ua = 0u64;
         for (p, cols) in pending.into_iter().zip(chosen) {
             let x_start = x;
             for (ci, &col) in cols.iter().enumerate() {
@@ -317,7 +309,6 @@ impl Compiler {
                         Transform::translate(Point::new(x, i64::from(bit) * std.pitch)),
                     ));
                 }
-                total_ua += lib.total_power_ua(col) * u64::from(spec.data_width);
                 x += w;
             }
             elements.push(ElementInfo {
@@ -363,7 +354,6 @@ impl Compiler {
             std,
             microcode,
             elements,
-            rail_width_needed: rail_width_for_ua(total_ua),
         })
     }
 
@@ -395,20 +385,15 @@ impl Compiler {
         controls.sort_by(|a, b| a.2.x.cmp(&b.2.x));
 
         // The text array and the two-tape Turing machine.
-        let mut dspec = DecodeSpec::new(core.microcode.word_width().max(1));
-        for (name, line, _) in &controls {
-            let cubes = bristle_pla::decode_spec_from_controls(
-                &core.microcode,
-                &[(name.clone(), line.clone())],
-            )
-            .map_err(|missing| {
-                CompileError::Gen(GenError::Unsupported(format!(
-                    "controls reference unknown fields: {missing:?}"
-                )))
-            })?;
-            let line = cubes.into_lines().swap_remove(0);
-            dspec.add_line(name.clone(), line.cubes);
-        }
+        let lines: Vec<(String, ControlLine)> = controls
+            .iter()
+            .map(|(name, line, _)| (name.clone(), line.clone()))
+            .collect();
+        let dspec = decode_spec_from_controls(&core.microcode, &lines).map_err(|missing| {
+            CompileError::Gen(GenError::Unsupported(format!(
+                "controls reference unknown fields: {missing:?}"
+            )))
+        })?;
         let (pla, tape_steps) = if self.unoptimized_decoder {
             (dspec.to_pla(), 0)
         } else {
@@ -610,10 +595,7 @@ impl Compiler {
         let frame_cell = lib.add_cell(frame)?;
         Ok(ControlResult {
             frame: frame_cell,
-            controls: controls
-                .into_iter()
-                .map(|(n, l, _)| (n, l))
-                .collect(),
+            controls: lines,
             pla,
             tape_steps,
             pad_points,
@@ -753,7 +735,6 @@ struct CoreResult {
     std: InterfaceStd,
     microcode: Microcode,
     elements: Vec<ElementInfo>,
-    rail_width_needed: i64,
 }
 
 struct ControlResult {
@@ -802,8 +783,6 @@ pub struct CompiledChip {
     pub pad_count: usize,
     /// Total pad-wire length (λ).
     pub wire_length: i64,
-    /// Power rail width the accumulated core current demands (λ).
-    pub rail_width_needed: i64,
     /// Wall-clock pass timings.
     pub timings: PassTimings,
 }

@@ -7,7 +7,8 @@
 //! * [`ChipSpec`] — the paper's three-section user input: microcode
 //!   fields, data width + buses, and the ordered element list.
 //! * [`Compiler`] — the three passes: Pass 1 lays out the core
-//!   (parameter voting, pitch resolution, stretching, bus precharge),
+//!   (the interface-standard vote that resolves the pitch, stretching,
+//!   bus precharge),
 //!   Pass 2 generates the instruction decoder (text array → two-tape
 //!   Turing machine → optimized PLA → control channel), Pass 3 places
 //!   pads (clockwise sort → Roto-Router → wires).

@@ -115,12 +115,6 @@ impl DecodeSpec {
         &self.lines
     }
 
-    /// Consumes the spec, returning its decode lines.
-    #[must_use]
-    pub fn into_lines(self) -> Vec<DecodeLine> {
-        self.lines
-    }
-
     /// Appends a decode line.
     pub fn add_line(&mut self, name: impl Into<String>, cubes: Vec<Cube>) {
         self.lines.push(DecodeLine {

@@ -14,6 +14,46 @@ pub struct PadSlot {
     pub side: Side,
 }
 
+/// Maps a perimeter coordinate of `r` (clockwise from the NW corner,
+/// wrapped) to the boundary point it names and that point's side.
+pub(crate) fn perimeter_point(r: Rect, s: i64) -> (Point, Side) {
+    let (w, h) = (r.width(), r.height());
+    let s = s.rem_euclid(2 * (w + h));
+    if s < w {
+        (Point::new(r.x0 + s, r.y1), Side::North)
+    } else if s < w + h {
+        (Point::new(r.x1, r.y1 - (s - w)), Side::East)
+    } else if s < 2 * w + h {
+        (Point::new(r.x1 - (s - w - h), r.y0), Side::South)
+    } else {
+        (Point::new(r.x0, r.y0 + (s - 2 * w - h)), Side::West)
+    }
+}
+
+/// Projects `p` to the perimeter coordinate of `r`'s nearest edge,
+/// clamped to that edge. The inverse of [`perimeter_point`] for points
+/// on the boundary.
+pub(crate) fn perimeter_param(r: Rect, p: Point) -> i64 {
+    let (w, h) = (r.width(), r.height());
+    // Distance to each edge line; pick the closest edge, then clamp.
+    let d_n = (r.y1 - p.y).abs();
+    let d_e = (r.x1 - p.x).abs();
+    let d_s = (p.y - r.y0).abs();
+    let d_w = (p.x - r.x0).abs();
+    let min = d_n.min(d_e).min(d_s).min(d_w);
+    let x = p.x.clamp(r.x0, r.x1);
+    let y = p.y.clamp(r.y0, r.y1);
+    if min == d_n {
+        x - r.x0
+    } else if min == d_e {
+        w + (r.y1 - y)
+    } else if min == d_s {
+        w + h + (r.x1 - x)
+    } else {
+        2 * w + h + (y - r.y0)
+    }
+}
+
 /// The pad ring: a rectangle outside the core on which pads sit evenly
 /// spaced, and a routing channel between the core and the ring.
 ///
@@ -63,43 +103,14 @@ impl Ring {
     /// to a position and side on the ring rectangle.
     #[must_use]
     pub fn at(&self, s: i64) -> (Point, Side) {
-        let r = &self.rect;
-        let (w, h) = (r.width(), r.height());
-        let s = s.rem_euclid(self.perimeter());
-        if s < w {
-            (Point::new(r.x0 + s, r.y1), Side::North)
-        } else if s < w + h {
-            (Point::new(r.x1, r.y1 - (s - w)), Side::East)
-        } else if s < 2 * w + h {
-            (Point::new(r.x1 - (s - w - h), r.y0), Side::South)
-        } else {
-            (Point::new(r.x0, r.y0 + (s - 2 * w - h)), Side::West)
-        }
+        perimeter_point(self.rect, s)
     }
 
     /// Projects an arbitrary point (typically a core-boundary connection
     /// point) to the nearest perimeter coordinate.
     #[must_use]
     pub fn project(&self, p: Point) -> i64 {
-        let r = &self.rect;
-        let (w, h) = (r.width(), r.height());
-        // Distance to each edge line; pick the closest edge, then clamp.
-        let d_n = (r.y1 - p.y).abs();
-        let d_e = (r.x1 - p.x).abs();
-        let d_s = (p.y - r.y0).abs();
-        let d_w = (p.x - r.x0).abs();
-        let min = d_n.min(d_e).min(d_s).min(d_w);
-        let x = p.x.clamp(r.x0, r.x1);
-        let y = p.y.clamp(r.y0, r.y1);
-        if min == d_n {
-            x - r.x0
-        } else if min == d_e {
-            w + (r.y1 - y)
-        } else if min == d_s {
-            w + h + (r.x1 - x)
-        } else {
-            2 * w + h + (y - r.y0)
-        }
+        perimeter_param(self.rect, p)
     }
 
     /// Clockwise distance between perimeter coordinates (shorter way).

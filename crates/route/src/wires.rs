@@ -14,7 +14,7 @@ use std::fmt;
 use bristle_cell::{Shape, Side};
 use bristle_geom::{Layer, Path, Point, Rect};
 
-use crate::ring::Ring;
+use crate::ring::{perimeter_param, perimeter_point, Ring};
 use crate::roto::RouteAssignment;
 
 /// Errors from wire generation.
@@ -101,44 +101,6 @@ fn via(at: Point, label: &str) -> Vec<Shape> {
     ]
 }
 
-/// Perimeter parameter of a point on a rectangle's boundary (clockwise
-/// from the NW corner; the point is clamped to the boundary first).
-fn param_on_rect(r: Rect, p: Point) -> i64 {
-    let (w, h) = (r.width(), r.height());
-    let x = p.x.clamp(r.x0, r.x1);
-    let y = p.y.clamp(r.y0, r.y1);
-    let d_n = (r.y1 - y).abs();
-    let d_e = (r.x1 - x).abs();
-    let d_s = (y - r.y0).abs();
-    let d_w = (x - r.x0).abs();
-    let min = d_n.min(d_e).min(d_s).min(d_w);
-    if min == d_n {
-        x - r.x0
-    } else if min == d_e {
-        w + (r.y1 - y)
-    } else if min == d_s {
-        w + h + (r.x1 - x)
-    } else {
-        2 * w + h + (y - r.y0)
-    }
-}
-
-/// Point at a perimeter parameter of a rectangle.
-fn point_at_param(r: Rect, s: i64) -> Point {
-    let (w, h) = (r.width(), r.height());
-    let l = 2 * (w + h);
-    let s = s.rem_euclid(l);
-    if s < w {
-        Point::new(r.x0 + s, r.y1)
-    } else if s < w + h {
-        Point::new(r.x1, r.y1 - (s - w))
-    } else if s < 2 * w + h {
-        Point::new(r.x1 - (s - w - h), r.y0)
-    } else {
-        Point::new(r.x0, r.y0 + (s - 2 * w - h))
-    }
-}
-
 /// Polyline along a rectangle boundary from parameter `s0` to `s1`,
 /// walking the shorter way, corners included.
 fn rect_walk(r: Rect, s0: i64, s1: i64) -> Vec<Point> {
@@ -148,7 +110,7 @@ fn rect_walk(r: Rect, s0: i64, s1: i64) -> Vec<Point> {
     let cw = (b - a).rem_euclid(l);
     let ccw = l - cw;
     let corners_cw = [w, w + h, 2 * w + h, 0]; // params of NE, SE, SW, NW
-    let mut pts = vec![point_at_param(r, a)];
+    let mut pts = vec![perimeter_point(r, a).0];
     if cw <= ccw {
         // Walk clockwise from a to b, inserting corners passed.
         let mut s = a;
@@ -159,15 +121,14 @@ fn rect_walk(r: Rect, s0: i64, s1: i64) -> Vec<Point> {
                 .map(|&c| ((c - s).rem_euclid(l), c))
                 .filter(|&(d, _)| d > 0)
                 .min()
-                .map(|(d, c)| (d, c))
                 .unwrap();
             let dist_to_b = (b - s).rem_euclid(l);
             if next_corner.0 < dist_to_b {
                 s = next_corner.1;
-                pts.push(point_at_param(r, s));
+                pts.push(perimeter_point(r, s).0);
             } else {
                 s = b;
-                pts.push(point_at_param(r, s));
+                pts.push(perimeter_point(r, s).0);
             }
         }
     } else {
@@ -183,10 +144,10 @@ fn rect_walk(r: Rect, s0: i64, s1: i64) -> Vec<Point> {
             let dist_to_b = (s - b).rem_euclid(l);
             if next_corner.0 < dist_to_b {
                 s = next_corner.1;
-                pts.push(point_at_param(r, s));
+                pts.push(perimeter_point(r, s).0);
             } else {
                 s = b;
-                pts.push(point_at_param(r, s));
+                pts.push(perimeter_point(r, s).0);
             }
         }
     }
@@ -416,8 +377,8 @@ pub fn route_wires(
         shapes.extend(via(spoke_end_s, name));
 
         // --- Track arc between the two spoke landings.
-        let s0 = param_on_rect(track_rect, spoke_end_p);
-        let s1 = param_on_rect(track_rect, spoke_end_s);
+        let s0 = perimeter_param(track_rect, spoke_end_p);
+        let s1 = perimeter_param(track_rect, spoke_end_s);
         if s0 != s1 {
             let pts = rect_walk(track_rect, s0, s1);
             if pts.len() >= 2 {
@@ -532,8 +493,8 @@ mod tests {
     fn rect_walk_shorter_way() {
         let r = Rect::new(0, 0, 10, 10);
         // From mid-north to mid-east: clockwise through NE corner.
-        let s0 = param_on_rect(r, Point::new(5, 10));
-        let s1 = param_on_rect(r, Point::new(10, 5));
+        let s0 = perimeter_param(r, Point::new(5, 10));
+        let s1 = perimeter_param(r, Point::new(10, 5));
         let pts = rect_walk(r, s0, s1);
         assert_eq!(
             pts,
@@ -552,8 +513,8 @@ mod tests {
         let r = Rect::new(-5, -5, 20, 15);
         let l = 2 * (r.width() + r.height());
         for s in (0..l).step_by(7) {
-            let p = point_at_param(r, s);
-            assert_eq!(param_on_rect(r, p), s, "s={s}");
+            let p = perimeter_point(r, s).0;
+            assert_eq!(perimeter_param(r, p), s, "s={s}");
         }
     }
 

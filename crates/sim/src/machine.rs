@@ -156,17 +156,6 @@ impl From<MicrocodeError> for SimError {
     }
 }
 
-/// One line of execution trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Cycle number (0-based).
-    pub cycle: u64,
-    /// The microcode word executed.
-    pub word: u64,
-    /// Settled `[bus A, bus B]` values during φ1.
-    pub buses: [u64; 2],
-}
-
 /// The functional chip simulator.
 pub struct Machine {
     width: u32,
@@ -176,8 +165,6 @@ pub struct Machine {
     pads_in: HashMap<String, u64>,
     pads_out: HashMap<String, u64>,
     cycle: u64,
-    trace: Vec<TraceEntry>,
-    trace_enabled: bool,
 }
 
 impl Machine {
@@ -202,8 +189,6 @@ impl Machine {
             pads_in: HashMap::new(),
             pads_out: HashMap::new(),
             cycle: 0,
-            trace: Vec::new(),
-            trace_enabled: false,
         }
     }
 
@@ -223,17 +208,6 @@ impl Machine {
     #[must_use]
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Enables or disables trace recording.
-    pub fn set_trace(&mut self, enabled: bool) {
-        self.trace_enabled = enabled;
-    }
-
-    /// The recorded trace.
-    #[must_use]
-    pub fn trace(&self) -> &[TraceEntry] {
-        &self.trace
     }
 
     /// Adds an element with its control bindings: `(local control name,
@@ -397,13 +371,6 @@ impl Machine {
             };
             behavior.phi2(&mut ctx);
         }
-        if self.trace_enabled {
-            self.trace.push(TraceEntry {
-                cycle: self.cycle,
-                word,
-                buses,
-            });
-        }
         self.cycle += 1;
         Ok(buses)
     }
@@ -533,15 +500,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_cycles() {
+    fn run_steps_every_word() {
         let mut m = simple_machine();
-        m.set_trace(true);
         m.poke("regs", "r0", 7).unwrap();
         let w = m.microcode().encode(&[("rd", 1)]).unwrap();
         m.run(&[w, w]).unwrap();
-        assert_eq!(m.trace().len(), 2);
-        assert_eq!(m.trace()[1].cycle, 1);
-        assert_eq!(m.trace()[0].buses[0], 7);
+        assert_eq!(m.cycle(), 2);
+        assert_eq!(m.step_word(w).unwrap()[0], 7);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! Geometry model (all λ):
 //!
-//! * **Tracks** — horizontal metal, width 4: GND rail centered at
-//!   `gnd_y = 2`, bus A / bus B / VDD at cell-specific offsets. Tracks
-//!   span the full cell width; W/E bristles make abutment automatic.
+//! * **Tracks** — horizontal metal, [`TRACK_WIDTH`] wide: GND rail
+//!   centered at `gnd_y = 2`, bus A / bus B / VDD at cell-specific
+//!   offsets. Tracks span the full cell width; W/E bristles make
+//!   abutment automatic.
 //! * **Slots** — vertical structures on an 8λ grid: slot `k` occupies
 //!   `x ∈ [8k+4, 8k+6]`. A slot is either a *control column* (poly from
 //!   the south/decoder edge through the whole slice), a *clock column*
@@ -28,8 +29,13 @@ use std::fmt;
 
 use bristle_cell::{
     Bristle, Cell, CellReprs, ControlLine, Flavor, Phase, PowerInfo, Rail, Shape, Side,
+    TRACK_WIDTH,
 };
 use bristle_geom::{Layer, Point, Rect};
+
+/// Half a track's width: the distance from a track's center line to its
+/// edge.
+const HALF_TRACK: i64 = TRACK_WIDTH / 2;
 
 /// What occupies a vertical slot.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,10 +259,11 @@ impl BitCellSpec {
     #[must_use]
     pub fn tracks(&self) -> Tracks {
         let [r1, r2, r3] = self.region_heights;
-        let gnd_y = 2;
-        let bus_a_y = gnd_y + 2 + r1 + 2; // rail half + region + bus half
-        let bus_b_y = bus_a_y + 2 + r2 + 2;
-        let vdd_y = bus_b_y + 2 + r3 + 2;
+        let gnd_y = HALF_TRACK;
+        // Each region sits between two track halves.
+        let bus_a_y = gnd_y + TRACK_WIDTH + r1;
+        let bus_b_y = bus_a_y + TRACK_WIDTH + r2;
+        let vdd_y = bus_b_y + TRACK_WIDTH + r3;
         Tracks {
             gnd_y,
             bus_a_y,
@@ -480,7 +487,7 @@ impl BitCellSpec {
         let t = self.tracks();
         let w = self.width();
         let mut cell = Cell::new(&self.name);
-        let top = t.vdd_y + 2;
+        let top = t.vdd_y + HALF_TRACK;
 
         // Tracks.
         for (label, y, flavor) in [
@@ -489,9 +496,8 @@ impl BitCellSpec {
             ("BUSB", t.bus_b_y, Flavor::Bus { bus: 1, bit: 0 }),
             ("VDD", t.vdd_y, Flavor::Power(Rail::Vdd)),
         ] {
-            cell.push_shape(
-                Shape::rect(Layer::Metal, Rect::new(0, y - 2, w, y + 2)).with_label(label),
-            );
+            let track = Rect::new(0, y - HALF_TRACK, w, y + HALF_TRACK);
+            cell.push_shape(Shape::rect(Layer::Metal, track).with_label(label));
             let name_w = format!("{}_w", label.to_lowercase());
             let name_e = format!("{}_e", label.to_lowercase());
             cell.push_bristle(Bristle::new(
@@ -817,7 +823,7 @@ mod tests {
     fn tracks_satisfy_interface() {
         let cell = demo_spec().build().unwrap();
         let ts = TrackSet::from_cell(&cell).unwrap();
-        let std = InterfaceStd::from_tracks(&[ts], 4, 4);
+        let std = InterfaceStd::from_tracks(&[ts]);
         std.check(&cell).unwrap();
     }
 
@@ -834,7 +840,7 @@ mod tests {
             vdd_y: ts.vdd_y + 14,
             top: ts.top + 14,
         };
-        let std = InterfaceStd::from_tracks(&[ts, taller], 4, 4);
+        let std = InterfaceStd::from_tracks(&[ts, taller]);
         let mut lib = Library::new("t");
         let id = lib.add_cell(cell).unwrap();
         let lines = lib.cell(id).stretch_y().to_vec();
@@ -1000,7 +1006,7 @@ mod tests {
             vdd_y: ts.vdd_y + 14,
             top: ts.top + 14,
         };
-        let std = InterfaceStd::from_tracks(&[ts, taller], 4, 4);
+        let std = InterfaceStd::from_tracks(&[ts, taller]);
         let mut lib = Library::new("t");
         let id = lib.add_cell(cell).unwrap();
         let lines = lib.cell(id).stretch_y().to_vec();

@@ -8,8 +8,8 @@
 //! the SIMULATION representation automatically.
 
 use bristle_cell::{
-    ActiveWhen, Ballot, CellGenerator, CellId, CellReprs, ControlLine, GenCtx, GenError, Library,
-    LogicGate, LogicKind, PadKind, Phase, VotePolicy,
+    ActiveWhen, CellGenerator, CellId, CellReprs, ControlLine, GenCtx, GenError, Library,
+    LogicGate, LogicKind, PadKind, Phase,
 };
 
 use crate::frame::{BitCellSpec, Chain, Region, Slot, Tap};
@@ -67,11 +67,6 @@ pub struct RegistersGen;
 impl CellGenerator for RegistersGen {
     fn name(&self) -> &str {
         "registers"
-    }
-
-    fn vote(&self, _ctx: &GenCtx, ballot: &mut Ballot) -> Result<(), GenError> {
-        ballot.vote("rail_width", VotePolicy::Max, 4)?;
-        Ok(())
     }
 
     fn fields(&self, ctx: &GenCtx) -> Vec<(String, u32)> {
@@ -260,11 +255,6 @@ impl AluGen {
 impl CellGenerator for AluGen {
     fn name(&self) -> &str {
         "alu"
-    }
-
-    fn vote(&self, _ctx: &GenCtx, ballot: &mut Ballot) -> Result<(), GenError> {
-        ballot.vote("rail_width", VotePolicy::Max, 4)?;
-        Ok(())
     }
 
     fn fields(&self, ctx: &GenCtx) -> Vec<(String, u32)> {

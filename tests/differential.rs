@@ -158,6 +158,44 @@ fn two_inports_two_outports_drc_clean_and_cosim() {
     }
 }
 
+/// `Program` copies the generators' column-count defaults (`count` 2,
+/// `words` 4, `depth` 4) for elements that leave them unset. Every storage
+/// element here sets no params, so the program's sizes must equal the
+/// columns the compiler generated, and the chip must co-simulate.
+#[test]
+fn program_defaults_match_generated_columns() {
+    let spec = bristle_blocks::core::ChipSpec::builder("defaults")
+        .data_width(4)
+        .element("inport", &[])
+        .element("registers", &[])
+        .element("ram", &[])
+        .element("stack", &[])
+        .element("outport", &[])
+        .build()
+        .unwrap();
+    let chip = bristle_blocks::core::Compiler::new().compile(&spec).unwrap();
+    let columns = |prefix: &str| {
+        chip.elements
+            .iter()
+            .find(|e| e.prefix == prefix)
+            .map(|e| e.columns.len())
+    };
+    for seed in 0..6u64 {
+        let program = Program::random(&spec, seed, CYCLES);
+        let sizes: Vec<&(String, usize)> = program
+            .reg_elements
+            .iter()
+            .chain(&program.rams)
+            .chain(&program.stacks)
+            .collect();
+        assert_eq!(sizes.len(), 3);
+        for (prefix, size) in sizes {
+            assert_eq!(columns(prefix), Some(*size), "seed {seed}: {prefix}");
+        }
+        run_cosim(&spec, &program).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
 /// An injected open-circuit fault must be caught and shrink to a minimal
 /// reproducer that still pinpoints the divergence.
 #[test]
