@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::iter::repeat_n;
 
 use bristle_cell::{CellId, Library, Shape, ShapeGeom};
 use bristle_geom::{covered_by, gate_regions, par_map, Layer, QueryScratch, Rect, RectIndex};
@@ -71,12 +72,6 @@ struct LayerSoup {
     index: RectIndex,
 }
 
-impl LayerSoup {
-    fn rect_list(&self) -> Vec<Rect> {
-        self.rects.iter().map(|&(r, _)| r).collect()
-    }
-}
-
 struct Soup {
     layers: HashMap<Layer, LayerSoup>,
 }
@@ -107,8 +102,14 @@ impl Soup {
         self.layers.get(&layer)
     }
 
-    fn rects(&self, layer: Layer) -> Vec<Rect> {
-        self.layer(layer).map(LayerSoup::rect_list).unwrap_or_default()
+    /// The rects on `layer` that touch `window`: all that an enclosure
+    /// test of `window` (or of any window inside it) can depend on.
+    fn near(&self, layer: Layer, window: Rect, scratch: &mut QueryScratch) -> Vec<Rect> {
+        let mut near = Vec::new();
+        if let Some(ls) = self.layer(layer) {
+            ls.index.query_with(window, scratch, |_, r| near.push(r));
+        }
+        near
     }
 }
 
@@ -146,14 +147,20 @@ fn check_shape_widths<'a>(
     }
 }
 
-fn check_spacing(
-    cell: &str,
-    soup: &Soup,
-    rules: &RuleSet,
-    skip_same_group: bool,
-    out: &mut Report,
-) {
+/// The region between two disjoint rects: on each axis the gap between
+/// them, or their overlap where they overlap on that axis. Where they
+/// only meet at one coordinate (corner to corner), the 1λ band either
+/// side of it, so that the region always has area.
+fn between(a: Rect, b: Rect) -> Rect {
+    let span = |lo: i64, hi: i64| if lo == hi { (lo - 1, hi + 1) } else { (lo, hi) };
+    let (x0, x1) = span(a.x0.max(b.x0), a.x1.min(b.x1));
+    let (y0, y1) = span(a.y0.max(b.y0), a.y1.min(b.y1));
+    Rect::new(x0, y0, x1, y1)
+}
+
+fn check_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
     let mut scratch = QueryScratch::new();
+    let mut fill_scratch = QueryScratch::new();
     // Iterate layers in a fixed order so reports are deterministic.
     let mut layers: Vec<(&Layer, &LayerSoup)> = soup.layers.iter().collect();
     layers.sort_by_key(|&(l, _)| *l);
@@ -163,16 +170,20 @@ fn check_spacing(
         };
         for (i, &(r, group)) in ls.rects.iter().enumerate() {
             ls.index.query_with(r.inflate(space), &mut scratch, |j, other| {
-                if j <= i {
-                    return;
-                }
-                let other_group = ls.rects[j].1;
-                if skip_same_group && group == other_group && group != OWN_GROUP {
+                // A pair inside one instance was checked in that
+                // instance's own cell.
+                if j <= i || (group == ls.rects[j].1 && group != OWN_GROUP) {
                     return;
                 }
                 out.checked_pairs += 1;
                 let gap = r.spacing(&other);
-                if gap > 0 && gap < space {
+                if gap == 0 || gap >= space {
+                    return;
+                }
+                // Where the layer fills the gap, the pair is one solid
+                // shape drawn in pieces, not two shapes too close.
+                let region = between(r, other);
+                if !covered_by(region, &soup.near(layer, region, &mut fill_scratch)) {
                     out.violations.push(Violation {
                         rule: RuleKind::MinSpacing(layer),
                         at: r.union(&other),
@@ -194,30 +205,28 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
     let no_buried = RectIndex::bulk_build([]);
     let buried = soup.layer(Layer::Buried).map_or(&no_buried, |b| &b.index);
     let gates = gate_regions(poly_soup.rects.iter().map(|&(r, _)| r), &diff_soup.index, buried);
-    let poly = poly_soup.rect_list();
-    let diff = diff_soup.rect_list();
-    let implant = soup.rects(Layer::Implant);
+    let mut scratch = QueryScratch::new();
     for (g, _) in gates {
         let oh = rules.gate_overhang;
         let ext = rules.sd_extension;
+        let poly = soup.near(Layer::Poly, g.inflate(oh), &mut scratch);
+        let diff = soup.near(Layer::Diffusion, g.inflate(ext), &mut scratch);
         // Configuration A: poly runs horizontally (overhangs left/right),
         // diffusion runs vertically (extends below/above).
-        let a_ok = covered_by(Rect::new(g.x0 - oh, g.y0, g.x0, g.y1), &poly)
-            && covered_by(Rect::new(g.x1, g.y0, g.x1 + oh, g.y1), &poly)
+        let poly_ok_a = covered_by(Rect::new(g.x0 - oh, g.y0, g.x0, g.y1), &poly)
+            && covered_by(Rect::new(g.x1, g.y0, g.x1 + oh, g.y1), &poly);
+        let a_ok = poly_ok_a
             && covered_by(Rect::new(g.x0, g.y0 - ext, g.x1, g.y0), &diff)
             && covered_by(Rect::new(g.x0, g.y1, g.x1, g.y1 + ext), &diff);
         // Configuration B: rotated 90°.
-        let b_ok = covered_by(Rect::new(g.x0, g.y0 - oh, g.x1, g.y0), &poly)
-            && covered_by(Rect::new(g.x0, g.y1, g.x1, g.y1 + oh), &poly)
+        let poly_ok_b = covered_by(Rect::new(g.x0, g.y0 - oh, g.x1, g.y0), &poly)
+            && covered_by(Rect::new(g.x0, g.y1, g.x1, g.y1 + oh), &poly);
+        let b_ok = poly_ok_b
             && covered_by(Rect::new(g.x0 - ext, g.y0, g.x0, g.y1), &diff)
             && covered_by(Rect::new(g.x1, g.y0, g.x1 + ext, g.y1), &diff);
         if !(a_ok || b_ok) {
             // Attribute the failure: overhang if neither poly side pair
             // works, else source/drain extension.
-            let poly_ok_a = covered_by(Rect::new(g.x0 - oh, g.y0, g.x0, g.y1), &poly)
-                && covered_by(Rect::new(g.x1, g.y0, g.x1 + oh, g.y1), &poly);
-            let poly_ok_b = covered_by(Rect::new(g.x0, g.y0 - oh, g.x1, g.y0), &poly)
-                && covered_by(Rect::new(g.x0, g.y1, g.x1, g.y1 + oh), &poly);
             let rule = if poly_ok_a || poly_ok_b {
                 RuleKind::SourceDrainExtension
             } else {
@@ -232,8 +241,8 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
         }
         // Implant: all-or-nothing with margin.
         let m = rules.implant_margin;
-        let overlapping = implant.iter().any(|i| i.overlaps(&g));
-        if overlapping {
+        let implant = soup.near(Layer::Implant, g.inflate(m), &mut scratch);
+        if implant.iter().any(|i| i.overlaps(&g)) {
             if !covered_by(g.inflate(m), &implant) {
                 out.violations.push(Violation {
                     rule: RuleKind::ImplantCoverage,
@@ -242,7 +251,7 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
                     message: format!("implant does not surround gate by {m}λ"),
                 });
             }
-        } else if implant.iter().any(|i| i.spacing(&g) < m && !i.overlaps(&g)) {
+        } else if implant.iter().any(|i| i.spacing(&g) < m) {
             out.violations.push(Violation {
                 rule: RuleKind::ImplantCoverage,
                 at: g,
@@ -258,9 +267,9 @@ fn check_poly_diff_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut R
     else {
         return;
     };
-    let buried = soup.rects(Layer::Buried);
     let s = rules.space_poly_diff;
     let mut scratch = QueryScratch::new();
+    let mut buried_scratch = QueryScratch::new();
     for &(p, _) in &poly.rects {
         diff.index.query_with(p.inflate(s), &mut scratch, |_, d| {
             out.checked_pairs += 1;
@@ -271,6 +280,7 @@ fn check_poly_diff_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut R
             if gap < s {
                 // A butting junction is fine when a buried contact spans it.
                 let junction = p.union(&d);
+                let buried = soup.near(Layer::Buried, junction, &mut buried_scratch);
                 if buried.iter().any(|b| b.overlaps(&junction)) {
                     return;
                 }
@@ -286,24 +296,26 @@ fn check_poly_diff_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut R
 }
 
 fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
-    let metal = soup.rects(Layer::Metal);
-    let poly = soup.rects(Layer::Poly);
-    let diff = soup.rects(Layer::Diffusion);
     let e = rules.contact_enclosure;
-    for &(c, _) in soup.layer(Layer::Contact).map(|l| l.rects.as_slice()).unwrap_or(&[]) {
+    let mut scratch = QueryScratch::new();
+    let mut covers =
+        |layer: Layer, window: Rect| covered_by(window, &soup.near(layer, window, &mut scratch));
+    for &(c, _) in soup.layer(Layer::Contact).map_or(&[][..], |l| &l.rects) {
         if c.width() != rules.contact_size || c.height() != rules.contact_size {
             out.violations.push(Violation {
                 rule: RuleKind::ContactSize,
                 at: c,
                 cell: cell.to_owned(),
                 message: format!(
-                    "contact {}x{}λ, must be {0}x{0}λ",
-                    rules.contact_size,
-                    c.width().max(c.height())
+                    "contact {}x{}λ, must be {s}x{s}λ",
+                    c.width(),
+                    c.height(),
+                    s = rules.contact_size
                 ),
             });
         }
-        if !covered_by(c.inflate(e), &metal) {
+        let w = c.inflate(e);
+        if !covers(Layer::Metal, w) {
             out.violations.push(Violation {
                 rule: RuleKind::ContactMetalEnclosure,
                 at: c,
@@ -311,7 +323,7 @@ fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
                 message: format!("metal does not enclose contact by {e}λ"),
             });
         }
-        if !covered_by(c.inflate(e), &poly) && !covered_by(c.inflate(e), &diff) {
+        if !covers(Layer::Poly, w) && !covers(Layer::Diffusion, w) {
             out.violations.push(Violation {
                 rule: RuleKind::ContactLandingEnclosure,
                 at: c,
@@ -320,8 +332,8 @@ fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
             });
         }
     }
-    for &(b, _) in soup.layer(Layer::Buried).map(|l| l.rects.as_slice()).unwrap_or(&[]) {
-        if !covered_by(b, &poly) || !covered_by(b, &diff) {
+    for &(b, _) in soup.layer(Layer::Buried).map_or(&[][..], |l| &l.rects) {
+        if !covers(Layer::Poly, b) || !covers(Layer::Diffusion, b) {
             out.violations.push(Violation {
                 rule: RuleKind::BuriedEnclosure,
                 at: b,
@@ -332,21 +344,28 @@ fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
     }
 }
 
-fn check_soup(
-    cell: &str,
-    shapes: &[(&Shape, u32)],
-    rules: &RuleSet,
-    skip_same_group: bool,
-    widths: bool,
-    devices: bool,
-) -> Report {
+/// The one check every cell gets (see [`check_hierarchical`]): `view`
+/// tags each shape with its instance index, or [`OWN_GROUP`] when the
+/// shape is the cell's own.
+fn check_view(cell: &str, view: &[(&Shape, u32)], rules: &RuleSet) -> Report {
     let mut out = Report::default();
-    if widths {
-        check_shape_widths(cell, shapes.iter().map(|&(s, _)| s), rules, &mut out);
-    }
-    let soup = Soup::build(shapes.iter().copied());
-    check_spacing(cell, &soup, rules, skip_same_group, &mut out);
-    if devices {
+    let own = || {
+        view.iter()
+            .filter(|&&(_, g)| g == OWN_GROUP)
+            .map(|&(s, _)| s)
+    };
+    check_shape_widths(cell, own(), rules, &mut out);
+    let soup = Soup::build(view.iter().copied());
+    check_spacing(cell, &soup, rules, &mut out);
+    // A pure-assembly cell draws no devices of its own, and its
+    // children's devices were checked in their own cells.
+    let has_own_device_shapes = own().any(|s| {
+        matches!(
+            s.layer,
+            Layer::Poly | Layer::Diffusion | Layer::Contact | Layer::Buried | Layer::Implant
+        )
+    });
+    if has_own_device_shapes {
         check_transistors(cell, &soup, rules, &mut out);
         check_poly_diff_spacing(cell, &soup, rules, &mut out);
         check_contacts(cell, &soup, rules, &mut out);
@@ -366,33 +385,32 @@ fn check_soup(
 #[must_use]
 pub fn check_flat(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
     let flat = lib.flatten_shared(top);
-    let shapes: Vec<(&Shape, u32)> = flat.iter().map(|s| (s, OWN_GROUP)).collect();
-    check_soup(lib.cell(top).name(), &shapes, rules, false, true, true)
+    let view: Vec<(&Shape, u32)> = flat.iter().map(|s| (s, OWN_GROUP)).collect();
+    check_view(lib.cell(top).name(), &view, rules)
 }
 
 /// Hierarchical DRC in the Bristle Blocks style.
 ///
-/// Each distinct cell is checked **once** in isolation (widths, spacing,
-/// transistor/contact/implant rules on its full flattened artwork); then
-/// every parent is checked for **inter-instance** interactions only
-/// (spacing between geometry belonging to different child instances, or
-/// between children and the parent's own shapes). Intra-instance pairs
-/// are skipped — their cell was already checked.
+/// Each distinct cell is checked **once**, on one view: its own shapes
+/// plus each instance's flattened subtree, tagged with the instance.
+/// Widths run on the cell's own shapes, spacing on every pair not inside
+/// one instance (that instance's own cell checks it), and the transistor,
+/// contact and implant rules on the whole view when the cell's own
+/// shapes touch a device layer. [`check_flat`] is the same check with
+/// every shape the top cell's own.
 ///
-/// With interface-standard abutment, the inter-instance work is confined
-/// to narrow boundary bands, so `checked_pairs` is far below
-/// [`check_flat`]'s (perfbench reports it as `drc.checked_pairs`).
+/// Each parent's view repeats the pairs between its children, so this
+/// examines more pairs than [`check_flat`] ([`Report::checked_pairs`]);
+/// a test pins both to the same (rule, at) set on the reference chips.
 ///
 /// Limitations: devices must be contained within a single cell (the
 /// generators in `bristle-stdcells` guarantee this); cross-cell
-/// transistors would be missed.
+/// transistors would be missed. A gap in a cell that only a parent's
+/// shapes fill is still reported in that cell.
 ///
-/// Since the flatten-once rework this runs the per-cell loop in
-/// parallel: each distinct cell is an independent unit of work, the
-/// library's memoized flatten cache supplies every subtree exactly once
-/// (no re-flatten per parent instance), and the per-cell reports are
-/// merged in deterministic (dependency) order before the final
-/// sort + dedup, so the violation list is reproducible run to run.
+/// The per-cell loop runs in parallel; the per-cell reports are merged
+/// in dependency order, sorted and de-duplicated, so the violation list
+/// is reproducible run to run.
 ///
 /// # Panics
 ///
@@ -425,57 +443,21 @@ pub fn check_hierarchical(lib: &Library, top: CellId, rules: &RuleSet) -> Report
     report
 }
 
-/// One cell's worth of hierarchical DRC: isolation rules plus
-/// inter-instance interactions within this parent.
+/// One cell's worth of hierarchical DRC. Its flattened subtree is the
+/// cell's own shapes followed by each instance's, in instance order, so
+/// tagging it needs only the subtree sizes.
 fn check_cell(lib: &Library, id: CellId, rules: &RuleSet) -> Report {
-    let mut report = Report::default();
     let cell = lib.cell(id);
-    // 1. The cell in isolation. Only intra-cell spacing between the
-    // cell's *own* shapes plus device rules; instance interiors are
-    // their own cells' business. Widths: own shapes only (children
-    // already checked).
-    let own_shapes: Vec<(&Shape, u32)> =
-        cell.shapes().iter().map(|s| (s, OWN_GROUP)).collect();
-    report.merge(check_soup(cell.name(), &own_shapes, rules, false, true, false));
-    // Device rules need full context (a gate's diffusion may continue
-    // into a neighbor). They run once per distinct cell on its flat
-    // view — but only when the cell's *own* shapes touch device
-    // layers; pure-assembly parents (the compiler's "glue") contribute
-    // no devices of their own and their children were already checked.
-    let has_own_device_shapes = cell.shapes().iter().any(|s| {
-        matches!(
-            s.layer,
-            Layer::Poly | Layer::Diffusion | Layer::Contact | Layer::Buried | Layer::Implant
-        )
-    });
-    if has_own_device_shapes {
-        let own_flat = lib.flatten_shared(id);
-        let mut dev = Report::default();
-        let soup = Soup::build(own_flat.iter().map(|s| (s, OWN_GROUP)));
-        check_transistors(cell.name(), &soup, rules, &mut dev);
-        check_poly_diff_spacing(cell.name(), &soup, rules, &mut dev);
-        check_contacts(cell.name(), &soup, rules, &mut dev);
-        report.merge(dev);
-    }
-
-    // 2. Inter-instance spacing within this parent. Children come from
-    // the flatten cache — composed once per distinct cell, not once per
-    // instance — and only their transforms differ per instance.
-    if !cell.instances().is_empty() {
-        let mut placed: Vec<(Shape, u32)> = Vec::new();
-        for (gi, inst) in cell.instances().iter().enumerate() {
-            let child = lib.flatten_shared(inst.cell);
-            placed.reserve(child.len());
-            for shape in child.iter() {
-                placed.push((shape.transform(&inst.transform), gi as u32));
-            }
-        }
-        let mut tagged: Vec<(&Shape, u32)> =
-            cell.shapes().iter().map(|s| (s, OWN_GROUP)).collect();
-        tagged.extend(placed.iter().map(|(s, g)| (s, *g)));
-        report.merge(check_soup(cell.name(), &tagged, rules, true, false, false));
-    }
-    report
+    let flat = lib.flatten_shared(id);
+    let groups = repeat_n(OWN_GROUP, cell.shapes().len()).chain(
+        cell.instances()
+            .iter()
+            .enumerate()
+            .flat_map(|(gi, inst)| repeat_n(gi as u32, lib.flatten_shared(inst.cell).len())),
+    );
+    let view: Vec<(&Shape, u32)> = flat.iter().zip(groups).collect();
+    debug_assert_eq!(view.len(), flat.len());
+    check_view(cell.name(), &view, rules)
 }
 
 fn collect(
@@ -497,7 +479,7 @@ fn collect(
 mod tests {
     use super::*;
     use bristle_cell::Cell;
-    use bristle_geom::{Point, Transform};
+    use bristle_geom::{Path, Point, Transform};
 
     fn lib_with(name: &str, shapes: Vec<Shape>) -> (Library, CellId) {
         let mut lib = Library::new("t");
@@ -554,6 +536,48 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.rule == RuleKind::MinSpacing(Layer::Metal)));
+    }
+
+    #[test]
+    fn spacing_skips_only_filled_gaps() {
+        let metal = |x0, y0, x1, y1| Shape::rect(Layer::Metal, Rect::new(x0, y0, x1, y1));
+        // An L-stub leg and a via pad that together form one solid bar:
+        // the 2λ between the leg's first segment and the pad is metal.
+        let leg = Path::new(vec![Point::new(4, 0), Point::new(2, 0), Point::new(2, 6)], 4)
+            .unwrap();
+        let (lib, id) = lib_with("bar", vec![Shape::wire(Layer::Metal, leg), metal(0, 4, 4, 8)]);
+        let r = check_flat(&lib, id, &rules());
+        assert!(r.is_clean(), "{r}");
+        // A U-shaped 2λ slot is a real gap.
+        let u = vec![metal(0, 0, 4, 10), metal(6, 0, 10, 10), metal(0, -4, 10, 0)];
+        let (lib, id) = lib_with("u", u.clone());
+        let r = check_flat(&lib, id, &rules());
+        assert_eq!(r.violations.len(), 1, "{r}");
+        assert_eq!(r.violations[0].rule, RuleKind::MinSpacing(Layer::Metal));
+        // So is the rest of a gap that is only partly bridged.
+        let mut bridged = u;
+        bridged.push(metal(4, 0, 6, 5));
+        let (lib, id) = lib_with("u", bridged);
+        let r = check_flat(&lib, id, &rules());
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| v.rule == RuleKind::MinSpacing(Layer::Metal)),
+            "{r}"
+        );
+        // Two risers meeting corner to corner: a gap unless a pad spans
+        // the corner.
+        let poly = |x0, y0, x1, y1| Shape::rect(Layer::Poly, Rect::new(x0, y0, x1, y1));
+        let risers = vec![poly(3, -8, 5, 0), poly(0, 0, 2, 8)];
+        let (lib, id) = lib_with("jog", risers.clone());
+        let r = check_flat(&lib, id, &rules());
+        assert_eq!(r.violations.len(), 1, "{r}");
+        assert_eq!(r.violations[0].rule, RuleKind::MinSpacing(Layer::Poly));
+        let mut padded = risers;
+        padded.push(poly(-1, -2, 6, 2));
+        let (lib, id) = lib_with("jog", padded);
+        let r = check_flat(&lib, id, &rules());
+        assert!(r.is_clean(), "{r}");
     }
 
     #[test]
@@ -638,6 +662,17 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.rule == RuleKind::ContactMetalEnclosure));
+        // Bad: a 3×3 cut.
+        let big = vec![
+            Shape::rect(Layer::Diffusion, Rect::new(0, 0, 5, 5)),
+            Shape::rect(Layer::Metal, Rect::new(0, 0, 5, 5)),
+            Shape::rect(Layer::Contact, Rect::new(1, 1, 4, 4)),
+        ];
+        let (lib3, id3) = lib_with("c", big);
+        let r3 = check_flat(&lib3, id3, &rules());
+        assert_eq!(r3.violations.len(), 1, "{r3}");
+        assert_eq!(r3.violations[0].rule, RuleKind::ContactSize);
+        assert_eq!(r3.violations[0].message, "contact 3x3λ, must be 2x2λ");
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! implements both modes:
 //!
 //! * [`check_flat`] — flatten a hierarchy and check every shape pair,
-//! * [`check_hierarchical`] — check each distinct cell once, then check
-//!   only *inter-instance* interactions in each parent; with well-formed
-//!   abutment this visits far fewer pairs ([`Report::checked_pairs`]).
+//! * [`check_hierarchical`] — check each distinct cell once, on one view
+//!   of its own shapes and its instances' flattened subtrees, skipping
+//!   the pairs inside one instance (its own cell checks them). On the
+//!   reference chips it finds the same violations as the flat check and
+//!   attributes each to the cell that draws it; it does not visit fewer
+//!   pairs ([`Report::checked_pairs`]).
 //!
 //! Checked rules (integer-λ variants of Mead & Conway 1978):
 //!
@@ -25,6 +28,9 @@
 //! | transistor: diffusion S/D extension past poly | 2λ |
 //! | contact: cut size exactly 2×2λ, enclosed 1λ by metal and by poly/diff |
 //! | implant: surrounds depletion gates by 1λ, clear of others by 1λ |
+//!
+//! A same-layer gap that other shapes on that layer fill is one solid
+//! shape drawn in pieces, and is not a spacing violation.
 //!
 //! # Examples
 //!

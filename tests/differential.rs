@@ -296,5 +296,14 @@ fn compile_fuzz_full_diversity_specs() {
             .unwrap_or_else(|e| panic!("seed {seed:#x}: bridge: {e}"));
         let mut machine = chip.simulation().unwrap();
         machine.step_word(0).unwrap();
+        let drc = bristle_blocks::drc::check_hierarchical(
+            &chip.lib,
+            chip.top,
+            &bristle_blocks::drc::RuleSet::mead_conway(),
+        );
+        assert!(
+            drc.is_clean(),
+            "seed {seed:#x}: top cell not DRC-clean: {drc}\n{spec}"
+        );
     }
 }

@@ -1,10 +1,12 @@
 //! Integration tests spanning the whole workspace: compile complete
 //! chips and hold them to the paper's standards.
 
-use bristle_bench::sweep_spec;
+use std::collections::BTreeSet;
+
+use bristle_bench::{reference_specs, sweep_spec};
 use bristle_blocks::cif::{cif_to_library, parse_cif};
 use bristle_blocks::core::{ChipSpec, Compiler};
-use bristle_blocks::drc::{check_hierarchical, RuleSet};
+use bristle_blocks::drc::{check_flat, check_hierarchical, Report, RuleSet};
 use bristle_blocks::extract::extract;
 
 fn small() -> ChipSpec {
@@ -32,9 +34,25 @@ fn datapath8() -> ChipSpec {
 fn core_cell_is_drc_clean() {
     // The datapath core — every generated, stretched, stacked and
     // abutted cell — passes the Mead–Conway rules hierarchically.
+    let rules = RuleSet::mead_conway();
     let chip = Compiler::new().compile(&small()).unwrap();
-    let report = check_hierarchical(&chip.lib, chip.core_cell, &RuleSet::mead_conway());
+    let report = check_hierarchical(&chip.lib, chip.core_cell, &rules);
     assert!(report.is_clean(), "{report}");
+    // So does every reference chip at the top cell, pads and glue
+    // included, and the flat check (the oracle) finds the same set.
+    let keys = |r: &Report| {
+        r.violations
+            .iter()
+            .map(|v| (v.rule, v.at))
+            .collect::<BTreeSet<_>>()
+    };
+    for spec in reference_specs() {
+        let chip = Compiler::new().compile(&spec).unwrap();
+        let hier = check_hierarchical(&chip.lib, chip.top, &rules);
+        let flat = check_flat(&chip.lib, chip.top, &rules);
+        assert_eq!(keys(&hier), keys(&flat), "{}", spec.name);
+        assert!(hier.is_clean(), "{}: {hier}", spec.name);
+    }
 }
 
 #[test]
