@@ -89,9 +89,17 @@ pub fn compile(spec: &ChipSpec) -> Result<CompiledChip, CompileError> {
 /// out by an expert with **no uniform-pitch constraint** — every element
 /// keeps its natural pitch, the decoder and wiring overhead are the same
 /// as the compiler's. Returns the baseline core area in λ².
+///
+/// The measure is like-for-like with [`CompiledChip::core_area`]. Each
+/// column's natural pitch comes from the compiler's one pitch rule,
+/// [`bristle_cell::InterfaceStd::from_tracks`], applied to that column
+/// alone. A column of `n` stacked bits covers
+/// `width × ((n − 1)·pitch + cell height)`, as the compiled core's
+/// bounding box does. Stretching only grows cells, so the baseline
+/// never exceeds the compiled core.
 #[must_use]
 pub fn hand_core_area(chip: &CompiledChip) -> i64 {
-    use bristle_cell::{GenCtx, TrackSet, SLICE_CLEARANCE};
+    use bristle_cell::{GenCtx, InterfaceStd, TrackSet};
     use bristle_stdcells::generator_named;
     let mut total = 0i64;
     // One library and one context serve every element; the per-element
@@ -99,6 +107,7 @@ pub fn hand_core_area(chip: &CompiledChip) -> i64 {
     // the parameter map's allocation instead of cloning afresh.
     let mut lib = bristle_cell::Library::new("hand");
     let mut ctx = GenCtx::new(chip.spec.data_width);
+    let stacked = i64::from(chip.spec.data_width) - 1;
     for e in &chip.elements {
         let kind: &str = if e.index == usize::MAX {
             "precharge"
@@ -122,9 +131,8 @@ pub fn hand_core_area(chip: &CompiledChip) -> i64 {
         for id in cols {
             let bb = lib.bbox(id).unwrap();
             let ts = TrackSet::from_cell(lib.cell(id)).unwrap();
-            // The element's own natural pitch.
-            let pitch = ts.vdd_y + 2 + SLICE_CLEARANCE + 2;
-            total += bb.width() * pitch * i64::from(chip.spec.data_width);
+            let pitch = InterfaceStd::from_tracks(&[ts]).pitch;
+            total += bb.width() * (stacked * pitch + bb.height());
         }
     }
     total

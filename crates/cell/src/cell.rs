@@ -146,12 +146,6 @@ impl Cell {
         &self.name
     }
 
-    /// Renames the cell. Library names are fixed at add time; renaming a
-    /// cell already in a library is not supported.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// The cell's own (non-hierarchical) shapes.
     #[must_use]
     pub fn shapes(&self) -> &[Shape] {

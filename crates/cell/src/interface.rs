@@ -8,11 +8,13 @@
 //!
 //! A bit slice carries four standard horizontal tracks, bottom to top:
 //! GND rail, bus A (the paper's *lower bus* feeds upward), bus B, and the
-//! VDD rail. [`InterfaceStd`] fixes their center-line y offsets within the
-//! slice and the slice pitch itself — the paper's "common pitch (width)".
-//! Natural track positions are read off a bit cell's bristles
+//! VDD rail. [`Tracks`] holds their center-line y offsets; it is the one
+//! type every cell, the compiler and the frame builder describe tracks
+//! with. Natural track positions are read off a bit cell's bristles
 //! ([`TrackSet::from_cell`]); the compiler computes the per-segment maxima
-//! over all elements and stretch-aligns every cell to the standard.
+//! over all elements ([`InterfaceStd::from_tracks`], which also fixes the
+//! slice pitch — the paper's "common pitch (width)") and stretch-aligns
+//! every cell to the standard.
 
 use std::fmt;
 
@@ -20,9 +22,9 @@ use crate::bristle::{Flavor, Rail};
 use crate::cell::Cell;
 use crate::stretch::{StretchError, StretchPlan};
 
-/// Natural track positions of one bit cell, read from its bristles.
+/// Center-line y offsets of the four standard tracks of a bit slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrackSet {
+pub struct Tracks {
     /// GND rail center y.
     pub gnd_y: i64,
     /// Bus A (upper bus, index 0) center y.
@@ -31,6 +33,46 @@ pub struct TrackSet {
     pub bus_b_y: i64,
     /// VDD rail center y.
     pub vdd_y: i64,
+}
+
+impl Tracks {
+    /// Track names, bottom to top.
+    const NAMES: [&'static str; 4] = ["GND", "busA", "busB", "VDD"];
+
+    /// Tracks from their offsets, bottom to top.
+    #[must_use]
+    pub fn from_ys([gnd_y, bus_a_y, bus_b_y, vdd_y]: [i64; 4]) -> Tracks {
+        Tracks {
+            gnd_y,
+            bus_a_y,
+            bus_b_y,
+            vdd_y,
+        }
+    }
+
+    /// Offsets, bottom to top.
+    #[must_use]
+    pub fn ys(&self) -> [i64; 4] {
+        [self.gnd_y, self.bus_a_y, self.bus_b_y, self.vdd_y]
+    }
+
+    /// `(name, y)` pairs, bottom to top.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, i64)> {
+        Tracks::NAMES.into_iter().zip(self.ys())
+    }
+
+    /// Each track's rise over the one below it (GND's over y = 0).
+    fn rises(&self) -> [i64; 4] {
+        let y = self.ys();
+        [y[0], y[1] - y[0], y[2] - y[1], y[3] - y[2]]
+    }
+}
+
+/// Natural track positions of one bit cell, read from its bristles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrackSet {
+    /// The four track offsets.
+    pub tracks: Tracks,
     /// Top of the cell's own geometry (bbox top).
     pub top: i64,
 }
@@ -83,33 +125,27 @@ impl TrackSet {
     /// Returns a violation if a track bristle is missing or the tracks
     /// are out of order.
     pub fn from_cell(cell: &Cell) -> Result<TrackSet, InterfaceViolation> {
-        let mut gnd = None;
-        let mut bus_a = None;
-        let mut bus_b = None;
-        let mut vdd = None;
+        let mut found = [None; 4];
         for b in cell.bristles() {
-            match &b.flavor {
-                Flavor::Power(Rail::Gnd) => gnd = Some(b.pos.y),
-                Flavor::Power(Rail::Vdd) => vdd = Some(b.pos.y),
-                Flavor::Bus { bus: 0, .. } => bus_a = Some(b.pos.y),
-                Flavor::Bus { bus: 1, .. } => bus_b = Some(b.pos.y),
-                _ => {}
-            }
+            let track = match &b.flavor {
+                Flavor::Power(Rail::Gnd) => 0,
+                Flavor::Bus { bus: 0, .. } => 1,
+                Flavor::Bus { bus: 1, .. } => 2,
+                Flavor::Power(Rail::Vdd) => 3,
+                _ => continue,
+            };
+            found[track] = Some(b.pos.y);
         }
-        let gnd_y = gnd.ok_or(InterfaceViolation::MissingTrack("GND"))?;
-        let bus_a_y = bus_a.ok_or(InterfaceViolation::MissingTrack("busA"))?;
-        let bus_b_y = bus_b.ok_or(InterfaceViolation::MissingTrack("busB"))?;
-        let vdd_y = vdd.ok_or(InterfaceViolation::MissingTrack("VDD"))?;
-        if !(gnd_y < bus_a_y && bus_a_y < bus_b_y && bus_b_y < vdd_y) {
+        let mut ys = [0; 4];
+        for ((y, found), name) in ys.iter_mut().zip(found).zip(Tracks::NAMES) {
+            *y = found.ok_or(InterfaceViolation::MissingTrack(name))?;
+        }
+        if !ys.windows(2).all(|w| w[0] < w[1]) {
             return Err(InterfaceViolation::TrackOrder);
         }
-        let top = cell.local_bbox().map_or(vdd_y, |b| b.y1);
         Ok(TrackSet {
-            gnd_y,
-            bus_a_y,
-            bus_b_y,
-            vdd_y,
-            top,
+            tracks: Tracks::from_ys(ys),
+            top: cell.local_bbox().map_or(ys[3], |b| b.y1),
         })
     }
 }
@@ -119,14 +155,8 @@ impl TrackSet {
 pub struct InterfaceStd {
     /// Slice pitch (the paper's common cell "width").
     pub pitch: i64,
-    /// Standard GND rail center y within a slice.
-    pub gnd_y: i64,
-    /// Standard bus A center y.
-    pub bus_a_y: i64,
-    /// Standard bus B center y.
-    pub bus_b_y: i64,
-    /// Standard VDD rail center y.
-    pub vdd_y: i64,
+    /// Standard track offsets within a slice.
+    pub tracks: Tracks,
 }
 
 /// Metal width (λ) of every horizontal track — both power rails and both
@@ -136,13 +166,14 @@ pub const TRACK_WIDTH: i64 = 4;
 
 /// Minimum clearance kept between the VDD rail of one slice and the GND
 /// rail of the slice above (the metal spacing rule).
-pub const SLICE_CLEARANCE: i64 = 3;
+const SLICE_CLEARANCE: i64 = 3;
 
 impl InterfaceStd {
     /// Computes the standard as the per-segment maximum over all natural
     /// track sets — "every cell must be designed as wide as the widest
     /// cell", applied per inter-track segment so every track can be
-    /// aligned by stretching (which only grows).
+    /// aligned by stretching (which only grows). This is the one pitch
+    /// rule: a single track set gives that cell's natural pitch.
     ///
     /// # Panics
     ///
@@ -150,41 +181,21 @@ impl InterfaceStd {
     #[must_use]
     pub fn from_tracks(tracks: &[TrackSet]) -> InterfaceStd {
         assert!(!tracks.is_empty(), "no track sets supplied");
-        let seg0 = tracks.iter().map(|t| t.gnd_y).max().unwrap();
-        let seg1 = tracks.iter().map(|t| t.bus_a_y - t.gnd_y).max().unwrap();
-        let seg2 = tracks.iter().map(|t| t.bus_b_y - t.bus_a_y).max().unwrap();
-        let seg3 = tracks.iter().map(|t| t.vdd_y - t.bus_b_y).max().unwrap();
-        let overhang = tracks.iter().map(|t| t.top - t.vdd_y).max().unwrap();
-        let gnd_y = seg0;
-        let bus_a_y = gnd_y + seg1;
-        let bus_b_y = bus_a_y + seg2;
-        let vdd_y = bus_b_y + seg3;
+        let mut y = 0;
+        let std = Tracks::from_ys(std::array::from_fn(|i| {
+            y += tracks.iter().map(|t| t.tracks.rises()[i]).max().unwrap();
+            y
+        }));
+        let overhang = tracks.iter().map(|t| t.top - t.tracks.vdd_y).max().unwrap();
         // The next slice's GND bottom edge must clear this slice's
         // tallest geometry.
         let half = TRACK_WIDTH / 2;
-        let mut pitch = (vdd_y + overhang.max(half) + SLICE_CLEARANCE) - (gnd_y - half);
+        let mut pitch = (std.vdd_y + overhang.max(half) + SLICE_CLEARANCE) - (std.gnd_y - half);
         // And the pitch must land tracks of every slice on the lattice.
         if pitch % 2 == 1 {
             pitch += 1;
         }
-        InterfaceStd {
-            pitch,
-            gnd_y,
-            bus_a_y,
-            bus_b_y,
-            vdd_y,
-        }
-    }
-
-    /// Standard track offsets as `(name, y)` pairs, bottom to top.
-    #[must_use]
-    pub fn tracks(&self) -> [(&'static str, i64); 4] {
-        [
-            ("GND", self.gnd_y),
-            ("busA", self.bus_a_y),
-            ("busB", self.bus_b_y),
-            ("VDD", self.vdd_y),
-        ]
+        InterfaceStd { pitch, tracks: std }
     }
 
     /// Plans the vertical stretch aligning a natural track set to this
@@ -203,15 +214,11 @@ impl InterfaceStd {
         cell_name: &str,
     ) -> Result<StretchPlan, StretchError> {
         let mut plan = StretchPlan::new();
-        // (segment lower bound in natural coords, natural track y, standard track y)
-        let segments = [
-            (i64::MIN, natural.gnd_y, self.gnd_y),
-            (natural.gnd_y, natural.bus_a_y, self.bus_a_y),
-            (natural.bus_a_y, natural.bus_b_y, self.bus_b_y),
-            (natural.bus_b_y, natural.vdd_y, self.vdd_y),
-        ];
+        let nat = natural.tracks.ys();
+        // The natural track below each track bounds its segment.
+        let below = [i64::MIN, nat[0], nat[1], nat[2]];
         let mut inserted = 0i64;
-        for (lo, nat, std) in segments {
+        for ((lo, nat), std) in below.into_iter().zip(nat).zip(self.tracks.ys()) {
             let delta = (std - nat) - inserted;
             debug_assert!(delta >= 0, "standard below natural: segment maxima violated");
             if delta == 0 {
@@ -241,19 +248,10 @@ impl InterfaceStd {
     ///
     /// Returns the first violation found.
     pub fn check(&self, cell: &Cell) -> Result<(), InterfaceViolation> {
-        let t = TrackSet::from_cell(cell)?;
-        for (name, want, got) in [
-            ("GND", self.gnd_y, t.gnd_y),
-            ("busA", self.bus_a_y, t.bus_a_y),
-            ("busB", self.bus_b_y, t.bus_b_y),
-            ("VDD", self.vdd_y, t.vdd_y),
-        ] {
+        let got = TrackSet::from_cell(cell)?.tracks;
+        for ((track, want), got) in self.tracks.iter().zip(got.ys()) {
             if want != got {
-                return Err(InterfaceViolation::Misaligned {
-                    track: name,
-                    want,
-                    got,
-                });
+                return Err(InterfaceViolation::Misaligned { track, want, got });
             }
         }
         Ok(())
@@ -262,11 +260,11 @@ impl InterfaceStd {
 
 impl fmt::Display for InterfaceStd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "pitch {}λ; GND@{} busA@{} busB@{} VDD@{}",
-            self.pitch, self.gnd_y, self.bus_a_y, self.bus_b_y, self.vdd_y
-        )
+        write!(f, "pitch {}λ;", self.pitch)?;
+        for (name, y) in self.tracks.iter() {
+            write!(f, " {name}@{y}")?;
+        }
+        Ok(())
     }
 }
 
@@ -303,7 +301,7 @@ mod tests {
     fn trackset_reads_bristles() {
         let c = tracked_cell("t", 2, 10, 18, 26);
         let t = TrackSet::from_cell(&c).unwrap();
-        assert_eq!((t.gnd_y, t.bus_a_y, t.bus_b_y, t.vdd_y), (2, 10, 18, 26));
+        assert_eq!(t.tracks.ys(), [2, 10, 18, 26]);
         assert_eq!(t.top, 28);
     }
 
@@ -324,11 +322,11 @@ mod tests {
         let t1 = TrackSet::from_cell(&c1).unwrap();
         let t2 = TrackSet::from_cell(&c2).unwrap();
         let std = InterfaceStd::from_tracks(&[t1, t2]);
-        assert_eq!(std.gnd_y, 4); // max(2,4)
-        assert_eq!(std.bus_a_y, 4 + 8); // max(8,4)=8
-        assert_eq!(std.bus_b_y, 12 + 12); // max(8,12)=12
-        assert_eq!(std.vdd_y, 24 + 8); // max(8,4)=8
-        assert!(std.pitch >= std.vdd_y + SLICE_CLEARANCE);
+        assert_eq!(std.tracks.gnd_y, 4); // max(2,4)
+        assert_eq!(std.tracks.bus_a_y, 4 + 8); // max(8,4)=8
+        assert_eq!(std.tracks.bus_b_y, 12 + 12); // max(8,12)=12
+        assert_eq!(std.tracks.vdd_y, 24 + 8); // max(8,4)=8
+        assert!(std.pitch >= std.tracks.vdd_y + SLICE_CLEARANCE);
         assert_eq!(std.pitch % 2, 0);
     }
 
@@ -354,10 +352,7 @@ mod tests {
         c.set_stretch_y(Vec::new());
         let t = TrackSet::from_cell(&c).unwrap();
         let other = TrackSet {
-            gnd_y: 6,
-            bus_a_y: 14,
-            bus_b_y: 22,
-            vdd_y: 30,
+            tracks: Tracks::from_ys([6, 14, 22, 30]),
             top: 32,
         };
         let std = InterfaceStd::from_tracks(&[t, other]);
@@ -370,7 +365,7 @@ mod tests {
         let c = tracked_cell("a", 2, 10, 18, 26);
         let t = TrackSet::from_cell(&c).unwrap();
         let mut std = InterfaceStd::from_tracks(&[t]);
-        std.bus_a_y += 2;
+        std.tracks.bus_a_y += 2;
         assert!(matches!(
             std.check(&c),
             Err(InterfaceViolation::Misaligned { track: "busA", .. })

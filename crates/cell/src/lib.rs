@@ -20,10 +20,14 @@
 //! * [`stretch`] — the stretch engine that lets every cell match the
 //!   widest cell's pitch ("a painless operation"),
 //! * [`CellGenerator`] — the trait implemented by procedural cells,
-//! * [`InterfaceStd`] — the standard cell interface (bus and rail track
-//!   offsets) that lets any two elements plug together; it is the
-//!   paper's global-parameter vote, resolved by
+//! * [`Tracks`] — the four standard track offsets of a bit slice (GND,
+//!   bus A, bus B, VDD, bottom to top), the one type a cell's natural
+//!   tracks ([`TrackSet`]) and the standard's tracks share,
+//! * [`InterfaceStd`] — the standard cell interface (the track offsets
+//!   plus the slice pitch) that lets any two elements plug together; it
+//!   is the paper's global-parameter vote, resolved by
 //!   [`InterfaceStd::from_tracks`] over every column's natural tracks,
+//!   and the one pitch rule,
 //! * [`CellReprs`] — per-cell data for the non-layout representations
 //!   (sticks, logic, text, simulation, block).
 //!
@@ -59,7 +63,7 @@ pub use bristle::{ActiveWhen, Bristle, ControlLine, Flavor, PadKind, Phase, Rail
 pub use cdl::{load_library, save_library, CdlError};
 pub use cell::{Cell, CellError, CellId, Instance, Library};
 pub use generator::{CellGenerator, GenCtx, GenError};
-pub use interface::{InterfaceStd, InterfaceViolation, TrackSet, SLICE_CLEARANCE, TRACK_WIDTH};
+pub use interface::{InterfaceStd, InterfaceViolation, TrackSet, Tracks, TRACK_WIDTH};
 pub use power::{PowerInfo, INVERTER_STATIC_UA, MIN_RAIL_WIDTH, UA_PER_LAMBDA};
 pub use reprs::{CellReprs, LogicGate, LogicKind, Stick};
 pub use shape::{Shape, ShapeGeom};

@@ -261,6 +261,7 @@ impl Compiler {
 
         // Smart-cell selection: the minimum-width variant whose tracks
         // fit (are ≤) the standard, then stretch-align every column.
+        let std_ys = std.tracks.ys();
         let mut chosen: Vec<Vec<CellId>> = Vec::new();
         for mut v in variants {
             let mut best: Option<(i64, usize)> = None;
@@ -268,10 +269,7 @@ impl Compiler {
                 let mut fits = true;
                 let mut width = 0;
                 for &(col, ts) in cand {
-                    fits &= ts.gnd_y <= std.gnd_y
-                        && ts.bus_a_y <= std.bus_a_y
-                        && ts.bus_b_y <= std.bus_b_y
-                        && ts.vdd_y <= std.vdd_y;
+                    fits &= ts.tracks.ys().into_iter().zip(std_ys).all(|(t, s)| t <= s);
                     width += lib.bbox(col).map_or(0, |b| b.width());
                 }
                 if fits && best.map_or(true, |(bw, _)| width < bw) {
@@ -642,8 +640,8 @@ impl Compiler {
         // Power pads: one VDD and one GND point on the frame's west edge
         // (power-comb trunk routing is documented as out of scope; the
         // rails are tied logically by their labels).
-        let gnd_pos = Point::new(frame_bbox.x0, core.std.gnd_y);
-        let vdd_pos = Point::new(frame_bbox.x0, core.std.vdd_y);
+        let gnd_pos = Point::new(frame_bbox.x0, core.std.tracks.gnd_y);
+        let vdd_pos = Point::new(frame_bbox.x0, core.std.tracks.vdd_y);
         points.push(("GND".into(), gnd_pos, Layer::Metal));
         kinds.push(PadKind::Gnd);
         points.push(("VDD".into(), vdd_pos, Layer::Metal));

@@ -50,8 +50,9 @@ impl fmt::Display for RuleKind {
     }
 }
 
-/// A λ rule set. [`RuleSet::mead_conway`] gives the 1978 values used by
-/// Bristle Blocks; tests use relaxed or tightened variants.
+/// A λ rule set: the workspace's one table of λ rules.
+/// [`RuleSet::mead_conway`] gives the 1978 values used by Bristle Blocks
+/// and is the only rule set any caller builds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleSet {
     /// Minimum drawn width per conductor layer (λ).
@@ -140,6 +141,7 @@ mod tests {
         assert_eq!(r.min_width(Layer::Poly), Some(2));
         assert_eq!(r.min_width(Layer::Contact), None);
         assert_eq!(r.min_spacing(Layer::Diffusion), Some(3));
+        assert_eq!(r.min_spacing(Layer::Poly), Some(2));
         assert_eq!(RuleSet::default(), r);
     }
 

@@ -95,46 +95,6 @@ impl Netlist {
             .position(|n| n == name)
             .map(|i| NetId(i as u32))
     }
-
-    /// The net a terminal (qualified bristle name) connects to.
-    #[must_use]
-    pub fn terminal_net(&self, name: &str) -> Option<NetId> {
-        self.terminals
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, id)| id)
-    }
-
-    /// Devices whose gate is on `net`.
-    pub fn driven_by_gate(&self, net: NetId) -> impl Iterator<Item = &Transistor> {
-        self.transistors.iter().filter(move |t| t.gate == net)
-    }
-
-    /// Terminals whose final path segment (the bristle's own name) equals
-    /// `local`, in terminal order. `local` matching is exact:
-    /// `terminals_with_local("ld")` does not match `ld0`.
-    pub fn terminals_with_local<'a>(
-        &'a self,
-        local: &'a str,
-    ) -> impl Iterator<Item = (&'a str, NetId)> + 'a {
-        self.terminals.iter().filter_map(move |(name, id)| {
-            let leaf = name.rsplit('/').next().unwrap_or(name);
-            (leaf == local).then_some((name.as_str(), *id))
-        })
-    }
-
-    /// The nets of every terminal matching `local`, deduplicated, in
-    /// first-seen order.
-    #[must_use]
-    pub fn nets_with_local(&self, local: &str) -> Vec<NetId> {
-        let mut out = Vec::new();
-        for (_, id) in self.terminals_with_local(local) {
-            if !out.contains(&id) {
-                out.push(id);
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Netlist {
@@ -793,7 +753,7 @@ mod tests {
         );
         assert_eq!(n.net_count(), 1);
         assert_eq!(n.net_names[0], "bus_tap");
-        assert_eq!(n.terminal_net("bus_tap"), Some(NetId(0)));
+        assert_eq!(n.terminals, vec![("bus_tap".to_owned(), NetId(0))]);
     }
 
     #[test]
@@ -837,31 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn terminals_with_local_is_exact_on_leaf_names() {
-        let n = Netlist {
-            net_names: vec!["a".into(), "b".into()],
-            transistors: vec![],
-            terminals: vec![
-                ("e0_c0_b0/ld".into(), NetId(0)),
-                ("e0_c0_b1/ld".into(), NetId(1)),
-                ("e0_c0_b0/ld0".into(), NetId(1)),
-                ("ld".into(), NetId(0)),
-            ],
-        };
-        let hits: Vec<_> = n.terminals_with_local("ld").collect();
-        assert_eq!(
-            hits,
-            vec![
-                ("e0_c0_b0/ld", NetId(0)),
-                ("e0_c0_b1/ld", NetId(1)),
-                ("ld", NetId(0)),
-            ]
-        );
-        assert_eq!(n.nets_with_local("ld"), vec![NetId(0), NetId(1)]);
-        assert_eq!(n.nets_with_local("missing"), Vec::<NetId>::new());
-    }
-
-    #[test]
     fn find_net_and_driven_by() {
         let n = build(
             vec![
@@ -871,6 +806,6 @@ mod tests {
             vec![],
         );
         let g = n.find_net("g").unwrap();
-        assert_eq!(n.driven_by_gate(g).count(), 1);
+        assert_eq!(n.transistors.iter().filter(|t| t.gate == g).count(), 1);
     }
 }

@@ -77,34 +77,6 @@ impl Layer {
         matches!(self, Layer::Diffusion | Layer::Poly | Layer::Metal)
     }
 
-    /// Minimum feature width in λ per the Mead–Conway rules.
-    #[must_use]
-    pub fn min_width(self) -> i64 {
-        match self {
-            Layer::Diffusion => 2,
-            Layer::Implant => 2, // must surround the gate by 1λ each side
-            Layer::Poly => 2,
-            Layer::Contact => 2,
-            Layer::Buried => 2,
-            Layer::Metal => 3,
-            Layer::Overglass => 6,
-        }
-    }
-
-    /// Minimum same-layer spacing in λ per the Mead–Conway rules.
-    #[must_use]
-    pub fn min_spacing(self) -> i64 {
-        match self {
-            Layer::Diffusion => 3,
-            Layer::Implant => 2,
-            Layer::Poly => 2,
-            Layer::Contact => 2,
-            Layer::Buried => 2,
-            Layer::Metal => 3,
-            Layer::Overglass => 6,
-        }
-    }
-
     /// Fill color used by the SVG layout renderer, mirroring the familiar
     /// Mead–Conway color plates (green diffusion, red poly, blue metal,
     /// yellow implant, black contacts).
@@ -178,14 +150,6 @@ mod tests {
             conductors,
             [&Layer::Diffusion, &Layer::Poly, &Layer::Metal]
         );
-    }
-
-    #[test]
-    fn mead_conway_minimums() {
-        assert_eq!(Layer::Poly.min_width(), 2);
-        assert_eq!(Layer::Metal.min_width(), 3);
-        assert_eq!(Layer::Diffusion.min_spacing(), 3);
-        assert_eq!(Layer::Poly.min_spacing(), 2);
     }
 
     #[test]

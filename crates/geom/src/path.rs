@@ -169,22 +169,6 @@ impl Path {
             width: self.width,
         }
     }
-
-    /// Replaces the width, preserving the center-line. Used when power
-    /// rails widen to carry more current.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PathError::BadWidth`] if `width` is not positive and even.
-    pub fn with_width(&self, width: i64) -> Result<Path, PathError> {
-        if width <= 0 || width % 2 != 0 {
-            return Err(PathError::BadWidth(width));
-        }
-        Ok(Path {
-            points: self.points.clone(),
-            width,
-        })
-    }
 }
 
 impl fmt::Display for Path {
@@ -241,14 +225,6 @@ mod tests {
         // Terminal endpoints stay flush with the center-line ends.
         let bb = p.bbox();
         assert_eq!((bb.x0, bb.y1), (0, 4));
-    }
-
-    #[test]
-    fn widen_preserves_centerline() {
-        let p = Path::new(vec![Point::new(0, 0), Point::new(8, 0)], 2).unwrap();
-        let w = p.with_width(4).unwrap();
-        assert_eq!(w.to_rects(), vec![Rect::new(0, -2, 8, 2)]);
-        assert!(p.with_width(5).is_err());
     }
 
     #[test]

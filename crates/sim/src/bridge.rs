@@ -102,35 +102,20 @@ impl From<SwitchError> for BridgeError {
     }
 }
 
-/// Packs per-bit levels (LSB first) into a word.
-///
-/// # Errors
-///
-/// [`BridgeError::XLevel`] on the first non-binary bit; `signal` tags the
-/// error for the caller's divergence report.
-pub fn word_from_levels(levels: &[Level], signal: &str) -> Result<u64, BridgeError> {
+/// Packs per-bit levels (LSB first) into a word, or returns the index of
+/// the first non-binary bit. Callers name the signal in the
+/// [`BridgeError::XLevel`] they build only on that failure, so a
+/// successful read formats nothing.
+fn word_from_levels(levels: &[Level]) -> Result<u64, u32> {
     let mut word = 0u64;
     for (bit, &l) in levels.iter().enumerate() {
         match l {
             Level::L0 => {}
             Level::L1 => word |= 1 << bit,
-            Level::X => {
-                return Err(BridgeError::XLevel {
-                    signal: signal.to_owned(),
-                    bit: bit as u32,
-                })
-            }
+            Level::X => return Err(bit as u32),
         }
     }
     Ok(word)
-}
-
-/// Unpacks a word into `width` levels, LSB first.
-#[must_use]
-pub fn levels_from_word(word: u64, width: u32) -> Vec<Level> {
-    (0..width)
-        .map(|b| Level::from_bool((word >> b) & 1 == 1))
-        .collect()
 }
 
 /// Splits a qualified terminal name `<elem>_c<col>_b<bit>/<local>` into
@@ -286,12 +271,6 @@ impl<'a> NetlistBridge<'a> {
             })
     }
 
-    /// True if the group exists.
-    #[must_use]
-    pub fn has_group(&self, prefix: &str, local: &str) -> bool {
-        self.groups.get(prefix).is_some_and(|m| m.contains_key(local))
-    }
-
     /// Forces every net of a signal group to one level — how a decoder
     /// column or clock rail drives all bit slices at once.
     ///
@@ -358,7 +337,10 @@ impl<'a> NetlistBridge<'a> {
                 levels[t.bit as usize] = self.sim.net_level(t.net);
             }
         }
-        word_from_levels(&levels, &format!("{prefix}/{local}[c{column}]"))
+        word_from_levels(&levels).map_err(|bit| BridgeError::XLevel {
+            signal: format!("{prefix}/{local}[c{column}]"),
+            bit,
+        })
     }
 
     /// Reads a per-bit signal group (pad wire) as a word.
@@ -373,7 +355,10 @@ impl<'a> NetlistBridge<'a> {
                 levels[t.bit as usize] = self.sim.net_level(t.net);
             }
         }
-        word_from_levels(&levels, &format!("{prefix}/{local}"))
+        word_from_levels(&levels).map_err(|bit| BridgeError::XLevel {
+            signal: format!("{prefix}/{local}"),
+            bit,
+        })
     }
 
     /// Reads bus A (0) or bus B (1) as a word.
@@ -388,7 +373,10 @@ impl<'a> NetlistBridge<'a> {
             (&self.bus_b, "busB")
         };
         let levels: Vec<Level> = nets.iter().map(|&n| self.sim.net_level(n)).collect();
-        word_from_levels(&levels, name)
+        word_from_levels(&levels).map_err(|bit| BridgeError::XLevel {
+            signal: name.to_owned(),
+            bit,
+        })
     }
 
     /// Relaxes the network.
@@ -434,14 +422,12 @@ mod tests {
 
     #[test]
     fn word_level_round_trip() {
-        let levels = levels_from_word(0b1011, 6);
-        assert_eq!(word_from_levels(&levels, "t").unwrap(), 0b1011);
+        use Level::{L0, L1};
+        let levels = vec![L1, L1, L0, L1, L0, L0];
+        assert_eq!(word_from_levels(&levels), Ok(0b1011));
         let mut bad = levels;
         bad[2] = Level::X;
-        assert!(matches!(
-            word_from_levels(&bad, "t"),
-            Err(BridgeError::XLevel { bit: 2, .. })
-        ));
+        assert_eq!(word_from_levels(&bad), Err(2));
     }
 
     fn tiny_netlist() -> Netlist {
@@ -474,8 +460,8 @@ mod tests {
         let bridge = NetlistBridge::new(&n, 2).unwrap();
         // ld and ld_n share a net: one terminal survives.
         assert_eq!(bridge.group("e0_x", "ld").unwrap().len(), 1);
-        assert!(bridge.has_group("e0_x", "store"));
-        assert!(!bridge.has_group("e0_x", "busa_w"));
+        assert!(bridge.group("e0_x", "store").is_ok());
+        assert!(bridge.group("e0_x", "busa_w").is_err());
         assert!(matches!(
             bridge.group("e0_x", "nope"),
             Err(BridgeError::UnknownSignal { .. })

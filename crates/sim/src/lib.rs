@@ -60,9 +60,7 @@ mod machine;
 mod microcode;
 mod switch;
 
-pub use bridge::{
-    levels_from_word, parse_terminal, word_from_levels, BridgeError, NetlistBridge, TerminalNet,
-};
+pub use bridge::{parse_terminal, BridgeError, NetlistBridge, TerminalNet};
 pub use machine::{ElementCtx, Behavior, Machine, SimError};
 pub use microcode::{Microcode, MicrocodeError, MicrocodeField};
 pub use switch::{Level, Strength, SwitchError, SwitchSim};

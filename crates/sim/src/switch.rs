@@ -182,11 +182,6 @@ impl<'a> SwitchSim<'a> {
         self.inputs.insert(id, level);
     }
 
-    /// Stops forcing a net by id; it keeps its charge until redriven.
-    pub fn release_net(&mut self, id: NetId) {
-        self.inputs.remove(&id);
-    }
-
     /// The level of a net (by id) after the last [`SwitchSim::settle`].
     ///
     /// # Panics
@@ -522,10 +517,6 @@ mod tests {
         sim.set_net(NetId(3), Level::L0); // in = 0
         sim.settle().unwrap();
         assert_eq!(sim.net_level(NetId(2)), Level::L1, "out");
-        // Release by id: the node holds its charge.
-        sim.release_net(NetId(3));
-        sim.settle().unwrap();
-        assert_eq!(sim.net_level(NetId(2)), Level::L1);
     }
 
     /// The symmetric case of the charge rule, audited: a *weak*

@@ -3,10 +3,10 @@
 //!
 //! Geometry model (all λ):
 //!
-//! * **Tracks** — horizontal metal, [`TRACK_WIDTH`] wide: GND rail
-//!   centered at `gnd_y = 2`, bus A / bus B / VDD at cell-specific
-//!   offsets. Tracks span the full cell width; W/E bristles make
-//!   abutment automatic.
+//! * **Tracks** — horizontal metal, [`TRACK_WIDTH`] wide, at the
+//!   [`Tracks`] offsets the region heights imply: GND rail centered at
+//!   `gnd_y = 2`, bus A / bus B / VDD at cell-specific offsets. Tracks
+//!   span the full cell width; W/E bristles make abutment automatic.
 //! * **Slots** — vertical structures on an 8λ grid: slot `k` occupies
 //!   `x ∈ [8k+4, 8k+6]`. A slot is either a *control column* (poly from
 //!   the south/decoder edge through the whole slice), a *clock column*
@@ -21,14 +21,14 @@
 //! * **Stretch lines** — one per track gap, placed where only vertical
 //!   geometry crosses, so stretching never cuts a device.
 //!
-//! The builder validates the spec (chain collisions, tap reachability)
+//! The builder validates the spec (chain collisions, long-tap clearance)
 //! and emits a [`Cell`] with bristles, stretch lines, power data and
 //! representation stubs.
 
 use std::fmt;
 
 use bristle_cell::{
-    Bristle, Cell, CellReprs, ControlLine, Flavor, Phase, PowerInfo, Rail, Shape, Side,
+    Bristle, Cell, CellReprs, ControlLine, Flavor, Phase, PowerInfo, Rail, Shape, Side, Tracks,
     TRACK_WIDTH,
 };
 use bristle_geom::{Layer, Point, Rect};
@@ -78,7 +78,9 @@ pub enum Slot {
     Gap,
 }
 
-/// A device region between two adjacent tracks.
+/// A device region between two adjacent tracks. Regions are declared
+/// bottom to top, so `region as usize` indexes both the track below the
+/// region in [`Tracks::ys`] and [`BitCellSpec::region_heights`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
     /// Between the GND rail and bus A.
@@ -92,8 +94,9 @@ pub enum Region {
 /// What a chain end connects to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tap {
-    /// Contact up/down to one of the four tracks (must bound the chain's
-    /// region).
+    /// Contact up/down to one of the four tracks. The track need not
+    /// bound the chain's region: a long tap runs its diffusion pad across
+    /// the tracks in between (validation checks its clearance).
     Gnd,
     /// Bus A track.
     BusA,
@@ -108,6 +111,20 @@ pub enum Tap {
     /// Metal wire east to the cell edge, ending in a pad-request
     /// bristle of this kind (ports).
     PadEast(bristle_cell::PadKind, String),
+}
+
+impl Tap {
+    /// Center y of the track this tap contacts; `None` for the taps that
+    /// contact no track.
+    fn track_y(&self, t: &Tracks) -> Option<i64> {
+        match self {
+            Tap::Gnd => Some(t.gnd_y),
+            Tap::BusA => Some(t.bus_a_y),
+            Tap::BusB => Some(t.bus_b_y),
+            Tap::Vdd => Some(t.vdd_y),
+            Tap::Plate | Tap::Open | Tap::PadEast(..) => None,
+        }
+    }
 }
 
 /// One diffusion chain.
@@ -168,8 +185,6 @@ pub enum FrameError {
         /// Slot that should have been a plate.
         slot: usize,
     },
-    /// A tap names a track that does not bound the chain's region.
-    TapUnreachable(usize),
     /// A region height is too small for devices (minimum 10λ).
     RegionTooSmall(i64),
     /// A `PadEast` tap is only legal at the right end of a chain.
@@ -207,9 +222,6 @@ impl fmt::Display for FrameError {
             FrameError::NotAPlate { chain, slot } => {
                 write!(f, "chain {chain}: slot {slot} is not a plate")
             }
-            FrameError::TapUnreachable(c) => {
-                write!(f, "chain {c}: tap track does not bound its region")
-            }
             FrameError::RegionTooSmall(h) => write!(f, "region height {h} < 10λ"),
             FrameError::PadTapNotEast(c) => write!(f, "chain {c}: PadEast only at right end"),
             FrameError::BadInverter { slot, reason } => {
@@ -227,19 +239,6 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Track center y-offsets computed from region heights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tracks {
-    /// GND rail center (always 2).
-    pub gnd_y: i64,
-    /// Bus A center.
-    pub bus_a_y: i64,
-    /// Bus B center.
-    pub bus_b_y: i64,
-    /// VDD rail center.
-    pub vdd_y: i64,
-}
-
 impl BitCellSpec {
     /// A spec with sensible defaults and no devices.
     #[must_use]
@@ -255,21 +254,13 @@ impl BitCellSpec {
         }
     }
 
-    /// Track offsets implied by the region heights.
+    /// Track offsets implied by the region heights: GND centered at
+    /// 2λ, and each region between two track halves.
     #[must_use]
     pub fn tracks(&self) -> Tracks {
-        let [r1, r2, r3] = self.region_heights;
+        let [r1, r2, r3] = self.region_heights.map(|r| r + TRACK_WIDTH);
         let gnd_y = HALF_TRACK;
-        // Each region sits between two track halves.
-        let bus_a_y = gnd_y + TRACK_WIDTH + r1;
-        let bus_b_y = bus_a_y + TRACK_WIDTH + r2;
-        let vdd_y = bus_b_y + TRACK_WIDTH + r3;
-        Tracks {
-            gnd_y,
-            bus_a_y,
-            bus_b_y,
-            vdd_y,
-        }
+        Tracks::from_ys([gnd_y, gnd_y + r1, gnd_y + r1 + r2, gnd_y + r1 + r2 + r3])
     }
 
     /// Cell width: the slot grid plus 8λ margins each side.
@@ -401,17 +392,12 @@ impl BitCellSpec {
         // PadEast lanes must fit under the next track.
         if self.pad_lane > 0 {
             for c in &self.chains {
-                if matches!(c.right, Tap::PadEast(..)) {
-                    let region = match c.region {
-                        Region::GndBusA => 0,
-                        Region::BusABusB => 1,
-                        Region::BusBVdd => 2,
-                    };
-                    if self.region_heights[region] < 12 + 8 * self.pad_lane {
-                        return Err(FrameError::PadLaneDoesNotFit {
-                            lane: self.pad_lane,
-                        });
-                    }
+                if matches!(c.right, Tap::PadEast(..))
+                    && self.region_heights[c.region as usize] < 12 + 8 * self.pad_lane
+                {
+                    return Err(FrameError::PadLaneDoesNotFit {
+                        lane: self.pad_lane,
+                    });
                 }
             }
         }
@@ -447,12 +433,8 @@ impl BitCellSpec {
                 rects.push(Rect::new(sx - 1, y1, sx + 3, y1 + 8 * self.pad_lane + 5));
                 continue;
             }
-            let ty = match tap {
-                Tap::Gnd => t.gnd_y,
-                Tap::BusA => t.bus_a_y,
-                Tap::BusB => t.bus_b_y,
-                Tap::Vdd => t.vdd_y,
-                _ => continue,
+            let Some(ty) = tap.track_y(&t) else {
+                continue;
             };
             let pad = if ty < y0 {
                 Rect::new(sx - 1, ty - 2, sx + 3, y0)
@@ -466,15 +448,11 @@ impl BitCellSpec {
 
     /// Chain y-interval (bottom, top) in its region.
     fn chain_y(&self, region: Region) -> (i64, i64) {
-        let t = self.tracks();
         // Chains sit 3λ above the track below them, clearing the 4λ-wide
         // tap pads that rise from lower regions to that track, and leave
         // the upper part of the region for the stretch line.
-        match region {
-            Region::GndBusA => (t.gnd_y + 5, t.gnd_y + 7),
-            Region::BusABusB => (t.bus_a_y + 5, t.bus_a_y + 7),
-            Region::BusBVdd => (t.bus_b_y + 5, t.bus_b_y + 7),
-        }
+        let below = self.tracks().ys()[region as usize];
+        (below + 5, below + 7)
     }
 
     /// Builds the cell.
@@ -490,16 +468,17 @@ impl BitCellSpec {
         let top = t.vdd_y + HALF_TRACK;
 
         // Tracks.
-        for (label, y, flavor) in [
-            ("GND", t.gnd_y, Flavor::Power(Rail::Gnd)),
-            ("BUSA", t.bus_a_y, Flavor::Bus { bus: 0, bit: 0 }),
-            ("BUSB", t.bus_b_y, Flavor::Bus { bus: 1, bit: 0 }),
-            ("VDD", t.vdd_y, Flavor::Power(Rail::Vdd)),
-        ] {
+        let flavors = [
+            Flavor::Power(Rail::Gnd),
+            Flavor::Bus { bus: 0, bit: 0 },
+            Flavor::Bus { bus: 1, bit: 0 },
+            Flavor::Power(Rail::Vdd),
+        ];
+        for ((name, y), flavor) in t.iter().zip(flavors) {
             let track = Rect::new(0, y - HALF_TRACK, w, y + HALF_TRACK);
-            cell.push_shape(Shape::rect(Layer::Metal, track).with_label(label));
-            let name_w = format!("{}_w", label.to_lowercase());
-            let name_e = format!("{}_e", label.to_lowercase());
+            cell.push_shape(Shape::rect(Layer::Metal, track).with_label(name.to_uppercase()));
+            let name_w = format!("{}_w", name.to_lowercase());
+            let name_e = format!("{}_e", name.to_lowercase());
             cell.push_bristle(Bristle::new(
                 name_w,
                 Layer::Metal,
@@ -696,14 +675,8 @@ impl BitCellSpec {
                             Flavor::Pad(*kind),
                         ));
                     }
-                    Tap::Gnd | Tap::BusA | Tap::BusB | Tap::Vdd => {
-                        let ty = match tap {
-                            Tap::Gnd => t.gnd_y,
-                            Tap::BusA => t.bus_a_y,
-                            Tap::BusB => t.bus_b_y,
-                            Tap::Vdd => t.vdd_y,
-                            _ => unreachable!(),
-                        };
+                    track => {
+                        let ty = track.track_y(&t).expect("the other taps are track taps");
                         // A flush 4λ-wide diffusion pad running from the
                         // track (with 2λ cut coverage) to the chain edge,
                         // so no same-layer notch is created.
@@ -728,11 +701,10 @@ impl BitCellSpec {
         // region (1λ below the next track's bottom edge) where only
         // vertical geometry crosses — devices, contacts and tap pads all
         // sit lower. Plus the base line for the bottom segment.
-        let [r1, r2, r3] = self.region_heights;
         cell.add_stretch_y(0);
-        cell.add_stretch_y(t.gnd_y + r1 + 1);
-        cell.add_stretch_y(t.bus_a_y + r2 + 1);
-        cell.add_stretch_y(t.bus_b_y + r3 + 1);
+        for (below, r) in t.ys().into_iter().zip(self.region_heights) {
+            cell.add_stretch_y(below + r + 1);
+        }
 
         // Power: the declared dynamic estimate plus the DC draw of every
         // ratioed inverter (its depletion load conducts while the output
@@ -833,11 +805,9 @@ mod tests {
         // a taller standard; DRC must still pass (stretch only grows).
         let cell = demo_spec().build().unwrap();
         let ts = TrackSet::from_cell(&cell).unwrap();
+        let [gnd, a, b, vdd] = ts.tracks.ys();
         let taller = TrackSet {
-            gnd_y: ts.gnd_y,
-            bus_a_y: ts.bus_a_y + 6,
-            bus_b_y: ts.bus_b_y + 10,
-            vdd_y: ts.vdd_y + 14,
+            tracks: Tracks::from_ys([gnd, a + 6, b + 10, vdd + 14]),
             top: ts.top + 14,
         };
         let std = InterfaceStd::from_tracks(&[ts, taller]);
@@ -999,11 +969,9 @@ mod tests {
     fn restoring_cell_stretches_clean() {
         let cell = restoring_spec().build().unwrap();
         let ts = TrackSet::from_cell(&cell).unwrap();
+        let [gnd, a, b, vdd] = ts.tracks.ys();
         let taller = TrackSet {
-            gnd_y: ts.gnd_y,
-            bus_a_y: ts.bus_a_y + 6,
-            bus_b_y: ts.bus_b_y + 10,
-            vdd_y: ts.vdd_y + 14,
+            tracks: Tracks::from_ys([gnd, a + 6, b + 10, vdd + 14]),
             top: ts.top + 14,
         };
         let std = InterfaceStd::from_tracks(&[ts, taller]);

@@ -756,7 +756,10 @@ mod tests {
         assert_eq!(variants.len(), 2);
         let t0 = TrackSet::from_cell(lib.cell(variants[0][0])).unwrap();
         let t1 = TrackSet::from_cell(lib.cell(variants[1][0])).unwrap();
-        assert!(t1.vdd_y > t0.vdd_y, "loose variant should be taller");
+        assert!(
+            t1.tracks.vdd_y > t0.tracks.vdd_y,
+            "loose variant should be taller"
+        );
     }
 
     #[test]

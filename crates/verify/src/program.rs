@@ -287,19 +287,6 @@ impl Program {
         let refs: Vec<(&str, u64)> = fields.iter().map(|(n, v)| (n.as_str(), *v)).collect();
         mc.encode(&refs)
     }
-
-    /// Truncates to the first `n` cycles (prefix-stable shrink step).
-    #[must_use]
-    pub fn truncated(&self, n: usize) -> Program {
-        Program {
-            cycles: self.cycles[..n.min(self.cycles.len())].to_vec(),
-            reg_elements: self.reg_elements.clone(),
-            inports: self.inports.clone(),
-            outports: self.outports.clone(),
-            rams: self.rams.clone(),
-            stacks: self.stacks.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +300,6 @@ mod tests {
         let long = Program::random(&spec, 11, 20);
         let short = Program::random(&spec, 11, 8);
         assert_eq!(&long.cycles[..8], &short.cycles[..]);
-        assert_eq!(long.truncated(8).cycles, short.cycles);
     }
 
     #[test]

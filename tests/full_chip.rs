@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use bristle_bench::{reference_specs, sweep_spec};
+use bristle_bench::{hand_core_area, reference_specs, sweep_spec};
 use bristle_blocks::cif::{cif_to_library, parse_cif};
 use bristle_blocks::core::{ChipSpec, Compiler};
 use bristle_blocks::drc::{check_flat, check_hierarchical, Report, RuleSet};
@@ -186,4 +186,21 @@ fn pitch_is_stable_across_recompiles() {
     assert_eq!(a.pitch, b.pitch);
     assert_eq!(a.die_bbox, b.die_bbox, "compilation must be deterministic");
     assert_eq!(a.wire_length, b.wire_length);
+}
+
+#[test]
+fn hand_baseline_never_exceeds_the_compiled_core() {
+    // Stretching only grows cells, so the natural-pitch baseline of
+    // experiments T1/A1 can never be larger than the compiled core: a
+    // negative alignment overhead means the two sides are measured
+    // differently.
+    for spec in reference_specs() {
+        let chip = Compiler::new().compile(&spec).unwrap();
+        let (hand, compiled) = (hand_core_area(&chip), chip.core_area());
+        assert!(
+            hand <= compiled,
+            "{}: hand {hand} > compiled {compiled}",
+            spec.name
+        );
+    }
 }
