@@ -17,6 +17,13 @@
 //! * storage-plate probes (`storeA`, `opa`, …) and pad wires (`pad_in`,
 //!   `pad_out`) resolve per bit for word-level reads and drives.
 //!
+//! A harness resolves each signal it needs once, with
+//! [`NetlistBridge::nets`], to a slice of `(bit, net)` pairs, and then
+//! drives and reads through the two primitives [`NetlistBridge::drive`]
+//! and [`NetlistBridge::read`]; nothing is looked up by name while the
+//! circuit runs. The by-name methods (`drive_group`, `drive_word`,
+//! `read_word`, `read_column_word`) are wrappers over the same three.
+//!
 //! Level↔word conversion is strict: a word read fails loudly on any `X`
 //! bit, because the differential test suite treats `X` on an observed
 //! signal as a divergence, never as "don't care".
@@ -27,17 +34,6 @@ use std::fmt;
 use bristle_extract::{NetId, Netlist};
 
 use crate::switch::{Level, SwitchError, SwitchSim};
-
-/// One terminal mapped into a signal group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TerminalNet {
-    /// Element column index (the `c<k>` in the instance name).
-    pub column: u32,
-    /// Bit-slice index (the `b<k>` in the instance name).
-    pub bit: u32,
-    /// The extracted net.
-    pub net: NetId,
-}
 
 /// Errors from bridge construction and word conversion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,22 +98,6 @@ impl From<SwitchError> for BridgeError {
     }
 }
 
-/// Packs per-bit levels (LSB first) into a word, or returns the index of
-/// the first non-binary bit. Callers name the signal in the
-/// [`BridgeError::XLevel`] they build only on that failure, so a
-/// successful read formats nothing.
-fn word_from_levels(levels: &[Level]) -> Result<u64, u32> {
-    let mut word = 0u64;
-    for (bit, &l) in levels.iter().enumerate() {
-        match l {
-            Level::L0 => {}
-            Level::L1 => word |= 1 << bit,
-            Level::X => return Err(bit as u32),
-        }
-    }
-    Ok(word)
-}
-
 /// Splits a qualified terminal name `<elem>_c<col>_b<bit>/<local>` into
 /// `(element prefix, column, bit, local)`. Returns `None` for terminals
 /// that do not follow the compiler's core naming convention (e.g. the
@@ -136,6 +116,10 @@ pub fn parse_terminal(name: &str) -> Option<(&str, u32, u32, &str)> {
     Some((prefix, col, bit, local))
 }
 
+/// Signal groups, `prefix -> local -> (column, bit, net)`,
+/// net-deduplicated, in terminal order.
+type Groups = BTreeMap<String, BTreeMap<String, Vec<(u32, u32, NetId)>>>;
+
 /// The adapter binding a switch-level simulator to machine-level signal
 /// groups.
 pub struct NetlistBridge<'a> {
@@ -143,11 +127,10 @@ pub struct NetlistBridge<'a> {
     /// nets directly for fault injection or extra observations).
     pub sim: SwitchSim<'a>,
     width: u32,
-    /// `prefix -> local -> terminals` (net-deduplicated, sorted).
-    groups: BTreeMap<String, BTreeMap<String, Vec<TerminalNet>>>,
-    /// Per-bit bus nets.
-    bus_a: Vec<NetId>,
-    bus_b: Vec<NetId>,
+    groups: Groups,
+    /// Per-bit bus nets, `(bit, net)`.
+    bus_a: Vec<(u32, NetId)>,
+    bus_b: Vec<(u32, NetId)>,
     /// Clock-column nets per phase prefix (`phi1` / `phi2`), collected
     /// once at construction — [`NetlistBridge::drive_clocks`] runs
     /// four times per co-simulated cycle.
@@ -164,7 +147,7 @@ impl<'a> NetlistBridge<'a> {
     /// [`BridgeError::BusDiscontinuity`] / [`BridgeError::BusRowMissing`]
     /// when the abutted bus tracks do not form one net per bit row.
     pub fn new(netlist: &'a Netlist, width: u32) -> Result<NetlistBridge<'a>, BridgeError> {
-        let mut groups: BTreeMap<String, BTreeMap<String, Vec<TerminalNet>>> = BTreeMap::new();
+        let mut groups = Groups::new();
         let mut bus_rows: BTreeMap<(&str, u32), Vec<NetId>> = BTreeMap::new();
         for (name, net) in &netlist.terminals {
             let Some((prefix, column, bit, local)) = parse_terminal(name) else {
@@ -185,11 +168,7 @@ impl<'a> NetlistBridge<'a> {
                     // names the same net as its south bristle; fold it
                     // into the base group.
                     let local = local.strip_suffix("_n").unwrap_or(local);
-                    let t = TerminalNet {
-                        column,
-                        bit,
-                        net: *net,
-                    };
+                    let t = (column, bit, *net);
                     let g = groups
                         .entry(prefix.to_owned())
                         .or_default()
@@ -201,11 +180,11 @@ impl<'a> NetlistBridge<'a> {
                 }
             }
         }
-        let bus = |name: &str| -> Result<Vec<NetId>, BridgeError> {
+        let bus = |name: &str| -> Result<Vec<(u32, NetId)>, BridgeError> {
             let mut nets = Vec::with_capacity(width as usize);
             for bit in 0..width {
                 match bus_rows.get(&(name, bit)).map(Vec::as_slice) {
-                    Some([one]) => nets.push(*one),
+                    Some([one]) => nets.push((bit, *one)),
                     Some(_) => {
                         return Err(BridgeError::BusDiscontinuity {
                             bus: name.to_owned(),
@@ -230,9 +209,9 @@ impl<'a> NetlistBridge<'a> {
             for (local, ts) in m {
                 for (phase, nets) in &mut clocks {
                     if local.starts_with(phase) {
-                        for t in ts {
-                            if !nets.contains(&t.net) {
-                                nets.push(t.net);
+                        for &(_, _, net) in ts {
+                            if !nets.contains(&net) {
+                                nets.push(net);
                             }
                         }
                     }
@@ -249,26 +228,64 @@ impl<'a> NetlistBridge<'a> {
         })
     }
 
-    /// Data width in bits.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// The terminals of one signal group.
+    /// Resolves one signal group to its `(bit, net)` pairs, in terminal
+    /// order: every column's, or only those of `column` (plate probes
+    /// repeat per column; a register's plates live in column `r`). A
+    /// column with no terminals resolves to no nets, which read as
+    /// all-X.
     ///
     /// # Errors
     ///
     /// [`BridgeError::UnknownSignal`] if the group does not exist.
-    pub fn group(&self, prefix: &str, local: &str) -> Result<&[TerminalNet], BridgeError> {
-        self.groups
-            .get(prefix)
-            .and_then(|m| m.get(local))
-            .map(Vec::as_slice)
-            .ok_or_else(|| BridgeError::UnknownSignal {
-                prefix: prefix.to_owned(),
-                local: local.to_owned(),
-            })
+    pub fn nets(
+        &self,
+        prefix: &str,
+        local: &str,
+        column: Option<u32>,
+    ) -> Result<Vec<(u32, NetId)>, BridgeError> {
+        let group = self.groups.get(prefix).and_then(|m| m.get(local));
+        let group = group.ok_or_else(|| BridgeError::UnknownSignal {
+            prefix: prefix.to_owned(),
+            local: local.to_owned(),
+        })?;
+        Ok(group
+            .iter()
+            .filter(|&&(c, _, _)| column.is_none_or(|k| k == c))
+            .map(|&(_, bit, net)| (bit, net))
+            .collect())
+    }
+
+    /// Drives resolved nets with a word: each net takes its bit of
+    /// `word` (LSB on bit row 0). A decoder column, whose every bit
+    /// slice follows one line, is driven with `0` or `u64::MAX`.
+    pub fn drive(&mut self, nets: &[(u32, NetId)], word: u64) {
+        for &(bit, net) in nets {
+            self.sim.set_net(net, Level::from_bool((word >> bit) & 1 == 1));
+        }
+    }
+
+    /// Reads resolved nets as a word, LSB on bit row 0; bit rows at or
+    /// above the data width are ignored, and where two nets share a row
+    /// the later one wins. Fails with the first row that is `X` or has no
+    /// net, so a successful read formats nothing; callers name the signal
+    /// in the [`BridgeError::XLevel`] they build from that row.
+    ///
+    /// # Errors
+    ///
+    /// The first non-binary bit row.
+    pub fn read(&self, nets: &[(u32, NetId)]) -> Result<u64, u32> {
+        let (mut word, mut known) = (0u64, 0u64);
+        for &(bit, net) in nets.iter().filter(|&&(bit, _)| bit < self.width) {
+            let m = 1u64 << bit;
+            let level = self.sim.net_level(net);
+            word = if level == Level::L1 { word | m } else { word & !m };
+            known = if level == Level::X { known & !m } else { known | m };
+        }
+        let all = u64::MAX.checked_shr(64 - self.width).unwrap_or(0);
+        match !known & all {
+            0 => Ok(word),
+            missing => Err(missing.trailing_zeros()),
+        }
     }
 
     /// Forces every net of a signal group to one level — how a decoder
@@ -278,8 +295,7 @@ impl<'a> NetlistBridge<'a> {
     ///
     /// [`BridgeError::UnknownSignal`] if the group does not exist.
     pub fn drive_group(&mut self, prefix: &str, local: &str, level: Level) -> Result<(), BridgeError> {
-        let nets: Vec<NetId> = self.group(prefix, local)?.iter().map(|t| t.net).collect();
-        for net in nets {
+        for (_, net) in self.nets(prefix, local, None)? {
             self.sim.set_net(net, level);
         }
         Ok(())
@@ -292,15 +308,8 @@ impl<'a> NetlistBridge<'a> {
     ///
     /// [`BridgeError::UnknownSignal`] if the group does not exist.
     pub fn drive_word(&mut self, prefix: &str, local: &str, word: u64) -> Result<(), BridgeError> {
-        let nets: Vec<(u32, NetId)> = self
-            .group(prefix, local)?
-            .iter()
-            .map(|t| (t.bit, t.net))
-            .collect();
-        for (bit, net) in nets {
-            self.sim
-                .set_net(net, Level::from_bool((word >> bit) & 1 == 1));
-        }
+        let nets = self.nets(prefix, local, None)?;
+        self.drive(&nets, word);
         Ok(())
     }
 
@@ -319,8 +328,7 @@ impl<'a> NetlistBridge<'a> {
     }
 
     /// Reads a per-bit signal group as a word, restricted to terminals of
-    /// one column (plate probes repeat per column; a register's plates
-    /// live in column `r`).
+    /// one column.
     ///
     /// # Errors
     ///
@@ -331,16 +339,8 @@ impl<'a> NetlistBridge<'a> {
         local: &str,
         column: u32,
     ) -> Result<u64, BridgeError> {
-        let mut levels = vec![Level::X; self.width as usize];
-        for t in self.group(prefix, local)? {
-            if t.column == column && (t.bit as usize) < levels.len() {
-                levels[t.bit as usize] = self.sim.net_level(t.net);
-            }
-        }
-        word_from_levels(&levels).map_err(|bit| BridgeError::XLevel {
-            signal: format!("{prefix}/{local}[c{column}]"),
-            bit,
-        })
+        self.read(&self.nets(prefix, local, Some(column))?)
+            .map_err(|bit| x_level(format!("{prefix}/{local}[c{column}]"), bit))
     }
 
     /// Reads a per-bit signal group (pad wire) as a word.
@@ -349,16 +349,8 @@ impl<'a> NetlistBridge<'a> {
     ///
     /// Unknown group, or [`BridgeError::XLevel`] on a non-binary bit.
     pub fn read_word(&self, prefix: &str, local: &str) -> Result<u64, BridgeError> {
-        let mut levels = vec![Level::X; self.width as usize];
-        for t in self.group(prefix, local)? {
-            if (t.bit as usize) < levels.len() {
-                levels[t.bit as usize] = self.sim.net_level(t.net);
-            }
-        }
-        word_from_levels(&levels).map_err(|bit| BridgeError::XLevel {
-            signal: format!("{prefix}/{local}"),
-            bit,
-        })
+        self.read(&self.nets(prefix, local, None)?)
+            .map_err(|bit| x_level(format!("{prefix}/{local}"), bit))
     }
 
     /// Reads bus A (0) or bus B (1) as a word.
@@ -372,11 +364,7 @@ impl<'a> NetlistBridge<'a> {
         } else {
             (&self.bus_b, "busB")
         };
-        let levels: Vec<Level> = nets.iter().map(|&n| self.sim.net_level(n)).collect();
-        word_from_levels(&levels).map_err(|bit| BridgeError::XLevel {
-            signal: name.to_owned(),
-            bit,
-        })
+        self.read(nets).map_err(|bit| x_level(name.to_owned(), bit))
     }
 
     /// Relaxes the network.
@@ -388,6 +376,12 @@ impl<'a> NetlistBridge<'a> {
         self.sim.settle()?;
         Ok(())
     }
+}
+
+/// The error of a word read of `signal` whose bit row `bit` was not
+/// binary.
+fn x_level(signal: String, bit: u32) -> BridgeError {
+    BridgeError::XLevel { signal, bit }
 }
 
 impl fmt::Debug for NetlistBridge<'_> {
@@ -420,16 +414,6 @@ mod tests {
         assert_eq!(parse_terminal("top/e0_c0_b0/t"), None);
     }
 
-    #[test]
-    fn word_level_round_trip() {
-        use Level::{L0, L1};
-        let levels = vec![L1, L1, L0, L1, L0, L0];
-        assert_eq!(word_from_levels(&levels), Ok(0b1011));
-        let mut bad = levels;
-        bad[2] = Level::X;
-        assert_eq!(word_from_levels(&bad), Err(2));
-    }
-
     fn tiny_netlist() -> Netlist {
         // Two bit rows of a bus A track, a control column, a plate and a
         // pad wire: just enough structure to exercise grouping. Nets:
@@ -455,15 +439,37 @@ mod tests {
     }
 
     #[test]
+    fn word_level_round_trip() {
+        let n = tiny_netlist();
+        let mut bridge = NetlistBridge::new(&n, 2).unwrap();
+        let store = bridge.nets("e0_x", "store", Some(0)).unwrap();
+        assert_eq!(store, vec![(0, NetId(5)), (1, NetId(7))]);
+        for word in 0..4 {
+            bridge.drive(&store, word);
+            bridge.settle().unwrap();
+            assert_eq!(bridge.read(&store), Ok(word));
+        }
+        // Bits above the data width are neither driven into nor read
+        // from a word; a row without a net reads as X.
+        assert_eq!(bridge.read(&[(0, NetId(5)), (1, NetId(7)), (5, NetId(6))]), Ok(3));
+        assert_eq!(bridge.read(&store[..1]), Err(1));
+        bridge.sim.set_net(NetId(5), Level::X);
+        bridge.settle().unwrap();
+        assert_eq!(bridge.read(&store), Err(0));
+    }
+
+    #[test]
     fn groups_fold_north_continuations() {
         let n = tiny_netlist();
         let bridge = NetlistBridge::new(&n, 2).unwrap();
         // ld and ld_n share a net: one terminal survives.
-        assert_eq!(bridge.group("e0_x", "ld").unwrap().len(), 1);
-        assert!(bridge.group("e0_x", "store").is_ok());
-        assert!(bridge.group("e0_x", "busa_w").is_err());
+        assert_eq!(bridge.nets("e0_x", "ld", None).unwrap(), vec![(0, NetId(4))]);
+        assert!(bridge.nets("e0_x", "store", None).is_ok());
+        // A column with no terminals resolves to nothing.
+        assert_eq!(bridge.nets("e0_x", "store", Some(1)).unwrap(), vec![]);
+        assert!(bridge.nets("e0_x", "busa_w", None).is_err());
         assert!(matches!(
-            bridge.group("e0_x", "nope"),
+            bridge.nets("e0_x", "nope", None),
             Err(BridgeError::UnknownSignal { .. })
         ));
     }

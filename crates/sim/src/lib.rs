@@ -20,7 +20,10 @@
 //! machine-level signal groups — per-bit bus nets, decoder-driven control
 //! columns, clock columns, storage-plate probes and pad wires — so the
 //! differential test suite can co-simulate compiled silicon against the
-//! functional model cycle by cycle.
+//! functional model cycle by cycle. A harness resolves each group once
+//! with [`NetlistBridge::nets`] to `(bit, net)` pairs and then drives and
+//! reads words through [`NetlistBridge::drive`] and
+//! [`NetlistBridge::read`]; the by-name methods wrap those three.
 //!
 //! # Examples
 //!
@@ -60,7 +63,7 @@ mod machine;
 mod microcode;
 mod switch;
 
-pub use bridge::{parse_terminal, BridgeError, NetlistBridge, TerminalNet};
+pub use bridge::{parse_terminal, BridgeError, NetlistBridge};
 pub use machine::{ElementCtx, Behavior, Machine, SimError};
 pub use microcode::{Microcode, MicrocodeError, MicrocodeField};
 pub use switch::{Level, Strength, SwitchError, SwitchSim};

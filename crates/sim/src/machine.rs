@@ -311,8 +311,7 @@ impl Machine {
             if line.phase != phase {
                 continue;
             }
-            let value = self.microcode.extract(word, &line.field)?;
-            map.insert(name.clone(), line.active.eval(value));
+            map.insert(name.clone(), self.microcode.asserted(word, line)?);
         }
         Ok(map)
     }

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use bristle_cell::ControlLine;
+
 /// One field of the microcode word.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MicrocodeField {
@@ -166,6 +168,17 @@ impl Microcode {
             .field(name)
             .ok_or_else(|| MicrocodeError::UnknownField(name.to_owned()))?;
         Ok((word & f.mask()) >> f.offset)
+    }
+
+    /// Whether `word` asserts a decoded control line: the line's decode
+    /// evaluated on its field's value. The line's clock phase is the
+    /// caller's to check.
+    ///
+    /// # Errors
+    ///
+    /// [`MicrocodeError::UnknownField`] if the line's field does not exist.
+    pub fn asserted(&self, word: u64, line: &ControlLine) -> Result<bool, MicrocodeError> {
+        Ok(line.active.eval(self.extract(word, &line.field)?))
     }
 
     /// Encodes a word from `(field, value)` assignments; unassigned

@@ -198,7 +198,8 @@ impl<'a> SwitchSim<'a> {
     /// never-written storage node contaminates everything it touches;
     /// co-simulation harnesses preset all-low so the silicon starts in
     /// the same state as a freshly built functional [`crate::Machine`]
-    /// (whose registers read 0).
+    /// (whose registers read 0). `Level::X` clears the charge memory back
+    /// to that fresh all-X state.
     pub fn preset_all(&mut self, level: Level) {
         self.memory.fill(level);
         for s in &mut self.state {
@@ -313,14 +314,6 @@ impl<'a> SwitchSim<'a> {
         }
         self.state = state;
         Ok(())
-    }
-
-    /// Clears charge memory (power-on reset to all-X).
-    pub fn reset(&mut self) {
-        self.memory.fill(Level::X);
-        for s in &mut self.state {
-            *s = (Strength::Charged, Level::X);
-        }
     }
 }
 
@@ -593,7 +586,7 @@ mod tests {
         let mut sim = SwitchSim::new(&n);
         sim.set_input("in", Level::L0).unwrap();
         sim.settle().unwrap();
-        sim.reset();
+        sim.preset_all(Level::X);
         assert_eq!(sim.level("out").unwrap(), Level::X);
     }
 }

@@ -13,6 +13,12 @@
 //! crate closes the loop in the other direction: it checks that the
 //! compiled silicon actually implements that functional model.
 //!
+//! A verdict has two steps. [`Prepared::new`] compiles, extracts and
+//! (optionally) faults a spec once; [`Prepared::run`] co-simulates one
+//! program from power-on, and may be called for any number of programs.
+//! [`run_cosim`]/[`run_cosim_with`] do both in one call, and [`shrink()`]
+//! keeps the accepted spec prepared while it shortens the program.
+//!
 //! ## The equivalence relation
 //!
 //! The compiled nMOS core is compared against the machine by direct
@@ -58,7 +64,7 @@ pub mod program;
 pub mod shrink;
 pub mod specgen;
 
-pub use cosim::{run_cosim, run_cosim_with, CosimError, CosimStats, Divergence};
+pub use cosim::{run_cosim, run_cosim_with, CosimError, CosimStats, Divergence, Prepared};
 pub use fault::Fault;
 pub use program::{Cycle, Program};
 pub use shrink::{shrink, MinimalRepro};

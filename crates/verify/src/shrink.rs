@@ -1,6 +1,7 @@
 //! Shrinking failing runs to minimal reproducers.
 //!
-//! Strategy (greedy, budgeted, always re-validated by a fresh run):
+//! Strategy (greedy, budgeted, always re-validated by a fresh run from
+//! power-on):
 //!
 //! 1. **Truncate the program** to end right after the first divergent
 //!    cycle — program generation is prefix-stable, so truncation never
@@ -18,7 +19,7 @@ use std::fmt;
 
 use bristle_core::{ChipSpec, ElementSpec};
 
-use crate::cosim::{run_cosim_with, CosimError, Divergence};
+use crate::cosim::{CosimError, Divergence, Prepared};
 use crate::fault::Fault;
 use crate::program::Program;
 
@@ -107,6 +108,11 @@ fn spec_with_width(spec: &ChipSpec, width: u32) -> Option<ChipSpec> {
 /// Shrinks a failing (spec, program-seed, fault) case to a minimal
 /// reproducer. `budget` bounds the number of co-simulation runs.
 ///
+/// The accepted spec stays [`Prepared`]: truncating the program and
+/// dropping leading cycles rerun it without recompiling, and only an
+/// element-drop or width candidate is compiled afresh. A candidate that
+/// fails to compile counts as a run that did not reproduce.
+///
 /// Returns `None` if the initial case does not actually diverge.
 #[must_use]
 pub fn shrink(
@@ -117,27 +123,33 @@ pub fn shrink(
     budget: usize,
 ) -> Option<MinimalRepro> {
     let runs = std::cell::Cell::new(0usize);
-    let check = |spec: &ChipSpec, skip: usize, cycles: usize| -> Option<Divergence> {
+    let check = |prepared: &Prepared, skip: usize, cycles: usize| -> Option<Divergence> {
         runs.set(runs.get() + 1);
-        let program = candidate_program(spec, seed, skip, cycles);
+        let program = candidate_program(&prepared.chip().spec, seed, skip, cycles);
         if program.cycles.is_empty() {
             return None;
         }
-        match run_cosim_with(spec, &program, fault) {
+        match prepared.run(&program) {
             Err(CosimError::Diverged(d)) => Some(d),
-            // Compile/bridge errors on a candidate mean the candidate is
-            // not a valid reproducer, not that the bug is gone.
+            // Bridge or machine errors on a candidate mean the candidate
+            // is not a valid reproducer, not that the bug is gone.
             _ => None,
         }
     };
+    let check_spec = |spec: &ChipSpec, skip: usize, cycles: usize| {
+        let Ok(prepared) = Prepared::new(spec, fault) else {
+            runs.set(runs.get() + 1);
+            return None;
+        };
+        check(&prepared, skip, cycles).map(|d| (prepared, d))
+    };
 
-    let mut best_spec = spec.clone();
+    let (mut best, mut divergence) = check_spec(spec, 0, cycles)?;
     let mut skip = 0usize;
     let mut best_cycles = cycles;
-    let mut divergence = check(&best_spec, 0, cycles)?;
     // 1. Truncate to the first divergent cycle.
     if divergence.cycle + 1 < best_cycles {
-        if let Some(d) = check(&best_spec, 0, divergence.cycle + 1) {
+        if let Some(d) = check(&best, 0, divergence.cycle + 1) {
             best_cycles = divergence.cycle + 1;
             divergence = d;
         }
@@ -148,7 +160,7 @@ pub fn shrink(
         improved = false;
         // 2. Drop leading cycles.
         while best_cycles > 1 && runs.get() < budget {
-            if let Some(d) = check(&best_spec, skip + 1, best_cycles - 1) {
+            if let Some(d) = check(&best, skip + 1, best_cycles - 1) {
                 skip += 1;
                 best_cycles -= 1;
                 divergence = d;
@@ -159,11 +171,10 @@ pub fn shrink(
         }
         // 3. Drop elements.
         let mut i = 0;
-        while i < best_spec.elements.len() && runs.get() < budget {
-            if let Some(candidate) = spec_without(&best_spec, i) {
-                if let Some(d) = check(&candidate, skip, best_cycles) {
-                    best_spec = candidate;
-                    divergence = d;
+        while i < best.chip().spec.elements.len() && runs.get() < budget {
+            if let Some(candidate) = spec_without(&best.chip().spec, i) {
+                if let Some((p, d)) = check_spec(&candidate, skip, best_cycles) {
+                    (best, divergence) = (p, d);
                     improved = true;
                     continue; // same index now names the next element
                 }
@@ -172,17 +183,15 @@ pub fn shrink(
         }
         // 4. Reduce width: accept the smallest width (tried ascending
         // from 2) that still fails.
-        let orig_width = best_spec.data_width;
-        for w in 2..orig_width {
+        for w in 2..best.chip().spec.data_width {
             if runs.get() >= budget {
                 break;
             }
-            let Some(candidate) = spec_with_width(&best_spec, w) else {
+            let Some(candidate) = spec_with_width(&best.chip().spec, w) else {
                 continue;
             };
-            if let Some(d) = check(&candidate, skip, best_cycles) {
-                best_spec = candidate;
-                divergence = d;
+            if let Some((p, d)) = check_spec(&candidate, skip, best_cycles) {
+                (best, divergence) = (p, d);
                 improved = true;
                 break;
             }
@@ -190,7 +199,7 @@ pub fn shrink(
     }
 
     Some(MinimalRepro {
-        spec: best_spec,
+        spec: best.chip().spec.clone(),
         seed,
         cycles: best_cycles,
         skip,

@@ -5,6 +5,7 @@
 //! bus / plate / pad equality — the restoring (non-inverting) read path
 //! makes the silicon's φ1 buses equal the machine's bit for bit, and
 //! RAM words and stack levels co-simulate actively alongside registers.
+//! Every case's chip must also be DRC-clean at the top cell.
 //!
 //! Seed policy: every case derives from `BASE_SEED + index`. To replay
 //! one case locally: `BRISTLE_VERIFY_SEED=<seed> cargo test --release
@@ -14,8 +15,9 @@
 
 use std::fmt::Write as _;
 
+use bristle_blocks::drc::{check_hierarchical, RuleSet};
 use bristle_verify::{
-    run_cosim, run_cosim_with, shrink, CosimError, Fault, Program, Rng, SpecGen,
+    run_cosim, run_cosim_with, shrink, CosimError, Fault, Prepared, Program, Rng, SpecGen,
 };
 
 /// Base seed for the pinned CI seed set. Changing it invalidates no
@@ -34,7 +36,17 @@ fn dump_failure(name: &str, text: &str) {
 fn run_seed(seed: u64) -> Result<bristle_verify::CosimStats, String> {
     let spec = SpecGen::random_cosim_spec(&mut Rng::new(seed), &format!("dv{seed:x}"));
     let program = Program::random(&spec, seed ^ 0x9E37_79B9, CYCLES);
-    run_cosim(&spec, &program).map_err(|e| match e {
+    let fail =
+        |e: &dyn std::fmt::Display| format!("case seed {seed} ({seed:#x}): {e}\nspec:\n{spec}");
+    let prepared = Prepared::new(&spec, None).map_err(|e| fail(&e))?;
+    // The emitted chip must be DRC-clean at the top cell, not only
+    // agree with the machine in its core.
+    let chip = prepared.chip();
+    let drc = check_hierarchical(&chip.lib, chip.top, &RuleSet::mead_conway());
+    if !drc.is_clean() {
+        return Err(fail(&format_args!("top cell not DRC-clean: {drc}")));
+    }
+    prepared.run(&program).map_err(|e| match e {
         CosimError::Diverged(_) => {
             // Shrink before reporting so the failure is actionable. The
             // shrunk reproducer carries the *program* seed; the case
@@ -46,7 +58,7 @@ fn run_seed(seed: u64) -> Result<bristle_verify::CosimStats, String> {
             }
             msg
         }
-        other => format!("case seed {seed} ({seed:#x}): {other}\nspec:\n{spec}"),
+        other => fail(&other),
     })
 }
 
@@ -74,7 +86,7 @@ fn cosim_random_specs_switch_vs_machine() {
     if !failures.is_empty() {
         let text = failures.join("\n----\n");
         dump_failure("cosim_random_specs", &text);
-        panic!("{} of {n} seeds diverged:\n{text}", failures.len());
+        panic!("{} of {n} seeds failed:\n{text}", failures.len());
     }
     assert!(
         total_checks >= n as usize * CYCLES * 4,
@@ -115,7 +127,7 @@ fn cosim_extended_sweep() {
     if !failures.is_empty() {
         let text = failures.join("\n----\n");
         dump_failure("cosim_extended_sweep", &text);
-        panic!("{} of {n} seeds diverged:\n{text}", failures.len());
+        panic!("{} of {n} seeds failed:\n{text}", failures.len());
     }
 }
 
@@ -234,6 +246,9 @@ fn injected_fault_is_caught_and_shrunk() {
 
     let repro = shrink(&spec, seed, CYCLES, Some(&fault), 80)
         .expect("shrinker must reproduce the divergence");
+    // Keeping the accepted spec prepared between runs changes no shrink
+    // decision, so the run count on this case is pinned exactly.
+    assert_eq!(repro.runs, 23, "shrink run count moved: {repro}");
     // The reproducer is genuinely minimal-ish: fewer cycles than the
     // original program and the rider elements (shifter, ALU) dropped.
     // The outport may survive: dropping it reshuffles the program
@@ -264,6 +279,43 @@ fn injected_fault_is_caught_and_shrunk() {
     match run_cosim_with(&repro.spec, &program, Some(&fault)) {
         Err(CosimError::Diverged(d)) => assert_eq!(d.check, repro.divergence.check),
         other => panic!("minimal repro did not replay: {other:?}"),
+    }
+}
+
+/// One `Prepared` runs many programs, each from power-on: every result,
+/// passing or diverging, equals a fresh `run_cosim_with`, in either run
+/// order, so no switch-level charge or machine pad leaks between runs.
+#[test]
+fn one_prepared_many_programs() {
+    let spec = bristle_blocks::core::ChipSpec::builder("reused")
+        .data_width(4)
+        .element("inport", &[])
+        .element("registers", &[("count", 2)])
+        .element("ram", &[])
+        .element("stack", &[])
+        .element("outport", &[])
+        .build()
+        .unwrap();
+    let fault = Fault::DropGateDevice("_b0/rda0".into());
+    let programs: Vec<Program> = (0..6u64)
+        .map(|seed| Program::random(&spec, seed, CYCLES))
+        .collect();
+    for fault in [None, Some(&fault)] {
+        let prepared = Prepared::new(&spec, fault).unwrap();
+        let fresh: Vec<String> = programs
+            .iter()
+            .map(|p| format!("{:?}", run_cosim_with(&spec, p, fault)))
+            .collect();
+        let diverged = fresh.iter().filter(|r| r.contains("Diverged")).count();
+        if fault.is_some() {
+            assert!(diverged > 0 && diverged < fresh.len(), "{fresh:#?}");
+        } else {
+            assert_eq!(diverged, 0, "{fresh:#?}");
+        }
+        for i in (0..programs.len()).chain((0..programs.len()).rev()) {
+            let reused = format!("{:?}", prepared.run(&programs[i]));
+            assert_eq!(reused, fresh[i], "program {i}, fault {fault:?}");
+        }
     }
 }
 
