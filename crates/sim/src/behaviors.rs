@@ -36,6 +36,13 @@ pub const ALU_OPS: [&str; 8] = [
     "pass", "add", "sub", "and", "or", "xor", "inc", "not",
 ];
 
+/// The index `i` of an indexed state key `<letter><i>`, if it names one
+/// of `len` words.
+fn word_index(key: &str, letter: char, len: usize) -> Option<usize> {
+    let i = key.strip_prefix(letter)?.parse::<usize>().ok()?;
+    (i < len).then_some(i)
+}
+
 struct RegisterFile {
     name: String,
     regs: Vec<u64>,
@@ -67,22 +74,14 @@ impl Behavior for RegisterFile {
         }
     }
 
-    fn state(&self) -> Vec<(String, u64)> {
-        self.regs
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (format!("r{i}"), v))
-            .collect()
+    fn peek(&self, key: &str) -> Option<u64> {
+        word_index(key, 'r', self.regs.len()).map(|i| self.regs[i])
     }
 
     fn poke(&mut self, key: &str, value: u64) -> bool {
-        if let Some(idx) = key.strip_prefix('r').and_then(|s| s.parse::<usize>().ok()) {
-            if idx < self.regs.len() {
-                self.regs[idx] = value;
-                return true;
-            }
-        }
-        false
+        word_index(key, 'r', self.regs.len())
+            .map(|i| self.regs[i] = value)
+            .is_some()
     }
 }
 
@@ -155,14 +154,15 @@ impl Behavior for Alu {
         self.zero = u64::from(self.result == 0);
     }
 
-    fn state(&self) -> Vec<(String, u64)> {
-        vec![
-            ("a".into(), self.a),
-            ("b".into(), self.b),
-            ("result".into(), self.result),
-            ("carry".into(), self.carry),
-            ("zero".into(), self.zero),
-        ]
+    fn peek(&self, key: &str) -> Option<u64> {
+        match key {
+            "a" => Some(self.a),
+            "b" => Some(self.b),
+            "result" => Some(self.result),
+            "carry" => Some(self.carry),
+            "zero" => Some(self.zero),
+            _ => None,
+        }
     }
 
     fn poke(&mut self, key: &str, value: u64) -> bool {
@@ -227,8 +227,8 @@ impl Behavior for Shifter {
         }
     }
 
-    fn state(&self) -> Vec<(String, u64)> {
-        vec![("value".into(), self.value)]
+    fn peek(&self, key: &str) -> Option<u64> {
+        (key == "value").then_some(self.value)
     }
 
     fn poke(&mut self, key: &str, value: u64) -> bool {
@@ -301,25 +301,14 @@ impl Behavior for DecodedWords {
         }
     }
 
-    fn state(&self) -> Vec<(String, u64)> {
-        self.words
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (format!("{}{i}", self.key), v))
-            .collect()
+    fn peek(&self, key: &str) -> Option<u64> {
+        word_index(key, self.key, self.words.len()).map(|i| self.words[i])
     }
 
     fn poke(&mut self, key: &str, value: u64) -> bool {
-        if let Some(idx) = key
-            .strip_prefix(self.key)
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            if idx < self.words.len() {
-                self.words[idx] = value;
-                return true;
-            }
-        }
-        false
+        word_index(key, self.key, self.words.len())
+            .map(|i| self.words[i] = value)
+            .is_some()
     }
 }
 
@@ -408,8 +397,8 @@ impl Behavior for OutputPort {
         ctx.set_pad_out(&self.pad, self.value);
     }
 
-    fn state(&self) -> Vec<(String, u64)> {
-        vec![("value".into(), self.value)]
+    fn peek(&self, key: &str) -> Option<u64> {
+        (key == "value").then_some(self.value)
     }
 
     fn poke(&mut self, key: &str, value: u64) -> bool {
@@ -436,7 +425,7 @@ pub fn output_port(name: impl Into<String>, pad: impl Into<String>) -> Box<dyn B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Machine;
+    use crate::machine::{Machine, SimError};
     use crate::microcode::Microcode;
     use bristle_cell::{ActiveWhen, ControlLine, Phase};
 
@@ -476,6 +465,72 @@ mod tests {
             field: field.to_owned(),
             active,
             phase,
+        }
+    }
+
+    /// Every state key of every behavior round-trips through `poke` and
+    /// `peek`; unknown and out-of-range keys fail both with
+    /// `UnknownState`.
+    #[test]
+    fn peek_and_poke_every_key() {
+        let mut m = Machine::new(8, Microcode::new());
+        for b in [
+            register_file("regs", 3),
+            alu("alu"),
+            shifter("sh"),
+            decoded_ram("mem", 2),
+            decoded_stack("st", 2),
+            input_port("pin", "IN"),
+            output_port("pout", "OUT"),
+        ] {
+            m.add_element(b, &[]).unwrap();
+        }
+        let keys: &[(&str, &[&str])] = &[
+            ("regs", &["r0", "r1", "r2"]),
+            ("alu", &["a", "b", "result", "carry", "zero"]),
+            ("sh", &["value"]),
+            ("mem", &["m0", "m1"]),
+            ("st", &["s0", "s1"]),
+            ("pin", &[]),
+            ("pout", &["value"]),
+        ];
+        let mut value = 0x11;
+        for &(element, keys) in keys {
+            for key in keys {
+                m.poke(element, key, value).unwrap();
+                assert_eq!(m.peek(element, key), Ok(value), "{element}/{key}");
+                value += 0x11;
+            }
+        }
+        // Each key addresses its own word: nothing was overwritten.
+        let mut value = 0x11;
+        for &(element, keys) in keys {
+            for key in keys {
+                assert_eq!(m.peek(element, key), Ok(value), "{element}/{key}");
+                value += 0x11;
+            }
+        }
+        let unknown: &[(&str, &[&str])] = &[
+            ("regs", &["r3", "r", "m0", "a", "value"]),
+            ("alu", &["r0", "value", "result0", "A"]),
+            ("sh", &["value0", "r0", "a"]),
+            ("mem", &["m2", "m", "s0", "r0"]),
+            ("st", &["s2", "s", "m0", "value"]),
+            ("pin", &["value", "r0", ""]),
+            ("pout", &["value1", "a", ""]),
+        ];
+        for &(element, keys) in unknown {
+            for key in keys {
+                let peeked = m.peek(element, key).map(drop);
+                let poked = m.poke(element, key, 1);
+                for r in [peeked, poked] {
+                    assert!(
+                        matches!(&r, Err(SimError::UnknownState { element: e, key: k })
+                            if e == element && k == key),
+                        "{element}/{key}: {r:?}"
+                    );
+                }
+            }
         }
     }
 

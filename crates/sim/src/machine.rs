@@ -10,7 +10,7 @@
 //! low) and φ2 runs the data-processing elements while the buses
 //! precharge for the next transfer.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{ControlLine, Phase};
@@ -23,16 +23,23 @@ pub struct ElementCtx<'a> {
     pub width: u32,
     /// `(1 << width) - 1`.
     pub mask: u64,
-    controls: &'a BTreeMap<String, bool>,
+    phase: Phase,
+    bindings: &'a Bindings,
     pads_in: &'a HashMap<String, u64>,
     pads_out: &'a mut HashMap<String, u64>,
 }
 
 impl ElementCtx<'_> {
     /// Is the named (element-local) control line asserted this phase?
+    /// Unbound names read false.
     #[must_use]
     pub fn control(&self, name: &str) -> bool {
-        self.controls.get(name).copied().unwrap_or(false)
+        let Bindings { lines, asserted } = self.bindings;
+        lines
+            .iter()
+            .zip(asserted)
+            .find(|((n, _), _)| n == name)
+            .is_some_and(|((_, line), &on)| on && line.phase == self.phase)
     }
 
     /// Reads an input pad (0 if never set).
@@ -43,21 +50,32 @@ impl ElementCtx<'_> {
 
     /// Drives an output pad.
     pub fn set_pad_out(&mut self, pad: &str, value: u64) {
-        self.pads_out.insert(pad.to_owned(), value & self.mask);
+        set_word(self.pads_out, pad, value & self.mask);
     }
 }
 
 impl fmt::Debug for ElementCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let asserted: Vec<&str> = self
+            .bindings
+            .lines
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| self.control(name))
+            .collect();
         f.debug_struct("ElementCtx")
             .field("width", &self.width)
-            .field("controls", self.controls)
+            .field("asserted", &asserted)
             .finish()
     }
 }
 
 /// A datapath element behavior: the SIMULATION representation of one
 /// core element.
+///
+/// State is addressed by key (`r3`, `a`, `value`, `m0`, …): [`Behavior::peek`]
+/// reads one word and [`Behavior::poke`] writes it, and both accept
+/// exactly the same keys.
 pub trait Behavior {
     /// Instance name (unique within the machine).
     fn name(&self) -> &str;
@@ -80,13 +98,15 @@ pub trait Behavior {
         let _ = ctx;
     }
 
-    /// Observable state as `(key, value)` pairs, for tracing and tests.
-    fn state(&self) -> Vec<(String, u64)> {
-        Vec::new()
+    /// Reads one word of state by key. Returns `None` if the key does
+    /// not exist.
+    fn peek(&self, key: &str) -> Option<u64> {
+        let _ = key;
+        None
     }
 
-    /// Overwrites a piece of state (test setup). Returns `false` if the
-    /// key does not exist.
+    /// Overwrites one word of state by key (test setup). Returns `false`
+    /// if the key does not exist.
     fn poke(&mut self, key: &str, value: u64) -> bool {
         let _ = (key, value);
         false
@@ -116,6 +136,13 @@ pub enum SimError {
     },
     /// Duplicate element name.
     DuplicateElement(String),
+    /// One element binds two control lines under the same local name.
+    DuplicateControl {
+        /// Element name.
+        element: String,
+        /// The repeated control name.
+        control: String,
+    },
     /// Microcode encode/extract failure.
     Microcode(MicrocodeError),
 }
@@ -136,6 +163,9 @@ impl fmt::Display for SimError {
                 "element `{element}` control `{control}` uses unknown microcode field `{field}`"
             ),
             SimError::DuplicateElement(n) => write!(f, "duplicate element name `{n}`"),
+            SimError::DuplicateControl { element, control } => {
+                write!(f, "element `{element}` binds control `{control}` twice")
+            }
             SimError::Microcode(e) => write!(f, "{e}"),
         }
     }
@@ -156,12 +186,41 @@ impl From<MicrocodeError> for SimError {
     }
 }
 
+/// One element's control bindings, `(local name, decode spec)` in the
+/// order they were added, and per binding whether the current cycle's
+/// word asserts it (in either phase).
+struct Bindings {
+    lines: Vec<(String, ControlLine)>,
+    asserted: Vec<bool>,
+}
+
+impl Bindings {
+    /// Decodes every binding from `word`, in place.
+    fn decode(&mut self, microcode: &Microcode, word: u64) -> Result<(), MicrocodeError> {
+        self.asserted.clear();
+        for (_, line) in &self.lines {
+            self.asserted.push(microcode.asserted(word, line)?);
+        }
+        Ok(())
+    }
+}
+
+/// Stores `value` under `key`, allocating the key only on first use.
+fn set_word(words: &mut HashMap<String, u64>, key: &str, value: u64) {
+    match words.get_mut(key) {
+        Some(slot) => *slot = value,
+        None => {
+            words.insert(key.to_owned(), value);
+        }
+    }
+}
+
 /// The functional chip simulator.
 pub struct Machine {
     width: u32,
     mask: u64,
     microcode: Microcode,
-    elements: Vec<(Box<dyn Behavior>, Vec<(String, ControlLine)>)>,
+    elements: Vec<(Box<dyn Behavior>, Bindings)>,
     pads_in: HashMap<String, u64>,
     pads_out: HashMap<String, u64>,
     cycle: u64,
@@ -215,8 +274,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Rejects duplicate element names and control lines whose fields are
-    /// not in the microcode format.
+    /// Rejects duplicate element names, a control name bound twice
+    /// ([`SimError::DuplicateControl`]) and control lines whose fields
+    /// are not in the microcode format.
     pub fn add_element(
         &mut self,
         behavior: Box<dyn Behavior>,
@@ -229,7 +289,13 @@ impl Machine {
         {
             return Err(SimError::DuplicateElement(behavior.name().to_owned()));
         }
-        for (name, line) in controls {
+        for (i, (name, line)) in controls.iter().enumerate() {
+            if controls[..i].iter().any(|(n, _)| n == name) {
+                return Err(SimError::DuplicateControl {
+                    element: behavior.name().to_owned(),
+                    control: (*name).to_owned(),
+                });
+            }
             if self.microcode.field(&line.field).is_none() {
                 return Err(SimError::UnknownControlField {
                     element: behavior.name().to_owned(),
@@ -238,17 +304,18 @@ impl Machine {
                 });
             }
         }
-        let controls = controls
+        let lines = controls
             .iter()
             .map(|(n, l)| ((*n).to_owned(), l.clone()))
             .collect();
-        self.elements.push((behavior, controls));
+        let asserted = Vec::with_capacity(controls.len());
+        self.elements.push((behavior, Bindings { lines, asserted }));
         Ok(())
     }
 
     /// Sets an input pad value.
-    pub fn set_pad(&mut self, pad: impl Into<String>, value: u64) {
-        self.pads_in.insert(pad.into(), value & self.mask);
+    pub fn set_pad(&mut self, pad: impl AsRef<str>, value: u64) {
+        set_word(&mut self.pads_in, pad.as_ref(), value & self.mask);
     }
 
     /// Reads an output pad, if any element has driven it.
@@ -268,14 +335,10 @@ impl Machine {
             .iter()
             .find(|(b, _)| b.name() == element)
             .ok_or_else(|| SimError::UnknownElement(element.to_owned()))?;
-        b.state()
-            .into_iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| SimError::UnknownState {
-                element: element.to_owned(),
-                key: key.to_owned(),
-            })
+        b.peek(key).ok_or_else(|| SimError::UnknownState {
+            element: element.to_owned(),
+            key: key.to_owned(),
+        })
     }
 
     /// Writes element state (test setup).
@@ -299,23 +362,6 @@ impl Machine {
         }
     }
 
-    /// Decodes the asserted control set of one phase.
-    fn decode(
-        &self,
-        word: u64,
-        phase: Phase,
-        controls: &[(String, ControlLine)],
-    ) -> Result<BTreeMap<String, bool>, SimError> {
-        let mut map = BTreeMap::new();
-        for (name, line) in controls {
-            if line.phase != phase {
-                continue;
-            }
-            map.insert(name.clone(), self.microcode.asserted(word, line)?);
-        }
-        Ok(map)
-    }
-
     /// Executes one full clock cycle with the given microcode word.
     /// Returns the settled `[bus A, bus B]` φ1 values.
     ///
@@ -323,22 +369,19 @@ impl Machine {
     ///
     /// Propagates microcode decode failures.
     pub fn step_word(&mut self, word: u64) -> Result<[u64; 2], SimError> {
-        // φ1: buses precharged high; element drives wired-AND in.
-        let mut buses = [self.mask, self.mask];
-        // Decode per element, both phases, before mutating.
-        let mut phi1_maps = Vec::with_capacity(self.elements.len());
-        let mut phi2_maps = Vec::with_capacity(self.elements.len());
-        for (_, controls) in &self.elements {
-            phi1_maps.push(self.decode(word, Phase::Phi1, controls)?);
-            phi2_maps.push(self.decode(word, Phase::Phi2, controls)?);
+        // Decode every binding of every element before any behavior runs.
+        for (_, bindings) in &mut self.elements {
+            bindings.decode(&self.microcode, word)?;
         }
-        let width = self.width;
-        let mask = self.mask;
-        for (i, (behavior, _)) in self.elements.iter_mut().enumerate() {
+        let (width, mask) = (self.width, self.mask);
+        // φ1: buses precharged high; element drives wired-AND in.
+        let mut buses = [mask, mask];
+        for (behavior, bindings) in &mut self.elements {
             let ctx = ElementCtx {
                 width,
                 mask,
-                controls: &phi1_maps[i],
+                phase: Phase::Phi1,
+                bindings,
                 pads_in: &self.pads_in,
                 pads_out: &mut self.pads_out,
             };
@@ -349,22 +392,24 @@ impl Machine {
                 }
             }
         }
-        for (i, (behavior, _)) in self.elements.iter_mut().enumerate() {
+        for (behavior, bindings) in &mut self.elements {
             let mut ctx = ElementCtx {
                 width,
                 mask,
-                controls: &phi1_maps[i],
+                phase: Phase::Phi1,
+                bindings,
                 pads_in: &self.pads_in,
                 pads_out: &mut self.pads_out,
             };
             behavior.phi1_sample(&mut ctx, buses);
         }
         // φ2: elements operate; buses precharge (implicitly, next cycle).
-        for (i, (behavior, _)) in self.elements.iter_mut().enumerate() {
+        for (behavior, bindings) in &mut self.elements {
             let mut ctx = ElementCtx {
                 width,
                 mask,
-                controls: &phi2_maps[i],
+                phase: Phase::Phi2,
+                bindings,
                 pads_in: &self.pads_in,
                 pads_out: &mut self.pads_out,
             };
@@ -496,6 +541,99 @@ mod tests {
             ),
             Err(SimError::UnknownControlField { .. })
         ));
+    }
+
+    /// Records what `control` reads in each step of the last cycle: bits
+    /// 0/1 the φ1 and φ2 lines during `phi1_drive`, bits 2/3 during
+    /// `phi1_sample`, bits 4/5 during `phi2`, bit 6 an unbound name.
+    struct Probe {
+        seen: u64,
+    }
+
+    impl Probe {
+        fn record(&mut self, ctx: &ElementCtx<'_>, shift: u32) {
+            for (i, name) in ["p1", "p2"].into_iter().enumerate() {
+                self.seen |= u64::from(ctx.control(name)) << (shift + i as u32);
+            }
+            self.seen |= u64::from(ctx.control("unbound")) << 6;
+        }
+    }
+
+    impl Behavior for Probe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+
+        fn phi1_drive(&mut self, ctx: &ElementCtx<'_>) -> [Option<u64>; 2] {
+            self.seen = 0;
+            self.record(ctx, 0);
+            [None, None]
+        }
+
+        fn phi1_sample(&mut self, ctx: &mut ElementCtx<'_>, _buses: [u64; 2]) {
+            self.record(ctx, 2);
+        }
+
+        fn phi2(&mut self, ctx: &mut ElementCtx<'_>) {
+            self.record(ctx, 4);
+        }
+
+        fn peek(&self, key: &str) -> Option<u64> {
+            (key == "seen").then_some(self.seen)
+        }
+    }
+
+    #[test]
+    fn controls_decode_per_phase() {
+        let mut mc = Microcode::new();
+        mc.add_field("f", 2).unwrap();
+        let mut m = Machine::new(8, mc);
+        m.add_element(
+            Box::new(Probe { seen: 0 }),
+            &[
+                ("p1", ctl("f", ActiveWhen::Bit(0), Phase::Phi1)),
+                ("p2", ctl("f", ActiveWhen::Bit(1), Phase::Phi2)),
+            ],
+        )
+        .unwrap();
+        // With both lines asserted by the word, each reads true only in
+        // its own phase; every cycle decodes its own word.
+        for (f, seen) in [(3, 0b10_0101), (0, 0), (2, 0b10_0000), (1, 0b00_0101)] {
+            let word = m.microcode().encode(&[("f", f)]).unwrap();
+            m.step_word(word).unwrap();
+            assert_eq!(m.peek("probe", "seen").unwrap(), seen, "f={f}");
+        }
+    }
+
+    /// A control name is bound at most once per element, so `control`
+    /// never has to pick between two lines of one name.
+    #[test]
+    fn duplicate_control_name_is_rejected() {
+        let mut mc = Microcode::new();
+        mc.add_field("f", 2).unwrap();
+        let mut m = Machine::new(8, mc);
+        let err = m
+            .add_element(
+                Box::new(Probe { seen: 0 }),
+                &[
+                    ("p1", ctl("f", ActiveWhen::Bit(0), Phase::Phi1)),
+                    ("p1", ctl("f", ActiveWhen::Bit(1), Phase::Phi2)),
+                ],
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::DuplicateControl {
+                element: "probe".into(),
+                control: "p1".into(),
+            }
+        );
+        // Nothing was added: the element can still be bound correctly.
+        m.add_element(
+            Box::new(Probe { seen: 0 }),
+            &[("p1", ctl("f", ActiveWhen::Bit(0), Phase::Phi1))],
+        )
+        .unwrap();
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! enhancement pass transistor — which is exactly why the paper's buses
 //! are precharged on φ2 and only pulled low on φ1).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use bristle_extract::{NetId, Netlist, TransistorKind};
@@ -105,15 +104,26 @@ impl fmt::Display for SwitchError {
 impl std::error::Error for SwitchError {}
 
 /// A switch-level simulator bound to an extracted netlist.
+///
+/// Every per-net quantity lives in a dense array indexed by [`NetId`]:
+/// the primary-input drive (`None` when the net is not forced), the
+/// charge memory and the resolved state. Driving a net is one store,
+/// and a [`SwitchSim::settle`] reuses its relaxation buffers, so a
+/// co-simulated cycle allocates nothing here.
 pub struct SwitchSim<'a> {
     netlist: &'a Netlist,
     vdd: Vec<NetId>,
     gnd: Vec<NetId>,
-    inputs: HashMap<NetId, Level>,
+    /// Primary-input drive per net; `None` leaves the net to the circuit.
+    inputs: Vec<Option<Level>>,
     /// Retained level per net (charge memory between settles).
     memory: Vec<Level>,
     /// Resolved (strength, level) of the last settle.
     state: Vec<(Strength, Level)>,
+    /// Relaxation buffers, kept between settles: the base drives and
+    /// the two Jacobi iterates.
+    base: Vec<(Strength, Level)>,
+    scratch: [Vec<(Strength, Level)>; 2],
 }
 
 impl<'a> SwitchSim<'a> {
@@ -136,9 +146,11 @@ impl<'a> SwitchSim<'a> {
             netlist,
             vdd: rails("VDD"),
             gnd: rails("GND"),
-            inputs: HashMap::new(),
+            inputs: vec![None; n],
             memory: vec![Level::X; n],
             state: vec![(Strength::Charged, Level::X); n],
+            base: Vec::with_capacity(n),
+            scratch: [Vec::with_capacity(n), Vec::with_capacity(n)],
         }
     }
 
@@ -155,7 +167,7 @@ impl<'a> SwitchSim<'a> {
     /// [`SwitchError::UnknownNet`] if no net has this name.
     pub fn set_input(&mut self, name: &str, level: Level) -> Result<(), SwitchError> {
         let id = self.net(name)?;
-        self.inputs.insert(id, level);
+        self.inputs[id.0 as usize] = Some(level);
         Ok(())
     }
 
@@ -166,7 +178,7 @@ impl<'a> SwitchSim<'a> {
     /// [`SwitchError::UnknownNet`] if no net has this name.
     pub fn release_input(&mut self, name: &str) -> Result<(), SwitchError> {
         let id = self.net(name)?;
-        self.inputs.remove(&id);
+        self.inputs[id.0 as usize] = None;
         Ok(())
     }
 
@@ -178,8 +190,7 @@ impl<'a> SwitchSim<'a> {
     ///
     /// Panics if `id` is not a net of the bound netlist.
     pub fn set_net(&mut self, id: NetId, level: Level) {
-        assert!((id.0 as usize) < self.netlist.net_count(), "bad {id}");
-        self.inputs.insert(id, level);
+        self.inputs[id.0 as usize] = Some(level);
     }
 
     /// The level of a net (by id) after the last [`SwitchSim::settle`].
@@ -224,20 +235,25 @@ impl<'a> SwitchSim<'a> {
     /// [`SwitchError::Unsettled`] if the network oscillates.
     pub fn settle(&mut self) -> Result<(), SwitchError> {
         let n = self.netlist.net_count();
-        // Base drives.
-        let mut state: Vec<(Strength, Level)> = (0..n)
-            .map(|i| (Strength::Charged, self.memory[i]))
-            .collect();
+        // Base drives: charge memory, then the rails, then the inputs
+        // (an input on a rail-named net overrides the rail).
+        let base = &mut self.base;
+        base.clear();
+        base.extend(self.memory.iter().map(|&level| (Strength::Charged, level)));
         for vdd in &self.vdd {
-            state[vdd.0 as usize] = (Strength::Strong, Level::L1);
+            base[vdd.0 as usize] = (Strength::Strong, Level::L1);
         }
         for gnd in &self.gnd {
-            state[gnd.0 as usize] = (Strength::Strong, Level::L0);
+            base[gnd.0 as usize] = (Strength::Strong, Level::L0);
         }
-        for (&id, &level) in &self.inputs {
-            state[id.0 as usize] = (Strength::Strong, level);
+        for (slot, input) in base.iter_mut().zip(&self.inputs) {
+            if let Some(level) = *input {
+                *slot = (Strength::Strong, level);
+            }
         }
-        let base = state.clone();
+        let [mut state, mut next] = std::mem::take(&mut self.scratch);
+        state.clone_from(base);
+        next.resize(n, (Strength::Charged, Level::X));
 
         // Jacobi relaxation: each iteration recomputes every node from
         // its base drive plus the contributions implied by the *previous*
@@ -249,11 +265,12 @@ impl<'a> SwitchSim<'a> {
         loop {
             iters += 1;
             if iters > max_iters {
+                self.scratch = [state, next];
                 return Err(SwitchError::Unsettled {
                     iterations: max_iters,
                 });
             }
-            let mut next = base.clone();
+            next.copy_from_slice(base);
             for t in &self.netlist.transistors {
                 let gate_level = state[t.gate.0 as usize].1;
                 let conducting = match (t.kind, gate_level) {
@@ -307,12 +324,13 @@ impl<'a> SwitchSim<'a> {
             if next == state {
                 break;
             }
-            state = next;
+            std::mem::swap(&mut state, &mut next);
         }
-        for i in 0..n {
-            self.memory[i] = state[i].1;
+        for (memory, &(_, level)) in self.memory.iter_mut().zip(&state) {
+            *memory = level;
         }
-        self.state = state;
+        std::mem::swap(&mut self.state, &mut state);
+        self.scratch = [state, next];
         Ok(())
     }
 }
@@ -331,7 +349,7 @@ impl fmt::Debug for SwitchSim<'_> {
         f.debug_struct("SwitchSim")
             .field("nets", &self.netlist.net_count())
             .field("transistors", &self.netlist.transistors.len())
-            .field("inputs", &self.inputs.len())
+            .field("inputs", &self.inputs.iter().flatten().count())
             .finish()
     }
 }
@@ -578,6 +596,45 @@ mod tests {
         sim.settle().unwrap();
         assert_eq!(sim.level("a").unwrap(), Level::L1);
         assert_eq!(sim.level("b").unwrap(), Level::L0);
+    }
+
+    /// Inputs live in a dense per-net array: releasing one leaves the
+    /// net's charge in place until something drives it again, the last
+    /// drive of a net wins, and an input on a rail-named net overrides
+    /// the rail for as long as it is set.
+    #[test]
+    fn dense_drives_release_override_and_rails() {
+        let n = inverter();
+        let mut sim = SwitchSim::new(&n);
+        // A released input keeps its charge until it is driven again.
+        sim.set_input("in", Level::L1).unwrap();
+        sim.settle().unwrap();
+        sim.release_input("in").unwrap();
+        sim.settle().unwrap();
+        assert_eq!(sim.level("in").unwrap(), Level::L1, "lost charge");
+        assert_eq!(sim.level("out").unwrap(), Level::L0);
+        sim.set_input("in", Level::L0).unwrap();
+        sim.settle().unwrap();
+        assert_eq!(sim.level("in").unwrap(), Level::L0);
+        assert_eq!(sim.level("out").unwrap(), Level::L1);
+        // A later drive of the same net overrides an earlier one.
+        sim.set_net(NetId(3), Level::L0);
+        sim.set_net(NetId(3), Level::L1);
+        sim.settle().unwrap();
+        assert_eq!(sim.net_level(NetId(3)), Level::L1);
+        assert_eq!(sim.level("out").unwrap(), Level::L0);
+        // An input on the VDD-named net overrides the rail: the load now
+        // pulls `out` low even with the pull-down off.
+        sim.set_input("in", Level::L0).unwrap();
+        sim.set_input("VDD", Level::L0).unwrap();
+        sim.settle().unwrap();
+        assert_eq!(sim.state[0], (Strength::Strong, Level::L0));
+        assert_eq!(sim.level("out").unwrap(), Level::L0);
+        // Released, the rail is a rail again.
+        sim.release_input("VDD").unwrap();
+        sim.settle().unwrap();
+        assert_eq!(sim.state[0], (Strength::Strong, Level::L1));
+        assert_eq!(sim.level("out").unwrap(), Level::L1);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use std::fmt::Write as _;
 
 use bristle_blocks::drc::{check_hierarchical, RuleSet};
 use bristle_verify::{
-    run_cosim, run_cosim_with, shrink, CosimError, Fault, Prepared, Program, Rng, SpecGen,
+    run_cosim, run_cosim_with, shrink, CosimError, CosimStats, Fault, Prepared, Program, Rng,
+    SpecGen,
 };
 
 /// Base seed for the pinned CI seed set. Changing it invalidates no
@@ -317,6 +318,37 @@ fn one_prepared_many_programs() {
             assert_eq!(reused, fresh[i], "program {i}, fault {fault:?}");
         }
     }
+}
+
+/// A long run on one soak-shaped chip: width 8, every element kind,
+/// 300 cycles of one random program. The pinned seeds run 18-cycle
+/// programs, so this is the case that re-drives every control column,
+/// pad and clock net hundreds of times and reads every storage column
+/// back after each re-drive. The stats are pinned exactly.
+#[test]
+fn long_run_soak_chip() {
+    let spec = bristle_blocks::core::ChipSpec::builder("soak8")
+        .data_width(8)
+        .element("inport", &[])
+        .element("registers", &[("count", 4)])
+        .element("alu", &[])
+        .element("shifter", &[])
+        .element("ram", &[("words", 3)])
+        .element("stack", &[("depth", 3)])
+        .element("outport", &[])
+        .build()
+        .unwrap();
+    let program = Program::random(&spec, BASE_SEED ^ 0x736F_616B, 300);
+    let stats = run_cosim(&spec, &program).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        stats,
+        CosimStats {
+            cycles: 300,
+            nets: 984,
+            transistors: 776,
+            checks: 5700,
+        }
+    );
 }
 
 /// Full-diversity robustness fuzz: every generated spec must compile,
