@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use bristle_bench::{compile, hand_core_area, reference_specs, sweep_spec};
 use bristle_core::{ChipSpec, Compiler};
-use bristle_drc::{check_hierarchical, RuleSet};
+use bristle_drc::{check_flat, RuleSet};
 use bristle_geom::Point;
 
 fn main() {
@@ -88,18 +88,11 @@ fn f3_compiler_space() {
                 match compile(&spec) {
                     Ok(chip) => {
                         compiled += 1;
-                        // DRC the core of a sample (every 7th) to bound time.
-                        if attempted % 7 == 0 {
-                            let r = check_hierarchical(
-                                &chip.lib,
-                                chip.core_cell,
-                                &RuleSet::mead_conway(),
-                            );
-                            if r.is_clean() {
-                                clean += 1;
-                            } else {
-                                println!("  DIRTY: {} -> {}", spec.name, r.violations.len());
-                            }
+                        let r = check_flat(&chip.lib, chip.top, &RuleSet::mead_conway());
+                        if r.is_clean() {
+                            clean += 1;
+                        } else {
+                            println!("  DIRTY: {} -> {}", spec.name, r.violations.len());
                         }
                     }
                     Err(e) => println!("  FAILED: {} -> {e}", spec.name),
@@ -108,7 +101,7 @@ fn f3_compiler_space() {
         }
     }
     println!("chip space: {attempted} specs attempted, {compiled} compiled");
-    println!("DRC sample: {clean}/{} sampled cores clean", attempted / 7);
+    println!("DRC: {clean}/{compiled} compiled chips clean at the top cell");
 }
 
 /// T1 — "±10% of the area of a chip produced by hand".
@@ -330,7 +323,7 @@ fn a5_smart_cells() {
 
 /// G1 — the paper's folklore: chips fail from faulty *glue*, not faulty
 /// leaf cells. Inject mutations into leaf geometry vs assembly offsets
-/// and count which are caught by hierarchical DRC.
+/// and count which are caught by DRC of the core.
 fn g1_glue_faults() {
     banner("G1", "fault injection: leaf cells vs glue");
     let spec = &reference_specs()[0];
@@ -349,7 +342,7 @@ fn g1_glue_faults() {
                 .map_points(|p| Point::new(p.x + 1, p.y));
             cell.shapes_replace(i, moved);
         }
-        if !check_hierarchical(&chip.lib, chip.core_cell, &RuleSet::mead_conway()).is_clean() {
+        if !check_flat(&chip.lib, chip.core_cell, &RuleSet::mead_conway()).is_clean() {
             leaf_caught += 1;
         }
         // Glue mutation: nudge one instance of the core by a few λ.
@@ -361,7 +354,7 @@ fn g1_glue_faults() {
             let i = (k * 5) % n;
             cell.nudge_instance(i, Point::new(1 + (k as i64 % 3), 0));
         }
-        if !check_hierarchical(&chip.lib, chip.core_cell, &RuleSet::mead_conway()).is_clean() {
+        if !check_flat(&chip.lib, chip.core_cell, &RuleSet::mead_conway()).is_clean() {
             glue_caught += 1;
         }
     }

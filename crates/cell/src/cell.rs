@@ -8,10 +8,11 @@
 //! # The flatten cache
 //!
 //! Flattening is the gateway to every geometry back-end pass (DRC,
-//! extraction, CIF output, area accounting), and the hierarchical DRC
-//! used to re-flatten each child subtree once **per parent instance** —
-//! quadratic work on deep, repetitive datapaths. [`Library`] therefore
-//! memoizes flattening per cell ([`Library::flatten_shared`]):
+//! extraction, CIF output, SVG, area accounting), and one compiled chip
+//! is flattened by several of them, at its core and at its top cell.
+//! [`Library`] therefore memoizes flattening per cell
+//! ([`Library::flatten_shared`]), so each subtree is flattened once and
+//! re-used by every parent and every pass:
 //!
 //! * Each cache entry holds the cell's **subtree-local** flat shapes —
 //!   every shape of the cell and its descendants, transformed into the
@@ -26,8 +27,8 @@
 //!   [`Library::add_instance`]) clears the whole cache. `add_cell` keeps
 //!   it: a new cell can only reference existing cells, so existing
 //!   entries stay valid.
-//! * The cache sits behind an `RwLock`, so `&Library` can be shared
-//!   across DRC's scoped-thread per-cell loop; cloning a library starts
+//! * The cache sits behind an `RwLock`, so filling it needs only
+//!   `&Library` and the library stays `Sync`; cloning a library starts
 //!   with a cold cache.
 //! * Bristle flattening ([`Library::flat_bristles_shared`]) is memoized
 //!   the same way, in a sibling cache with identical invariants (both

@@ -2,10 +2,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::iter::repeat_n;
 
 use bristle_cell::{CellId, Library, Shape, ShapeGeom};
-use bristle_geom::{covered_by, gate_regions, par_map, Layer, QueryScratch, Rect, RectIndex};
+use bristle_geom::{covered_by, gate_regions, Layer, QueryScratch, Rect, RectIndex};
 
 use crate::rules::{RuleKind, RuleSet};
 
@@ -16,15 +15,13 @@ pub struct Violation {
     pub rule: RuleKind,
     /// Where (bounding box of the offending geometry).
     pub at: Rect,
-    /// Cell in which the violation was detected.
-    pub cell: String,
     /// Human-readable detail.
     pub message: String,
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {} at {}: {}", self.cell, self.rule, self.at, self.message)
+        write!(f, "{} at {}: {}", self.rule, self.at, self.message)
     }
 }
 
@@ -33,8 +30,8 @@ impl fmt::Display for Violation {
 pub struct Report {
     /// All violations found.
     pub violations: Vec<Violation>,
-    /// Number of candidate shape pairs examined (the hierarchical-vs-flat
-    /// cost metric; `perfbench` reports it as `drc.checked_pairs`).
+    /// Number of candidate shape pairs examined by the spacing rules (the
+    /// check's cost metric; `perfbench` reports it as `drc.checked_pairs`).
     pub checked_pairs: u64,
 }
 
@@ -43,12 +40,6 @@ impl Report {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: Report) {
-        self.violations.extend(other.violations);
-        self.checked_pairs += other.checked_pairs;
     }
 }
 
@@ -66,9 +57,9 @@ impl fmt::Display for Report {
     }
 }
 
-/// Tagged rectangle soup for one layer.
+/// Rectangle soup for one layer.
 struct LayerSoup {
-    rects: Vec<(Rect, u32)>,
+    rects: Vec<Rect>,
     index: RectIndex,
 }
 
@@ -77,21 +68,16 @@ struct Soup {
 }
 
 impl Soup {
-    fn build<'a>(shapes: impl Iterator<Item = (&'a Shape, u32)>) -> Soup {
-        let mut per_layer: HashMap<Layer, Vec<(Rect, u32)>> = HashMap::new();
-        for (shape, group) in shapes {
+    fn build(shapes: &[Shape]) -> Soup {
+        let mut per_layer: HashMap<Layer, Vec<Rect>> = HashMap::new();
+        for shape in shapes {
             let entry = per_layer.entry(shape.layer).or_default();
-            for r in shape.to_rects() {
-                if !r.is_degenerate() {
-                    entry.push((r, group));
-                }
-            }
+            entry.extend(shape.to_rects().into_iter().filter(|r| !r.is_degenerate()));
         }
         let layers = per_layer
             .into_iter()
             .map(|(layer, rects)| {
-                let index =
-                    RectIndex::bulk_build(rects.iter().enumerate().map(|(i, &(r, _))| (i, r)));
+                let index = RectIndex::bulk_build(rects.iter().copied().enumerate());
                 (layer, LayerSoup { rects, index })
             })
             .collect();
@@ -113,15 +99,7 @@ impl Soup {
     }
 }
 
-/// Group id used for a cell's own (non-instanced) shapes.
-const OWN_GROUP: u32 = u32::MAX;
-
-fn check_shape_widths<'a>(
-    cell: &str,
-    shapes: impl Iterator<Item = &'a Shape>,
-    rules: &RuleSet,
-    out: &mut Report,
-) {
+fn check_shape_widths(shapes: &[Shape], rules: &RuleSet, out: &mut Report) {
     for s in shapes {
         let Some(min) = rules.min_width(s.layer) else {
             continue;
@@ -140,7 +118,6 @@ fn check_shape_widths<'a>(
             out.violations.push(Violation {
                 rule: RuleKind::MinWidth(s.layer),
                 at: s.bbox(),
-                cell: cell.to_owned(),
                 message: format!("{s} narrower than {min}λ"),
             });
         }
@@ -158,7 +135,7 @@ fn between(a: Rect, b: Rect) -> Rect {
     Rect::new(x0, y0, x1, y1)
 }
 
-fn check_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
+fn check_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
     let mut scratch = QueryScratch::new();
     let mut fill_scratch = QueryScratch::new();
     // Iterate layers in a fixed order so reports are deterministic.
@@ -168,11 +145,9 @@ fn check_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
         let Some(space) = rules.min_spacing(layer) else {
             continue;
         };
-        for (i, &(r, group)) in ls.rects.iter().enumerate() {
+        for (i, &r) in ls.rects.iter().enumerate() {
             ls.index.query_with(r.inflate(space), &mut scratch, |j, other| {
-                // A pair inside one instance was checked in that
-                // instance's own cell.
-                if j <= i || (group == ls.rects[j].1 && group != OWN_GROUP) {
+                if j <= i {
                     return;
                 }
                 out.checked_pairs += 1;
@@ -187,7 +162,6 @@ fn check_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
                     out.violations.push(Violation {
                         rule: RuleKind::MinSpacing(layer),
                         at: r.union(&other),
-                        cell: cell.to_owned(),
                         message: format!("gap {gap}λ < {space}λ"),
                     });
                 }
@@ -196,7 +170,7 @@ fn check_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
     }
 }
 
-fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
+fn check_transistors(soup: &Soup, rules: &RuleSet, out: &mut Report) {
     let (Some(poly_soup), Some(diff_soup)) =
         (soup.layer(Layer::Poly), soup.layer(Layer::Diffusion))
     else {
@@ -204,7 +178,7 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
     };
     let no_buried = RectIndex::bulk_build([]);
     let buried = soup.layer(Layer::Buried).map_or(&no_buried, |b| &b.index);
-    let gates = gate_regions(poly_soup.rects.iter().map(|&(r, _)| r), &diff_soup.index, buried);
+    let gates = gate_regions(poly_soup.rects.iter().copied(), &diff_soup.index, buried);
     let mut scratch = QueryScratch::new();
     for (g, _) in gates {
         let oh = rules.gate_overhang;
@@ -235,7 +209,6 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
             out.violations.push(Violation {
                 rule,
                 at: g,
-                cell: cell.to_owned(),
                 message: "malformed transistor crossing".into(),
             });
         }
@@ -247,7 +220,6 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
                 out.violations.push(Violation {
                     rule: RuleKind::ImplantCoverage,
                     at: g,
-                    cell: cell.to_owned(),
                     message: format!("implant does not surround gate by {m}λ"),
                 });
             }
@@ -255,14 +227,13 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
             out.violations.push(Violation {
                 rule: RuleKind::ImplantCoverage,
                 at: g,
-                cell: cell.to_owned(),
                 message: format!("implant within {m}λ of an enhancement gate"),
             });
         }
     }
 }
 
-fn check_poly_diff_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
+fn check_poly_diff_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
     let (Some(poly), Some(diff)) = (soup.layer(Layer::Poly), soup.layer(Layer::Diffusion))
     else {
         return;
@@ -270,7 +241,7 @@ fn check_poly_diff_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut R
     let s = rules.space_poly_diff;
     let mut scratch = QueryScratch::new();
     let mut buried_scratch = QueryScratch::new();
-    for &(p, _) in &poly.rects {
+    for &p in &poly.rects {
         diff.index.query_with(p.inflate(s), &mut scratch, |_, d| {
             out.checked_pairs += 1;
             if p.overlaps(&d) {
@@ -287,7 +258,6 @@ fn check_poly_diff_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut R
                 out.violations.push(Violation {
                     rule: RuleKind::PolyDiffSpacing,
                     at: junction,
-                    cell: cell.to_owned(),
                     message: format!("poly–diffusion gap {gap}λ < {s}λ"),
                 });
             }
@@ -295,17 +265,16 @@ fn check_poly_diff_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut R
     }
 }
 
-fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
+fn check_contacts(soup: &Soup, rules: &RuleSet, out: &mut Report) {
     let e = rules.contact_enclosure;
     let mut scratch = QueryScratch::new();
     let mut covers =
         |layer: Layer, window: Rect| covered_by(window, &soup.near(layer, window, &mut scratch));
-    for &(c, _) in soup.layer(Layer::Contact).map_or(&[][..], |l| &l.rects) {
+    for &c in soup.layer(Layer::Contact).map_or(&[][..], |l| &l.rects) {
         if c.width() != rules.contact_size || c.height() != rules.contact_size {
             out.violations.push(Violation {
                 rule: RuleKind::ContactSize,
                 at: c,
-                cell: cell.to_owned(),
                 message: format!(
                     "contact {}x{}λ, must be {s}x{s}λ",
                     c.width(),
@@ -319,7 +288,6 @@ fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
             out.violations.push(Violation {
                 rule: RuleKind::ContactMetalEnclosure,
                 at: c,
-                cell: cell.to_owned(),
                 message: format!("metal does not enclose contact by {e}λ"),
             });
         }
@@ -327,57 +295,29 @@ fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
             out.violations.push(Violation {
                 rule: RuleKind::ContactLandingEnclosure,
                 at: c,
-                cell: cell.to_owned(),
                 message: format!("neither poly nor diffusion encloses contact by {e}λ"),
             });
         }
     }
-    for &(b, _) in soup.layer(Layer::Buried).map_or(&[][..], |l| &l.rects) {
+    for &b in soup.layer(Layer::Buried).map_or(&[][..], |l| &l.rects) {
         if !covers(Layer::Poly, b) || !covers(Layer::Diffusion, b) {
             out.violations.push(Violation {
                 rule: RuleKind::BuriedEnclosure,
                 at: b,
-                cell: cell.to_owned(),
                 message: "buried contact not covered by both poly and diffusion".into(),
             });
         }
     }
 }
 
-/// The one check every cell gets (see [`check_hierarchical`]): `view`
-/// tags each shape with its instance index, or [`OWN_GROUP`] when the
-/// shape is the cell's own.
-fn check_view(cell: &str, view: &[(&Shape, u32)], rules: &RuleSet) -> Report {
-    let mut out = Report::default();
-    let own = || {
-        view.iter()
-            .filter(|&&(_, g)| g == OWN_GROUP)
-            .map(|&(s, _)| s)
-    };
-    check_shape_widths(cell, own(), rules, &mut out);
-    let soup = Soup::build(view.iter().copied());
-    check_spacing(cell, &soup, rules, &mut out);
-    // A pure-assembly cell draws no devices of its own, and its
-    // children's devices were checked in their own cells.
-    let has_own_device_shapes = own().any(|s| {
-        matches!(
-            s.layer,
-            Layer::Poly | Layer::Diffusion | Layer::Contact | Layer::Buried | Layer::Implant
-        )
-    });
-    if has_own_device_shapes {
-        check_transistors(cell, &soup, rules, &mut out);
-        check_poly_diff_spacing(cell, &soup, rules, &mut out);
-        check_contacts(cell, &soup, rules, &mut out);
-    }
-    out
-}
-
-/// Checks a fully flattened cell hierarchy against `rules`.
+/// Checks the flattened artwork of `top` against `rules`.
 ///
-/// Every rule runs on the complete artwork — the brute-force mode the
-/// paper contrasts with per-cell checking. The flattened view comes from
-/// the library's memoized cache, so repeated checks re-use the geometry.
+/// The width rules run on every flat shape; the spacing, transistor,
+/// contact and implant rules on one per-layer indexed soup of their
+/// rectangles, so a rule looks only at the shapes near the window it
+/// tests. The flattened view comes from the library's memoized cache,
+/// so repeated checks re-use the geometry. Violations come out in a
+/// fixed order: widths, spacing by layer, then the device rules.
 ///
 /// # Panics
 ///
@@ -385,94 +325,22 @@ fn check_view(cell: &str, view: &[(&Shape, u32)], rules: &RuleSet) -> Report {
 #[must_use]
 pub fn check_flat(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
     let flat = lib.flatten_shared(top);
-    let view: Vec<(&Shape, u32)> = flat.iter().map(|s| (s, OWN_GROUP)).collect();
-    check_view(lib.cell(top).name(), &view, rules)
+    let mut out = Report::default();
+    check_shape_widths(&flat, rules, &mut out);
+    let soup = Soup::build(&flat);
+    check_spacing(&soup, rules, &mut out);
+    check_transistors(&soup, rules, &mut out);
+    check_poly_diff_spacing(&soup, rules, &mut out);
+    check_contacts(&soup, rules, &mut out);
+    out
 }
 
-/// Hierarchical DRC in the Bristle Blocks style.
-///
-/// Each distinct cell is checked **once**, on one view: its own shapes
-/// plus each instance's flattened subtree, tagged with the instance.
-/// Widths run on the cell's own shapes, spacing on every pair not inside
-/// one instance (that instance's own cell checks it), and the transistor,
-/// contact and implant rules on the whole view when the cell's own
-/// shapes touch a device layer. [`check_flat`] is the same check with
-/// every shape the top cell's own.
-///
-/// Each parent's view repeats the pairs between its children, so this
-/// examines more pairs than [`check_flat`] ([`Report::checked_pairs`]);
-/// a test pins both to the same (rule, at) set on the reference chips.
-///
-/// Limitations: devices must be contained within a single cell (the
-/// generators in `bristle-stdcells` guarantee this); cross-cell
-/// transistors would be missed. A gap in a cell that only a parent's
-/// shapes fill is still reported in that cell.
-///
-/// The per-cell loop runs in parallel; the per-cell reports are merged
-/// in dependency order, sorted and de-duplicated, so the violation list
-/// is reproducible run to run.
-///
-/// # Panics
-///
-/// Panics if `top` is not a cell of `lib`.
+/// [`check_flat`] under its retired name. Only `perfbench` still calls
+/// it; it goes when the benchmark moves to `check_flat`.
+#[doc(hidden)]
 #[must_use]
 pub fn check_hierarchical(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
-    let mut order: Vec<CellId> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    collect(lib, top, &mut seen, &mut order);
-
-    // Warm the flatten cache bottom-up (order is post-order) so the
-    // parallel workers below mostly read it.
-    for &id in &order {
-        let _ = lib.flatten_shared(id);
-    }
-
-    let per_cell = par_map(&order, |_, &id| check_cell(lib, id, rules));
-    let mut report = Report::default();
-    for r in per_cell {
-        report.merge(r);
-    }
-    // De-duplicate: device rules re-detect the same gate in parents that
-    // flatten children; a cell's violations may repeat across contexts.
-    report.violations.sort_by(|a, b| {
-        (a.rule, a.at, &a.cell).cmp(&(b.rule, b.at, &b.cell))
-    });
-    report
-        .violations
-        .dedup_by(|a, b| a.rule == b.rule && a.at == b.at && a.cell == b.cell);
-    report
-}
-
-/// One cell's worth of hierarchical DRC. Its flattened subtree is the
-/// cell's own shapes followed by each instance's, in instance order, so
-/// tagging it needs only the subtree sizes.
-fn check_cell(lib: &Library, id: CellId, rules: &RuleSet) -> Report {
-    let cell = lib.cell(id);
-    let flat = lib.flatten_shared(id);
-    let groups = repeat_n(OWN_GROUP, cell.shapes().len()).chain(
-        cell.instances()
-            .iter()
-            .enumerate()
-            .flat_map(|(gi, inst)| repeat_n(gi as u32, lib.flatten_shared(inst.cell).len())),
-    );
-    let view: Vec<(&Shape, u32)> = flat.iter().zip(groups).collect();
-    debug_assert_eq!(view.len(), flat.len());
-    check_view(cell.name(), &view, rules)
-}
-
-fn collect(
-    lib: &Library,
-    id: CellId,
-    seen: &mut std::collections::HashSet<CellId>,
-    order: &mut Vec<CellId>,
-) {
-    if !seen.insert(id) {
-        return;
-    }
-    for inst in lib.cell(id).instances() {
-        collect(lib, inst.cell, seen, order);
-    }
-    order.push(id);
+    check_flat(lib, top, rules)
 }
 
 #[cfg(test)]
@@ -700,61 +568,23 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_matches_flat_on_abutting_instances() {
-        let mut lib = Library::new("t");
-        let mut leaf = Cell::new("leaf");
-        for s in good_transistor() {
-            leaf.push_shape(s);
-        }
-        // Metal strip as the abutment feature.
-        leaf.push_shape(Shape::rect(Layer::Metal, Rect::new(-2, -4, 4, -1)));
-        let lid = lib.add_cell(leaf).unwrap();
-        let mut top = Cell::new("top");
-        top.push_shape(Shape::rect(Layer::Metal, Rect::new(-2, 10, 4, 13)));
-        let tid = lib.add_cell(top).unwrap();
-        // A row of instances with proper clearance. The hierarchical win
-        // appears once the leaf is instanced repeatedly: its interior is
-        // checked once instead of once per instance.
-        for i in 0..12 {
-            lib.add_instance(
-                tid,
-                lid,
-                format!("u{i}"),
-                Transform::translate(Point::new(12 * i, 0)),
-            )
-            .unwrap();
-        }
-        let flat = check_flat(&lib, tid, &rules());
-        let hier = check_hierarchical(&lib, tid, &rules());
-        assert!(flat.is_clean(), "{flat}");
-        assert!(hier.is_clean(), "{hier}");
-        // Hierarchical examines fewer pairs.
-        assert!(
-            hier.checked_pairs <= flat.checked_pairs,
-            "hier {} vs flat {}",
-            hier.checked_pairs,
-            flat.checked_pairs
-        );
-    }
-
-    #[test]
-    fn hierarchical_catches_glue_errors() {
-        // Two clean leaves placed too close: only the parent-level check
-        // can see it.
+    fn glue_spacing_between_instances_flagged() {
+        // Two clean leaves placed too close: the fault is in the glue,
+        // and only the assembled artwork shows it.
         let mut lib = Library::new("t");
         let mut leaf = Cell::new("leaf");
         leaf.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, 4, 4)));
         let lid = lib.add_cell(leaf).unwrap();
+        assert!(check_flat(&lib, lid, &rules()).is_clean());
         let top = Cell::new("top");
         let tid = lib.add_cell(top).unwrap();
         lib.add_instance(tid, lid, "u0", Transform::IDENTITY).unwrap();
         lib.add_instance(tid, lid, "u1", Transform::translate(Point::new(6, 0)))
             .unwrap(); // 2λ gap < 3λ
-        let hier = check_hierarchical(&lib, tid, &rules());
-        assert!(hier
-            .violations
-            .iter()
-            .any(|v| v.rule == RuleKind::MinSpacing(Layer::Metal)));
+        let r = check_flat(&lib, tid, &rules());
+        assert_eq!(r.violations.len(), 1, "{r}");
+        assert_eq!(r.violations[0].rule, RuleKind::MinSpacing(Layer::Metal));
+        assert_eq!(r.violations[0].at, Rect::new(0, 0, 10, 4));
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //! * [`covered_by`] — is a window covered by a union of rectangles, and
 //!   [`gate_regions`] — the transistor gates DRC and extraction share,
 //! * [`RectIndex`] — a binned spatial index used by DRC and extraction,
-//!   with an allocation-free stamped-dedup query path ([`QueryScratch`]),
-//! * [`par`] — a deterministic scoped-thread parallel map for DRC's
-//!   per-cell loop.
+//!   with an allocation-free stamped-dedup query path ([`QueryScratch`]).
 //!
 //! # Examples
 //!
@@ -39,7 +37,6 @@
 
 mod cover;
 mod layer;
-pub mod par;
 mod path;
 mod point;
 mod polygon;
@@ -49,13 +46,33 @@ mod transform;
 
 pub use cover::{covered_by, gate_regions};
 pub use layer::Layer;
-pub use par::{max_workers, par_map, set_max_workers};
 pub use path::{Path, PathError};
 pub use point::Point;
 pub use polygon::{Polygon, PolygonError};
 pub use rect::Rect;
 pub use rect_index::{QueryScratch, RectIndex};
 pub use transform::{Orientation, Transform};
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The worker cap that `perfbench`, its only reader and writer, sets to
+/// one and prints as `worker_cap`. No library code spawns a thread, so
+/// nothing else reads it; it guards no other data, so `Relaxed` is
+/// enough. It goes when the benchmark stops printing it.
+static MAX_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Stores the worker cap; kept only for `perfbench`.
+#[doc(hidden)]
+pub fn set_max_workers(n: usize) {
+    MAX_WORKERS.store(n, Ordering::Relaxed);
+}
+
+/// The stored worker cap; kept only for `perfbench`, which prints it.
+#[doc(hidden)]
+#[must_use]
+pub fn max_workers() -> usize {
+    MAX_WORKERS.load(Ordering::Relaxed)
+}
 
 /// Physical size of one λ in CIF centimicrons (10⁻⁸ m).
 ///

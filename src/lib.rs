@@ -14,7 +14,7 @@
 //! * [`geom`] — integer-λ Manhattan geometry and the nMOS layer set,
 //! * [`cell`] — procedural stretchable cells with *bristle* connection points,
 //! * [`cif`] — CIF 2.0 mask output and SVG rendering,
-//! * [`drc`] — hierarchical Mead–Conway λ design rules,
+//! * [`drc`] — Mead–Conway λ design rules on flattened, indexed artwork,
 //! * [`extract`] — transistor netlist extraction,
 //! * [`sim`] — switch-level and functional microcode simulators,
 //! * [`pla`] — instruction-decoder generation (text array → two-tape

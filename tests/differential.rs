@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use bristle_blocks::drc::{check_hierarchical, RuleSet};
+use bristle_blocks::drc::{check_flat, RuleSet};
 use bristle_verify::{
     run_cosim, run_cosim_with, shrink, CosimError, CosimStats, Fault, Prepared, Program, Rng,
     SpecGen,
@@ -43,7 +43,7 @@ fn run_seed(seed: u64) -> Result<bristle_verify::CosimStats, String> {
     // The emitted chip must be DRC-clean at the top cell, not only
     // agree with the machine in its core.
     let chip = prepared.chip();
-    let drc = check_hierarchical(&chip.lib, chip.top, &RuleSet::mead_conway());
+    let drc = check_flat(&chip.lib, chip.top, &RuleSet::mead_conway());
     if !drc.is_clean() {
         return Err(fail(&format_args!("top cell not DRC-clean: {drc}")));
     }
@@ -150,7 +150,7 @@ fn two_inports_two_outports_drc_clean_and_cosim() {
     let chip = bristle_blocks::core::Compiler::new()
         .compile(&spec)
         .expect("two ports of each kind must route");
-    let report = bristle_blocks::drc::check_hierarchical(
+    let report = bristle_blocks::drc::check_flat(
         &chip.lib,
         chip.top,
         &bristle_blocks::drc::RuleSet::mead_conway(),
@@ -380,7 +380,7 @@ fn compile_fuzz_full_diversity_specs() {
             .unwrap_or_else(|e| panic!("seed {seed:#x}: bridge: {e}"));
         let mut machine = chip.simulation().unwrap();
         machine.step_word(0).unwrap();
-        let drc = bristle_blocks::drc::check_hierarchical(
+        let drc = bristle_blocks::drc::check_flat(
             &chip.lib,
             chip.top,
             &bristle_blocks::drc::RuleSet::mead_conway(),
