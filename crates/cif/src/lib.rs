@@ -1,7 +1,8 @@
 //! # bristle-cif
 //!
 //! Mask output for Bristle Blocks: a **CIF 2.0** writer and parser, plus
-//! an SVG renderer for visual inspection.
+//! SVG renderings of two of the seven representations for visual
+//! inspection: LAYOUT ([`render_svg`]) and STICKS ([`render_sticks_svg`]).
 //!
 //! CIF — the *Caltech Intermediate Form* — was the mask interchange format
 //! of the Mead–Conway community and the natural output target for a 1979
@@ -43,7 +44,7 @@ mod svg;
 mod write;
 
 pub use parse::{cif_to_library, parse_cif, CifCommand, CifFile, CifSymbol, ParseCifError};
-pub use svg::{render_svg, SvgOptions};
+pub use svg::{render_svg, render_sticks_svg};
 pub use write::{write_cif, WriteCifError};
 
 /// Scale numerator written in `DS` lines: coordinates are half-λ and

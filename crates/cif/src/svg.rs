@@ -1,68 +1,85 @@
-//! SVG rendering of cell layouts, in the spirit of the Mead–Conway color
-//! plates. Useful for eyeballing compiled chips without mask tooling.
+//! SVG renderings of cell layouts, in the spirit of the Mead–Conway color
+//! plates, and of stick diagrams. Useful for eyeballing compiled chips
+//! without mask tooling.
 
 use std::fmt::Write as _;
 
-use bristle_cell::{CellId, Library, ShapeGeom};
+use bristle_cell::{CellId, Library, ShapeGeom, Stick};
 use bristle_geom::{Layer, Rect};
 
-/// Rendering options.
-#[derive(Debug, Clone)]
-pub struct SvgOptions {
-    /// Pixels per λ.
-    pub scale: f64,
-    /// Fill opacity (layers overlap; keep below 1).
-    pub opacity: f64,
-    /// Draw bristle markers.
-    pub show_bristles: bool,
-    /// Margin around the bounding box, in λ.
-    pub margin: i64,
+/// Pixels per λ in a layout rendering.
+const LAYOUT_SCALE: i64 = 4;
+/// Pixels per λ in a sticks rendering.
+const STICKS_SCALE: i64 = 2;
+/// Blank border around the drawing, in λ.
+const MARGIN: i64 = 4;
+/// Fill opacity of layout shapes: layers overlap, so it stays below 1.
+const OPACITY: &str = "0.55";
+
+/// The SVG document both renderers write: a window of integer-λ layout
+/// (+y up) drawn at integer pixels per λ (+y down), so every coordinate
+/// is an integer, printed `N.0`.
+struct Frame {
+    out: String,
+    window: Rect,
+    scale: i64,
 }
 
-impl Default for SvgOptions {
-    fn default() -> SvgOptions {
-        SvgOptions {
-            scale: 4.0,
-            opacity: 0.55,
-            show_bristles: true,
-            margin: 4,
-        }
+impl Frame {
+    /// Writes the `<svg>` tag for `bbox` plus a [`MARGIN`] border.
+    fn open(bbox: Rect, scale: i64) -> Frame {
+        let window = bbox.inflate(MARGIN);
+        let (w, h) = (window.width() * scale, window.height() * scale);
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            r#"<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">"#
+        );
+        Frame { out, window, scale }
+    }
+
+    fn x(&self, x: i64) -> i64 {
+        (x - self.window.x0) * self.scale
+    }
+
+    fn y(&self, y: i64) -> i64 {
+        (self.window.y1 - y) * self.scale
+    }
+
+    /// Closes the `<svg>` tag and returns the document.
+    fn close(mut self) -> String {
+        self.out.push_str("</svg>\n");
+        self.out
     }
 }
 
 /// Renders a cell hierarchy to an SVG string. The y axis is flipped so
-/// +y points up, matching layout coordinates.
+/// +y points up, matching layout coordinates. Bristles are drawn as
+/// circles titled with their description.
 ///
 /// # Panics
 ///
 /// Panics if `top` is not a cell of `lib`.
 #[must_use]
-pub fn render_svg(lib: &Library, top: CellId, opts: &SvgOptions) -> String {
-    let bbox = lib
-        .bbox(top)
-        .unwrap_or(Rect::new(0, 0, 1, 1))
-        .inflate(opts.margin);
-    let s = opts.scale;
-    let w = bbox.width() as f64 * s;
-    let h = bbox.height() as f64 * s;
-    // Map layout (x, y) to SVG: x' = (x - x0)·s, y' = (y1 - y)·s.
-    let mx = |x: i64| (x - bbox.x0) as f64 * s;
-    let my = |y: i64| (bbox.y1 - y) as f64 * s;
+pub fn render_svg(lib: &Library, top: CellId) -> String {
+    fn rect(f: &mut Frame, r: Rect, color: &str) {
+        let _ = writeln!(
+            f.out,
+            r#"<rect x="{}.0" y="{}.0" width="{}.0" height="{}.0" fill="{color}" fill-opacity="{OPACITY}"/>"#,
+            f.x(r.x0),
+            f.y(r.y1),
+            r.width() * f.scale,
+            r.height() * f.scale,
+        );
+    }
 
-    let mut out = String::new();
+    let bbox = lib.bbox(top).unwrap_or(Rect::new(0, 0, 1, 1));
+    let mut f = Frame::open(bbox, LAYOUT_SCALE);
     let _ = writeln!(
-        out,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0}" height="{h:.0}" viewBox="0 0 {w:.0} {h:.0}">"#
-    );
-    let _ = writeln!(
-        out,
-        r##"<rect width="100%" height="100%" fill="#f8f5ee"/>"##
-    );
-    let _ = writeln!(
-        out,
-        "<!-- cell `{}` bbox {} -->",
+        f.out,
+        "<rect width=\"100%\" height=\"100%\" fill=\"#f8f5ee\"/>\n<!-- cell `{}` bbox {} -->",
         lib.cell(top).name(),
-        bbox
+        f.window
     );
     // Draw in layer order so metal sits on top of poly on top of
     // diffusion. Flattening goes through the library's memoized cache,
@@ -70,59 +87,61 @@ pub fn render_svg(lib: &Library, top: CellId, opts: &SvgOptions) -> String {
     // already-flattened geometry instead of re-walking the hierarchy.
     let flat = lib.flatten_shared(top);
     for layer in Layer::ALL {
+        let color = layer.color();
         for shape in flat.iter().filter(|s| s.layer == layer) {
-            let color = layer.color();
             match &shape.geom {
-                ShapeGeom::Box(_) | ShapeGeom::Wire(_) => {
-                    for r in shape.to_rects() {
-                        let _ = writeln!(
-                            out,
-                            r#"<rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}" fill="{color}" fill-opacity="{}"/>"#,
-                            mx(r.x0),
-                            my(r.y1),
-                            r.width() as f64 * s,
-                            r.height() as f64 * s,
-                            opts.opacity
-                        );
+                ShapeGeom::Box(r) => rect(&mut f, *r, color),
+                ShapeGeom::Wire(p) => {
+                    for r in p.to_rects() {
+                        rect(&mut f, r, color);
                     }
                 }
                 ShapeGeom::Poly(p) => {
-                    let pts: Vec<String> = p
-                        .vertices()
-                        .iter()
-                        .map(|v| format!("{:.1},{:.1}", mx(v.x), my(v.y)))
-                        .collect();
-                    let _ = writeln!(
-                        out,
-                        r#"<polygon points="{}" fill="{color}" fill-opacity="{}"/>"#,
-                        pts.join(" "),
-                        opts.opacity
-                    );
+                    f.out.push_str(r#"<polygon points=""#);
+                    for (i, v) in p.vertices().iter().enumerate() {
+                        let sep = if i == 0 { "" } else { " " };
+                        let _ = write!(f.out, "{sep}{}.0,{}.0", f.x(v.x), f.y(v.y));
+                    }
+                    let _ = writeln!(f.out, r#"" fill="{color}" fill-opacity="{OPACITY}"/>"#);
                 }
             }
         }
     }
-    if opts.show_bristles {
-        for b in lib.flat_bristles_shared(top).iter() {
-            let _ = writeln!(
-                out,
-                r##"<circle cx="{:.1}" cy="{:.1}" r="{:.1}" fill="none" stroke="#333" stroke-width="1"><title>{}</title></circle>"##,
-                mx(b.pos.x),
-                my(b.pos.y),
-                s.max(2.0),
-                b
-            );
-        }
+    for b in lib.flat_bristles_shared(top).iter() {
+        let _ = writeln!(
+            f.out,
+            r##"<circle cx="{}.0" cy="{}.0" r="{LAYOUT_SCALE}.0" fill="none" stroke="#333" stroke-width="1"><title>{b}</title></circle>"##,
+            f.x(b.pos.x),
+            f.y(b.pos.y),
+        );
     }
-    let _ = writeln!(out, "</svg>");
-    out
+    f.close()
+}
+
+/// Renders stick diagrams as SVG line work over the die `die`, with the
+/// same y flip as [`render_svg`].
+#[must_use]
+pub fn render_sticks_svg(die: Rect, sticks: &[Stick]) -> String {
+    let mut f = Frame::open(die, STICKS_SCALE);
+    for st in sticks {
+        let _ = writeln!(
+            f.out,
+            r#"<line x1="{}.0" y1="{}.0" x2="{}.0" y2="{}.0" stroke="{}" stroke-width="1"/>"#,
+            f.x(st.from.x),
+            f.y(st.from.y),
+            f.x(st.to.x),
+            f.y(st.to.y),
+            st.layer.color()
+        );
+    }
+    f.close()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bristle_cell::{Bristle, Cell, Flavor, Shape, Side};
-    use bristle_geom::{Layer, Point};
+    use bristle_geom::{Layer, Point, Polygon};
 
     fn demo_lib() -> (Library, CellId) {
         let mut lib = Library::new("t");
@@ -143,7 +162,7 @@ mod tests {
     #[test]
     fn renders_valid_svg_skeleton() {
         let (lib, id) = demo_lib();
-        let svg = render_svg(&lib, id, &SvgOptions::default());
+        let svg = render_svg(&lib, id);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         // Two shapes, two rects + background.
@@ -152,20 +171,25 @@ mod tests {
     }
 
     #[test]
-    fn bristles_optional() {
-        let (lib, id) = demo_lib();
-        let opts = SvgOptions {
-            show_bristles: false,
-            ..SvgOptions::default()
-        };
-        let svg = render_svg(&lib, id, &opts);
-        assert_eq!(svg.matches("<circle").count(), 0);
+    fn polygon_points_are_flipped_integers() {
+        let mut lib = Library::new("t");
+        let mut c = Cell::new("ell");
+        let ell = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)];
+        let poly = Polygon::new(ell.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap();
+        c.push_shape(Shape::polygon(Layer::Metal, poly));
+        let id = lib.add_cell(c).unwrap();
+        // Window -4..8 on both axes at 4 px/λ: x' = (x + 4)·4, y' = (8 − y)·4.
+        let want = format!(
+            r#"<polygon points="16.0,32.0 32.0,32.0 32.0,24.0 24.0,24.0 24.0,16.0 16.0,16.0" fill="{}" fill-opacity="0.55"/>"#,
+            Layer::Metal.color()
+        );
+        assert!(render_svg(&lib, id).lines().any(|l| l == want));
     }
 
     #[test]
     fn layer_colors_used() {
         let (lib, id) = demo_lib();
-        let svg = render_svg(&lib, id, &SvgOptions::default());
+        let svg = render_svg(&lib, id);
         assert!(svg.contains(Layer::Diffusion.color()));
         assert!(svg.contains(Layer::Poly.color()));
     }

@@ -13,17 +13,35 @@ pub enum WriteCifError {
     /// A cell in the hierarchy is completely empty (CIF symbols must have
     /// content).
     EmptyCell(String),
+    /// The library or a cell in the hierarchy has a name containing `(`,
+    /// `)` or `;`, which CIF reads as comment and command delimiters.
+    UnwritableName(String),
 }
 
 impl std::fmt::Display for WriteCifError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WriteCifError::EmptyCell(n) => write!(f, "cell `{n}` is empty; CIF needs geometry"),
+            WriteCifError::UnwritableName(n) => {
+                write!(
+                    f,
+                    "name `{n}` contains `(`, `)` or `;`, which CIF cannot carry"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for WriteCifError {}
+
+/// `name`, if CIF can carry it: a comment or a `9` name extension that
+/// held `(`, `)` or `;` would end early and corrupt the rest of the file.
+fn writable(name: &str) -> Result<&str, WriteCifError> {
+    if name.contains(['(', ')', ';']) {
+        return Err(WriteCifError::UnwritableName(name.to_owned()));
+    }
+    Ok(name)
+}
 
 /// Orientation as a CIF transformation-op sequence (applied left to
 /// right, before the final `T` translate).
@@ -49,7 +67,8 @@ fn orient_ops(o: Orientation) -> &'static str {
 /// # Errors
 ///
 /// Returns [`WriteCifError::EmptyCell`] if any reachable cell has neither
-/// shapes nor instances.
+/// shapes nor instances, and [`WriteCifError::UnwritableName`] if the
+/// library's name or any reachable cell's name contains `(`, `)` or `;`.
 ///
 /// # Panics
 ///
@@ -61,7 +80,11 @@ pub fn write_cif(lib: &Library, top: CellId) -> Result<String, WriteCifError> {
     collect(lib, top, &mut seen, &mut order);
 
     let mut out = String::new();
-    let _ = writeln!(out, "(CIF written by bristle-blocks for `{}`);", lib.name());
+    let _ = writeln!(
+        out,
+        "(CIF written by bristle-blocks for `{}`);",
+        writable(lib.name())?
+    );
     // Stable symbol numbering: position in the reachable order, 1-based.
     let number: std::collections::HashMap<CellId, usize> = order
         .iter()
@@ -75,7 +98,7 @@ pub fn write_cif(lib: &Library, top: CellId) -> Result<String, WriteCifError> {
             return Err(WriteCifError::EmptyCell(cell.name().to_owned()));
         }
         let _ = writeln!(out, "DS {} {} 1;", number[&id], CIF_SCALE_NUM);
-        let _ = writeln!(out, "9 {};", cell.name());
+        let _ = writeln!(out, "9 {};", writable(cell.name())?);
         // Group shapes by layer to minimize L commands.
         let mut last_layer = None;
         for s in cell.shapes() {
@@ -197,6 +220,18 @@ mod tests {
             write_cif(&lib, id),
             Err(WriteCifError::EmptyCell(_))
         ));
+    }
+
+    #[test]
+    fn delimiters_in_cell_names_rejected() {
+        for bad in ["a(b", "a)b", "a;b"] {
+            let mut lib = Library::new("t");
+            let mut c = Cell::new(bad);
+            c.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, 2, 2)));
+            let id = lib.add_cell(c).unwrap();
+            let want = Err(WriteCifError::UnwritableName(bad.to_owned()));
+            assert_eq!(write_cif(&lib, id), want);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::fmt::Write as _;
 
 use bristle_cell::{LogicGate, ShapeGeom, Stick};
-use bristle_cif::{render_svg, write_cif, SvgOptions, WriteCifError};
+use bristle_cif::{render_sticks_svg, render_svg, write_cif, WriteCifError};
 use bristle_extract::{extract, Netlist};
 use bristle_geom::Point;
 
@@ -25,7 +25,7 @@ impl CompiledChip {
     /// LAYOUT: an SVG rendering for inspection.
     #[must_use]
     pub fn layout_svg(&self) -> String {
-        render_svg(&self.lib, self.top, &SvgOptions::default())
+        render_svg(&self.lib, self.top)
     }
 
     /// STICKS: every long conductor as a single-width center-line,
@@ -70,31 +70,7 @@ impl CompiledChip {
     /// STICKS rendered as SVG line work.
     #[must_use]
     pub fn sticks_svg(&self) -> String {
-        let sticks = self.sticks();
-        let bb = self.die_bbox.inflate(4);
-        let s = 2.0;
-        let mx = |x: i64| (x - bb.x0) as f64 * s;
-        let my = |y: i64| (bb.y1 - y) as f64 * s;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.0}" height="{:.0}">"#,
-            bb.width() as f64 * s,
-            bb.height() as f64 * s
-        );
-        for st in &sticks {
-            let _ = writeln!(
-                out,
-                r#"<line x1="{:.1}" y1="{:.1}" x2="{:.1}" y2="{:.1}" stroke="{}" stroke-width="1"/>"#,
-                mx(st.from.x),
-                my(st.from.y),
-                mx(st.to.x),
-                my(st.to.y),
-                st.layer.color()
-            );
-        }
-        let _ = writeln!(out, "</svg>");
-        out
+        render_sticks_svg(self.die_bbox, &self.sticks())
     }
 
     /// TRANSISTORS: the extracted netlist of the whole chip.

@@ -6,7 +6,8 @@
 //! dependencies are available in this workspace).
 
 use bristle_blocks::cell::{load_library, save_library, Cell, Library, Shape};
-use bristle_blocks::cif::{cif_to_library, parse_cif, write_cif};
+use bristle_blocks::cif::{cif_to_library, parse_cif, write_cif, WriteCifError};
+use bristle_blocks::core::{parse_page, Compiler};
 use bristle_blocks::geom::{Layer, Orientation, Point, Rect, Transform};
 
 mod common;
@@ -91,5 +92,32 @@ fn cdl_round_trip_is_identity() {
                 "case {case}"
             );
         }
+    }
+}
+
+/// A chip named by a one-element page; its name reaches the library and
+/// every chip-level cell name.
+fn chip_named(name: &str) -> bristle_blocks::core::CompiledChip {
+    let spec = parse_page(&format!("chip {name}\nelement alu\n")).unwrap();
+    Compiler::new().compile(&spec).unwrap()
+}
+
+#[test]
+fn cif_delimiters_in_chip_names_are_rejected() {
+    for name in ["a(b", "a)b", "a;b"] {
+        let want = Err(WriteCifError::UnwritableName(name.to_owned()));
+        assert_eq!(chip_named(name).layout_cif(), want);
+    }
+}
+
+#[test]
+fn other_punctuation_in_chip_names_round_trips() {
+    for name in ["a--b", "a&b", "é"] {
+        let chip = chip_named(name);
+        let text = chip.layout_cif().unwrap();
+        let back = cif_to_library(&parse_cif(&text).unwrap()).unwrap();
+        let top = chip.lib.cell(chip.top).name();
+        let btop = back.find(top).unwrap_or_else(|| panic!("no `{top}`"));
+        assert_eq!(back.bbox(btop), chip.lib.bbox(chip.top), "chip `{name}`");
     }
 }

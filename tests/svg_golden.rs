@@ -4,9 +4,15 @@
 //! The hash is FNV-1a-64, written out here because `DefaultHasher`'s
 //! output may change between Rust releases. The sticks hash skips the
 //! first line (the `<svg>` tag), so the pin covers the drawing itself.
+//!
+//! Structural invariants over generated specs check what the hashes
+//! cannot: integer coordinates, a consistent `<svg>` frame, and one
+//! element per shape, bristle and stick.
 
 use bristle_bench::{reference_specs, sweep_spec};
+use bristle_blocks::cell::ShapeGeom;
 use bristle_blocks::core::{ChipSpec, Compiler};
+use bristle_blocks::verify::{Rng, SpecGen};
 
 fn fnv1a64(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -40,5 +46,97 @@ fn layout_and_sticks_svg_match_goldens() {
         let chip = Compiler::new().compile(spec).expect("golden chip compiles");
         assert_eq!(fnv1a64(&chip.layout_svg()), layout, "{name} layout");
         assert_eq!(fnv1a64(body(&chip.sticks_svg())), sticks, "{name} sticks");
+    }
+}
+
+/// Attributes holding a pixel coordinate or length; the polygon
+/// `points` list is split into its numbers.
+const COORDS: [&str; 12] = [
+    "x", "y", "width", "height", "cx", "cy", "r", "x1", "y1", "x2", "y2", "points",
+];
+
+/// `(name, value)` of every `name="value"` attribute on `line`.
+fn attrs(line: &str) -> Vec<(&str, &str)> {
+    let mut out = Vec::new();
+    let mut rest = line;
+    while let Some(eq) = rest.find("=\"") {
+        let name = rest[..eq].rsplit(' ').next().unwrap_or_default();
+        let value = &rest[eq + 2..];
+        let end = value.find('"').expect("attribute value is closed");
+        out.push((name, &value[..end]));
+        rest = &value[end + 1..];
+    }
+    out
+}
+
+/// Checks every coordinate is printed `N.0` and that the `<svg>` tag's
+/// size equals its `viewBox` extent.
+fn check_integral(svg: &str, what: &str) {
+    let lines: Vec<&str> = svg.lines().collect();
+    let head = attrs(lines[0]);
+    let get = |k: &str| head.iter().find(|a| a.0 == k).map(|a| a.1);
+    let (w, h) = (get("width").unwrap(), get("height").unwrap());
+    assert!(
+        w.parse::<u64>().is_ok() && h.parse::<u64>().is_ok(),
+        "{what}: {}",
+        lines[0]
+    );
+    assert_eq!(
+        get("viewBox"),
+        Some(format!("0 0 {w} {h}").as_str()),
+        "{what}"
+    );
+    for line in &lines[1..] {
+        for (name, value) in attrs(line) {
+            if !COORDS.contains(&name) || value.ends_with('%') {
+                continue;
+            }
+            for n in value.split([' ', ',']) {
+                let int = n.strip_suffix(".0").and_then(|i| i.parse::<i64>().ok());
+                assert!(int.is_some(), "{what}: `{name}={value}` in {line}");
+            }
+        }
+    }
+}
+
+/// Number of elements with tag `tag` (one element per line).
+fn count(svg: &str, tag: &str) -> usize {
+    svg.lines().filter(|l| l.starts_with(tag)).count()
+}
+
+#[test]
+fn generated_specs_render_integral_one_element_per_item() {
+    for i in 0..100u64 {
+        let seed = 0xB215_713E + 5000 + i;
+        let spec = SpecGen::random_spec(&mut Rng::new(seed), &format!("sg{i}"));
+        let chip = Compiler::new()
+            .compile(&spec)
+            .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+        let what = format!("seed {seed:#x}");
+
+        let layout = chip.layout_svg();
+        check_integral(&layout, &what);
+        let rects: usize = chip
+            .lib
+            .flatten_shared(chip.top)
+            .iter()
+            .filter(|s| !matches!(s.geom, ShapeGeom::Poly(_)))
+            .map(|s| s.to_rects().len())
+            .sum();
+        assert_eq!(
+            count(&layout, "<rect "),
+            1 + rects,
+            "{what}: background + shapes"
+        );
+        let bristles = chip.lib.flat_bristles_shared(chip.top).len();
+        assert_eq!(count(&layout, "<circle "), bristles, "{what}: bristles");
+
+        let sticks = chip.sticks_svg();
+        check_integral(&sticks, &what);
+        assert_eq!(
+            count(&sticks, "<line "),
+            chip.sticks().len(),
+            "{what}: sticks"
+        );
     }
 }
