@@ -1,6 +1,5 @@
 //! The checker itself.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{CellId, Library, Shape, ShapeGeom};
@@ -63,39 +62,38 @@ struct LayerSoup {
     index: RectIndex,
 }
 
+/// One soup per layer, at `layer as usize`: `Layer`'s declaration order,
+/// which is both its sorted order and the order of `Layer::ALL`.
 struct Soup {
-    layers: HashMap<Layer, LayerSoup>,
+    layers: [LayerSoup; Layer::ALL.len()],
 }
 
 impl Soup {
     fn build(shapes: &[Shape]) -> Soup {
-        let mut per_layer: HashMap<Layer, Vec<Rect>> = HashMap::new();
+        let mut per_layer: [Vec<Rect>; Layer::ALL.len()] = Default::default();
         for shape in shapes {
-            let entry = per_layer.entry(shape.layer).or_default();
-            entry.extend(shape.to_rects().into_iter().filter(|r| !r.is_degenerate()));
+            let rects = shape.to_rects().into_iter().filter(|r| !r.is_degenerate());
+            per_layer[shape.layer as usize].extend(rects);
         }
-        let layers = per_layer
-            .into_iter()
-            .map(|(layer, rects)| {
-                let index = RectIndex::bulk_build(rects.iter().copied().enumerate());
-                (layer, LayerSoup { rects, index })
-            })
-            .collect();
+        let layers = per_layer.map(|rects| {
+            let index = RectIndex::bulk_build(rects.iter().copied().enumerate());
+            LayerSoup { rects, index }
+        });
         Soup { layers }
     }
 
-    fn layer(&self, layer: Layer) -> Option<&LayerSoup> {
-        self.layers.get(&layer)
+    fn layer(&self, layer: Layer) -> &LayerSoup {
+        &self.layers[layer as usize]
     }
 
-    /// The rects on `layer` that touch `window`: all that an enclosure
-    /// test of `window` (or of any window inside it) can depend on.
-    fn near(&self, layer: Layer, window: Rect, scratch: &mut QueryScratch) -> Vec<Rect> {
-        let mut near = Vec::new();
-        if let Some(ls) = self.layer(layer) {
-            ls.index.query_with(window, scratch, |_, r| near.push(r));
-        }
-        near
+    /// Fills `near` with the rects on `layer` that touch `window`: all
+    /// that an enclosure test of `window` (or of any window inside it)
+    /// can depend on.
+    fn near(&self, layer: Layer, window: Rect, scratch: &mut QueryScratch, near: &mut Vec<Rect>) {
+        near.clear();
+        self.layer(layer)
+            .index
+            .query_with(window, scratch, |_, r| near.push(r));
     }
 }
 
@@ -138,10 +136,9 @@ fn between(a: Rect, b: Rect) -> Rect {
 fn check_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
     let mut scratch = QueryScratch::new();
     let mut fill_scratch = QueryScratch::new();
-    // Iterate layers in a fixed order so reports are deterministic.
-    let mut layers: Vec<(&Layer, &LayerSoup)> = soup.layers.iter().collect();
-    layers.sort_by_key(|&(l, _)| *l);
-    for (&layer, ls) in layers {
+    let mut fill = Vec::new();
+    // Layers come in sorted order, so reports are deterministic.
+    for (&layer, ls) in Layer::ALL.iter().zip(&soup.layers) {
         let Some(space) = rules.min_spacing(layer) else {
             continue;
         };
@@ -158,7 +155,8 @@ fn check_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
                 // Where the layer fills the gap, the pair is one solid
                 // shape drawn in pieces, not two shapes too close.
                 let region = between(r, other);
-                if !covered_by(region, &soup.near(layer, region, &mut fill_scratch)) {
+                soup.near(layer, region, &mut fill_scratch, &mut fill);
+                if !covered_by(region, &fill) {
                     out.violations.push(Violation {
                         rule: RuleKind::MinSpacing(layer),
                         at: r.union(&other),
@@ -171,20 +169,18 @@ fn check_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
 }
 
 fn check_transistors(soup: &Soup, rules: &RuleSet, out: &mut Report) {
-    let (Some(poly_soup), Some(diff_soup)) =
-        (soup.layer(Layer::Poly), soup.layer(Layer::Diffusion))
-    else {
-        return;
-    };
-    let no_buried = RectIndex::bulk_build([]);
-    let buried = soup.layer(Layer::Buried).map_or(&no_buried, |b| &b.index);
-    let gates = gate_regions(poly_soup.rects.iter().copied(), &diff_soup.index, buried);
+    let gates = gate_regions(
+        soup.layer(Layer::Poly).rects.iter().copied(),
+        &soup.layer(Layer::Diffusion).index,
+        &soup.layer(Layer::Buried).index,
+    );
     let mut scratch = QueryScratch::new();
+    let (mut poly, mut diff, mut implant) = (Vec::new(), Vec::new(), Vec::new());
     for (g, _) in gates {
         let oh = rules.gate_overhang;
         let ext = rules.sd_extension;
-        let poly = soup.near(Layer::Poly, g.inflate(oh), &mut scratch);
-        let diff = soup.near(Layer::Diffusion, g.inflate(ext), &mut scratch);
+        soup.near(Layer::Poly, g.inflate(oh), &mut scratch, &mut poly);
+        soup.near(Layer::Diffusion, g.inflate(ext), &mut scratch, &mut diff);
         // Configuration A: poly runs horizontally (overhangs left/right),
         // diffusion runs vertically (extends below/above).
         let poly_ok_a = covered_by(Rect::new(g.x0 - oh, g.y0, g.x0, g.y1), &poly)
@@ -214,7 +210,7 @@ fn check_transistors(soup: &Soup, rules: &RuleSet, out: &mut Report) {
         }
         // Implant: all-or-nothing with margin.
         let m = rules.implant_margin;
-        let implant = soup.near(Layer::Implant, g.inflate(m), &mut scratch);
+        soup.near(Layer::Implant, g.inflate(m), &mut scratch, &mut implant);
         if implant.iter().any(|i| i.overlaps(&g)) {
             if !covered_by(g.inflate(m), &implant) {
                 out.violations.push(Violation {
@@ -234,15 +230,13 @@ fn check_transistors(soup: &Soup, rules: &RuleSet, out: &mut Report) {
 }
 
 fn check_poly_diff_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
-    let (Some(poly), Some(diff)) = (soup.layer(Layer::Poly), soup.layer(Layer::Diffusion))
-    else {
-        return;
-    };
     let s = rules.space_poly_diff;
     let mut scratch = QueryScratch::new();
     let mut buried_scratch = QueryScratch::new();
-    for &p in &poly.rects {
-        diff.index.query_with(p.inflate(s), &mut scratch, |_, d| {
+    let mut buried = Vec::new();
+    let diff = &soup.layer(Layer::Diffusion).index;
+    for &p in &soup.layer(Layer::Poly).rects {
+        diff.query_with(p.inflate(s), &mut scratch, |_, d| {
             out.checked_pairs += 1;
             if p.overlaps(&d) {
                 return; // transistor or buried junction: handled elsewhere
@@ -251,7 +245,7 @@ fn check_poly_diff_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
             if gap < s {
                 // A butting junction is fine when a buried contact spans it.
                 let junction = p.union(&d);
-                let buried = soup.near(Layer::Buried, junction, &mut buried_scratch);
+                soup.near(Layer::Buried, junction, &mut buried_scratch, &mut buried);
                 if buried.iter().any(|b| b.overlaps(&junction)) {
                     return;
                 }
@@ -268,9 +262,12 @@ fn check_poly_diff_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
 fn check_contacts(soup: &Soup, rules: &RuleSet, out: &mut Report) {
     let e = rules.contact_enclosure;
     let mut scratch = QueryScratch::new();
-    let mut covers =
-        |layer: Layer, window: Rect| covered_by(window, &soup.near(layer, window, &mut scratch));
-    for &c in soup.layer(Layer::Contact).map_or(&[][..], |l| &l.rects) {
+    let mut near = Vec::new();
+    let mut covers = |layer: Layer, window: Rect| {
+        soup.near(layer, window, &mut scratch, &mut near);
+        covered_by(window, &near)
+    };
+    for &c in &soup.layer(Layer::Contact).rects {
         if c.width() != rules.contact_size || c.height() != rules.contact_size {
             out.violations.push(Violation {
                 rule: RuleKind::ContactSize,
@@ -299,7 +296,7 @@ fn check_contacts(soup: &Soup, rules: &RuleSet, out: &mut Report) {
             });
         }
     }
-    for &b in soup.layer(Layer::Buried).map_or(&[][..], |l| &l.rects) {
+    for &b in &soup.layer(Layer::Buried).rects {
         if !covers(Layer::Poly, b) || !covers(Layer::Diffusion, b) {
             out.violations.push(Violation {
                 rule: RuleKind::BuriedEnclosure,

@@ -1,6 +1,5 @@
 //! The extractor and its output model.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{CellId, Library};
@@ -74,9 +73,9 @@ pub struct Netlist {
     /// `Library::flat_bristles_shared` reports it, in flatten (depth-first
     /// instance) order. For compiler-built cores that means every
     /// terminal reads `{element}_c{column}_b{bit}/{bristle}` and keeps
-    /// its name across re-extractions, library clones and thread counts —
-    /// which is what lets the differential test bench address signals by
-    /// name. Terminal *order* is deterministic for a given library.
+    /// its name across re-extractions and library clones — which is what
+    /// lets the differential test bench address signals by name.
+    /// Terminal *order* is deterministic for a given library.
     pub terminals: Vec<(String, NetId)>,
 }
 
@@ -120,6 +119,14 @@ impl fmt::Display for Netlist {
         }
         Ok(())
     }
+}
+
+/// The conductor layers, in piece order: poly, then diffusion, then metal.
+const CONDUCTORS: [Layer; 3] = [Layer::Poly, Layer::Diffusion, Layer::Metal];
+
+/// The position of `layer` in [`CONDUCTORS`], if it is a conductor.
+fn conductor(layer: Layer) -> Option<usize> {
+    CONDUCTORS.iter().position(|&l| l == layer)
 }
 
 /// A conductor rectangle with provenance.
@@ -218,26 +225,23 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     pieces.extend(diff);
     pieces.extend(metal);
 
-    let mut index_by_layer: HashMap<Layer, RectIndex> = HashMap::new();
-    for layer in [Layer::Poly, Layer::Diffusion, Layer::Metal] {
-        let idx = RectIndex::bulk_build(
+    let by_layer: [RectIndex; 3] = CONDUCTORS.map(|layer| {
+        RectIndex::bulk_build(
             pieces
                 .iter()
                 .enumerate()
                 .filter(|(_, p)| p.layer == layer)
                 .map(|(i, p)| (i, p.rect)),
-        );
-        if !idx.is_empty() {
-            index_by_layer.insert(layer, idx);
-        }
-    }
+        )
+    });
+    let [poly_index, diff_index, _] = &by_layer;
 
     let mut uf = UnionFind::new(pieces.len());
 
     // Same-layer touching rects connect.
     for (i, p) in pieces.iter().enumerate() {
-        if let Some(idx) = index_by_layer.get(&p.layer) {
-            idx.query_with(p.rect, &mut scratch, |j, _| {
+        if let Some(l) = conductor(p.layer) {
+            by_layer[l].query_with(p.rect, &mut scratch, |j, _| {
                 if j > i {
                     uf.union(i, j);
                 }
@@ -248,14 +252,10 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     // Contacts join everything they overlap (metal↔poly/diff; a butting
     // contact may join all three). Each cut queries the layer indexes
     // instead of scanning every piece.
-    let conductor_indexes: Vec<&RectIndex> = [Layer::Poly, Layer::Diffusion, Layer::Metal]
-        .iter()
-        .filter_map(|l| index_by_layer.get(l))
-        .collect();
     let mut joined: Vec<usize> = Vec::new();
     for c in &contacts {
         joined.clear();
-        for idx in &conductor_indexes {
+        for idx in &by_layer {
             idx.query_with(*c, &mut scratch, |i, r| {
                 if r.overlaps(c) {
                     joined.push(i);
@@ -268,13 +268,9 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     }
 
     // Buried contacts join poly and diffusion.
-    let pd_indexes: Vec<&RectIndex> = [Layer::Poly, Layer::Diffusion]
-        .iter()
-        .filter_map(|l| index_by_layer.get(l))
-        .collect();
     for b in &buried {
         joined.clear();
-        for idx in &pd_indexes {
+        for idx in [poly_index, diff_index] {
             idx.query_with(*b, &mut scratch, |i, r| {
                 if r.overlaps(b) {
                     joined.push(i);
@@ -286,23 +282,24 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
         }
     }
 
-    // Assign net ids to union-find roots.
-    let mut root_to_net: HashMap<usize, NetId> = HashMap::new();
+    // Number the union-find roots in piece order: `root_to_net[root]`
+    // is the root's net, `u32::MAX` until its first piece is reached.
+    let mut root_to_net: Vec<u32> = vec![u32::MAX; pieces.len()];
     let mut names: Vec<Option<String>> = Vec::new();
-    for i in 0..pieces.len() {
-        let root = uf.find(i);
-        let next = NetId(root_to_net.len() as u32);
-        let id = *root_to_net.entry(root).or_insert(next);
-        if id.0 as usize == names.len() {
+    for (i, piece) in pieces.iter().enumerate() {
+        let net = &mut root_to_net[uf.find(i)];
+        if *net == u32::MAX {
+            *net = names.len() as u32;
             names.push(None);
         }
         // Prefer shape labels; first labeled piece wins.
-        if names[id.0 as usize].is_none() {
-            names[id.0 as usize] = pieces[i].label.clone();
+        let name = &mut names[*net as usize];
+        if name.is_none() {
+            name.clone_from(&piece.label);
         }
     }
 
-    let net_of = |uf: &mut UnionFind, i: usize| -> NetId { root_to_net[&uf.find(i)] };
+    let net_of = |uf: &mut UnionFind, i: usize| NetId(root_to_net[uf.find(i)]);
 
     // Bristle terminals: name the net under each bristle position. The
     // layer index yields candidates in piece order, so the first hit is
@@ -310,9 +307,9 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     let mut terminals: Vec<(String, NetId)> = Vec::new();
     for b in lib.flat_bristles_shared(top).iter() {
         let probe = Rect::new(b.pos.x, b.pos.y, b.pos.x, b.pos.y);
-        let hit = index_by_layer
-            .get(&b.layer)
-            .and_then(|idx| idx.first_match(probe, &mut scratch, |_, r| r.contains(b.pos)));
+        let hit = conductor(b.layer).and_then(|l| {
+            by_layer[l].first_match(probe, &mut scratch, |_, r| r.contains(b.pos))
+        });
         if let Some((i, _)) = hit {
             let id = net_of(&mut uf, i);
             if names[id.0 as usize].is_none() {
@@ -326,24 +323,21 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     // source/drain are diffusion pieces touching the gate region.
     let implant_index = RectIndex::bulk_build(implants.iter().copied().enumerate());
     let mut transistors = Vec::new();
-    let diff_idx = index_by_layer.get(&Layer::Diffusion);
+    let mut sd: Vec<NetId> = Vec::new();
+    let mut touching_diff: Vec<(usize, Rect)> = Vec::new();
     for &(g, poly_piece) in &gates {
         let gate_net = net_of(&mut uf, poly_piece);
-        let mut sd: Vec<NetId> = Vec::new();
-        let mut touching_diff: Vec<Rect> = Vec::new();
-        if let Some(didx) = diff_idx {
-            let mut hits: Vec<usize> = Vec::new();
-            didx.query_with(g.inflate(1), &mut scratch, |j, r| {
-                if r.touches(&g) {
-                    hits.push(j);
-                    touching_diff.push(r);
-                }
-            });
-            for j in hits {
-                let id = net_of(&mut uf, j);
-                if !sd.contains(&id) {
-                    sd.push(id);
-                }
+        touching_diff.clear();
+        diff_index.query_with(g.inflate(1), &mut scratch, |j, r| {
+            if r.touches(&g) {
+                touching_diff.push((j, r));
+            }
+        });
+        sd.clear();
+        for &(j, _) in &touching_diff {
+            let id = net_of(&mut uf, j);
+            if !sd.contains(&id) {
+                sd.push(id);
             }
         }
         sd.sort_unstable();
@@ -364,7 +358,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
         // Channel direction: diffusion continues past the gate on two
         // opposite sides; current flows that way. If diffusion extends
         // vertically, L = gate height and W = gate width.
-        let vertical = touching_diff.iter().any(|r| {
+        let vertical = touching_diff.iter().any(|&(_, r)| {
             r.x0 < g.x1 && g.x0 < r.x1 && (r.y1 == g.y0 || r.y0 == g.y1)
         });
         let (width, length) = if vertical {
@@ -399,9 +393,10 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
 
 /// The pre-index reference extractor: linear scans everywhere.
 ///
-/// Kept verbatim as the oracle for the regression tests that pin the
-/// indexed [`extract`] to byte-identical output. Quadratic in
-/// the piece count — never use it outside tests and the benchmark.
+/// Kept as the oracle for the regression tests that pin the indexed
+/// [`extract`] to byte-identical output; even nets are numbered by a
+/// linear scan of the roots seen so far. Quadratic in the piece count —
+/// never use it outside tests and the benchmark.
 #[doc(hidden)]
 #[must_use]
 pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
@@ -515,21 +510,26 @@ pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
         }
     }
 
-    let mut root_to_net: HashMap<usize, NetId> = HashMap::new();
+    // Net `k` is the `k`-th distinct root in piece order, looked up by a
+    // linear scan of the roots seen so far.
+    let mut roots: Vec<usize> = Vec::new();
     let mut names: Vec<Option<String>> = Vec::new();
-    for i in 0..pieces.len() {
+    for (i, piece) in pieces.iter().enumerate() {
         let root = uf.find(i);
-        let next = NetId(root_to_net.len() as u32);
-        let id = *root_to_net.entry(root).or_insert(next);
-        if id.0 as usize == names.len() {
+        let id = roots.iter().position(|&r| r == root).unwrap_or_else(|| {
+            roots.push(root);
             names.push(None);
-        }
-        if names[id.0 as usize].is_none() {
-            names[id.0 as usize] = pieces[i].label.clone();
+            roots.len() - 1
+        });
+        if names[id].is_none() {
+            names[id] = piece.label.clone();
         }
     }
 
-    let net_of = |uf: &mut UnionFind, i: usize| -> NetId { root_to_net[&uf.find(i)] };
+    let net_of = |uf: &mut UnionFind, i: usize| -> NetId {
+        let root = uf.find(i);
+        NetId(roots.iter().position(|&r| r == root).unwrap() as u32)
+    };
 
     let mut terminals: Vec<(String, NetId)> = Vec::new();
     for b in lib.flat_bristles_shared(top).iter() {

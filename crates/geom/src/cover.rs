@@ -8,9 +8,11 @@ use crate::{QueryScratch, Rect, RectIndex};
 
 /// True if `window` is entirely covered by the union of `rects`.
 ///
-/// Runs by residual subtraction: keep a worklist of uncovered pieces of
-/// `window`, carving each against every covering rectangle. Worst case is
-/// O(n·k) pieces but enclosure windows are tiny in practice.
+/// Returns at once when one rectangle encloses `window`. Otherwise runs
+/// by residual subtraction: keep a worklist of uncovered pieces of
+/// `window`, carving each against every covering rectangle, in two
+/// buffers that swap roles per rectangle. Worst case is O(n·k) pieces
+/// but enclosure windows are tiny in practice.
 ///
 /// # Examples
 ///
@@ -24,16 +26,17 @@ use crate::{QueryScratch, Rect, RectIndex};
 /// ```
 #[must_use]
 pub fn covered_by(window: Rect, rects: &[Rect]) -> bool {
-    if window.is_degenerate() {
+    if window.is_degenerate() || rects.iter().any(|r| r.contains_rect(&window)) {
         return true;
     }
     let mut residue = vec![window];
+    let mut next = Vec::new();
     for r in rects {
         if residue.is_empty() {
             return true;
         }
-        let mut next = Vec::with_capacity(residue.len());
-        for piece in residue {
+        next.clear();
+        for &piece in &residue {
             match piece.intersection(r) {
                 None => next.push(piece),
                 Some(hit) => {
@@ -53,7 +56,7 @@ pub fn covered_by(window: Rect, rects: &[Rect]) -> bool {
                 }
             }
         }
-        residue = next;
+        std::mem::swap(&mut residue, &mut next);
     }
     residue.is_empty()
 }

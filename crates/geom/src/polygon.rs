@@ -184,7 +184,7 @@ impl Polygon {
                 .map(|&(x, _, _)| x)
                 .collect();
             xs.sort_unstable();
-            debug_assert!(xs.len() % 2 == 0, "odd crossing count in simple polygon");
+            debug_assert!(xs.len().is_multiple_of(2), "odd crossing count in simple polygon");
             for pair in xs.chunks(2) {
                 if pair.len() == 2 && pair[0] < pair[1] {
                     rects.push(Rect::new(pair[0], ylo, pair[1], yhi));

@@ -1,19 +1,31 @@
-//! A binned spatial index over rectangles.
+//! A build-once grid index over rectangles.
 //!
 //! DRC and extraction repeatedly ask "which shapes are near this one?".
-//! A uniform-bin index is ample for chip-sized rectangle sets and keeps
-//! the implementation transparent.
+//! [`RectIndex::bulk_build`] lays a dense grid of square bins over the
+//! bounding box of its rectangles and records, bin by bin, which
+//! rectangles cover each bin. The bins are stored in compressed sparse
+//! row form: one flat slot array, and one start offset per bin into it.
+//! A query reads the bins its window covers as one slice per grid row,
+//! so it hashes nothing, and with a reused [`QueryScratch`] it allocates
+//! nothing once the scratch has warmed up.
 //!
-//! The index is the universal backbone of the flatten-once geometry
-//! pipeline: build it once per layer ([`RectIndex::bulk_build`] picks a
-//! bin size from the data), then run many queries. Hot loops should use
-//! [`RectIndex::query_with`] with a reusable [`QueryScratch`] — a
-//! stamped-deduplication path that performs no per-query allocation once
-//! the scratch has warmed up.
+//! The bin side comes from the data: roughly the mean side of the
+//! rectangles, clamped to 8–128λ, which keeps occupancy near one shape
+//! per bin from 2λ contacts to wide power rails. The side then doubles
+//! until the grid holds at most [`MAX_BINS_PER_RECT`] bins per
+//! rectangle, so a sparse layer (a few cuts scattered across a die)
+//! never allocates a die-sized grid.
 
 use crate::Rect;
 
-/// Reusable per-thread scratch state for [`RectIndex::query_with`].
+/// The grid of a [`RectIndex`] holds at most this many bins per stored
+/// rectangle.
+const MAX_BINS_PER_RECT: u128 = 8;
+
+/// Bin side of an empty index.
+const EMPTY_BIN: i64 = 16;
+
+/// Reusable scratch state for [`RectIndex::query_with`].
 ///
 /// Queries visit every bin the window covers; a rectangle spanning
 /// several bins appears in each of them, so the query must deduplicate.
@@ -68,7 +80,8 @@ impl QueryScratch {
     }
 }
 
-/// A uniform-grid spatial index mapping bins to rectangle ids.
+/// A dense grid index mapping bins to rectangle ids, built once from a
+/// rectangle set.
 ///
 /// Ids are indices into the caller's rectangle storage; the index itself
 /// stores copies of the rectangles for overlap confirmation.
@@ -78,67 +91,135 @@ impl QueryScratch {
 /// ```
 /// use bristle_geom::{Rect, RectIndex};
 ///
-/// let mut idx = RectIndex::new(16);
-/// idx.insert(0, Rect::new(0, 0, 4, 4));
-/// idx.insert(1, Rect::new(100, 100, 104, 104));
+/// let idx = RectIndex::bulk_build([
+///     (0, Rect::new(0, 0, 4, 4)),
+///     (1, Rect::new(100, 100, 104, 104)),
+/// ]);
 /// let near: Vec<_> = idx.query(Rect::new(2, 2, 6, 6)).collect();
 /// assert_eq!(near, vec![(0, Rect::new(0, 0, 4, 4))]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RectIndex {
-    bin: i64,
+    grid: Grid,
+    /// The stored `(id, rect)` pairs; a rectangle's slot is its position.
     items: Vec<(usize, Rect)>,
-    bins: std::collections::HashMap<(i64, i64), Vec<u32>>,
+    /// `slots[starts[b]..starts[b + 1]]` are the slots covering bin
+    /// `b = row · cols + col`, in ascending order.
+    starts: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+/// The bins of a [`RectIndex`]: `cols × rows` squares of side `bin`,
+/// the first with its lower-left corner at `(x0, y0)`.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    bin: i64,
+    x0: i64,
+    y0: i64,
+    /// Both zero for an empty index.
+    cols: usize,
+    rows: usize,
+}
+
+impl Grid {
+    /// The column and row ranges `(c0, c1, r0, r1)` of the bins `r`
+    /// covers, clamped to the grid; `None` if `r` misses the grid.
+    fn span(&self, r: Rect) -> Option<(usize, usize, usize, usize)> {
+        let clamp = |lo: i64, hi: i64, origin: i64, n: usize| {
+            let a = lo.saturating_sub(origin).div_euclid(self.bin);
+            let b = hi.saturating_sub(origin).div_euclid(self.bin);
+            let (a, b) = (a.max(0), b.min(n as i64 - 1));
+            (a <= b).then_some((a as usize, b as usize))
+        };
+        let (c0, c1) = clamp(r.x0, r.x1, self.x0, self.cols)?;
+        let (r0, r1) = clamp(r.y0, r.y1, self.y0, self.rows)?;
+        Some((c0, c1, r0, r1))
+    }
+
+    /// Calls `f(b)` for every bin `b` that `r` covers.
+    fn for_each_bin(&self, r: Rect, mut f: impl FnMut(usize)) {
+        if let Some((c0, c1, r0, r1)) = self.span(r) {
+            for row in r0..=r1 {
+                for col in c0..=c1 {
+                    f(row * self.cols + col);
+                }
+            }
+        }
+    }
 }
 
 impl RectIndex {
-    /// Creates an index with the given bin size (λ). Bin sizes around the
-    /// typical shape pitch (8–32 λ) work well.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_size` is not positive.
-    #[must_use]
-    pub fn new(bin_size: i64) -> RectIndex {
-        assert!(bin_size > 0, "bin size must be positive, got {bin_size}");
-        RectIndex {
-            bin: bin_size,
-            items: Vec::new(),
-            bins: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Builds an index from a rectangle set in one pass, choosing the bin
-    /// size from the data: roughly the mean side length of the input,
-    /// clamped to a sane range. This keeps bin occupancy near one shape
-    /// per bin across workloads from 2λ contacts to wide power rails.
+    /// Builds an index from a rectangle set, choosing the bin size from
+    /// the data (see the module docs), with a count pass, a prefix sum
+    /// and a fill pass.
     #[must_use]
     pub fn bulk_build(rects: impl IntoIterator<Item = (usize, Rect)>) -> RectIndex {
         let items: Vec<(usize, Rect)> = rects.into_iter().collect();
-        let bin = if items.is_empty() {
-            16
-        } else {
-            let sum: i64 = items
-                .iter()
-                .map(|&(_, r)| (r.width() + r.height()) / 2)
-                .sum();
-            (sum / items.len() as i64).clamp(8, 128)
+        let Some(bbox) = items.iter().map(|&(_, r)| r).reduce(|a, b| a.union(&b)) else {
+            let grid = Grid {
+                bin: EMPTY_BIN,
+                x0: 0,
+                y0: 0,
+                cols: 0,
+                rows: 0,
+            };
+            return RectIndex {
+                grid,
+                items,
+                starts: vec![0],
+                slots: Vec::new(),
+            };
         };
-        let mut idx = RectIndex {
-            bin,
-            items: Vec::with_capacity(items.len()),
-            bins: std::collections::HashMap::with_capacity(items.len()),
-        };
-        for (id, r) in items {
-            idx.insert(id, r);
+        let sum: i64 = items
+            .iter()
+            .map(|&(_, r)| (r.width() + r.height()) / 2)
+            .sum();
+        let mut bin = (sum / items.len() as i64).clamp(8, 128);
+        let size = |bin: i64| (bbox.width() / bin + 1, bbox.height() / bin + 1);
+        let bins = |(cols, rows): (i64, i64)| cols as u128 * rows as u128;
+        while bins(size(bin)) > MAX_BINS_PER_RECT * items.len() as u128 {
+            bin *= 2;
         }
-        idx
+        let (cols, rows) = size(bin);
+        let grid = Grid {
+            bin,
+            x0: bbox.x0,
+            y0: bbox.y0,
+            cols: cols as usize,
+            rows: rows as usize,
+        };
+        // Count each bin's slots, then turn the counts into running ends:
+        // `starts[b]` becomes the end of bin `b`'s run.
+        let mut starts = vec![0u32; grid.cols * grid.rows + 1];
+        for &(_, r) in &items {
+            grid.for_each_bin(r, |b| starts[b] += 1);
+        }
+        let mut end = 0;
+        for s in &mut starts {
+            end += *s;
+            *s = end;
+        }
+        // Fill back to front: each bin's end moves down to its start, and
+        // its run comes out in ascending slot order.
+        let mut slots = vec![0u32; end as usize];
+        for (slot, &(_, r)) in items.iter().enumerate().rev() {
+            grid.for_each_bin(r, |b| {
+                starts[b] -= 1;
+                slots[starts[b] as usize] = slot as u32;
+            });
+        }
+        RectIndex {
+            grid,
+            items,
+            starts,
+            slots,
+        }
     }
 
     /// The bin size in λ.
     #[must_use]
     pub fn bin_size(&self) -> i64 {
-        self.bin
+        self.grid.bin
     }
 
     /// Number of rectangles stored.
@@ -151,25 +232,6 @@ impl RectIndex {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    fn bin_range(&self, r: &Rect) -> ((i64, i64), (i64, i64)) {
-        (
-            (r.x0.div_euclid(self.bin), r.y0.div_euclid(self.bin)),
-            (r.x1.div_euclid(self.bin), r.y1.div_euclid(self.bin)),
-        )
-    }
-
-    /// Inserts a rectangle with a caller-chosen id.
-    pub fn insert(&mut self, id: usize, r: Rect) {
-        let slot = self.items.len() as u32;
-        self.items.push((id, r));
-        let ((bx0, by0), (bx1, by1)) = self.bin_range(&r);
-        for bx in bx0..=bx1 {
-            for by in by0..=by1 {
-                self.bins.entry((bx, by)).or_default().push(slot);
-            }
-        }
     }
 
     /// All rectangles whose bounding boxes **touch** the query window
@@ -194,25 +256,24 @@ impl RectIndex {
         scratch: &mut QueryScratch,
         mut f: impl FnMut(usize, Rect),
     ) {
+        let Some((c0, c1, r0, r1)) = self.grid.span(window) else {
+            return;
+        };
         scratch.begin(self.items.len());
-        let ((bx0, by0), (bx1, by1)) = self.bin_range(&window);
-        for bx in bx0..=bx1 {
-            for by in by0..=by1 {
-                if let Some(v) = self.bins.get(&(bx, by)) {
-                    for &s in v {
-                        if scratch.mark(s) {
-                            scratch.slots.push(s);
-                        }
-                    }
+        for row in r0..=r1 {
+            // Bins `c0..=c1` of one row are adjacent in `slots`.
+            let b = row * self.grid.cols;
+            let run = self.starts[b + c0] as usize..self.starts[b + c1 + 1] as usize;
+            for &s in &self.slots[run] {
+                if scratch.mark(s) && self.items[s as usize].1.touches(&window) {
+                    scratch.slots.push(s);
                 }
             }
         }
         scratch.slots.sort_unstable();
         for &s in &scratch.slots {
             let (id, r) = self.items[s as usize];
-            if r.touches(&window) {
-                f(id, r);
-            }
+            f(id, r);
         }
     }
 
@@ -246,82 +307,97 @@ impl RectIndex {
 mod tests {
     use super::*;
 
+    fn ids(idx: &RectIndex, window: Rect) -> Vec<usize> {
+        idx.query(window).map(|(i, _)| i).collect()
+    }
+
     #[test]
     fn query_finds_touching() {
-        let mut idx = RectIndex::new(8);
-        idx.insert(7, Rect::new(0, 0, 4, 4));
-        idx.insert(8, Rect::new(4, 0, 8, 4)); // shares an edge with the window below
-        idx.insert(9, Rect::new(50, 50, 54, 54));
-        let hits: Vec<usize> = idx.query(Rect::new(0, 0, 4, 4)).map(|(i, _)| i).collect();
-        assert_eq!(hits, vec![7, 8]);
+        let idx = RectIndex::bulk_build([
+            (7, Rect::new(0, 0, 4, 4)),
+            (8, Rect::new(4, 0, 8, 4)), // shares an edge with the window below
+            (9, Rect::new(50, 50, 54, 54)),
+        ]);
+        assert_eq!(ids(&idx, Rect::new(0, 0, 4, 4)), vec![7, 8]);
     }
 
     #[test]
     fn no_duplicates_across_bins() {
-        let mut idx = RectIndex::new(4);
         // Spans many bins.
-        idx.insert(1, Rect::new(0, 0, 40, 2));
-        let hits: Vec<usize> = idx.query(Rect::new(0, 0, 40, 2)).map(|(i, _)| i).collect();
-        assert_eq!(hits, vec![1]);
+        let idx = RectIndex::bulk_build([(1, Rect::new(0, 0, 40, 2)), (2, Rect::new(0, 9, 2, 11))]);
+        assert!(idx.grid.cols > 1);
+        assert_eq!(ids(&idx, Rect::new(0, 0, 40, 2)), vec![1]);
     }
 
     #[test]
     fn negative_coordinates() {
-        let mut idx = RectIndex::new(8);
-        idx.insert(0, Rect::new(-20, -20, -10, -10));
+        let idx = RectIndex::bulk_build([
+            (0, Rect::new(-20, -20, -10, -10)),
+            (1, Rect::new(-200, -90, -196, -86)),
+        ]);
         assert_eq!(idx.query(Rect::new(-15, -15, -12, -12)).count(), 1);
         assert_eq!(idx.query(Rect::new(0, 0, 4, 4)).count(), 0);
+        assert_eq!(ids(&idx, Rect::new(-300, -300, -198, -88)), vec![1]);
     }
 
     #[test]
     fn len_and_iter() {
-        let mut idx = RectIndex::new(8);
-        assert!(idx.is_empty());
-        idx.insert(3, Rect::new(0, 0, 1, 1));
-        idx.insert(4, Rect::new(2, 2, 3, 3));
+        assert!(RectIndex::bulk_build([]).is_empty());
+        let idx = RectIndex::bulk_build([(3, Rect::new(0, 0, 1, 1)), (4, Rect::new(2, 2, 3, 3))]);
         assert_eq!(idx.len(), 2);
         let all: Vec<usize> = idx.iter().map(|(i, _)| i).collect();
         assert_eq!(all, vec![3, 4]);
     }
 
     #[test]
-    #[should_panic(expected = "bin size must be positive")]
-    fn zero_bin_panics() {
-        let _ = RectIndex::new(0);
-    }
-
-    #[test]
-    fn bulk_build_matches_incremental() {
+    fn bin_runs_hold_every_covering_slot_in_order() {
         let rects = [
             Rect::new(0, 0, 4, 4),
             Rect::new(4, 0, 8, 4),
             Rect::new(-30, 2, -26, 40),
             Rect::new(100, 100, 160, 104),
         ];
-        let bulk = RectIndex::bulk_build(rects.iter().copied().enumerate());
-        let mut inc = RectIndex::new(bulk.bin_size());
-        for (i, r) in rects.iter().enumerate() {
-            inc.insert(i, *r);
-        }
-        for window in [
-            Rect::new(0, 0, 8, 8),
-            Rect::new(-40, -40, 200, 200),
-            Rect::new(99, 99, 101, 101),
-        ] {
-            let a: Vec<_> = bulk.query(window).collect();
-            let b: Vec<_> = inc.query(window).collect();
-            assert_eq!(a, b, "window {window}");
+        let idx = RectIndex::bulk_build(rects.iter().copied().enumerate());
+        let g = idx.grid;
+        assert_eq!(idx.starts.len(), g.cols * g.rows + 1);
+        assert_eq!(idx.starts[g.cols * g.rows] as usize, idx.slots.len());
+        for b in 0..g.cols * g.rows {
+            let run = &idx.slots[idx.starts[b] as usize..idx.starts[b + 1] as usize];
+            assert!(run.windows(2).all(|w| w[0] < w[1]), "bin {b}: {run:?}");
+            let (col, row) = ((b % g.cols) as i64, (b / g.cols) as i64);
+            let cell = Rect::new(
+                g.x0 + col * g.bin,
+                g.y0 + row * g.bin,
+                g.x0 + (col + 1) * g.bin - 1,
+                g.y0 + (row + 1) * g.bin - 1,
+            );
+            let want: Vec<u32> = (0..rects.len() as u32)
+                .filter(|&s| rects[s as usize].touches(&cell))
+                .collect();
+            assert_eq!(run, want, "bin {b}");
         }
     }
 
     #[test]
+    fn sparse_grid_is_bounded() {
+        // One long rail and a few cuts scattered across a large die.
+        let mut rects = vec![Rect::new(0, 0, 2000, 4)];
+        rects.extend((0..20).map(|i| {
+            let (x, y) = (97 * i % 2000, 211 * i % 3000);
+            Rect::new(x, y, x + 2, y + 2)
+        }));
+        let idx = RectIndex::bulk_build(rects.iter().copied().enumerate());
+        assert!(idx.bin_size() > 128, "bin {}", idx.bin_size());
+        assert!((idx.grid.cols * idx.grid.rows) as u128 <= MAX_BINS_PER_RECT * rects.len() as u128);
+        assert_eq!(ids(&idx, Rect::new(1000, 3, 1001, 3)), vec![0]);
+    }
+
+    #[test]
     fn scratch_reuse_across_queries_and_indexes() {
-        let mut small = RectIndex::new(8);
-        small.insert(0, Rect::new(0, 0, 2, 2));
-        let mut big = RectIndex::new(8);
-        for i in 0..100 {
-            big.insert(i, Rect::new(3 * i as i64, 0, 3 * i as i64 + 2, 2));
-        }
+        let small = RectIndex::bulk_build([(0, Rect::new(0, 0, 2, 2))]);
+        let big = RectIndex::bulk_build(
+            (0..100).map(|i| (i, Rect::new(3 * i as i64, 0, 3 * i as i64 + 2, 2))),
+        );
         let mut scratch = QueryScratch::new();
         for _ in 0..3 {
             let mut hits = 0;
@@ -335,9 +411,8 @@ mod tests {
 
     #[test]
     fn first_match_returns_lowest_id() {
-        let mut idx = RectIndex::new(8);
-        idx.insert(5, Rect::new(0, 0, 10, 10));
-        idx.insert(2, Rect::new(0, 0, 10, 10));
+        let idx =
+            RectIndex::bulk_build([(5, Rect::new(0, 0, 10, 10)), (2, Rect::new(0, 0, 10, 10))]);
         let mut scratch = QueryScratch::new();
         // Insertion order, not id order: slot for id 5 precedes id 2, but
         // ids sort by slot, so the first yielded is id 5 (inserted first).

@@ -1,6 +1,8 @@
 //! Property tests: `RectIndex` queries (both the allocating iterator and
 //! the stamped-dedup scratch path) agree with a brute-force O(n²) oracle
-//! on random rectangle soups.
+//! on random rectangle soups, at both clamps of the data-driven bin size,
+//! on sparse soups whose grid the bin-count bound sizes, and for windows
+//! inside, across and wholly outside the indexed bounding box.
 //!
 //! Randomized with a deterministic xorshift generator (no external
 //! dependencies are available in this workspace).
@@ -54,21 +56,139 @@ fn oracle(soup: &[Rect], window: Rect) -> Vec<(usize, Rect)> {
         .collect()
 }
 
+/// Dense soups of small shapes: the mean side is under 8λ, so the bin
+/// size sits at its 8λ floor.
+fn small_soup(rng: &mut Rng, n: usize) -> Vec<Rect> {
+    (0..n)
+        .map(|_| {
+            let (x, y) = (rng.range(-50, 50), rng.range(-50, 50));
+            Rect::new(x, y, x + rng.range(1, 6), y + rng.range(1, 6))
+        })
+        .collect()
+}
+
+/// Soups of wide shapes only: the mean side is over 128λ, so the bin
+/// size sits at its 128λ ceiling.
+fn wide_soup(rng: &mut Rng, n: usize) -> Vec<Rect> {
+    (0..n)
+        .map(|_| {
+            let (x, y) = (rng.range(-400, 400), rng.range(-400, 400));
+            Rect::new(x, y, x + rng.range(150, 400), y + rng.range(150, 400))
+        })
+        .collect()
+}
+
+/// One ~2,000λ rail plus 2λ cuts scattered across a die: at the
+/// data-driven bin size the grid would be far too large for the few
+/// shapes, so the grid bound grows the bins.
+fn sparse_soup(rng: &mut Rng, n: usize) -> Vec<Rect> {
+    let y = rng.range(-100, 100);
+    let mut soup = vec![Rect::new(-1000, y, 1000 + rng.range(0, 40), y + 4)];
+    soup.extend((1..n).map(|_| {
+        let (x, y) = (rng.range(-1000, 1000), rng.range(-1500, 1500));
+        Rect::new(x, y, x + 2, y + 2)
+    }));
+    soup
+}
+
+/// The bounding box of a non-empty soup.
+fn bbox(soup: &[Rect]) -> Rect {
+    soup.iter().copied().reduce(|a, b| a.union(&b)).unwrap()
+}
+
+/// Random windows around `b`: inside it, straddling its edges, wholly
+/// outside it, and degenerate points and lines.
+fn windows(rng: &mut Rng, b: Rect, n: usize) -> Vec<Rect> {
+    let (w, h) = (b.width().max(1), b.height().max(1));
+    (0..n)
+        .map(|k| {
+            let x = b.x0 + rng.range(-w / 4 - 10, w + w / 4 + 10);
+            let y = b.y0 + rng.range(-h / 4 - 10, h + h / 4 + 10);
+            match k % 6 {
+                // Wholly outside: left, right, below, above.
+                0 => Rect::new(b.x0 - 50, y, b.x0 - 1, y + 20),
+                1 => Rect::new(b.x1 + 1, y, b.x1 + 60, y + 20),
+                2 => Rect::new(x, b.y0 - 30, x + 20, b.y0 - 1),
+                3 => Rect::new(x, b.y1 + 1, x + 20, b.y1 + 1),
+                // Straddling a corner or an edge of the box.
+                4 => Rect::new(b.x0 - 7, b.y0 - 7, x.max(b.x0), y.max(b.y0)),
+                _ => Rect::new(x, y, x + rng.range(0, 200), y + rng.range(0, 200)),
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn query_matches_oracle() {
     let mut rng = Rng::new(0x1D40_0001);
     for case in 0..40 {
-        let soup = arb_soup(&mut rng, 60);
-        let mut idx = RectIndex::new([4, 8, 16, 64][case % 4]);
-        for (i, r) in soup.iter().enumerate() {
-            idx.insert(i, *r);
+        let (soup, bin) = match case % 4 {
+            0 => (small_soup(&mut rng, 60), Some(8)),
+            1 => (wide_soup(&mut rng, 60), Some(128)),
+            2 => (sparse_soup(&mut rng, 30), None),
+            _ => (arb_soup(&mut rng, 60), None),
+        };
+        let idx = RectIndex::bulk_build(soup.iter().copied().enumerate());
+        if let Some(bin) = bin {
+            assert_eq!(idx.bin_size(), bin, "case {case}");
         }
-        for _ in 0..20 {
-            let x = rng.range(-250, 250);
-            let y = rng.range(-250, 250);
-            let window = Rect::new(x, y, x + rng.range(1, 120), y + rng.range(1, 120));
+        if case % 4 == 2 {
+            // The grid bound, not the mean side, sets the bins here.
+            assert!(idx.bin_size() > 128, "case {case}: bin {}", idx.bin_size());
+        }
+        for window in windows(&mut rng, bbox(&soup), 30) {
             let got: Vec<_> = idx.query(window).collect();
             assert_eq!(got, oracle(&soup, window), "case {case} window {window}");
+        }
+    }
+}
+
+#[test]
+fn empty_index_finds_nothing() {
+    let idx = RectIndex::bulk_build([]);
+    assert!(idx.is_empty());
+    let mut scratch = QueryScratch::new();
+    for window in [Rect::new(0, 0, 0, 0), Rect::new(-100, -100, 100, 100)] {
+        assert_eq!(idx.query(window).count(), 0);
+        let mut hits = 0;
+        idx.query_with(window, &mut scratch, |_, _| hits += 1);
+        assert_eq!(hits, 0);
+        assert_eq!(idx.first_match(window, &mut scratch, |_, _| true), None);
+    }
+}
+
+#[test]
+fn one_scratch_serves_indexes_of_every_grid_shape() {
+    let mut rng = Rng::new(0x1D40_0005);
+    let soups: Vec<Vec<Rect>> = vec![
+        Vec::new(),
+        small_soup(&mut rng, 5),
+        wide_soup(&mut rng, 40),
+        sparse_soup(&mut rng, 50),
+        arb_soup(&mut rng, 200),
+        vec![Rect::new(3, 3, 3, 3)],
+    ];
+    let indexes: Vec<RectIndex> = soups
+        .iter()
+        .map(|s| RectIndex::bulk_build(s.iter().copied().enumerate()))
+        .collect();
+    let mut scratch = QueryScratch::new();
+    for round in 0..20 {
+        for (k, (soup, idx)) in soups.iter().zip(&indexes).enumerate() {
+            let around = if soup.is_empty() {
+                Rect::new(-10, -10, 10, 10)
+            } else {
+                bbox(soup)
+            };
+            for window in windows(&mut rng, around, 5) {
+                let mut got: Vec<(usize, Rect)> = Vec::new();
+                idx.query_with(window, &mut scratch, |i, r| got.push((i, r)));
+                assert_eq!(
+                    got,
+                    oracle(soup, window),
+                    "round {round} soup {k} window {window}"
+                );
+            }
         }
     }
 }
