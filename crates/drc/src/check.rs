@@ -91,9 +91,7 @@ impl Soup {
     /// can depend on.
     fn near(&self, layer: Layer, window: Rect, scratch: &mut QueryScratch, near: &mut Vec<Rect>) {
         near.clear();
-        self.layer(layer)
-            .index
-            .query_with(window, scratch, |_, r| near.push(r));
+        self.layer(layer).index.query_with(window, scratch, |_, r| near.push(r));
     }
 }
 

@@ -18,8 +18,9 @@
 //! * [`Layer`] — the nMOS mask layers with their CIF names,
 //! * [`covered_by`] — is a window covered by a union of rectangles, and
 //!   [`gate_regions`] — the transistor gates DRC and extraction share,
-//! * [`RectIndex`] — a binned spatial index used by DRC and extraction,
-//!   with an allocation-free stamped-dedup query path ([`QueryScratch`]).
+//! * [`RectIndex`] — a build-once dense grid index used by DRC and
+//!   extraction, with an allocation-free stamped-dedup query path
+//!   ([`QueryScratch`]).
 //!
 //! # Examples
 //!

@@ -1,20 +1,9 @@
 //! A build-once grid index over rectangles.
 //!
 //! DRC and extraction repeatedly ask "which shapes are near this one?".
-//! [`RectIndex::bulk_build`] lays a dense grid of square bins over the
-//! bounding box of its rectangles and records, bin by bin, which
-//! rectangles cover each bin. The bins are stored in compressed sparse
-//! row form: one flat slot array, and one start offset per bin into it.
-//! A query reads the bins its window covers as one slice per grid row,
-//! so it hashes nothing, and with a reused [`QueryScratch`] it allocates
-//! nothing once the scratch has warmed up.
-//!
-//! The bin side comes from the data: roughly the mean side of the
-//! rectangles, clamped to 8–128λ, which keeps occupancy near one shape
-//! per bin from 2λ contacts to wide power rails. The side then doubles
-//! until the grid holds at most [`MAX_BINS_PER_RECT`] bins per
-//! rectangle, so a sparse layer (a few cuts scattered across a die)
-//! never allocates a die-sized grid.
+//! [`RectIndex`] answers from a dense grid of bins laid over the
+//! bounding box of its rectangles: nothing is hashed, and with a reused
+//! [`QueryScratch`] nothing is allocated once the scratch has warmed up.
 
 use crate::Rect;
 
@@ -83,6 +72,18 @@ impl QueryScratch {
 /// A dense grid index mapping bins to rectangle ids, built once from a
 /// rectangle set.
 ///
+/// [`RectIndex::bulk_build`] lays a grid of square bins over the
+/// bounding box of its rectangles and records, bin by bin, which
+/// rectangles cover each bin, in compressed sparse row form: one flat
+/// slot array, and one start offset per bin into it. A query reads the
+/// bins its window covers as one slice per grid row.
+///
+/// The bin side comes from the data: roughly the mean side of the
+/// rectangles, clamped to 8–128λ, which keeps occupancy near one shape
+/// per bin from 2λ contacts to wide power rails. The side then doubles
+/// until the grid holds at most 8 bins per rectangle, so a sparse layer
+/// (a few cuts scattered across a die) never allocates a die-sized grid.
+///
 /// Ids are indices into the caller's rectangle storage; the index itself
 /// stores copies of the rectangles for overlap confirmation.
 ///
@@ -122,6 +123,26 @@ struct Grid {
 }
 
 impl Grid {
+    /// The grid over the bounding box of `items`, with the bin side
+    /// described at [`RectIndex`].
+    fn fit(items: &[(usize, Rect)]) -> Grid {
+        let Some(bbox) = items.iter().map(|&(_, r)| r).reduce(|a, b| a.union(&b)) else {
+            return Grid { bin: EMPTY_BIN, x0: 0, y0: 0, cols: 0, rows: 0 };
+        };
+        let sum: i64 = items
+            .iter()
+            .map(|&(_, r)| (r.width() + r.height()) / 2)
+            .sum();
+        let mut bin = (sum / items.len() as i64).clamp(8, 128);
+        let size = |bin: i64| (bbox.width() / bin + 1, bbox.height() / bin + 1);
+        let bins = |(cols, rows): (i64, i64)| cols as u128 * rows as u128;
+        while bins(size(bin)) > MAX_BINS_PER_RECT * items.len() as u128 {
+            bin *= 2;
+        }
+        let (cols, rows) = size(bin);
+        Grid { bin, x0: bbox.x0, y0: bbox.y0, cols: cols as usize, rows: rows as usize }
+    }
+
     /// The column and row ranges `(c0, c1, r0, r1)` of the bins `r`
     /// covers, clamped to the grid; `None` if `r` misses the grid.
     fn span(&self, r: Rect) -> Option<(usize, usize, usize, usize)> {
@@ -150,53 +171,22 @@ impl Grid {
 
 impl RectIndex {
     /// Builds an index from a rectangle set, choosing the bin size from
-    /// the data (see the module docs), with a count pass, a prefix sum
-    /// and a fill pass.
+    /// the data (see [`RectIndex`]), with a count pass, a prefix sum and
+    /// a fill pass.
     #[must_use]
     pub fn bulk_build(rects: impl IntoIterator<Item = (usize, Rect)>) -> RectIndex {
         let items: Vec<(usize, Rect)> = rects.into_iter().collect();
-        let Some(bbox) = items.iter().map(|&(_, r)| r).reduce(|a, b| a.union(&b)) else {
-            let grid = Grid {
-                bin: EMPTY_BIN,
-                x0: 0,
-                y0: 0,
-                cols: 0,
-                rows: 0,
-            };
-            return RectIndex {
-                grid,
-                items,
-                starts: vec![0],
-                slots: Vec::new(),
-            };
-        };
-        let sum: i64 = items
-            .iter()
-            .map(|&(_, r)| (r.width() + r.height()) / 2)
-            .sum();
-        let mut bin = (sum / items.len() as i64).clamp(8, 128);
-        let size = |bin: i64| (bbox.width() / bin + 1, bbox.height() / bin + 1);
-        let bins = |(cols, rows): (i64, i64)| cols as u128 * rows as u128;
-        while bins(size(bin)) > MAX_BINS_PER_RECT * items.len() as u128 {
-            bin *= 2;
-        }
-        let (cols, rows) = size(bin);
-        let grid = Grid {
-            bin,
-            x0: bbox.x0,
-            y0: bbox.y0,
-            cols: cols as usize,
-            rows: rows as usize,
-        };
+        assert!(u32::try_from(items.len()).is_ok(), "slots are u32");
+        let grid = Grid::fit(&items);
         // Count each bin's slots, then turn the counts into running ends:
         // `starts[b]` becomes the end of bin `b`'s run.
         let mut starts = vec![0u32; grid.cols * grid.rows + 1];
         for &(_, r) in &items {
             grid.for_each_bin(r, |b| starts[b] += 1);
         }
-        let mut end = 0;
+        let mut end = 0u32;
         for s in &mut starts {
-            end += *s;
+            end = end.checked_add(*s).expect("bin runs hold at most u32::MAX slots");
             *s = end;
         }
         // Fill back to front: each bin's end moves down to its start, and
@@ -208,12 +198,7 @@ impl RectIndex {
                 slots[starts[b] as usize] = slot as u32;
             });
         }
-        RectIndex {
-            grid,
-            items,
-            starts,
-            slots,
-        }
+        RectIndex { grid, items, starts, slots }
     }
 
     /// The bin size in λ.
