@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use bristle_geom::{Layer, Point, Transform};
+use bristle_geom::{Layer, Orientation, Point, Transform};
 
 /// Which cell edge a bristle exits through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,6 +35,25 @@ impl Side {
             Side::East => Side::West,
             Side::South => Side::North,
             Side::West => Side::East,
+        }
+    }
+
+    /// The side as seen through an instance orientation: where the
+    /// side's outward normal points once `orient` is applied.
+    pub(crate) fn oriented(self, orient: Orientation) -> Side {
+        let normal = match self {
+            Side::North => Point::new(0, 1),
+            Side::East => Point::new(1, 0),
+            Side::South => Point::new(0, -1),
+            Side::West => Point::new(-1, 0),
+        };
+        let rotated = orient.apply(normal);
+        match (rotated.x, rotated.y) {
+            (0, 1) => Side::North,
+            (1, 0) => Side::East,
+            (0, -1) => Side::South,
+            (-1, 0) => Side::West,
+            _ => unreachable!("D4 keeps axis vectors on axes"),
         }
     }
 }
@@ -306,26 +325,11 @@ impl Bristle {
     /// side re-oriented.
     #[must_use]
     pub fn transform(&self, t: &Transform) -> Bristle {
-        // Where does the side's outward normal point after the transform?
-        let normal = match self.side {
-            Side::North => Point::new(0, 1),
-            Side::East => Point::new(1, 0),
-            Side::South => Point::new(0, -1),
-            Side::West => Point::new(-1, 0),
-        };
-        let rotated = t.orient.apply(normal);
-        let side = match (rotated.x, rotated.y) {
-            (0, 1) => Side::North,
-            (1, 0) => Side::East,
-            (0, -1) => Side::South,
-            (-1, 0) => Side::West,
-            _ => unreachable!("D4 keeps axis vectors on axes"),
-        };
         Bristle {
             name: self.name.clone(),
             layer: self.layer,
             pos: t.apply(self.pos),
-            side,
+            side: self.side.oriented(t.orient),
             flavor: self.flavor.clone(),
         }
     }

@@ -5,44 +5,41 @@
 //! cells to the LSI designer can be equated to the programmer's
 //! subroutines."* — Johannsen, DAC 1979.
 //!
-//! # The flatten cache
+//! # Flat views
 //!
 //! Flattening is the gateway to every geometry back-end pass (DRC,
-//! extraction, CIF output, SVG, area accounting), and one compiled chip
-//! is flattened by several of them, at its core and at its top cell.
-//! [`Library`] therefore memoizes flattening per cell
-//! ([`Library::flatten_shared`]), so each subtree is flattened once and
-//! re-used by every parent and every pass:
+//! extraction, CIF output, SVG): each needs the shapes or bristles of a
+//! whole hierarchy in one coordinate frame. Every flat view comes from
+//! one private depth-first walk:
 //!
-//! * Each cache entry holds the cell's **subtree-local** flat shapes —
-//!   every shape of the cell and its descendants, transformed into the
-//!   cell's own coordinate frame.
-//! * A parent entry is composed from child entries by applying the
-//!   instance transform to each cached child shape. Transform
-//!   composition is associative
-//!   (`s.transform(a).transform(b) == s.transform(b.after(&a))`), so the
-//!   composed result is identical to a direct recursive flatten, in the
-//!   same depth-first order.
+//! * The walk carries the composed transform (`t.after(&inst.transform)`)
+//!   and the instance-path prefix down the hierarchy, and emits each leaf
+//!   shape and bristle exactly once: a cell's own items first, then each
+//!   instance's subtree in instance order.
+//! * [`Library::flatten_shared`] and [`Library::flat_bristles_shared`]
+//!   memoize their result for the cell that was asked for, and only for
+//!   it: the cells the walk passes through get no entry.
+//!   [`Library::flat_bristles_where`] keeps only the bristles a filter
+//!   accepts and caches nothing.
 //! * **Invalidation:** any mutation entry point ([`Library::cell_mut`],
-//!   [`Library::add_instance`]) clears the whole cache. `add_cell` keeps
+//!   [`Library::add_instance`]) clears the cache. `add_cell` keeps
 //!   it: a new cell can only reference existing cells, so existing
-//!   entries stay valid.
+//!   entries stay valid. [`Library::clear_flat_cache`] drops it on
+//!   demand.
 //! * The cache sits behind an `RwLock`, so filling it needs only
 //!   `&Library` and the library stays `Sync`; cloning a library starts
 //!   with a cold cache.
-//! * Bristle flattening ([`Library::flat_bristles_shared`]) is memoized
-//!   the same way, in a sibling cache with identical invariants (both
-//!   caches are cleared together).
+//!
+//! [`Library::bbox`] needs no instance path, so it computes each
+//! distinct cell's box once per call instead of once per occurrence.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
-use bristle_geom::{Rect, Transform};
-#[cfg(test)]
-use bristle_geom::Point;
+use bristle_geom::{Point, Rect, Transform};
 
-use crate::bristle::Bristle;
+use crate::bristle::{Bristle, Flavor, Side};
 use crate::power::PowerInfo;
 use crate::reprs::CellReprs;
 use crate::shape::Shape;
@@ -294,19 +291,19 @@ impl fmt::Display for Cell {
 /// of common cell libraries"; see [`crate::save_library`] and
 /// [`crate::load_library`] for the file format.
 ///
-/// Flattening is memoized per cell ([`Library::flatten_shared`]); the
-/// mutation entry points [`Library::cell_mut`] and
-/// [`Library::add_instance`] clear the cache.
+/// The flat view of each cell a caller flattens is memoized
+/// ([`Library::flatten_shared`]); the mutation entry points
+/// [`Library::cell_mut`] and [`Library::add_instance`] clear the cache.
 #[derive(Debug, Default)]
 pub struct Library {
     name: String,
     cells: Vec<Cell>,
     by_name: HashMap<String, CellId>,
-    /// Memoized subtree-local flat shapes, keyed by cell. Cleared on any
-    /// mutation; see the module docs.
+    /// Flat shapes of each cell passed to `flatten_shared`, in that
+    /// cell's frame. Cleared on any mutation; see the module docs.
     flat_cache: RwLock<HashMap<CellId, Arc<Vec<Shape>>>>,
-    /// Memoized subtree-local flat bristles, same invariants as
-    /// `flat_cache` (cleared together with it).
+    /// Flat bristles of each cell passed to `flat_bristles_shared`,
+    /// same invariants as `flat_cache` (cleared together with it).
     bristle_cache: RwLock<HashMap<CellId, Arc<Vec<Bristle>>>>,
 }
 
@@ -406,14 +403,20 @@ impl Library {
             .clear();
     }
 
-    /// Drops every memoized flatten entry, releasing the cached
-    /// geometry. The cache holds subtree-local flat copies for each
-    /// flattened cell (across a deep hierarchy that can sum to several
-    /// times one top-level flatten), so long-lived libraries that are
-    /// done with back-end passes can call this to reclaim the memory.
-    /// Purely a performance hint: later flattens recompute on demand.
+    /// Drops every memoized flat view, releasing the cached geometry.
+    /// The cache holds one flat copy per cell a caller flattened, so
+    /// long-lived libraries that are done with back-end passes can call
+    /// this to reclaim the memory. Purely a performance hint: later
+    /// flattens recompute on demand.
     pub fn clear_flat_cache(&self) {
         self.invalidate_flat_cache();
+    }
+
+    /// Number of memoized flat views, shapes and bristles together.
+    #[cfg(test)]
+    fn cached_entries(&self) -> usize {
+        self.flat_cache.read().expect("flat cache poisoned").len()
+            + self.bristle_cache.read().expect("bristle cache poisoned").len()
     }
 
     /// Looks a cell up by name.
@@ -467,28 +470,66 @@ impl Library {
 
     /// Bounding box of a cell including all sub-instances.
     ///
-    /// Returns `None` for a cell whose entire hierarchy is empty.
+    /// Returns `None` for a cell whose entire hierarchy is empty. Each
+    /// distinct cell of the hierarchy is boxed once per call, however
+    /// often it is instanced.
     ///
     /// # Panics
     ///
     /// Panics if `id` did not come from this library.
     #[must_use]
     pub fn bbox(&self, id: CellId) -> Option<Rect> {
+        if self.cell(id).instances().is_empty() {
+            return self.cell(id).local_bbox();
+        }
+        self.bbox_memo(id, &mut vec![None; self.cells.len()])
+    }
+
+    /// `bbox` with `memo[c]` holding the box of every cell `c` already
+    /// computed in this call.
+    fn bbox_memo(&self, id: CellId, memo: &mut [Option<Option<Rect>>]) -> Option<Rect> {
+        if let Some(bb) = memo[id.0 as usize] {
+            return bb;
+        }
         let cell = self.cell(id);
         let mut bb = cell.local_bbox();
         for inst in cell.instances() {
-            if let Some(child_bb) = self.bbox(inst.cell) {
+            if let Some(child_bb) = self.bbox_memo(inst.cell, memo) {
                 let moved = inst.transform.apply_rect(child_bb);
                 bb = Some(bb.map_or(moved, |acc| acc.union(&moved)));
             }
         }
+        memo[id.0 as usize] = Some(bb);
         bb
+    }
+
+    /// The one depth-first walk behind every flat view. Calls `visit`
+    /// for `id` and then, in instance order, for each occurrence below
+    /// it, with the occurrence's transform into the frame of the cell
+    /// the walk started at and its instance-path prefix (`path` as
+    /// given at the start, `a/b/` below it).
+    fn walk(
+        &self,
+        id: CellId,
+        t: &Transform,
+        path: &mut String,
+        visit: &mut impl FnMut(&Cell, &Transform, &str),
+    ) {
+        let cell = self.cell(id);
+        visit(cell, t, path);
+        for inst in cell.instances() {
+            let len = path.len();
+            path.push_str(&inst.name);
+            path.push('/');
+            self.walk(inst.cell, &t.after(&inst.transform), path, visit);
+            path.truncate(len);
+        }
     }
 
     /// Flattens a cell: every shape in the hierarchy, transformed into
     /// the cell's own coordinate frame, in depth-first order. Memoized
-    /// and shared: repeated calls for the same (unmutated) cell return
-    /// the same allocation.
+    /// for `id` alone: repeated calls for the same (unmutated) cell
+    /// return the same allocation.
     ///
     /// # Panics
     ///
@@ -498,15 +539,10 @@ impl Library {
         if let Some(hit) = self.flat_cache.read().expect("flat cache poisoned").get(&id) {
             return Arc::clone(hit);
         }
-        let cell = self.cell(id);
-        let mut out: Vec<Shape> = cell.shapes().to_vec();
-        for inst in cell.instances() {
-            // Compose the child's cached subtree at this instance by
-            // transforming its shapes. This equals a direct recursive
-            // flatten because shape transforms compose.
-            let child = self.flatten_shared(inst.cell);
-            out.extend(child.iter().map(|s| s.transform(&inst.transform)));
-        }
+        let mut out: Vec<Shape> = Vec::new();
+        self.walk(id, &Transform::IDENTITY, &mut String::new(), &mut |cell, t, _| {
+            out.extend(cell.shapes().iter().map(|s| s.transform(t)));
+        });
         let arc = Arc::new(out);
         // Racing computations of the same cell produce identical values;
         // keep whichever entry landed first.
@@ -519,14 +555,11 @@ impl Library {
         )
     }
 
-    /// All bristles of a cell hierarchy, with instance-path-qualified
-    /// names (`path/name`), through the memoized cache, sharing the
-    /// result. Entries are subtree-local (names relative to the
-    /// cell, positions in the cell's frame) and composed at parents by
-    /// transforming positions/sides and prefixing the instance name —
-    /// exactly the flatten-cache discipline `flatten_shared` uses, with
-    /// the same invalidation invariants: any mutation entry point
-    /// clears it, `add_cell` keeps it, clones start cold.
+    /// All bristles of a cell hierarchy, in the cell's frame, with
+    /// instance-path-qualified names (`path/name`), in depth-first
+    /// order. Memoized for `id` alone with `flatten_shared`'s
+    /// invalidation: any mutation entry point clears it, `add_cell`
+    /// keeps it, clones start cold.
     ///
     /// # Panics
     ///
@@ -541,18 +574,7 @@ impl Library {
         {
             return Arc::clone(hit);
         }
-        let cell = self.cell(id);
-        let mut out: Vec<Bristle> = cell.bristles().to_vec();
-        for inst in cell.instances() {
-            let child = self.flat_bristles_shared(inst.cell);
-            out.reserve(child.len());
-            for b in child.iter() {
-                let mut tb = b.transform(&inst.transform);
-                tb.name = format!("{}/{}", inst.name, tb.name);
-                out.push(tb);
-            }
-        }
-        let arc = Arc::new(out);
+        let arc = Arc::new(self.flat_bristles_where(id, |_, _, _| true));
         Arc::clone(
             self.bristle_cache
                 .write()
@@ -560,6 +582,44 @@ impl Library {
                 .entry(id)
                 .or_insert(arc),
         )
+    }
+
+    /// The bristles of `flat_bristles_shared(id)` that `keep` accepts,
+    /// in the same order, without building or caching the whole list.
+    /// `keep` sees each bristle's position and side in `id`'s frame and
+    /// its flavor; a bristle's name and flavor are cloned only once it
+    /// is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from this library.
+    #[must_use]
+    pub fn flat_bristles_where(
+        &self,
+        id: CellId,
+        mut keep: impl FnMut(Point, Side, &Flavor) -> bool,
+    ) -> Vec<Bristle> {
+        let mut out: Vec<Bristle> = Vec::new();
+        self.walk(id, &Transform::IDENTITY, &mut String::new(), &mut |cell, t, path| {
+            for b in cell.bristles() {
+                let pos = t.apply(b.pos);
+                let side = b.side.oriented(t.orient);
+                if !keep(pos, side, &b.flavor) {
+                    continue;
+                }
+                let mut name = String::with_capacity(path.len() + b.name.len());
+                name.push_str(path);
+                name.push_str(&b.name);
+                out.push(Bristle {
+                    name,
+                    layer: b.layer,
+                    pos,
+                    side,
+                    flavor: b.flavor.clone(),
+                });
+            }
+        });
+        out
     }
 
     /// Total power requirement of a cell hierarchy in microamps: the
@@ -583,8 +643,7 @@ impl Library {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bristle::{Flavor, Side};
-    use crate::shape::Shape;
+    use crate::bristle::{ActiveWhen, ControlLine, PadKind, Phase};
     use bristle_geom::{Layer, Orientation};
 
     fn leaf(name: &str) -> Cell {
@@ -671,7 +730,7 @@ mod tests {
         let flat = lib.flatten_shared(t);
         assert_eq!(flat.len(), 1);
         assert_eq!(flat[0].bbox(), Rect::new(5, 5, 9, 7));
-        assert_eq!(*flat, flatten_reference(&lib, t));
+        assert_eq!(*flat, flatten_oracle(&lib, t));
     }
 
     #[test]
@@ -724,18 +783,45 @@ mod tests {
         assert_eq!(c.stretch_x(), &[2, 8]);
     }
 
-    /// Reference flatten: the direct recursion the cache must match.
-    fn flatten_reference(lib: &Library, id: CellId) -> Vec<Shape> {
-        fn go(lib: &Library, id: CellId, t: &Transform, out: &mut Vec<Shape>) {
-            let cell = lib.cell(id);
-            out.extend(cell.shapes().iter().map(|s| s.transform(t)));
-            for inst in cell.instances() {
-                go(lib, inst.cell, &t.after(&inst.transform), out);
+    /// Flatten oracle: per-level composition, unmemoized. A cell's own
+    /// shapes, then each instance's child flatten moved by the instance
+    /// transform; the walk composes the transforms instead.
+    fn flatten_oracle(lib: &Library, id: CellId) -> Vec<Shape> {
+        let cell = lib.cell(id);
+        let mut out = cell.shapes().to_vec();
+        for inst in cell.instances() {
+            let child = flatten_oracle(lib, inst.cell);
+            out.extend(child.iter().map(|s| s.transform(&inst.transform)));
+        }
+        out
+    }
+
+    /// Bristle oracle: per-level composition, unmemoized, prefixing the
+    /// instance name at each level.
+    fn flat_bristles_oracle(lib: &Library, id: CellId) -> Vec<Bristle> {
+        let cell = lib.cell(id);
+        let mut out = cell.bristles().to_vec();
+        for inst in cell.instances() {
+            for b in flat_bristles_oracle(lib, inst.cell) {
+                let mut tb = b.transform(&inst.transform);
+                tb.name = format!("{}/{}", inst.name, tb.name);
+                out.push(tb);
             }
         }
-        let mut out = Vec::new();
-        go(lib, id, &Transform::IDENTITY, &mut out);
         out
+    }
+
+    /// Bounding-box oracle: the unmemoized recursion, once per occurrence.
+    fn bbox_oracle(lib: &Library, id: CellId) -> Option<Rect> {
+        let cell = lib.cell(id);
+        let mut bb = cell.local_bbox();
+        for inst in cell.instances() {
+            if let Some(child_bb) = bbox_oracle(lib, inst.cell) {
+                let moved = inst.transform.apply_rect(child_bb);
+                bb = Some(bb.map_or(moved, |acc| acc.union(&moved)));
+            }
+        }
+        bb
     }
 
     fn three_level_library() -> (Library, CellId) {
@@ -764,12 +850,12 @@ mod tests {
     #[test]
     fn cached_flatten_matches_direct_recursion() {
         let (lib, top) = three_level_library();
-        let want = flatten_reference(&lib, top);
+        let want = flatten_oracle(&lib, top);
         assert_eq!(*lib.flatten_shared(top), want, "first (cache-filling) call");
         assert_eq!(*lib.flatten_shared(top), want, "second (cached) call");
         // Subtree entries must also match their own direct flatten.
         let mid = lib.find("mid").unwrap();
-        assert_eq!(*lib.flatten_shared(mid), flatten_reference(&lib, mid));
+        assert_eq!(*lib.flatten_shared(mid), flatten_oracle(&lib, mid));
     }
 
     #[test]
@@ -788,40 +874,14 @@ mod tests {
         lib.cell_mut(a)
             .push_shape(Shape::rect(Layer::Metal, Rect::new(50, 50, 54, 52)));
         let after = lib.flatten_shared(top);
-        assert_eq!(*after, flatten_reference(&lib, top));
+        assert_eq!(*after, flatten_oracle(&lib, top));
         assert!(after.len() > before.len());
         // Adding an instance invalidates too.
         let count = lib.flatten_shared(top).len();
         lib.add_instance(top, a, "w2", Transform::translate(Point::new(40, 0)))
             .unwrap();
         assert!(lib.flatten_shared(top).len() > count);
-        assert_eq!(*lib.flatten_shared(top), flatten_reference(&lib, top));
-    }
-
-    /// Reference bristle flatten: the direct recursion the cache must
-    /// match (this was the bristle flatten before memoization).
-    fn flat_bristles_reference(lib: &Library, id: CellId) -> Vec<Bristle> {
-        fn go(lib: &Library, id: CellId, t: &Transform, path: &str, out: &mut Vec<Bristle>) {
-            for b in lib.cell(id).bristles() {
-                let mut tb = b.transform(t);
-                if !path.is_empty() {
-                    tb.name = format!("{path}/{}", tb.name);
-                }
-                out.push(tb);
-            }
-            for inst in lib.cell(id).instances() {
-                let child_t = t.after(&inst.transform);
-                let child_path = if path.is_empty() {
-                    inst.name.clone()
-                } else {
-                    format!("{path}/{}", inst.name)
-                };
-                go(lib, inst.cell, &child_t, &child_path, out);
-            }
-        }
-        let mut out = Vec::new();
-        go(lib, id, &Transform::IDENTITY, "", &mut out);
-        out
+        assert_eq!(*lib.flatten_shared(top), flatten_oracle(&lib, top));
     }
 
     /// Like `three_level_library` but with bristles on every level.
@@ -865,7 +925,7 @@ mod tests {
     #[test]
     fn cached_flat_bristles_match_direct_recursion() {
         let (lib, top) = bristled_library();
-        let want = flat_bristles_reference(&lib, top);
+        let want = flat_bristles_oracle(&lib, top);
         assert!(!want.is_empty());
         assert_eq!(
             *lib.flat_bristles_shared(top),
@@ -875,7 +935,7 @@ mod tests {
         assert_eq!(*lib.flat_bristles_shared(top), want, "second (cached) call");
         // Subtree entries must also match their own direct flatten.
         let mid = lib.find("mid").unwrap();
-        assert_eq!(*lib.flat_bristles_shared(mid), flat_bristles_reference(&lib, mid));
+        assert_eq!(*lib.flat_bristles_shared(mid), flat_bristles_oracle(&lib, mid));
     }
 
     #[test]
@@ -900,7 +960,7 @@ mod tests {
             Flavor::Signal,
         ));
         let after = lib.flat_bristles_shared(top);
-        assert_eq!(*after, flat_bristles_reference(&lib, top));
+        assert_eq!(*after, flat_bristles_oracle(&lib, top));
         assert!(after.len() > before);
         // `add_instance` must clear it too.
         let count = lib.flat_bristles_shared(top).len();
@@ -909,13 +969,13 @@ mod tests {
         assert!(lib.flat_bristles_shared(top).len() > count);
         assert_eq!(
             *lib.flat_bristles_shared(top),
-            flat_bristles_reference(&lib, top)
+            flat_bristles_oracle(&lib, top)
         );
         // `clear_flat_cache` clears; recompute still matches.
         lib.clear_flat_cache();
         assert_eq!(
             *lib.flat_bristles_shared(top),
-            flat_bristles_reference(&lib, top)
+            flat_bristles_oracle(&lib, top)
         );
         // Clones start cold and still agree.
         let cloned = lib.clone();
@@ -933,5 +993,205 @@ mod tests {
             l
         };
         assert_eq!(lib.bbox(CellId(0)), None);
+    }
+
+    /// Deterministic xorshift64* PRNG (no external property-test crate).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn coord(&mut self, span: i64) -> i64 {
+            self.below(2 * span as usize + 1) as i64 - span
+        }
+
+        fn point(&mut self, span: i64) -> Point {
+            Point::new(self.coord(span), self.coord(span))
+        }
+    }
+
+    /// A box, wire or rectilinear polygon, half of them labelled.
+    fn random_shape(rng: &mut Rng) -> Shape {
+        let layer = Layer::ALL[rng.below(Layer::ALL.len())];
+        let at = rng.point(20);
+        let (w, h) = (1 + rng.below(6) as i64, 1 + rng.below(6) as i64);
+        let shape = match rng.below(3) {
+            0 => Shape::rect(layer, Rect::new(at.x, at.y, at.x + w, at.y + h)),
+            1 => {
+                let turn = Point::new(at.x + w, at.y);
+                let end = Point::new(turn.x, turn.y - h);
+                let path = bristle_geom::Path::new(vec![at, turn, end], 2).unwrap();
+                Shape::wire(layer, path)
+            }
+            _ => {
+                // An L: a w×h box with its top-right quadrant cut away.
+                let (x, y) = (at.x, at.y);
+                let v = [(0, 0), (2 * w, 0), (2 * w, h), (w, h), (w, 2 * h), (0, 2 * h)];
+                let poly = bristle_geom::Polygon::new(
+                    v.iter().map(|&(dx, dy)| Point::new(x + dx, y + dy)).collect(),
+                )
+                .unwrap();
+                Shape::polygon(layer, poly)
+            }
+        };
+        if rng.below(2) == 0 {
+            shape.with_label(format!("n{}", rng.below(4)))
+        } else {
+            shape
+        }
+    }
+
+    /// A bristle on any side with a control, clock, pad or signal flavor.
+    fn random_bristle(rng: &mut Rng, k: usize) -> Bristle {
+        let phase = if rng.below(2) == 0 { Phase::Phi1 } else { Phase::Phi2 };
+        let flavor = match rng.below(4) {
+            0 => Flavor::Control(ControlLine {
+                field: format!("f{}", rng.below(3)),
+                active: ActiveWhen::Equals(rng.below(4) as u64),
+                phase,
+            }),
+            1 => Flavor::Clock(phase),
+            2 => Flavor::Pad(PadKind::ALL[rng.below(PadKind::ALL.len())]),
+            _ => Flavor::Signal,
+        };
+        let layer = [Layer::Metal, Layer::Poly, Layer::Diffusion][rng.below(3)];
+        // Positions on a coarse grid so some land on y = 0 after a move.
+        let pos = Point::new(4 * rng.coord(4), 4 * rng.coord(4));
+        Bristle::new(format!("b{k}"), layer, pos, Side::ALL[rng.below(4)], flavor)
+    }
+
+    /// A random acyclic hierarchy of 3–4 levels whose cells share
+    /// children, placed in all eight orientations; returns the top cell.
+    fn random_library(rng: &mut Rng) -> (Library, CellId) {
+        let mut lib = Library::new("random");
+        let mut levels: Vec<Vec<CellId>> = Vec::new();
+        let depth = 3 + rng.below(2);
+        for level in 0..depth {
+            let count = if level + 1 == depth { 1 } else { 2 + rng.below(2) };
+            let mut ids = Vec::new();
+            for c in 0..count {
+                let mut cell = Cell::new(format!("l{level}c{c}"));
+                for _ in 0..rng.below(4) {
+                    cell.push_shape(random_shape(rng));
+                }
+                for k in 0..rng.below(4) {
+                    cell.push_bristle(random_bristle(rng, k));
+                }
+                if level > 0 {
+                    for i in 0..1 + rng.below(3) {
+                        // The first instance is of the level just below,
+                        // so the hierarchy has its full depth.
+                        let pool: Vec<CellId> = if i == 0 {
+                            levels[level - 1].clone()
+                        } else {
+                            levels.iter().flatten().copied().collect()
+                        };
+                        let child = pool[rng.below(pool.len())];
+                        let orient = Orientation::ALL[rng.below(8)];
+                        let t = Transform::new(orient, rng.point(40));
+                        cell.push_instance(Instance::new(child, format!("i{i}"), t));
+                    }
+                }
+                ids.push(lib.add_cell(cell).unwrap());
+            }
+            levels.push(ids);
+        }
+        (lib, levels[depth - 1][0])
+    }
+
+    /// The three filters the flat views serve: pass 2's south-edge
+    /// controls and clocks, pass 3's pads, and one on position alone.
+    fn filters() -> [fn(Point, Side, &Flavor) -> bool; 3] {
+        [
+            |pos, side, flavor| {
+                pos.y <= 0
+                    && side == Side::South
+                    && matches!(flavor, Flavor::Control(_) | Flavor::Clock(_))
+            },
+            |_, _, flavor| matches!(flavor, Flavor::Pad(_)),
+            |pos, _, _| pos.x > 0,
+        ]
+    }
+
+    /// Every flat view of `top` agrees with its oracle; returns how many
+    /// bristles each filter kept.
+    fn assert_views_match(lib: &Library, top: CellId, what: &str) -> [usize; 3] {
+        assert_eq!(*lib.flatten_shared(top), flatten_oracle(lib, top), "{what}: shapes");
+        let bristles = flat_bristles_oracle(lib, top);
+        assert_eq!(*lib.flat_bristles_shared(top), bristles, "{what}: bristles");
+        assert_eq!(lib.bbox(top), bbox_oracle(lib, top), "{what}: bbox");
+        filters().map(|keep| {
+            let want: Vec<Bristle> =
+                bristles.iter().filter(|b| keep(b.pos, b.side, &b.flavor)).cloned().collect();
+            assert_eq!(lib.flat_bristles_where(top, keep), want, "{what}: filtered");
+            want.len()
+        })
+    }
+
+    #[test]
+    fn walk_matches_oracles_on_random_hierarchies() {
+        let mut rng = Rng(0xB215_713E);
+        let mut kept = [0usize; 3];
+        for case in 0..200 {
+            let (mut lib, top) = random_library(&mut rng);
+            let what = format!("case {case}");
+            let counts = assert_views_match(&lib, top, &what);
+            for (k, c) in kept.iter_mut().zip(counts) {
+                *k += c;
+            }
+            // Results track every invalidation entry point.
+            let leaf = CellId(0);
+            lib.cell_mut(leaf).push_shape(random_shape(&mut rng));
+            lib.cell_mut(leaf).push_bristle(random_bristle(&mut rng, 9));
+            assert_views_match(&lib, top, &format!("{what} after cell_mut"));
+            let orient = Orientation::ALL[rng.below(8)];
+            lib.add_instance(top, leaf, "extra", Transform::new(orient, rng.point(40)))
+                .unwrap();
+            assert_views_match(&lib, top, &format!("{what} after add_instance"));
+            lib.clear_flat_cache();
+            assert_eq!(lib.cached_entries(), 0, "{what}");
+            assert_views_match(&lib, top, &format!("{what} after clear_flat_cache"));
+            assert_views_match(&lib.clone(), top, &format!("{what} on a clone"));
+        }
+        assert!(kept.iter().all(|&k| k > 0), "every filter keeps some bristles: {kept:?}");
+    }
+
+    #[test]
+    fn flattening_caches_only_the_requested_cell() {
+        let (lib, top) = bristled_library();
+        let _ = lib.flatten_shared(top);
+        assert_eq!(lib.cached_entries(), 1, "no entry for `mid` or `a`");
+        let _ = lib.flat_bristles_shared(top);
+        assert_eq!(lib.cached_entries(), 2);
+        let _ = lib.flat_bristles_where(top, |_, _, _| true);
+        let _ = lib.bbox(top);
+        assert_eq!(lib.cached_entries(), 2, "filtered walks and boxes cache nothing");
+        assert_eq!(lib.clone().cached_entries(), 0, "clones start cold");
+    }
+
+    #[test]
+    fn bbox_boxes_each_shared_cell_once() {
+        // Sixty levels, each instancing the one below twice: 2^60
+        // occurrences, which a once-per-occurrence recursion never ends.
+        let mut lib = Library::new("chain");
+        let mut below = lib.add_cell(leaf("l0")).unwrap();
+        for level in 1..=60 {
+            let mut cell = Cell::new(format!("l{level}"));
+            cell.push_instance(Instance::new(below, "a", Transform::IDENTITY));
+            let t = Transform::new(Orientation::MR90, Point::new(level, 0));
+            cell.push_instance(Instance::new(below, "b", t));
+            below = lib.add_cell(cell).unwrap();
+        }
+        let bb = lib.bbox(below).unwrap();
+        assert!(bb.width() >= 4 && bb.height() >= 4, "{bb}");
     }
 }

@@ -339,7 +339,7 @@ mod tests {
         let std = InterfaceStd::from_tracks(&[t1, t2]);
         for (cell, t) in [(&mut c1, t1), (&mut c2, t2)] {
             let plan = std
-                .plan_alignment(&t, &cell.stretch_y().to_vec(), cell.name())
+                .plan_alignment(&t, cell.stretch_y(), cell.name())
                 .unwrap();
             apply_plan(cell, Axis::Y, &plan);
             std.check(cell).unwrap();

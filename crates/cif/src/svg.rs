@@ -75,16 +75,16 @@ pub fn render_svg(lib: &Library, top: CellId) -> String {
 
     let bbox = lib.bbox(top).unwrap_or(Rect::new(0, 0, 1, 1));
     let mut f = Frame::open(bbox, LAYOUT_SCALE);
+    let note = format!("cell `{}` bbox {}", lib.cell(top).name(), f.window);
     let _ = writeln!(
         f.out,
-        "<rect width=\"100%\" height=\"100%\" fill=\"#f8f5ee\"/>\n<!-- cell `{}` bbox {} -->",
-        lib.cell(top).name(),
-        f.window
+        "<rect width=\"100%\" height=\"100%\" fill=\"#f8f5ee\"/>\n<!-- {} -->",
+        comment_text(&note)
     );
     // Draw in layer order so metal sits on top of poly on top of
-    // diffusion. Flattening goes through the library's memoized cache,
-    // so rendering after DRC/extraction (or rendering twice) reuses the
-    // already-flattened geometry instead of re-walking the hierarchy.
+    // diffusion. The library memoizes the top cell's flat view, so
+    // rendering after DRC or extraction (or rendering twice) reuses the
+    // shapes they flattened.
     let flat = lib.flatten_shared(top);
     for layer in Layer::ALL {
         let color = layer.color();
@@ -116,6 +116,21 @@ pub fn render_svg(lib: &Library, top: CellId) -> String {
         );
     }
     f.close()
+}
+
+/// `text` with a space between any two adjacent hyphens: XML 1.0
+/// forbids `--` inside a comment, and cell names may hold it.
+fn comment_text(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut prev = None;
+    for c in text.chars() {
+        if c == '-' && prev == Some('-') {
+            out.push(' ');
+        }
+        out.push(c);
+        prev = Some(c);
+    }
+    out
 }
 
 /// Renders stick diagrams as SVG line work over the die `die`, with the

@@ -272,7 +272,7 @@ impl Compiler {
                     fits &= ts.tracks.ys().into_iter().zip(std_ys).all(|(t, s)| t <= s);
                     width += lib.bbox(col).map_or(0, |b| b.width());
                 }
-                if fits && best.map_or(true, |(bw, _)| width < bw) {
+                if fits && best.is_none_or(|(bw, _)| width < bw) {
                     best = Some((width, ci));
                 }
             }
@@ -363,24 +363,24 @@ impl Compiler {
         lib: &mut Library,
         core: &CoreResult,
     ) -> Result<ControlResult, CompileError> {
-        // Collect decoder-facing control points: control bristles on the
-        // bottom slice (y == 0) of the core.
-        let flat = lib.flat_bristles_shared(core.cell);
+        // Collect decoder-facing control points: control and clock
+        // bristles on the south edge of the bottom slice (y == 0) of the
+        // core.
+        let south = lib.flat_bristles_where(core.cell, |pos, side, flavor| {
+            pos.y == 0
+                && side == Side::South
+                && matches!(flavor, Flavor::Control(_) | Flavor::Clock(_))
+        });
         let mut controls: Vec<(String, ControlLine, Point)> = Vec::new();
         let mut clocks: Vec<(Phase, Point)> = Vec::new();
-        for b in flat.iter() {
-            if b.pos.y != 0 || b.side != Side::South {
-                continue;
-            }
-            match &b.flavor {
-                Flavor::Control(line) => {
-                    controls.push((sanitize(&b.name), line.clone(), b.pos));
-                }
-                Flavor::Clock(phase) => clocks.push((*phase, b.pos)),
+        for b in south {
+            match b.flavor {
+                Flavor::Control(line) => controls.push((sanitize(&b.name), line, b.pos)),
+                Flavor::Clock(phase) => clocks.push((phase, b.pos)),
                 _ => {}
             }
         }
-        controls.sort_by(|a, b| a.2.x.cmp(&b.2.x));
+        controls.sort_by_key(|c| c.2.x);
 
         // The text array and the two-tape Turing machine.
         let lines: Vec<(String, ControlLine)> = controls
@@ -618,20 +618,22 @@ impl Compiler {
         let mut points: Vec<(String, Point, Layer)> = Vec::new();
         let mut kinds: Vec<PadKind> = Vec::new();
         let mut escapes: Vec<(Point, Point, Layer)> = Vec::new();
-        for b in lib.flat_bristles_shared(control.frame).iter() {
-            if let Flavor::Pad(kind) = b.flavor {
-                let escaped = match b.side {
-                    Side::East => Point::new(frame_bbox.x1, b.pos.y),
-                    Side::West => Point::new(frame_bbox.x0, b.pos.y),
-                    Side::North => Point::new(b.pos.x, frame_bbox.y1),
-                    Side::South => Point::new(b.pos.x, frame_bbox.y0),
-                };
-                if escaped != b.pos {
-                    escapes.push((b.pos, escaped, b.layer));
-                }
-                points.push((sanitize(&b.name), escaped, b.layer));
-                kinds.push(kind);
+        let pads = lib.flat_bristles_where(control.frame, |_, _, flavor| {
+            matches!(flavor, Flavor::Pad(_))
+        });
+        for b in pads {
+            let Flavor::Pad(kind) = b.flavor else { continue };
+            let escaped = match b.side {
+                Side::East => Point::new(frame_bbox.x1, b.pos.y),
+                Side::West => Point::new(frame_bbox.x0, b.pos.y),
+                Side::North => Point::new(b.pos.x, frame_bbox.y1),
+                Side::South => Point::new(b.pos.x, frame_bbox.y0),
+            };
+            if escaped != b.pos {
+                escapes.push((b.pos, escaped, b.layer));
             }
+            points.push((sanitize(&b.name), escaped, b.layer));
+            kinds.push(kind);
         }
         for (name, pos, layer, kind) in &control.pad_points {
             points.push((sanitize(name), *pos, *layer));
@@ -885,7 +887,7 @@ mod tests {
         assert!(chip.pad_count >= 4, "pads: {}", chip.pad_count);
         assert!(chip.pitch > 0);
         assert!(!chip.controls.is_empty());
-        assert!(chip.pla.terms().len() > 0);
+        assert!(!chip.pla.terms().is_empty());
     }
 
     #[test]

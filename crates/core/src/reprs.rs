@@ -179,7 +179,7 @@ impl CompiledChip {
         for e in &self.elements {
             if let Some(&col) = e.columns.first() {
                 if let Some(l) = &self.lib.cell(col).reprs().block_label {
-                    labels.push(format!("{l}"));
+                    labels.push(l.clone());
                 }
             }
         }

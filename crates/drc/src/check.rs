@@ -310,8 +310,8 @@ fn check_contacts(soup: &Soup, rules: &RuleSet, out: &mut Report) {
 /// The width rules run on every flat shape; the spacing, transistor,
 /// contact and implant rules on one per-layer indexed soup of their
 /// rectangles, so a rule looks only at the shapes near the window it
-/// tests. The flattened view comes from the library's memoized cache,
-/// so repeated checks re-use the geometry. Violations come out in a
+/// tests. The flattened view is `Library::flatten_shared(top)`, memoized
+/// for `top`, so repeated checks re-use the geometry. Violations come out in a
 /// fixed order: widths, spacing by layer, then the device rules.
 ///
 /// # Panics

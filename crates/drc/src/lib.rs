@@ -5,12 +5,13 @@
 //! Bristle Blocks leans on interface standards so that *"design rule
 //! checking \[can\] be performed on individual cells as the cells are
 //! designed, rather than on fully instantiated artwork"*. This crate has
-//! one check, [`check_flat`]: flatten the cell (through the library's
-//! memoized cache) and run every rule on one per-layer indexed soup of
-//! its rectangles. Checking "individual cells as they are designed" is
-//! then simply `check_flat` on a leaf: the generators in
-//! `bristle-stdcells` and `bristle-pla` test each of their cells that
-//! way, and checking the top cell finds the glue faults between them.
+//! one check, [`check_flat`]: flatten the cell (one walk of its
+//! hierarchy, memoized for that cell) and run every rule on one
+//! per-layer indexed soup of its rectangles. Checking "individual
+//! cells as they are designed" is then simply `check_flat` on a leaf:
+//! the generators in `bristle-stdcells` and `bristle-pla` test each of
+//! their cells that way, and checking the top cell finds the glue
+//! faults between them.
 //!
 //! A per-cell hierarchical mode, which checked each distinct cell once
 //! on its own shapes plus its instances' subtrees, was measured against

@@ -142,8 +142,9 @@ struct Piece {
 /// Net names come from shape labels (`Shape::with_label`) and from
 /// bristles; unlabeled nets are named `n<k>`.
 ///
-/// Flatten-once pipeline: the hierarchy is flattened through the
-/// library's memoized cache, every conductor layer is indexed once with
+/// Flatten-once pipeline: the hierarchy is flattened in one walk
+/// (`Library::flatten_shared`, memoized for `top`, so a DRC or SVG of
+/// the same cell reuses it), every conductor layer is indexed once with
 /// [`RectIndex::bulk_build`], and all connectivity questions (same-layer
 /// touching, contact/buried joins, terminal hits, channel direction) are
 /// index queries. Gate regions come from [`bristle_geom::gate_regions`],

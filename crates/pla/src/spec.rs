@@ -96,7 +96,7 @@ impl DecodeSpec {
     /// Panics if `inputs` is 0 or exceeds 64.
     #[must_use]
     pub fn new(inputs: u32) -> DecodeSpec {
-        assert!(inputs >= 1 && inputs <= 64, "bad input width {inputs}");
+        assert!((1..=64).contains(&inputs), "bad input width {inputs}");
         DecodeSpec {
             inputs,
             lines: Vec::new(),

@@ -197,7 +197,7 @@ pub fn route_wires(
         }
     }
     let slots = ring.slots(n, 0);
-    if n > 1 && ring.perimeter() / n as i64 - 0 < 16 {
+    if n > 1 && ring.perimeter() / (n as i64) < 16 {
         return Err(RouteError::SlotsTooDense);
     }
 

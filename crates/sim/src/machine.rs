@@ -234,7 +234,7 @@ impl Machine {
     /// Panics if `width` is 0 or exceeds 64.
     #[must_use]
     pub fn new(width: u32, microcode: Microcode) -> Machine {
-        assert!(width >= 1 && width <= 64, "bad data width {width}");
+        assert!((1..=64).contains(&width), "bad data width {width}");
         let mask = if width == 64 {
             u64::MAX
         } else {

@@ -11,7 +11,7 @@
 
 use bristle_bench::{reference_specs, sweep_spec};
 use bristle_blocks::cell::ShapeGeom;
-use bristle_blocks::core::{ChipSpec, Compiler};
+use bristle_blocks::core::{parse_page, ChipSpec, Compiler};
 use bristle_blocks::verify::{Rng, SpecGen};
 
 fn fnv1a64(text: &str) -> u64 {
@@ -138,5 +138,28 @@ fn generated_specs_render_integral_one_element_per_item() {
             chip.sticks().len(),
             "{what}: sticks"
         );
+    }
+}
+
+/// XML 1.0 forbids `--` inside a comment; the layout's header comment
+/// carries the top cell's name, which a page may spell with hyphens.
+#[test]
+fn layout_svg_comments_hold_no_double_hyphen() {
+    for name in ["a--b", "a---b"] {
+        let spec = parse_page(&format!("chip {name}\nelement alu\n")).unwrap();
+        let svg = Compiler::new().compile(&spec).unwrap().layout_svg();
+        let mut rest = svg.as_str();
+        let mut comments = 0;
+        while let Some(start) = rest.find("<!--") {
+            let (text, tail) = rest[start + 4..]
+                .split_once("-->")
+                .unwrap_or_else(|| panic!("chip `{name}`: unclosed comment"));
+            assert!(!text.contains("--"), "chip `{name}`: `--` in comment `{text}`");
+            let restored = text.replace("- ", "-");
+            assert!(restored.contains(&format!("`{name}_chip`")), "chip `{name}`: `{text}`");
+            comments += 1;
+            rest = tail;
+        }
+        assert_eq!(comments, 1, "chip `{name}`: the header comment");
     }
 }
