@@ -391,7 +391,7 @@ impl CellMut for bristle_cell::Cell {
 
     fn nudge_instance(&mut self, index: usize, by: Point) {
         let mut insts = self.instances().to_vec();
-        insts[index].transform.offset = insts[index].transform.offset + by;
+        insts[index].transform.offset += by;
         let name = self.name().to_owned();
         let shapes: Vec<_> = self.shapes().to_vec();
         let bristles: Vec<_> = self.bristles().to_vec();

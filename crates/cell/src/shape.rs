@@ -106,6 +106,16 @@ impl Shape {
         }
     }
 
+    /// Calls `f` on each rectangle of [`Shape::to_rects`], in the same
+    /// order. A box, the common case, allocates nothing.
+    pub fn for_each_rect(&self, mut f: impl FnMut(Rect)) {
+        match &self.geom {
+            ShapeGeom::Box(r) => f(*r),
+            ShapeGeom::Wire(p) => p.to_rects().into_iter().for_each(f),
+            ShapeGeom::Poly(p) => p.to_rects().into_iter().for_each(f),
+        }
+    }
+
     /// Area of the drawn geometry in λ².
     #[must_use]
     pub fn area(&self) -> i64 {
@@ -198,6 +208,22 @@ mod tests {
         // A mirror-like map must still produce a normalized box.
         let m = s.map_points(|p| Point::new(-p.x, p.y));
         assert_eq!(m.bbox(), Rect::new(-4, 0, 0, 4));
+    }
+
+    #[test]
+    fn for_each_rect_visits_to_rects() {
+        let wire = Path::new(vec![Point::new(0, 0), Point::new(10, 0), Point::new(10, 8)], 2)
+            .unwrap();
+        let poly = Polygon::from_rect(Rect::new(0, 0, 3, 3));
+        for s in [
+            Shape::rect(Layer::Metal, Rect::new(0, 0, 4, 2)),
+            Shape::wire(Layer::Poly, wire),
+            Shape::polygon(Layer::Diffusion, poly),
+        ] {
+            let mut seen = Vec::new();
+            s.for_each_rect(|r| seen.push(r));
+            assert_eq!(seen, s.to_rects());
+        }
     }
 
     #[test]

@@ -382,9 +382,17 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
                     cy,
                 } => {
                     let (l, w) = (half(*length)?, half(*width)?);
-                    let x0 = half(*cx - l)?;
-                    let y0 = half(*cy - w)?;
-                    cell.push_shape(Shape::rect(layer, Rect::new(x0, y0, x0 + l, y0 + w)));
+                    // Both edges in CIF units, which a hostile centre can
+                    // push past the i64 range.
+                    let edges = |c: i64, d: i64| {
+                        c.checked_sub(d)
+                            .zip(c.checked_add(d))
+                            .ok_or_else(|| err(format!("box edge out of range at centre {c}")))
+                    };
+                    let ((x0, x1), (y0, y1)) = (edges(*cx, l)?, edges(*cy, w)?);
+                    let (x0, y0) = (half(x0)?, half(y0)?);
+                    let (x1, y1) = (half(x1)?, half(y1)?);
+                    cell.push_shape(Shape::rect(layer, Rect::new(x0, y0, x1, y1)));
                 }
                 CifCommand::Wire { width, points } => {
                     let w = half(*width)?;

@@ -72,8 +72,12 @@ impl Soup {
     fn build(shapes: &[Shape]) -> Soup {
         let mut per_layer: [Vec<Rect>; Layer::ALL.len()] = Default::default();
         for shape in shapes {
-            let rects = shape.to_rects().into_iter().filter(|r| !r.is_degenerate());
-            per_layer[shape.layer as usize].extend(rects);
+            let rects = &mut per_layer[shape.layer as usize];
+            shape.for_each_rect(|r| {
+                if !r.is_degenerate() {
+                    rects.push(r);
+                }
+            });
         }
         let layers = per_layer.map(|rects| {
             let index = RectIndex::bulk_build(rects.iter().copied().enumerate());

@@ -12,9 +12,10 @@
 //! 2. finds **gates** — poly∩diffusion overlaps not covered by a buried
 //!    contact — and splits the diffusion there (channels do not conduct
 //!    at rest),
-//! 3. unions connectivity: same-layer touching rects, contact cuts
-//!    joining metal↔poly/diffusion, buried contacts joining
-//!    poly↔diffusion,
+//! 3. unions connectivity: same-layer touching rects (one pair join
+//!    over each conductor layer's grid index), contact cuts joining
+//!    metal↔poly/diffusion, buried contacts joining poly↔diffusion
+//!    (one index query per cut),
 //! 4. classifies each gate as enhancement or depletion (implant),
 //!    measures W/L, and identifies its source/drain diffusion nets,
 //! 5. names nets from shape labels and bristles.

@@ -129,7 +129,7 @@ fn conductor(layer: Layer) -> Option<usize> {
     CONDUCTORS.iter().position(|&l| l == layer)
 }
 
-/// A conductor rectangle with provenance.
+/// A conductor rectangle with provenance (the reference extractor's form).
 #[derive(Debug, Clone)]
 struct Piece {
     layer: Layer,
@@ -144,11 +144,16 @@ struct Piece {
 ///
 /// Flatten-once pipeline: the hierarchy is flattened in one walk
 /// (`Library::flatten_shared`, memoized for `top`, so a DRC or SVG of
-/// the same cell reuses it), every conductor layer is indexed once with
-/// [`RectIndex::bulk_build`], and all connectivity questions (same-layer
-/// touching, contact/buried joins, terminal hits, channel direction) are
-/// index queries. Gate regions come from [`bristle_geom::gate_regions`],
-/// the routine DRC checks gates with. The resulting netlist is
+/// the same cell reuses it). Conductor pieces are one rect list per
+/// layer with a parallel list of labels borrowed from the flat shapes;
+/// a net's name is allocated once, when the netlist is built. Gate
+/// regions come from [`bristle_geom::gate_regions`], the routine DRC
+/// checks gates with, and diffusion is split at its nearby gates in
+/// reused buffers. Every conductor layer is indexed once with
+/// [`RectIndex::bulk_build`]: same-layer touching is one
+/// [`RectIndex::for_each_touching_pair`] join per layer, and contact
+/// and buried joins, terminal hits and each gate's source, drain and
+/// channel direction are index queries. The resulting netlist is
 /// byte-identical to the naive reference ([`extract_reference`]).
 ///
 /// # Panics
@@ -157,97 +162,78 @@ struct Piece {
 #[must_use]
 pub fn extract(lib: &Library, top: CellId) -> Netlist {
     let flat = lib.flatten_shared(top);
+    let bristles = lib.flat_bristles_shared(top);
 
-    // Gather per-layer rects (conductors split later; cuts kept whole).
-    let mut poly: Vec<Piece> = Vec::new();
-    let mut diff: Vec<Piece> = Vec::new();
-    let mut metal: Vec<Piece> = Vec::new();
+    // Gather conductor rects per layer, each with its shape's label;
+    // cuts and implants are kept whole.
+    let mut rects: [Vec<Rect>; 3] = Default::default();
+    let mut labels: [Vec<Option<&str>>; 3] = Default::default();
     let mut contacts: Vec<Rect> = Vec::new();
     let mut buried: Vec<Rect> = Vec::new();
     let mut implants: Vec<Rect> = Vec::new();
     for shape in flat.iter() {
-        let label = shape.label();
-        for r in shape.to_rects() {
+        let (label, l) = (shape.label(), conductor(shape.layer));
+        shape.for_each_rect(|r| {
             if r.is_degenerate() {
-                continue;
+                return;
             }
-            let piece = Piece {
-                layer: shape.layer,
-                rect: r,
-                label: label.map(str::to_owned),
-            };
-            match shape.layer {
-                Layer::Poly => poly.push(piece),
-                Layer::Diffusion => diff.push(piece),
-                Layer::Metal => metal.push(piece),
-                Layer::Contact => contacts.push(r),
-                Layer::Buried => buried.push(r),
-                Layer::Implant => implants.push(r),
-                Layer::Overglass => {}
+            match (l, shape.layer) {
+                (Some(l), _) => {
+                    rects[l].push(r);
+                    labels[l].push(label);
+                }
+                (None, Layer::Contact) => contacts.push(r),
+                (None, Layer::Buried) => buried.push(r),
+                (None, Layer::Implant) => implants.push(r),
+                (None, _) => {}
             }
-        }
+        });
     }
 
     // Gate regions: poly ∩ diffusion, minus buried-contact cover.
+    let [poly, diff, _] = &rects;
     let gates = gate_regions(
-        poly.iter().map(|p| p.rect),
-        &RectIndex::bulk_build(diff.iter().enumerate().map(|(i, d)| (i, d.rect))),
+        poly.iter().copied(),
+        &RectIndex::bulk_build(diff.iter().copied().enumerate()),
         &RectIndex::bulk_build(buried.iter().copied().enumerate()),
     );
 
     // Split diffusion at the gates. Only cuts near a diffusion rect can
     // split it, so query the gate index instead of scanning every gate;
-    // the candidate list keeps the global gate order, which `subtract`
+    // the candidate list keeps the global gate order, which the split
     // depends on for its fragment geometry.
     let gate_index =
         RectIndex::bulk_build(gates.iter().enumerate().map(|(i, &(g, _))| (i, g)));
     let mut scratch = QueryScratch::new();
-    let mut channel_pieces: Vec<Piece> = Vec::new();
-    let mut near_gates: Vec<Rect> = Vec::new();
-    for d in diff {
+    let (mut channels, mut channel_labels) = (Vec::new(), Vec::new());
+    let (mut near_gates, mut split, mut spare) = (Vec::new(), Vec::new(), Vec::new());
+    for (&d, &label) in diff.iter().zip(&labels[1]) {
         near_gates.clear();
-        gate_index.query_with(d.rect, &mut scratch, |_, g| near_gates.push(g));
-        for r in d.rect.subtract(&near_gates) {
-            if !r.is_degenerate() {
-                channel_pieces.push(Piece {
-                    layer: Layer::Diffusion,
-                    rect: r,
-                    label: d.label.clone(),
-                });
-            }
+        gate_index.query_with(d, &mut scratch, |_, g| near_gates.push(g));
+        d.subtract_into(&near_gates, &mut split, &mut spare);
+        for &r in split.iter().filter(|r| !r.is_degenerate()) {
+            channels.push(r);
+            channel_labels.push(label);
         }
     }
-    let diff = channel_pieces;
+    rects[1] = channels;
+    labels[1] = channel_labels;
 
-    // Build the global piece list, then index every conductor layer once.
-    // These indexes back all remaining connectivity queries.
-    let mut pieces: Vec<Piece> = Vec::new();
-    pieces.extend(poly);
-    pieces.extend(diff);
-    pieces.extend(metal);
-
-    let by_layer: [RectIndex; 3] = CONDUCTORS.map(|layer| {
-        RectIndex::bulk_build(
-            pieces
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.layer == layer)
-                .map(|(i, p)| (i, p.rect)),
-        )
+    // Piece `base[l] + k` is rect `k` of conductor `l`: poly, then
+    // diffusion, then metal. Index every conductor layer once under
+    // those ids; the indexes back all remaining connectivity questions.
+    let base = [0, rects[0].len(), rects[0].len() + rects[1].len()];
+    let piece_count = base[2] + rects[2].len();
+    let by_layer: [RectIndex; 3] = std::array::from_fn(|l| {
+        RectIndex::bulk_build(rects[l].iter().enumerate().map(|(k, &r)| (base[l] + k, r)))
     });
     let [poly_index, diff_index, _] = &by_layer;
 
-    let mut uf = UnionFind::new(pieces.len());
+    let mut uf = UnionFind::new(piece_count);
 
-    // Same-layer touching rects connect.
-    for (i, p) in pieces.iter().enumerate() {
-        if let Some(l) = conductor(p.layer) {
-            by_layer[l].query_with(p.rect, &mut scratch, |j, _| {
-                if j > i {
-                    uf.union(i, j);
-                }
-            });
-        }
+    // Same-layer touching rects connect: one pair join per layer.
+    for index in &by_layer {
+        index.for_each_touching_pair(|i, j| uf.union(i, j));
     }
 
     // Contacts join everything they overlap (metal↔poly/diff; a butting
@@ -283,64 +269,60 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
         }
     }
 
-    // Number the union-find roots in piece order: `root_to_net[root]`
-    // is the root's net, `u32::MAX` until its first piece is reached.
-    let mut root_to_net: Vec<u32> = vec![u32::MAX; pieces.len()];
-    let mut names: Vec<Option<String>> = Vec::new();
-    for (i, piece) in pieces.iter().enumerate() {
-        let net = &mut root_to_net[uf.find(i)];
-        if *net == u32::MAX {
-            *net = names.len() as u32;
+    // Number the union-find roots in piece order: `net[i]` is piece
+    // `i`'s net, and `root_to_net[root]` is `u32::MAX` until the root's
+    // first piece is reached. A net is named by its first labeled piece.
+    let mut root_to_net: Vec<u32> = vec![u32::MAX; piece_count];
+    let mut net: Vec<NetId> = Vec::with_capacity(piece_count);
+    let mut names: Vec<Option<&str>> = Vec::new();
+    for (i, &label) in labels.iter().flatten().enumerate() {
+        let id = &mut root_to_net[uf.find(i)];
+        if *id == u32::MAX {
+            *id = names.len() as u32;
             names.push(None);
         }
-        // Prefer shape labels; first labeled piece wins.
-        let name = &mut names[*net as usize];
+        let name = &mut names[*id as usize];
         if name.is_none() {
-            name.clone_from(&piece.label);
+            *name = label;
         }
+        net.push(NetId(*id));
     }
-
-    let net_of = |uf: &mut UnionFind, i: usize| NetId(root_to_net[uf.find(i)]);
 
     // Bristle terminals: name the net under each bristle position. The
     // layer index yields candidates in piece order, so the first hit is
-    // the same piece the old full scan found.
+    // the earliest piece containing the bristle, as in the reference.
     let mut terminals: Vec<(String, NetId)> = Vec::new();
-    for b in lib.flat_bristles_shared(top).iter() {
+    for b in bristles.iter() {
         let probe = Rect::new(b.pos.x, b.pos.y, b.pos.x, b.pos.y);
         let hit = conductor(b.layer).and_then(|l| {
             by_layer[l].first_match(probe, &mut scratch, |_, r| r.contains(b.pos))
         });
         if let Some((i, _)) = hit {
-            let id = net_of(&mut uf, i);
-            if names[id.0 as usize].is_none() {
-                names[id.0 as usize] = Some(b.name.clone());
-            }
-            terminals.push((b.name.clone(), id));
+            names[net[i].0 as usize].get_or_insert(b.name.as_str());
+            terminals.push((b.name.clone(), net[i]));
         }
     }
 
     // Transistors: for each gate, the gate net is its poly piece's net;
-    // source/drain are diffusion pieces touching the gate region.
+    // source/drain are diffusion pieces touching the gate region, found
+    // with the channel direction in one query.
     let implant_index = RectIndex::bulk_build(implants.iter().copied().enumerate());
     let mut transistors = Vec::new();
     let mut sd: Vec<NetId> = Vec::new();
-    let mut touching_diff: Vec<(usize, Rect)> = Vec::new();
     for &(g, poly_piece) in &gates {
-        let gate_net = net_of(&mut uf, poly_piece);
-        touching_diff.clear();
+        sd.clear();
+        // Channel direction: diffusion continues past the gate on two
+        // opposite sides; current flows that way. If diffusion extends
+        // vertically, L = gate height and W = gate width.
+        let mut vertical = false;
         diff_index.query_with(g.inflate(1), &mut scratch, |j, r| {
             if r.touches(&g) {
-                touching_diff.push((j, r));
+                if !sd.contains(&net[j]) {
+                    sd.push(net[j]);
+                }
+                vertical |= r.x0 < g.x1 && g.x0 < r.x1 && (r.y1 == g.y0 || r.y0 == g.y1);
             }
         });
-        sd.clear();
-        for &(j, _) in &touching_diff {
-            let id = net_of(&mut uf, j);
-            if !sd.contains(&id) {
-                sd.push(id);
-            }
-        }
         sd.sort_unstable();
         let (source, drain) = match sd.as_slice() {
             [] => continue, // floating gate region: no usable device
@@ -356,12 +338,6 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
         } else {
             TransistorKind::Enhancement
         };
-        // Channel direction: diffusion continues past the gate on two
-        // opposite sides; current flows that way. If diffusion extends
-        // vertically, L = gate height and W = gate width.
-        let vertical = touching_diff.iter().any(|&(_, r)| {
-            r.x0 < g.x1 && g.x0 < r.x1 && (r.y1 == g.y0 || r.y0 == g.y1)
-        });
         let (width, length) = if vertical {
             (g.width(), g.height())
         } else {
@@ -369,7 +345,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
         };
         transistors.push(Transistor {
             kind,
-            gate: gate_net,
+            gate: net[poly_piece],
             source,
             drain,
             region: g,
@@ -382,7 +358,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     let net_names = names
         .into_iter()
         .enumerate()
-        .map(|(i, n)| n.unwrap_or_else(|| format!("n{i}")))
+        .map(|(i, n)| n.map_or_else(|| format!("n{i}"), str::to_owned))
         .collect();
 
     Netlist {

@@ -224,7 +224,8 @@ impl Rect {
     /// Subtracts `cuts` from this rectangle, returning disjoint residual
     /// pieces whose union is `self − ⋃cuts`.
     ///
-    /// Used by netlist extraction to split diffusion at transistor gates.
+    /// The allocating form of [`Rect::subtract_into`]; the reference
+    /// extractor splits diffusion at transistor gates with it.
     ///
     /// ```
     /// use bristle_geom::Rect;
@@ -234,31 +235,44 @@ impl Rect {
     /// ```
     #[must_use]
     pub fn subtract(&self, cuts: &[Rect]) -> Vec<Rect> {
-        let mut pieces = vec![*self];
+        let (mut pieces, mut spare) = (Vec::new(), Vec::new());
+        self.subtract_into(cuts, &mut pieces, &mut spare);
+        pieces
+    }
+
+    /// [`Rect::subtract`] into caller-owned buffers: `pieces` is cleared
+    /// and receives the residual pieces, `spare` is scratch. Cuts apply in
+    /// order, each splitting every piece it overlaps into up to four
+    /// (left, right, below, above), so the same cuts in the same order
+    /// always give the same pieces. Netlist extraction splits diffusion
+    /// at its nearby gates with two reused buffers and allocates nothing
+    /// once they have grown.
+    pub fn subtract_into(&self, cuts: &[Rect], pieces: &mut Vec<Rect>, spare: &mut Vec<Rect>) {
+        pieces.clear();
+        pieces.push(*self);
         for cut in cuts {
-            let mut next = Vec::with_capacity(pieces.len());
-            for piece in pieces {
+            spare.clear();
+            for &piece in pieces.iter() {
                 match piece.intersection(cut) {
-                    None => next.push(piece),
+                    None => spare.push(piece),
                     Some(hit) => {
                         if piece.x0 < hit.x0 {
-                            next.push(Rect::new(piece.x0, piece.y0, hit.x0, piece.y1));
+                            spare.push(Rect::new(piece.x0, piece.y0, hit.x0, piece.y1));
                         }
                         if piece.x1 > hit.x1 {
-                            next.push(Rect::new(hit.x1, piece.y0, piece.x1, piece.y1));
+                            spare.push(Rect::new(hit.x1, piece.y0, piece.x1, piece.y1));
                         }
                         if piece.y0 < hit.y0 {
-                            next.push(Rect::new(hit.x0, piece.y0, hit.x1, hit.y0));
+                            spare.push(Rect::new(hit.x0, piece.y0, hit.x1, hit.y0));
                         }
                         if piece.y1 > hit.y1 {
-                            next.push(Rect::new(hit.x0, hit.y1, hit.x1, piece.y1));
+                            spare.push(Rect::new(hit.x0, hit.y1, hit.x1, piece.y1));
                         }
                     }
                 }
             }
-            pieces = next;
+            std::mem::swap(pieces, spare);
         }
-        pieces
     }
 }
 
@@ -360,6 +374,20 @@ mod tests {
         let r = Rect::new(0, 0, 4, 4);
         assert_eq!(r.subtract(&[Rect::new(10, 10, 12, 12)]), vec![r]);
         assert_eq!(r.subtract(&[]), vec![r]);
+    }
+
+    #[test]
+    fn subtract_into_reuses_buffers_and_matches_subtract() {
+        let r = Rect::new(0, 0, 10, 10);
+        let (mut pieces, mut spare) = (vec![Rect::new(99, 99, 100, 100)], Vec::new());
+        for cuts in [
+            &[Rect::new(2, 2, 4, 8), Rect::new(6, 0, 8, 10)][..],
+            &[Rect::new(-1, -1, 11, 11)],
+            &[],
+        ] {
+            r.subtract_into(cuts, &mut pieces, &mut spare);
+            assert_eq!(pieces, r.subtract(cuts));
+        }
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! [`RectIndex`] answers from a dense grid of bins laid over the
 //! bounding box of its rectangles: nothing is hashed, and with a reused
 //! [`QueryScratch`] nothing is allocated once the scratch has warmed up.
+//!
+//! Extraction also asks "which stored shapes touch each other?" of a
+//! whole layer. [`RectIndex::for_each_touching_pair`] answers that with
+//! one pair join: it compares the rectangles within each bin and reports
+//! each touching pair once, in the one bin that holds a point both
+//! contain, with no query per rectangle.
 
 use crate::Rect;
 
@@ -282,6 +288,52 @@ impl RectIndex {
         found
     }
 
+    /// The pair join: calls `f(a, b)` once for every pair of stored
+    /// rectangles that **touch** (overlap or share an edge or corner),
+    /// with `a` inserted before `b`. Allocates nothing.
+    ///
+    /// Each bin compares its own slots pairwise. Two touching closed
+    /// rectangles both contain the point `(max x0, max y0)`, so both are
+    /// in that point's bin; only that bin reports the pair, and pairs
+    /// found in the other bins they share are skipped. Pairs come out bin
+    /// by bin, so a caller that needs an order must not rely on this one.
+    ///
+    /// ```
+    /// use bristle_geom::{Rect, RectIndex};
+    ///
+    /// let idx = RectIndex::bulk_build([
+    ///     (0, Rect::new(0, 0, 40, 2)),
+    ///     (1, Rect::new(40, 0, 42, 9)),
+    ///     (2, Rect::new(90, 90, 92, 92)),
+    /// ]);
+    /// let mut pairs = Vec::new();
+    /// idx.for_each_touching_pair(|a, b| pairs.push((a, b)));
+    /// assert_eq!(pairs, vec![(0, 1)]);
+    /// ```
+    pub fn for_each_touching_pair(&self, mut f: impl FnMut(usize, usize)) {
+        let g = &self.grid;
+        for row in 0..g.rows {
+            for col in 0..g.cols {
+                let bin = row * g.cols + col;
+                let run = &self.slots[self.starts[bin] as usize..self.starts[bin + 1] as usize];
+                for (k, &s) in run.iter().enumerate() {
+                    let (a, ra) = self.items[s as usize];
+                    for &t in &run[k + 1..] {
+                        let (b, rb) = self.items[t as usize];
+                        // Both bin coordinates are non-negative: the point
+                        // lies in the grid's bounding box.
+                        if ra.touches(&rb)
+                            && ((ra.x0.max(rb.x0) - g.x0) / g.bin) as usize == col
+                            && ((ra.y0.max(rb.y0) - g.y0) / g.bin) as usize == row
+                        {
+                            f(a, b);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Iterates over all stored `(id, rect)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Rect)> + '_ {
         self.items.iter().copied()
@@ -392,6 +444,24 @@ mod tests {
             big.query_with(Rect::new(0, 0, 300, 2), &mut scratch, |_, _| hits += 1);
             assert_eq!(hits, 100);
         }
+    }
+
+    #[test]
+    fn touching_pair_spanning_many_bins_is_reported_once() {
+        // A rail crossing several bins, a strap overlapping it across
+        // two of them, an edge neighbour, a corner neighbour and a loner.
+        let idx = RectIndex::bulk_build([
+            (10, Rect::new(0, 0, 200, 4)),
+            (11, Rect::new(30, -20, 60, 20)),
+            (12, Rect::new(200, 4, 210, 30)),
+            (13, Rect::new(-9, -9, 0, 0)),
+            (14, Rect::new(500, 500, 502, 502)),
+        ]);
+        assert!(idx.grid.cols > 2);
+        let mut pairs = Vec::new();
+        idx.for_each_touching_pair(|a, b| pairs.push((a, b)));
+        pairs.sort_unstable();
+        assert_eq!(pairs, vec![(10, 11), (10, 12), (10, 13)]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! the stamped-dedup scratch path) agree with a brute-force O(n²) oracle
 //! on random rectangle soups, at both clamps of the data-driven bin size,
 //! on sparse soups whose grid the bin-count bound sizes, and for windows
-//! inside, across and wholly outside the indexed bounding box.
+//! inside, across and wholly outside the indexed bounding box. The pair
+//! join reports exactly the brute-force set of touching pairs, each once.
 //!
 //! Randomized with a deterministic xorshift generator (no external
 //! dependencies are available in this workspace).
@@ -248,4 +249,62 @@ fn first_match_agrees_with_oracle_minimum() {
             assert_eq!(got, want, "case {case} window {window}");
         }
     }
+}
+
+/// Zero-width and zero-height rects (lines and points) at negative
+/// coordinates, with some sharing only an edge or a corner.
+fn degenerate_soup(rng: &mut Rng, n: usize) -> Vec<Rect> {
+    (0..n)
+        .map(|k| {
+            let (x, y) = (rng.range(-90, -10), rng.range(-90, -10));
+            match k % 3 {
+                0 => Rect::new(x, y, x, y + rng.range(0, 12)),
+                1 => Rect::new(x, y, x + rng.range(0, 12), y),
+                _ => Rect::new(x, y, x + rng.range(1, 6), y + rng.range(1, 6)),
+            }
+        })
+        .collect()
+}
+
+/// Every touching pair `(i, j)`, `i < j`, by brute force.
+fn touching_pairs(soup: &[Rect]) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    for (i, a) in soup.iter().enumerate() {
+        for (j, b) in soup.iter().enumerate().skip(i + 1) {
+            if a.touches(b) {
+                pairs.push((i, j));
+            }
+        }
+    }
+    pairs
+}
+
+#[test]
+fn touching_pairs_match_oracle_each_once() {
+    let mut rng = Rng::new(0x1D40_0006);
+    for case in 0..50 {
+        let soup = match case % 5 {
+            0 => small_soup(&mut rng, 80),
+            1 => wide_soup(&mut rng, 40),
+            2 => sparse_soup(&mut rng, 40),
+            3 => arb_soup(&mut rng, 80),
+            _ => degenerate_soup(&mut rng, 60),
+        };
+        // Ids offset from slots, as extraction's global piece ids are.
+        let idx = RectIndex::bulk_build(soup.iter().copied().enumerate().map(|(i, r)| (i + 7, r)));
+        let mut got: Vec<(usize, usize)> = Vec::new();
+        idx.for_each_touching_pair(|a, b| got.push((a - 7, b - 7)));
+        // Earlier-inserted first in every pair; sorting must not merge
+        // duplicates, so a pair reported twice fails the comparison.
+        assert!(got.iter().all(|&(a, b)| a < b), "case {case}");
+        got.sort_unstable();
+        assert_eq!(got, touching_pairs(&soup), "case {case}");
+    }
+}
+
+#[test]
+fn empty_index_has_no_touching_pairs() {
+    let mut pairs = 0;
+    RectIndex::bulk_build([]).for_each_touching_pair(|_, _| pairs += 1);
+    assert_eq!(pairs, 0);
 }

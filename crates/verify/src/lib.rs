@@ -84,6 +84,10 @@ impl Rng {
     }
 
     /// Next raw 64-bit value.
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "an infinite generator, not an Iterator; perfbench calls `next` by this name"
+    )]
     pub fn next(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;

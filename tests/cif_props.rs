@@ -6,7 +6,7 @@
 //! dependencies are available in this workspace).
 
 use bristle_blocks::cell::{load_library, save_library, Cell, Library, Shape};
-use bristle_blocks::cif::{cif_to_library, parse_cif, write_cif, WriteCifError};
+use bristle_blocks::cif::{cif_to_library, parse_cif, write_cif, ParseCifError, WriteCifError};
 use bristle_blocks::core::{parse_page, Compiler};
 use bristle_blocks::geom::{Layer, Orientation, Point, Rect, Transform};
 
@@ -119,5 +119,21 @@ fn other_punctuation_in_chip_names_round_trips() {
         let top = chip.lib.cell(chip.top).name();
         let btop = back.find(top).unwrap_or_else(|| panic!("no `{top}`"));
         assert_eq!(back.bbox(btop), chip.lib.bbox(chip.top), "chip `{name}`");
+    }
+}
+
+/// A box centred at an extreme of the `i64` range has an edge outside
+/// it: reading it back must be a syntax error, never an overflow panic
+/// (debug) or a wrapped coordinate (release).
+#[test]
+fn boxes_centred_at_i64_extremes_are_rejected() {
+    for (cx, cy) in [(i64::MIN, 0), (i64::MAX, 0), (0, i64::MIN), (0, i64::MAX)] {
+        let text = format!("DS 1 1 1;\n9 edge;\nL NM;\nB 4 2 {cx} {cy};\nDF;\nE\n");
+        let file = parse_cif(&text).unwrap_or_else(|e| panic!("({cx}, {cy}) parses: {e}"));
+        let got = cif_to_library(&file);
+        assert!(
+            matches!(got, Err(ParseCifError::Syntax { .. })),
+            "({cx}, {cy}): {got:?}"
+        );
     }
 }

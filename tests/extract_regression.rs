@@ -3,7 +3,8 @@
 //! "identical netlist" guarantee of the flatten-once rework.
 
 use bristle_bench::{compile, reference_specs, sweep_spec};
-use bristle_blocks::extract::extract;
+use bristle_blocks::extract::{extract, extract_reference};
+use bristle_blocks::verify::{Rng, SpecGen};
 
 /// The indexed extractor must equal the naive reference — net names,
 /// transistors (kind, nets, geometry, W/L) and terminals, byte for byte —
@@ -14,7 +15,7 @@ fn cpu16_netlist_identical_to_reference_extractor() {
     assert_eq!(spec.name, "cpu16");
     let chip = compile(spec).unwrap();
     let fast = extract(&chip.lib, chip.core_cell);
-    let slow = bristle_blocks::extract::extract_reference(&chip.lib, chip.core_cell);
+    let slow = extract_reference(&chip.lib, chip.core_cell);
     assert_eq!(fast.net_names, slow.net_names, "net names/order must match");
     assert_eq!(fast.transistors, slow.transistors, "devices must match");
     assert_eq!(fast.terminals, slow.terminals, "terminals must match");
@@ -84,7 +85,40 @@ fn smaller_reference_chips_identical_to_reference_extractor() {
     for spec in &specs {
         let chip = compile(spec).unwrap();
         let fast = extract(&chip.lib, chip.core_cell);
-        let slow = bristle_blocks::extract::extract_reference(&chip.lib, chip.core_cell);
+        let slow = extract_reference(&chip.lib, chip.core_cell);
         assert_eq!(fast, slow, "{} netlist must match reference", spec.name);
     }
+}
+
+/// The reference extractor is quadratic in the piece count; cells with
+/// more flat shapes than this are left to the reference chips above.
+const ORACLE_SHAPES: usize = 2_500;
+
+/// Generated chips stay identical too: the top and core cells of
+/// full-diversity `random_spec` chips (bus breaks, PLA fields, every
+/// element kind) up to [`ORACLE_SHAPES`] flat shapes, and the cores of
+/// `random_cosim_spec` chips, the ones the differential suite extracts.
+#[test]
+fn generated_chips_identical_to_reference_extractor() {
+    let mut capped_in = 0;
+    for k in 0..24u64 {
+        let spec = SpecGen::random_spec(&mut Rng::new(0xB215_713E + 3000 + k), &format!("r{k}"));
+        let chip = compile(&spec).unwrap();
+        for cell in [chip.top, chip.core_cell] {
+            if chip.lib.flatten_shared(cell).len() > ORACLE_SHAPES {
+                continue;
+            }
+            let fast = extract(&chip.lib, cell);
+            assert_eq!(fast, extract_reference(&chip.lib, cell), "{} cell {cell:?}", spec.name);
+            capped_in += 1;
+        }
+        let spec =
+            SpecGen::random_cosim_spec(&mut Rng::new(0xB215_713E + 4000 + k), &format!("c{k}"));
+        let chip = compile(&spec).unwrap();
+        let fast = extract(&chip.lib, chip.core_cell);
+        assert_eq!(fast, extract_reference(&chip.lib, chip.core_cell), "{}", spec.name);
+    }
+    // The cap keeps 26 of the 48 random_spec cells; it must not grow to
+    // skip most of them.
+    assert!(capped_in >= 16, "only {capped_in} random_spec cells compared");
 }
