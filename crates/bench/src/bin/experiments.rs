@@ -1,11 +1,13 @@
 //! The experiment harness: regenerates every figure (f1–f3) and table
-//! (t1–t3) of the paper, plus the ablations a1–a5 (stretching,
-//! rotorouter, decoder optimisation, conditional assembly, smart cells)
-//! and the glue-fault probe g1. Performance measurement beyond the
-//! paper's t2/t3 tables is the `perfbench` benchmark's job.
+//! (t1–t3) of the paper, plus the ablations a1–a4 (stretching,
+//! rotorouter, decoder optimisation, conditional assembly) and the
+//! glue-fault probe g1. Performance measurement beyond the paper's t2/t3
+//! tables is the `perfbench` benchmark's job.
 //!
 //! Run everything:    `cargo run --release -p bristle-bench --bin experiments`
 //! Run one:           `cargo run --release -p bristle-bench --bin experiments -- t1`
+//!
+//! An unknown id prints the known ones to stderr and exits with status 2.
 
 use std::time::Instant;
 
@@ -14,44 +16,33 @@ use bristle_core::{ChipSpec, Compiler};
 use bristle_drc::{check_flat, RuleSet};
 use bristle_geom::Point;
 
+/// Every experiment, in run order.
+const EXPERIMENTS: [(&str, fn()); 11] = [
+    ("f1", f1_physical_format),
+    ("f2", f2_logical_format),
+    ("f3", f3_compiler_space),
+    ("t1", t1_area_vs_hand),
+    ("t2", t2_compile_time),
+    ("t3", t3_design_loop),
+    ("a1", a1_stretch_ablation),
+    ("a2", a2_rotorouter_ablation),
+    ("a3", a3_decoder_opt),
+    ("a4", a4_conditional_assembly),
+    ("g1", g1_glue_faults),
+];
+
 fn main() {
     let which: Vec<String> = std::env::args().skip(1).collect();
-    let run = |id: &str| which.is_empty() || which.iter().any(|w| w.eq_ignore_ascii_case(id));
-    if run("f1") {
-        f1_physical_format();
+    let known = |w: &String| EXPERIMENTS.iter().any(|(id, _)| w.eq_ignore_ascii_case(id));
+    if let Some(bad) = which.iter().find(|w| !known(w)) {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        eprintln!("unknown experiment `{bad}`; known: {}", ids.join(" "));
+        std::process::exit(2);
     }
-    if run("f2") {
-        f2_logical_format();
-    }
-    if run("f3") {
-        f3_compiler_space();
-    }
-    if run("t1") {
-        t1_area_vs_hand();
-    }
-    if run("t2") {
-        t2_compile_time();
-    }
-    if run("t3") {
-        t3_design_loop();
-    }
-    if run("a1") {
-        a1_stretch_ablation();
-    }
-    if run("a2") {
-        a2_rotorouter_ablation();
-    }
-    if run("a3") {
-        a3_decoder_opt();
-    }
-    if run("a4") {
-        a4_conditional_assembly();
-    }
-    if run("a5") {
-        a5_smart_cells();
-    }
-    if run("g1") {
-        g1_glue_faults();
+    for (id, run) in EXPERIMENTS {
+        if which.is_empty() || which.iter().any(|w| w.eq_ignore_ascii_case(id)) {
+            run();
+        }
     }
 }
 
@@ -296,27 +287,6 @@ fn a4_conditional_assembly() {
             chip.pad_count,
             chip.die_area(),
             chip.wire_length
-        );
-    }
-}
-
-/// A5 — smart-cell minimum-area variant selection.
-fn a5_smart_cells() {
-    banner("A5", "smart-cell variant selection (min area at pitch)");
-    for spec in reference_specs() {
-        let smart = Compiler::new().compile(&spec).unwrap();
-        let dumb = Compiler {
-            no_variants: true,
-            ..Compiler::new()
-        }
-        .compile(&spec)
-        .unwrap();
-        println!(
-            "  {:<12} smart core={:>10} λ²  primary-only={:>10} λ²  Δ={:>6}",
-            spec.name,
-            smart.core_area(),
-            dumb.core_area(),
-            dumb.core_area() - smart.core_area()
         );
     }
 }

@@ -132,6 +132,10 @@ impl From<StretchError> for GenError {
 /// bristles for their bus taps ([`crate::Flavor::Bus`], with `bit = 0` —
 /// stacking assigns real bit indices), power rails, control lines (South
 /// side, toward the decoder) and pad requests.
+///
+/// The compiler calls [`CellGenerator::generate`] once per element: every
+/// column's natural tracks vote on the chip's interface standard, and
+/// each column is then stretched to it. A generator offers one layout.
 pub trait CellGenerator {
     /// The element type name users write in the chip description
     /// (e.g. `"alu"`, `"registers"`).
@@ -153,17 +157,6 @@ pub trait CellGenerator {
     ///
     /// Implementations report missing/bad parameters and library failures.
     fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError>;
-
-    /// Generates *candidate variants* of the element's columns, for smart
-    /// minimum-area selection once the pitch is known. The default returns
-    /// the single [`CellGenerator::generate`] result.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CellGenerator::generate`].
-    fn variants(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<Vec<CellId>>, GenError> {
-        Ok(vec![self.generate(ctx, lib)?])
-    }
 }
 
 #[cfg(test)]

@@ -343,16 +343,57 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
     Ok(file)
 }
 
+/// The λ box the writer can emit again: it writes twice a coordinate,
+/// twice a box's extent and the sum of a box's edges, which all stay
+/// inside `i64` for coordinates within ±`i64::MAX / 4`.
+const EMITTABLE: Rect = Rect {
+    x0: -(i64::MAX / 4),
+    y0: -(i64::MAX / 4),
+    x1: i64::MAX / 4,
+    y1: i64::MAX / 4,
+};
+
+/// The box of `points` grown by `pad` on every side, if it fits `i64`.
+fn span(points: &[Point], pad: i64) -> Option<Rect> {
+    let lo = points.iter().fold(points[0], |a, &p| a.min(p));
+    let hi = points.iter().fold(points[0], |a, &p| a.max(p));
+    Some(Rect::new(
+        lo.x.checked_sub(pad)?,
+        lo.y.checked_sub(pad)?,
+        hi.x.checked_add(pad)?,
+        hi.y.checked_add(pad)?,
+    ))
+}
+
+/// `r`, a box inside [`EMITTABLE`], placed by `t`, if it fits `i64`.
+fn placed(r: Rect, t: &Transform) -> Option<Rect> {
+    let (lo, hi) = (t.orient.apply(r.lo()), t.orient.apply(r.hi()));
+    let d = t.offset;
+    Some(Rect::new(
+        lo.x.checked_add(d.x)?,
+        lo.y.checked_add(d.y)?,
+        hi.x.checked_add(d.x)?,
+        hi.y.checked_add(d.y)?,
+    ))
+}
+
 /// Rebuilds a [`Library`] from a parsed CIF file (coordinates halved
 /// back from the writer's half-λ convention).
 ///
 /// # Errors
 ///
 /// Fails on geometry that does not survive the half-λ conversion (odd
-/// CIF coordinates) or on structural library errors.
+/// CIF coordinates), on geometry that once flattened through its calls
+/// leaves ±`i64::MAX / 4` λ (beyond what the writer can emit again), or
+/// on structural library errors.
 pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
     let mut lib = Library::new("from-cif");
-    let mut ids: HashMap<i64, bristle_cell::CellId> = HashMap::new();
+    // Each symbol's cell and λ reach: the box of its origin, its shapes
+    // and its calls' reaches. Symbols are defined before they are
+    // called, so a call's reach composes its callee's with checked
+    // arithmetic, and every flattened coordinate and composed call
+    // offset stays inside the reach.
+    let mut ids: HashMap<i64, (bristle_cell::CellId, Rect)> = HashMap::new();
     for (si, sym) in file.symbols.iter().enumerate() {
         let err = |message: String| ParseCifError::Syntax {
             command_index: si,
@@ -372,6 +413,14 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
         let mut cell = Cell::new(name);
         let mut layer = Layer::Metal;
         let mut inst_counter = 0usize;
+        let mut reach = Rect::new(0, 0, 0, 0);
+        let mut grow = |r: Option<Rect>| {
+            let r = r
+                .filter(|r| EMITTABLE.contains_rect(r))
+                .ok_or_else(|| err(format!("geometry beyond ±{} λ", EMITTABLE.x1)))?;
+            reach = reach.union(&r);
+            Ok::<(), ParseCifError>(())
+        };
         for cmd in &sym.commands {
             match cmd {
                 CifCommand::Layer(l) => layer = *l,
@@ -392,7 +441,9 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
                     let ((x0, x1), (y0, y1)) = (edges(*cx, l)?, edges(*cy, w)?);
                     let (x0, y0) = (half(x0)?, half(y0)?);
                     let (x1, y1) = (half(x1)?, half(y1)?);
-                    cell.push_shape(Shape::rect(layer, Rect::new(x0, y0, x1, y1)));
+                    let r = Rect::new(x0, y0, x1, y1);
+                    grow(Some(r))?;
+                    cell.push_shape(Shape::rect(layer, r));
                 }
                 CifCommand::Wire { width, points } => {
                     let w = half(*width)?;
@@ -402,6 +453,7 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
                         .collect::<Result<Vec<_>, ParseCifError>>()?;
                     let path =
                         Path::new(pts, w).map_err(|e| err(format!("bad wire: {e}")))?;
+                    grow(span(path.points(), w / 2))?;
                     cell.push_shape(Shape::wire(layer, path));
                 }
                 CifCommand::Poly { points } => {
@@ -411,16 +463,18 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
                         .collect::<Result<Vec<_>, ParseCifError>>()?;
                     let poly =
                         Polygon::new(pts).map_err(|e| err(format!("bad polygon: {e}")))?;
+                    grow(span(poly.vertices(), 0))?;
                     cell.push_shape(Shape::polygon(layer, poly));
                 }
                 CifCommand::Call { symbol, transform } => {
-                    let child = *ids
+                    let (child, child_reach) = *ids
                         .get(symbol)
                         .ok_or(ParseCifError::UnknownSymbol(*symbol))?;
                     let t = Transform::new(
                         transform.orient,
                         Point::new(half(transform.offset.x)?, half(transform.offset.y)?),
                     );
+                    grow(placed(child_reach, &t))?;
                     inst_counter += 1;
                     cell.push_instance(bristle_cell::Instance::new(
                         child,
@@ -431,7 +485,7 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
             }
         }
         let id = lib.add_cell(cell)?;
-        ids.insert(sym.number, id);
+        ids.insert(sym.number, (id, reach));
     }
     Ok(lib)
 }
@@ -515,6 +569,26 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn nested_calls_past_the_writable_range_rejected() {
+        // Each call offset parses, but four of them nested around one box
+        // would flatten it past `i64`.
+        let nest = |offset: i64| {
+            let mut text = String::from("DS 1 125 1; 9 s1; L NM; B 4 4 0 0; DF;");
+            for n in 2..=5 {
+                text += &format!("DS {n} 125 1; 9 s{n}; C {} T {offset} 0; DF;", n - 1);
+            }
+            cif_to_library(&parse_cif(&(text + "C 5; E")).unwrap())
+        };
+        assert!(matches!(
+            nest(9_223_372_036_854_775_804),
+            Err(ParseCifError::Syntax { .. })
+        ));
+        let lib = nest(20).unwrap();
+        let top = lib.find("s5").unwrap();
+        assert_eq!(lib.flatten_shared(top)[0].bbox(), Rect::new(39, -1, 41, 1));
     }
 
     #[test]

@@ -119,8 +119,6 @@ pub struct Compiler {
     pub naive_pads: bool,
     /// Disable PLA optimization (ablation A3).
     pub unoptimized_decoder: bool,
-    /// Disable smart-cell variant selection (ablation A5).
-    pub no_variants: bool,
 }
 
 impl Compiler {
@@ -236,67 +234,32 @@ impl Compiler {
             }
         }
 
-        // Generate variants, reading each column's natural tracks once;
-        // the primaries' tracks vote on the interface standard.
-        let mut variants: Vec<Vec<Vec<(CellId, TrackSet)>>> = Vec::new();
+        // Generate each element's columns, reading each column's natural
+        // tracks once; all of them vote on the interface standard.
+        let mut columns: Vec<Vec<CellId>> = Vec::new();
+        let mut tracks: Vec<TrackSet> = Vec::new();
         for p in &pending {
-            let candidates = if self.no_variants {
-                vec![p.generator.generate(&p.ctx, lib)?]
-            } else {
-                p.generator.variants(&p.ctx, lib)?
-            };
-            let mut v = Vec::new();
-            for cols in candidates {
-                let mut cand = Vec::new();
-                for col in cols {
-                    cand.push((col, TrackSet::from_cell(lib.cell(col))?));
-                }
-                v.push(cand);
+            let cols = p.generator.generate(&p.ctx, lib)?;
+            for &col in &cols {
+                tracks.push(TrackSet::from_cell(lib.cell(col))?);
             }
-            variants.push(v);
+            columns.push(cols);
         }
-        let primaries: Vec<TrackSet> =
-            variants.iter().flat_map(|v| v[0].iter().map(|&(_, ts)| ts)).collect();
-        let std = InterfaceStd::from_tracks(&primaries);
+        let std = InterfaceStd::from_tracks(&tracks);
 
-        // Smart-cell selection: the minimum-width variant whose tracks
-        // fit (are ≤) the standard, then stretch-align every column.
-        let std_ys = std.tracks.ys();
-        let mut chosen: Vec<Vec<CellId>> = Vec::new();
-        for mut v in variants {
-            let mut best: Option<(i64, usize)> = None;
-            for (ci, cand) in v.iter().enumerate() {
-                let mut fits = true;
-                let mut width = 0;
-                for &(col, ts) in cand {
-                    fits &= ts.tracks.ys().into_iter().zip(std_ys).all(|(t, s)| t <= s);
-                    width += lib.bbox(col).map_or(0, |b| b.width());
-                }
-                if fits && best.is_none_or(|(bw, _)| width < bw) {
-                    best = Some((width, ci));
-                }
-            }
-            let pick = best.map_or(0, |(_, ci)| ci);
-            let mut cols = Vec::new();
-            for (col, ts) in v.swap_remove(pick) {
-                let lines = lib.cell(col).stretch_y().to_vec();
-                let plan = std.plan_alignment(&ts, &lines, lib.cell(col).name())?;
-                bristle_cell::stretch::apply_plan(
-                    lib.cell_mut(col),
-                    bristle_geom::Axis::Y,
-                    &plan,
-                );
-                std.check(lib.cell(col))?;
-                cols.push(col);
-            }
-            chosen.push(cols);
+        // Stretch-align every column to the standard.
+        for (&col, ts) in columns.iter().flatten().zip(&tracks) {
+            let lines = lib.cell(col).stretch_y().to_vec();
+            let plan = std.plan_alignment(ts, &lines, lib.cell(col).name())?;
+            bristle_cell::stretch::apply_plan(lib.cell_mut(col), bristle_geom::Axis::Y, &plan);
+            std.check(lib.cell(col))?;
         }
 
         // Stack columns into the core cell.
         let mut core = Cell::new(format!("{}_core", spec.name));
         let mut x = 0i64;
         let mut elements = Vec::new();
-        for (p, cols) in pending.into_iter().zip(chosen) {
+        for (p, cols) in pending.into_iter().zip(columns) {
             let x_start = x;
             for (ci, &col) in cols.iter().enumerate() {
                 let w = lib.bbox(col).map_or(0, |b| b.width());
@@ -651,10 +614,7 @@ impl Compiler {
 
         let ring = Ring::around(frame_bbox, points.len());
         let raw: Vec<Point> = points.iter().map(|p| p.1).collect();
-        let router = RotoRouter {
-            skip_rotation: self.naive_pads,
-            skip_swaps: self.naive_pads,
-        };
+        let router = RotoRouter { first_fit: self.naive_pads };
         let assignment = router.assign(&ring, &raw);
         let wires = route_wires(&ring, frame_bbox, &points, &assignment)?;
 

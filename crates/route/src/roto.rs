@@ -58,10 +58,9 @@ pub struct RouteAssignment {
 /// between each point's ring projection and its pad slot.
 #[derive(Debug, Clone, Default)]
 pub struct RotoRouter {
-    /// Disable the rotation search (ablation A2 baseline: first-fit).
-    pub skip_rotation: bool,
-    /// Disable the pairwise-swap refinement.
-    pub skip_swaps: bool,
+    /// Keep the rotation-0 clockwise matching: no rotation search and no
+    /// swap refinement (ablation A2 baseline: first-fit).
+    pub first_fit: bool,
 }
 
 impl RotoRouter {
@@ -102,7 +101,7 @@ impl RotoRouter {
             slot_of
         };
 
-        let rotations = if self.skip_rotation { 1 } else { n };
+        let rotations = if self.first_fit { 1 } else { n };
         let mut best = build(0);
         let mut best_cost = cost_of(&best);
         for rot in 1..rotations {
@@ -114,7 +113,7 @@ impl RotoRouter {
             }
         }
 
-        if !self.skip_swaps {
+        if !self.first_fit {
             // Pairwise-swap hill climbing to a local optimum.
             let mut improved = true;
             while improved {
@@ -178,6 +177,7 @@ mod tests {
 
     #[test]
     fn rotation_beats_or_matches_identity() {
+        let naive = RotoRouter { first_fit: true };
         let ring = Ring::around(Rect::new(0, 0, 200, 100), 3);
         // Points clustered near the east edge.
         let pts = vec![
@@ -187,31 +187,17 @@ mod tests {
             Point::new(200, 20),
         ];
         let full = RotoRouter::new().assign(&ring, &pts);
-        let naive = RotoRouter {
-            skip_rotation: true,
-            skip_swaps: true,
-        }
-        .assign(&ring, &pts);
-        assert!(full.cost <= naive.cost);
+        assert!(full.cost <= naive.assign(&ring, &pts).cost);
         // Assignment is a bijection.
         let mut slots = full.slot_of.clone();
         slots.sort_unstable();
         assert_eq!(slots, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn swaps_never_worsen() {
+        // Points scattered over the whole die.
         let ring = Ring::around(Rect::new(0, 0, 120, 120), 2);
         let pts: Vec<Point> = (0..9)
             .map(|i| Point::new((i * 37) % 120, (i * 53) % 120))
             .collect();
-        let no_swap = RotoRouter {
-            skip_swaps: true,
-            ..RotoRouter::new()
-        }
-        .assign(&ring, &pts);
-        let with_swap = RotoRouter::new().assign(&ring, &pts);
-        assert!(with_swap.cost <= no_swap.cost);
+        assert!(RotoRouter::new().assign(&ring, &pts).cost <= naive.assign(&ring, &pts).cost);
     }
 
     #[test]

@@ -178,12 +178,22 @@ impl CellGenerator for RegistersGen {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AluGen;
 
-impl AluGen {
-    fn spec(ctx: &GenCtx, loose: bool) -> BitCellSpec {
+impl CellGenerator for AluGen {
+    fn name(&self) -> &str {
+        "alu"
+    }
+
+    fn fields(&self, ctx: &GenCtx) -> Vec<(String, u32)> {
+        vec![
+            (format!("{}_op", ctx.prefix), 3),
+            (format!("{}_actl", ctx.prefix), 2),
+        ]
+    }
+
+    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
         let op_field = format!("{}_op", ctx.prefix);
         let actl_field = format!("{}_actl", ctx.prefix);
-        let suffix = if loose { "_loose" } else { "" };
-        let mut spec = BitCellSpec::new(ctx.cell_name(&format!("alu_bit{suffix}")));
+        let mut spec = BitCellSpec::new(ctx.cell_name("alu_bit"));
         spec.slots = vec![
             ctl("lda", &actl_field, ActiveWhen::Equals(1), Phase::Phi1),
             plate("opa"),
@@ -233,7 +243,6 @@ impl AluGen {
                 right: Tap::Gnd,
             },
         ];
-        spec.region_heights = if loose { [14, 14, 12] } else { [12, 12, 12] };
         spec.power_ua = 180;
         spec.reprs = CellReprs {
             doc: "ALU bit: operand latches, precharged Manhattan carry chain (φ2), result driver."
@@ -248,34 +257,7 @@ impl AluGen {
             ],
             ..CellReprs::default()
         };
-        spec
-    }
-}
-
-impl CellGenerator for AluGen {
-    fn name(&self) -> &str {
-        "alu"
-    }
-
-    fn fields(&self, ctx: &GenCtx) -> Vec<(String, u32)> {
-        vec![
-            (format!("{}_op", ctx.prefix), 3),
-            (format!("{}_actl", ctx.prefix), 2),
-        ]
-    }
-
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
-        Ok(vec![add_cell(lib, &AluGen::spec(ctx, false))?])
-    }
-
-    fn variants(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<Vec<CellId>>, GenError> {
-        // Two layouts: compact and loose (taller regions). The compiler
-        // judges which fits the resolved pitch with minimum area — the
-        // paper's smart-cell selection.
-        Ok(vec![
-            vec![add_cell(lib, &AluGen::spec(ctx, false))?],
-            vec![add_cell(lib, &AluGen::spec(ctx, true))?],
-        ])
+        Ok(vec![add_cell(lib, &spec)?])
     }
 }
 
@@ -747,19 +729,6 @@ mod tests {
                 .y
         };
         assert_eq!(y(b[0]) - y(a[0]), 8, "escape lanes 8λ apart");
-    }
-
-    #[test]
-    fn alu_has_variants() {
-        let mut lib = Library::new("t");
-        let variants = AluGen.variants(&ctx(), &mut lib).unwrap();
-        assert_eq!(variants.len(), 2);
-        let t0 = TrackSet::from_cell(lib.cell(variants[0][0])).unwrap();
-        let t1 = TrackSet::from_cell(lib.cell(variants[1][0])).unwrap();
-        assert!(
-            t1.tracks.vdd_y > t0.tracks.vdd_y,
-            "loose variant should be taller"
-        );
     }
 
     #[test]

@@ -361,6 +361,23 @@ fn compile_fuzz_full_diversity_specs() {
         let chip = bristle_blocks::core::Compiler::new()
             .compile(&spec)
             .unwrap_or_else(|e| panic!("seed {seed:#x}: compile failed: {e}\n{spec}"));
+        // Every cell the compiler added to the library is part of the chip.
+        let mut reached = std::collections::HashSet::from([chip.top]);
+        let mut stack = vec![chip.top];
+        while let Some(id) = stack.pop() {
+            for inst in chip.lib.cell(id).instances() {
+                if reached.insert(inst.cell) {
+                    stack.push(inst.cell);
+                }
+            }
+        }
+        let orphans: Vec<&str> = chip
+            .lib
+            .iter()
+            .filter(|(id, _)| !reached.contains(id))
+            .map(|(_, cell)| cell.name())
+            .collect();
+        assert!(orphans.is_empty(), "seed {seed:#x}: cells unreachable from the top: {orphans:?}");
         let netlist = bristle_blocks::extract::extract(&chip.lib, chip.core_cell);
         assert!(!netlist.transistors.is_empty(), "seed {seed:#x}: no devices");
         // Terminal naming guarantee: every core terminal parses back to

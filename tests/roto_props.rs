@@ -58,11 +58,7 @@ fn optimization_never_loses_to_naive() {
         let pts = arb_points(&mut rng, 8);
         let ring = Ring::around(Rect::new(0, 0, 400, 400), pts.len());
         let full = RotoRouter::new().assign(&ring, &pts);
-        let naive = RotoRouter {
-            skip_rotation: true,
-            skip_swaps: true,
-        }
-        .assign(&ring, &pts);
+        let naive = RotoRouter { first_fit: true }.assign(&ring, &pts);
         assert!(full.cost <= naive.cost, "case {case}");
     }
 }
