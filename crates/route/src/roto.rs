@@ -149,10 +149,10 @@ mod tests {
     #[test]
     fn clockwise_order_of_compass_points() {
         let pts = [
-            Point::new(0, 10),   // N
-            Point::new(10, 0),   // E
-            Point::new(0, -10),  // S
-            Point::new(-10, 0),  // W
+            Point::new(0, 10),  // N
+            Point::new(10, 0),  // E
+            Point::new(0, -10), // S
+            Point::new(-10, 0), // W
         ];
         assert_eq!(clockwise_order(&pts), vec![0, 1, 2, 3]);
         // Shuffled input, same circular order.
@@ -192,12 +192,42 @@ mod tests {
         let mut slots = full.slot_of.clone();
         slots.sort_unstable();
         assert_eq!(slots, vec![0, 1, 2, 3]);
-        // Points scattered over the whole die.
+    }
+
+    #[test]
+    fn swaps_never_worsen() {
         let ring = Ring::around(Rect::new(0, 0, 120, 120), 2);
         let pts: Vec<Point> = (0..9)
             .map(|i| Point::new((i * 37) % 120, (i * 53) % 120))
             .collect();
-        assert!(RotoRouter::new().assign(&ring, &pts).cost <= naive.assign(&ring, &pts).cost);
+        let n = pts.len();
+        let slot_proj: Vec<i64> = ring
+            .slots(n, 0)
+            .iter()
+            .map(|s| ring.project(s.pos))
+            .collect();
+        let cost_of = |slot_of: &[usize]| -> i64 {
+            slot_of
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| ring.perimeter_distance(ring.project(pts[i]), slot_proj[s]))
+                .sum()
+        };
+        // Best clockwise matching over all rotations, before any swap.
+        let order = clockwise_order(&pts);
+        let no_swap = (0..n)
+            .map(|rot| {
+                let mut slot_of = vec![0usize; n];
+                for (k, &pi) in order.iter().enumerate() {
+                    slot_of[pi] = (k + rot) % n;
+                }
+                cost_of(&slot_of)
+            })
+            .min()
+            .unwrap();
+        let with_swap = RotoRouter::new().assign(&ring, &pts);
+        assert_eq!(with_swap.cost, cost_of(&with_swap.slot_of));
+        assert!(with_swap.cost <= no_swap);
     }
 
     #[test]
