@@ -384,6 +384,24 @@ impl<'a> LineParser<'a> {
             .map_err(|_| self.err(format!("bad integer `{t}` for {what}")))
     }
 
+    /// Reads a point count, at least `min` and no more than the points
+    /// left on the line, then that many `x y` points.
+    fn next_points(&mut self, what: &str, min: usize) -> Result<Vec<Point>, CdlError> {
+        let n = self.next_i64(what)?;
+        let left = self.rest().len() / 2;
+        let n = usize::try_from(n)
+            .ok()
+            .filter(|n| (min..=left).contains(n))
+            .ok_or_else(|| self.err(format!("{what} {n} outside {min}..={left}")))?;
+        let mut pts = Vec::with_capacity(n);
+        for _ in 0..n {
+            let x = self.next_i64("x")?;
+            let y = self.next_i64("y")?;
+            pts.push(Point::new(x, y));
+        }
+        Ok(pts)
+    }
+
     fn next_layer(&mut self) -> Result<Layer, CdlError> {
         let t = self.next("layer")?;
         t.parse().map_err(|_| self.err(format!("unknown layer `{t}`")))
@@ -410,8 +428,9 @@ impl<'a> LineParser<'a> {
 /// # Errors
 ///
 /// Returns [`CdlError::Parse`] with a line number on malformed input and
-/// [`CdlError::Cell`] on structural problems (duplicate cells, unknown
-/// instance targets).
+/// [`CdlError::Cell`] when [`Library::add_cell`] rejects a cell: a
+/// duplicate name, a non-rectilinear polygon, or geometry beyond
+/// ±[`bristle_geom::MAX_COORD`] λ.
 pub fn load_library(text: &str) -> Result<Library, CdlError> {
     let mut lib: Option<Library> = None;
     let mut current: Option<Cell> = None;
@@ -499,13 +518,7 @@ pub fn load_library(text: &str) -> Result<Library, CdlError> {
                         let label = p.take_label();
                         let layer = p.next_layer()?;
                         let width = p.next_i64("width")?;
-                        let n = p.next_i64("point count")?;
-                        let mut pts = Vec::with_capacity(n as usize);
-                        for _ in 0..n {
-                            let x = p.next_i64("x")?;
-                            let y = p.next_i64("y")?;
-                            pts.push(Point::new(x, y));
-                        }
+                        let pts = p.next_points("point count", 2)?;
                         let path = Path::new(pts, width)
                             .map_err(|e| p.err(format!("bad wire: {e}")))?;
                         let mut s = Shape::wire(layer, path);
@@ -517,13 +530,7 @@ pub fn load_library(text: &str) -> Result<Library, CdlError> {
                     "poly" => {
                         let label = p.take_label();
                         let layer = p.next_layer()?;
-                        let n = p.next_i64("vertex count")?;
-                        let mut pts = Vec::with_capacity(n as usize);
-                        for _ in 0..n {
-                            let x = p.next_i64("x")?;
-                            let y = p.next_i64("y")?;
-                            pts.push(Point::new(x, y));
-                        }
+                        let pts = p.next_points("vertex count", 3)?;
                         let poly = Polygon::new(pts)
                             .map_err(|e| p.err(format!("bad polygon: {e}")))?;
                         let mut s = Shape::polygon(layer, poly);
@@ -595,8 +602,8 @@ pub fn load_library(text: &str) -> Result<Library, CdlError> {
                             .ok_or_else(|| p.err("`inst` before `library`"))?
                             .find(&target)
                             .ok_or_else(|| p.err(format!("unknown cell `{target}`")))?;
-                        // Bypass Library::add_instance (cell not added yet);
-                        // acyclicity holds because targets must already exist.
+                        // The target already exists, so the hierarchy stays
+                        // acyclic; `add_cell` at `end` checks the bound.
                         cell.instances_mut().push(crate::cell::Instance::new(
                             target_id,
                             name,
@@ -636,10 +643,8 @@ mod tests {
             Layer::Poly,
             Path::new(vec![Point::new(-2, 4), Point::new(4, 4)], 2).unwrap(),
         ));
-        inv.push_shape(Shape::polygon(
-            Layer::Metal,
-            Polygon::from_rect(Rect::new(0, 10, 4, 14)),
-        ));
+        let corners = [(0, 10), (4, 10), (4, 14), (0, 14)].map(|(x, y)| Point::new(x, y));
+        inv.push_shape(Shape::polygon(Layer::Metal, Polygon::new(corners.to_vec()).unwrap()));
         inv.push_bristle(Bristle::new(
             "in",
             Layer::Poly,
@@ -729,6 +734,35 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn point_counts_are_bounded_by_the_line() {
+        for (shape, count) in [
+            ("wire NM 2 -1", "-1"),
+            ("wire NM 2 1 0 0", "1"),
+            ("wire NM 2 3 0 0 2 0", "3"),
+            ("wire NM 2 9223372036854775807 0 0 2 0", "9223372036854775807"),
+            ("poly NM 2 0 0 2 0", "2"),
+            ("poly NM 4 0 0 2 0 2 2 net=a", "4"),
+        ] {
+            let text = format!("library l\ncell a\n  {shape}\nend\n");
+            match load_library(&text) {
+                Err(CdlError::Parse { line: 3, message }) => {
+                    assert!(message.contains(count), "{shape}: {message}");
+                }
+                other => panic!("{shape}: expected a parse error, got {other:?}"),
+            }
+        }
+        // Counts at their minimum parse: the triangle reaches `add_cell`,
+        // which refuses it, and the two-point wire loads.
+        let ok = "library l\ncell a\n  wire NM 2 2 0 0 2 0\n  poly NM 3 0 0 2 0 2 2\nend\n";
+        match load_library(ok) {
+            Err(CdlError::Cell(CellError::NotRectilinear(name))) => assert_eq!(name, "a"),
+            other => panic!("expected the triangle to parse and be refused, got {other:?}"),
+        }
+        let ok = "library l\ncell a\n  wire NM 2 2 0 0 2 0 net=w\nend\n";
+        assert!(load_library(ok).is_ok());
     }
 
     #[test]

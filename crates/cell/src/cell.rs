@@ -21,28 +21,42 @@
 //!   it: the cells the walk passes through get no entry.
 //!   [`Library::flat_bristles_where`] keeps only the bristles a filter
 //!   accepts and caches nothing.
-//! * **Invalidation:** any mutation entry point ([`Library::cell_mut`],
-//!   [`Library::add_instance`]) clears the cache. `add_cell` keeps
-//!   it: a new cell can only reference existing cells, so existing
-//!   entries stay valid. [`Library::clear_flat_cache`] drops it on
-//!   demand.
+//! * **Invalidation:** the one mutation entry point,
+//!   [`Library::cell_mut`], clears the cache. `add_cell` keeps it: a
+//!   new cell can only reference existing cells, so existing entries
+//!   stay valid. [`Library::clear_flat_cache`] drops it on demand.
 //! * The cache sits behind an `RwLock`, so filling it needs only
 //!   `&Library` and the library stays `Sync`; cloning a library starts
 //!   with a cold cache.
 //!
 //! [`Library::bbox`] needs no instance path, so it computes each
 //! distinct cell's box once per call instead of once per occurrence.
+//!
+//! # Bounded geometry
+//!
+//! [`Library::add_cell`] is the only way a cell enters a library, and it
+//! rejects any cell whose hierarchy leaves ±[`MAX_COORD`] λ. Every flat
+//! view, and every back-end pass over one, can therefore rely on the
+//! arithmetic that bound documents.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
-use bristle_geom::{Point, Rect, Transform};
+use bristle_geom::{Point, Rect, Transform, MAX_COORD};
 
 use crate::bristle::{Bristle, Flavor, Side};
 use crate::power::PowerInfo;
 use crate::reprs::CellReprs;
-use crate::shape::Shape;
+use crate::shape::{Shape, ShapeGeom};
+
+/// The box every coordinate of a library lies in.
+const BOUND: Rect = Rect {
+    x0: -MAX_COORD,
+    y0: -MAX_COORD,
+    x1: MAX_COORD,
+    y1: MAX_COORD,
+};
 
 /// Opaque identifier of a cell within its [`Library`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,10 +100,12 @@ pub enum CellError {
     UnknownCell(CellId),
     /// No cell with this name exists in the library.
     UnknownName(String),
-    /// Adding this instance would create a hierarchy cycle.
-    Cycle(String),
-    /// The cell has no geometry, so the requested bbox is undefined.
-    EmptyCell(String),
+    /// The named cell's geometry, flattened through its instances,
+    /// leaves ±[`MAX_COORD`] λ.
+    OutOfBounds(String),
+    /// The named cell holds a polygon with a diagonal edge; every
+    /// back-end pass works on rectilinear geometry only.
+    NotRectilinear(String),
 }
 
 impl fmt::Display for CellError {
@@ -98,8 +114,10 @@ impl fmt::Display for CellError {
             CellError::DuplicateName(n) => write!(f, "duplicate cell name `{n}`"),
             CellError::UnknownCell(id) => write!(f, "unknown {id}"),
             CellError::UnknownName(n) => write!(f, "no cell named `{n}`"),
-            CellError::Cycle(n) => write!(f, "instancing `{n}` would create a cycle"),
-            CellError::EmptyCell(n) => write!(f, "cell `{n}` has no geometry"),
+            CellError::OutOfBounds(n) => {
+                write!(f, "cell `{n}` has geometry beyond ±{MAX_COORD} λ")
+            }
+            CellError::NotRectilinear(n) => write!(f, "cell `{n}` has a non-rectilinear polygon"),
         }
     }
 }
@@ -174,8 +192,8 @@ impl Cell {
     /// Adds an instance to a cell that is **not yet** in a library.
     ///
     /// [`Library::add_cell`] validates that every referenced id already
-    /// exists in the library, which keeps the hierarchy acyclic. For cells
-    /// already in a library, prefer [`Library::add_instance`].
+    /// exists in the library, which keeps the hierarchy acyclic, and that
+    /// the placed hierarchy stays within the geometry bound.
     pub fn push_instance(&mut self, instance: Instance) {
         self.instances.push(instance);
     }
@@ -259,16 +277,18 @@ impl Cell {
     /// instances. `None` when the cell is completely empty.
     #[must_use]
     pub fn local_bbox(&self) -> Option<Rect> {
-        let mut bb: Option<Rect> = None;
-        for s in &self.shapes {
+        if self.shapes.is_empty() && self.bristles.is_empty() {
+            return None;
+        }
+        // A plain fold over corners, no `Option` per item: every `bbox`
+        // call, `add_cell`'s check among them, boxes cells this way.
+        let (lo, hi) = (Point::new(i64::MAX, i64::MAX), Point::new(i64::MIN, i64::MIN));
+        let (lo, hi) = self.shapes.iter().fold((lo, hi), |(lo, hi), s| {
             let b = s.bbox();
-            bb = Some(bb.map_or(b, |acc| acc.union(&b)));
-        }
-        for b in &self.bristles {
-            let r = Rect::from_points(b.pos, b.pos);
-            bb = Some(bb.map_or(r, |acc| acc.union(&r)));
-        }
-        bb
+            (lo.min(b.lo()), hi.max(b.hi()))
+        });
+        let (lo, hi) = self.bristles.iter().fold((lo, hi), |(lo, hi), b| (lo.min(b.pos), hi.max(b.pos)));
+        Some(Rect { x0: lo.x, y0: lo.y, x1: hi.x, y1: hi.y })
     }
 }
 
@@ -291,9 +311,12 @@ impl fmt::Display for Cell {
 /// of common cell libraries"; see [`crate::save_library`] and
 /// [`crate::load_library`] for the file format.
 ///
+/// Cells enter only through [`Library::add_cell`], which keeps the
+/// hierarchy acyclic and every coordinate within ±[`MAX_COORD`] λ.
+///
 /// The flat view of each cell a caller flattens is memoized
-/// ([`Library::flatten_shared`]); the mutation entry points
-/// [`Library::cell_mut`] and [`Library::add_instance`] clear the cache.
+/// ([`Library::flatten_shared`]); the one mutation entry point,
+/// [`Library::cell_mut`], clears the cache.
 #[derive(Debug, Default)]
 pub struct Library {
     name: String,
@@ -358,6 +381,9 @@ impl Library {
     /// * [`CellError::DuplicateName`] if a cell of the same name exists.
     /// * [`CellError::UnknownCell`] if an instance references a cell id
     ///   not already in this library (which also rules out cycles).
+    /// * [`CellError::NotRectilinear`] if a polygon has a diagonal edge.
+    /// * [`CellError::OutOfBounds`] if the cell's geometry, flattened
+    ///   through its instances, leaves ±[`MAX_COORD`] λ.
     pub fn add_cell(&mut self, cell: Cell) -> Result<CellId, CellError> {
         if self.by_name.contains_key(cell.name()) {
             return Err(CellError::DuplicateName(cell.name().to_owned()));
@@ -367,6 +393,7 @@ impl Library {
                 return Err(CellError::UnknownCell(inst.cell));
             }
         }
+        self.check_geometry(&cell)?;
         let id = CellId(self.cells.len() as u32);
         self.by_name.insert(cell.name().to_owned(), id);
         self.cells.push(cell);
@@ -385,6 +412,12 @@ impl Library {
 
     /// Mutably borrows a cell. Invalidates the flatten cache: the caller
     /// may change geometry this cell's ancestors have cached.
+    ///
+    /// This is the one way around [`Library::add_cell`]'s checks: the
+    /// caller must keep the cell rectilinear and its hierarchy, and every
+    /// ancestor's, within ±[`MAX_COORD`] λ. It is meant for the compiler's
+    /// own edits to cells it generated, such as pass 1's stretch; no
+    /// loader calls it.
     ///
     /// # Panics
     ///
@@ -433,41 +466,6 @@ impl Library {
             .map(|(i, c)| (CellId(i as u32), c))
     }
 
-    /// Adds an instance of `child` to `parent`.
-    ///
-    /// Because `add_cell` only accepts instances of already-present cells,
-    /// the hierarchy is acyclic by construction as long as `child < parent`
-    /// in insertion order; this method additionally rejects any instance
-    /// that would point forward (to the cell itself or a later cell), which
-    /// keeps the DAG invariant under post-hoc editing.
-    ///
-    /// # Errors
-    ///
-    /// * [`CellError::UnknownCell`] if either id is invalid.
-    /// * [`CellError::Cycle`] if `child >= parent` in insertion order.
-    pub fn add_instance(
-        &mut self,
-        parent: CellId,
-        child: CellId,
-        name: impl Into<String>,
-        transform: Transform,
-    ) -> Result<(), CellError> {
-        if parent.0 as usize >= self.cells.len() {
-            return Err(CellError::UnknownCell(parent));
-        }
-        if child.0 as usize >= self.cells.len() {
-            return Err(CellError::UnknownCell(child));
-        }
-        if child.0 >= parent.0 {
-            return Err(CellError::Cycle(self.cell(child).name().to_owned()));
-        }
-        self.invalidate_flat_cache();
-        self.cells[parent.0 as usize]
-            .instances
-            .push(Instance::new(child, name, transform));
-        Ok(())
-    }
-
     /// Bounding box of a cell including all sub-instances.
     ///
     /// Returns `None` for a cell whose entire hierarchy is empty. Each
@@ -501,6 +499,42 @@ impl Library {
         }
         memo[id.0 as usize] = Some(bb);
         bb
+    }
+
+    /// Checks that `cell`'s polygons are rectilinear and that it lies
+    /// within [`BOUND`]: each own item, then each instance placed over
+    /// its cell's box. A raw point or wire half-width is checked before
+    /// it is added to anything, and a child's box is bounded because
+    /// `add_cell` took the child, so no step can overflow.
+    fn check_geometry(&self, cell: &Cell) -> Result<(), CellError> {
+        let fail = |e: fn(String) -> CellError| Err(e(cell.name().to_owned()));
+        for s in cell.shapes() {
+            let inside = match &s.geom {
+                ShapeGeom::Box(r) => BOUND.contains_rect(r),
+                ShapeGeom::Wire(p) => {
+                    p.width() / 2 <= MAX_COORD
+                        && p.points().iter().all(|&q| BOUND.contains(q))
+                        && BOUND.contains_rect(&p.bbox())
+                }
+                ShapeGeom::Poly(p) if !p.is_rectilinear() => return fail(CellError::NotRectilinear),
+                ShapeGeom::Poly(p) => p.vertices().iter().all(|&q| BOUND.contains(q)),
+            };
+            if !inside {
+                return fail(CellError::OutOfBounds);
+            }
+        }
+        if !cell.bristles().iter().all(|b| BOUND.contains(b.pos)) {
+            return fail(CellError::OutOfBounds);
+        }
+        let mut memo = vec![None; if cell.instances().is_empty() { 0 } else { self.cells.len() }];
+        for inst in cell.instances() {
+            let t = &inst.transform;
+            let placed = |bb: Rect| BOUND.contains_rect(&t.apply_rect(bb));
+            if !BOUND.contains(t.offset) || !self.bbox_memo(inst.cell, &mut memo).is_none_or(placed) {
+                return fail(CellError::OutOfBounds);
+            }
+        }
+        Ok(())
     }
 
     /// The one depth-first walk behind every flat view. Calls `visit`
@@ -678,35 +712,92 @@ mod tests {
         let a = lib.add_cell(leaf("a")).unwrap();
         let mut parent = Cell::new("p");
         parent.push_shape(Shape::rect(Layer::Poly, Rect::new(0, 0, 2, 2)));
+        parent.push_instance(Instance::new(a, "i0", Transform::translate(Point::new(10, 0))));
+        let t = Transform::new(Orientation::R90, Point::new(0, 10));
+        parent.push_instance(Instance::new(a, "i1", t));
         let p = lib.add_cell(parent).unwrap();
-        lib.add_instance(p, a, "i0", Transform::translate(Point::new(10, 0)))
-            .unwrap();
-        lib.add_instance(
-            p,
-            a,
-            "i1",
-            Transform::new(Orientation::R90, Point::new(0, 10)),
-        )
-        .unwrap();
         // i0: [10,0..14,2]; i1: R90 of [0,0,4,2] = [-2,0,0,4] then +(0,10).
         assert_eq!(lib.bbox(p), Some(Rect::new(-2, 0, 14, 14)));
     }
 
     #[test]
     fn cycle_rejected() {
+        // A cell may instance only cells already in the library, so it
+        // can never reach itself or a later cell: no cycle can form.
         let mut lib = Library::new("t");
         let a = lib.add_cell(leaf("a")).unwrap();
-        let b = lib.add_cell(leaf("b")).unwrap();
-        // Forward reference b -> b and b -> later are cycles.
-        assert!(matches!(
-            lib.add_instance(a, b, "x", Transform::IDENTITY),
-            Err(CellError::Cycle(_))
-        ));
-        assert!(matches!(
-            lib.add_instance(a, a, "x", Transform::IDENTITY),
-            Err(CellError::Cycle(_))
-        ));
-        assert!(lib.add_instance(b, a, "x", Transform::IDENTITY).is_ok());
+        let mut b = leaf("b");
+        b.push_instance(Instance::new(CellId(1), "self", Transform::IDENTITY));
+        assert_eq!(lib.add_cell(b), Err(CellError::UnknownCell(CellId(1))));
+        assert_eq!(lib.len(), 1, "a rejected cell is not added");
+        let mut b = leaf("b");
+        b.push_instance(Instance::new(a, "x", Transform::IDENTITY));
+        assert!(lib.add_cell(b).is_ok());
+    }
+
+    /// A cell named `name` holding `shape`.
+    fn holding(name: &str, shape: Shape) -> Cell {
+        let mut c = Cell::new(name);
+        c.push_shape(shape);
+        c
+    }
+
+    #[test]
+    fn geometry_past_the_bound_rejected() {
+        let m = MAX_COORD;
+        let mut lib = Library::new("t");
+        let square = Shape::rect(Layer::Metal, Rect::new(-m, -m, m, m));
+        let edge = lib.add_cell(holding("edge", square)).unwrap();
+        let wire = |pts: &[(i64, i64)], w| {
+            let pts = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            Shape::wire(Layer::Poly, bristle_geom::Path::new(pts, w).unwrap())
+        };
+        let flush = wire(&[(0, 0), (m, 0)], 2);
+        lib.add_cell(holding("flush", flush)).unwrap();
+        let vertex = |x| {
+            let v = [(0, 0), (x, 0), (x, 2), (0, 2)].map(|(x, y)| Point::new(x, y));
+            Shape::polygon(Layer::Metal, bristle_geom::Polygon::new(v.to_vec()).unwrap())
+        };
+        lib.add_cell(holding("poly", vertex(m))).unwrap();
+        let mut past = vec![
+            holding("box", Shape::rect(Layer::Metal, Rect::new(0, 0, m + 1, 2))),
+            holding("huge", Shape::rect(Layer::Metal, Rect::new(i64::MIN, 0, i64::MAX, 2))),
+            // The squared-off corner reaches one past the bound.
+            holding("corner", wire(&[(0, 0), (m, 0), (m, 2)], 2)),
+            holding("width", wire(&[(0, 0), (2, 0)], i64::MAX - 1)),
+            holding("vertex", vertex(m + 1)),
+        ];
+        let mut bristle = Cell::new("bristle");
+        let pos = Point::new(i64::MIN, 0);
+        bristle.push_bristle(Bristle::new("b", Layer::Metal, pos, Side::West, Flavor::Signal));
+        past.push(bristle);
+        for (name, offset) in [("offset", Point::new(i64::MAX, 0)), ("nudge", Point::new(0, 1))] {
+            let mut c = Cell::new(name);
+            c.push_instance(Instance::new(edge, "e", Transform::translate(offset)));
+            past.push(c);
+        }
+        for cell in past {
+            let name = cell.name().to_owned();
+            assert_eq!(lib.add_cell(cell), Err(CellError::OutOfBounds(name)));
+        }
+        assert_eq!(lib.len(), 3, "rejected cells are not added");
+        // Any orientation of the full square stays inside.
+        let mut spun = Cell::new("spun");
+        for (i, o) in Orientation::ALL.into_iter().enumerate() {
+            spun.push_instance(Instance::new(edge, format!("e{i}"), Transform::new(o, Point::ORIGIN)));
+        }
+        lib.add_cell(spun).unwrap();
+    }
+
+    #[test]
+    fn diagonal_polygons_rejected() {
+        let v = [(0, 0), (4, 0), (0, 4)].map(|(x, y)| Point::new(x, y));
+        let poly = bristle_geom::Polygon::new(v.to_vec()).unwrap();
+        let mut lib = Library::new("t");
+        assert_eq!(
+            lib.add_cell(holding("tri", Shape::polygon(Layer::Metal, poly))),
+            Err(CellError::NotRectilinear("tri".into()))
+        );
     }
 
     #[test]
@@ -824,26 +915,30 @@ mod tests {
         bb
     }
 
+    /// Adds `mid` with two instances of `a`, rotated and shifted.
+    fn add_with_instances(lib: &mut Library, mut mid: Cell, a: CellId) -> CellId {
+        let t = Transform::new(Orientation::R90, Point::new(5, 0));
+        mid.push_instance(Instance::new(a, "u0", t));
+        mid.push_instance(Instance::new(a, "u1", Transform::translate(Point::new(0, 9))));
+        lib.add_cell(mid).unwrap()
+    }
+
+    /// Adds `top`: `mid` mirrored and `a` once more beside it.
+    fn add_top(lib: &mut Library, mid: CellId, a: CellId) -> CellId {
+        let mut top = Cell::new("top");
+        let t = Transform::new(Orientation::MR180, Point::new(20, 3));
+        top.push_instance(Instance::new(mid, "v0", t));
+        top.push_instance(Instance::new(a, "w", Transform::translate(Point::new(-4, -4))));
+        lib.add_cell(top).unwrap()
+    }
+
     fn three_level_library() -> (Library, CellId) {
         let mut lib = Library::new("t");
         let a = lib.add_cell(leaf("a")).unwrap();
         let mut mid = Cell::new("mid");
         mid.push_shape(Shape::rect(Layer::Poly, Rect::new(0, 0, 2, 2)));
-        let m = lib.add_cell(mid).unwrap();
-        lib.add_instance(m, a, "u0", Transform::new(Orientation::R90, Point::new(5, 0)))
-            .unwrap();
-        lib.add_instance(m, a, "u1", Transform::translate(Point::new(0, 9)))
-            .unwrap();
-        let top = lib.add_cell(Cell::new("top")).unwrap();
-        lib.add_instance(
-            top,
-            m,
-            "v0",
-            Transform::new(Orientation::MR180, Point::new(20, 3)),
-        )
-        .unwrap();
-        lib.add_instance(top, a, "w", Transform::translate(Point::new(-4, -4)))
-            .unwrap();
+        let m = add_with_instances(&mut lib, mid, a);
+        let top = add_top(&mut lib, m, a);
         (lib, top)
     }
 
@@ -876,12 +971,6 @@ mod tests {
         let after = lib.flatten_shared(top);
         assert_eq!(*after, flatten_oracle(&lib, top));
         assert!(after.len() > before.len());
-        // Adding an instance invalidates too.
-        let count = lib.flatten_shared(top).len();
-        lib.add_instance(top, a, "w2", Transform::translate(Point::new(40, 0)))
-            .unwrap();
-        assert!(lib.flatten_shared(top).len() > count);
-        assert_eq!(*lib.flatten_shared(top), flatten_oracle(&lib, top));
     }
 
     /// Like `three_level_library` but with bristles on every level.
@@ -904,21 +993,8 @@ mod tests {
             Side::South,
             Flavor::Signal,
         ));
-        let m = lib.add_cell(mid).unwrap();
-        lib.add_instance(m, aid, "u0", Transform::new(Orientation::R90, Point::new(5, 0)))
-            .unwrap();
-        lib.add_instance(m, aid, "u1", Transform::translate(Point::new(0, 9)))
-            .unwrap();
-        let top = lib.add_cell(Cell::new("top")).unwrap();
-        lib.add_instance(
-            top,
-            m,
-            "v0",
-            Transform::new(Orientation::MR180, Point::new(20, 3)),
-        )
-        .unwrap();
-        lib.add_instance(top, aid, "w", Transform::translate(Point::new(-4, -4)))
-            .unwrap();
+        let m = add_with_instances(&mut lib, mid, aid);
+        let top = add_top(&mut lib, m, aid);
         (lib, top)
     }
 
@@ -962,15 +1038,6 @@ mod tests {
         let after = lib.flat_bristles_shared(top);
         assert_eq!(*after, flat_bristles_oracle(&lib, top));
         assert!(after.len() > before);
-        // `add_instance` must clear it too.
-        let count = lib.flat_bristles_shared(top).len();
-        lib.add_instance(top, a, "w2", Transform::translate(Point::new(40, 0)))
-            .unwrap();
-        assert!(lib.flat_bristles_shared(top).len() > count);
-        assert_eq!(
-            *lib.flat_bristles_shared(top),
-            flat_bristles_oracle(&lib, top)
-        );
         // `clear_flat_cache` clears; recompute still matches.
         lib.clear_flat_cache();
         assert_eq!(
@@ -1148,19 +1215,24 @@ mod tests {
             for (k, c) in kept.iter_mut().zip(counts) {
                 *k += c;
             }
-            // Results track every invalidation entry point.
+            // Results track the invalidation entry point, and a cell
+            // added over cached ones sees them as they are.
             let leaf = CellId(0);
             lib.cell_mut(leaf).push_shape(random_shape(&mut rng));
             lib.cell_mut(leaf).push_bristle(random_bristle(&mut rng, 9));
             assert_views_match(&lib, top, &format!("{what} after cell_mut"));
+            let mut wrap = Cell::new("wrap");
+            wrap.push_instance(Instance::new(top, "top", Transform::IDENTITY));
             let orient = Orientation::ALL[rng.below(8)];
-            lib.add_instance(top, leaf, "extra", Transform::new(orient, rng.point(40)))
-                .unwrap();
-            assert_views_match(&lib, top, &format!("{what} after add_instance"));
+            let t = Transform::new(orient, rng.point(40));
+            wrap.push_instance(Instance::new(leaf, "extra", t));
+            let wrap = lib.add_cell(wrap).unwrap();
+            assert_views_match(&lib, wrap, &format!("{what} after add_cell"));
+            assert_views_match(&lib, top, &format!("{what} after add_cell"));
             lib.clear_flat_cache();
             assert_eq!(lib.cached_entries(), 0, "{what}");
-            assert_views_match(&lib, top, &format!("{what} after clear_flat_cache"));
-            assert_views_match(&lib.clone(), top, &format!("{what} on a clone"));
+            assert_views_match(&lib, wrap, &format!("{what} after clear_flat_cache"));
+            assert_views_match(&lib.clone(), wrap, &format!("{what} on a clone"));
         }
         assert!(kept.iter().all(|&k| k > 0), "every filter keeps some bristles: {kept:?}");
     }

@@ -210,11 +210,17 @@ mod tests {
         assert_eq!(m.bbox(), Rect::new(-4, 0, 0, 4));
     }
 
+    /// The polygon of the box `(0, 0)..(3, 3)`.
+    fn square3() -> Polygon {
+        let corners = [(0, 0), (3, 0), (3, 3), (0, 3)].map(|(x, y)| Point::new(x, y));
+        Polygon::new(corners.to_vec()).unwrap()
+    }
+
     #[test]
     fn for_each_rect_visits_to_rects() {
         let wire = Path::new(vec![Point::new(0, 0), Point::new(10, 0), Point::new(10, 8)], 2)
             .unwrap();
-        let poly = Polygon::from_rect(Rect::new(0, 0, 3, 3));
+        let poly = square3();
         for s in [
             Shape::rect(Layer::Metal, Rect::new(0, 0, 4, 2)),
             Shape::wire(Layer::Poly, wire),
@@ -228,7 +234,7 @@ mod tests {
 
     #[test]
     fn polygon_shape_area() {
-        let poly = Polygon::from_rect(Rect::new(0, 0, 3, 3));
+        let poly = square3();
         let s = Shape::polygon(Layer::Overglass, poly);
         assert_eq!(s.area(), 9);
         assert_eq!(s.to_rects(), vec![Rect::new(0, 0, 3, 3)]);

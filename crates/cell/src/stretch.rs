@@ -20,7 +20,7 @@ use std::fmt;
 
 use bristle_geom::Axis;
 
-use crate::cell::{Cell, CellError, CellId, Library};
+use crate::cell::Cell;
 
 /// Errors from stretching.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,8 +37,6 @@ pub enum StretchError {
     },
     /// Negative stretch (shrinking) was requested.
     NegativeDelta(i64),
-    /// Library-level failure (unknown cell, …).
-    Cell(CellError),
 }
 
 impl fmt::Display for StretchError {
@@ -49,25 +47,11 @@ impl fmt::Display for StretchError {
                 "cell `{cell}` cannot stretch by {needed}λ along {axis}: no stretch lines"
             ),
             StretchError::NegativeDelta(d) => write!(f, "negative stretch delta {d}"),
-            StretchError::Cell(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for StretchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StretchError::Cell(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CellError> for StretchError {
-    fn from(e: CellError) -> StretchError {
-        StretchError::Cell(e)
-    }
-}
+impl std::error::Error for StretchError {}
 
 /// A set of insertions along one axis: at each line position, insert the
 /// given non-negative number of λ.
@@ -188,59 +172,11 @@ pub fn apply_plan(cell: &mut Cell, axis: Axis, plan: &StretchPlan) {
     }
 }
 
-/// Stretches a cell so its extent along `axis` becomes exactly `target`,
-/// distributing growth across the cell's declared stretch lines.
-///
-/// This is the operation Pass 1 runs on every element cell after the
-/// widest cell fixes the common pitch.
-///
-/// # Errors
-///
-/// * [`StretchError::NotStretchable`] if growth is needed but the cell
-///   declares no stretch lines along `axis`.
-/// * [`StretchError::NegativeDelta`] if the cell is already larger than
-///   `target` (cells never shrink).
-///
-/// # Panics
-///
-/// Panics if `id` is not a cell of `lib`.
-pub fn stretch_to(
-    lib: &mut Library,
-    id: CellId,
-    axis: Axis,
-    target: i64,
-) -> Result<(), StretchError> {
-    let bbox = lib
-        .bbox(id)
-        .ok_or_else(|| CellError::EmptyCell(lib.cell(id).name().to_owned()))?;
-    let current = bbox.extent(axis);
-    let needed = target - current;
-    if needed < 0 {
-        return Err(StretchError::NegativeDelta(needed));
-    }
-    if needed == 0 {
-        return Ok(());
-    }
-    let lines = match axis {
-        Axis::X => lib.cell(id).stretch_x().to_vec(),
-        Axis::Y => lib.cell(id).stretch_y().to_vec(),
-    };
-    if lines.is_empty() {
-        return Err(StretchError::NotStretchable {
-            cell: lib.cell(id).name().to_owned(),
-            axis,
-            needed,
-        });
-    }
-    let plan = StretchPlan::distribute(&lines, needed)?;
-    apply_plan(lib.cell_mut(id), axis, &plan);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bristle::{Bristle, Flavor, Side};
+    use crate::cell::Library;
     use crate::shape::Shape;
     use bristle_geom::{Layer, Point, Rect};
 
@@ -288,33 +224,24 @@ mod tests {
 
     #[test]
     fn stretch_to_exact_target() {
-        let mut lib = Library::new("t");
-        let id = lib.add_cell(sample_cell()).unwrap();
-        stretch_to(&mut lib, id, Axis::X, 20).unwrap();
-        assert_eq!(lib.bbox(id).unwrap().width(), 20);
-        // Stretching to the current size is a no-op.
-        stretch_to(&mut lib, id, Axis::X, 20).unwrap();
-        assert_eq!(lib.bbox(id).unwrap().width(), 20);
-    }
-
-    #[test]
-    fn unstretchable_cell_errors() {
-        let mut lib = Library::new("t");
-        let mut c = Cell::new("rigid");
-        c.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, 4, 2)));
-        let id = lib.add_cell(c).unwrap();
-        let err = stretch_to(&mut lib, id, Axis::X, 10).unwrap_err();
-        assert!(matches!(err, StretchError::NotStretchable { needed: 6, .. }));
+        let mut cell = sample_cell();
+        assert_eq!(cell.local_bbox().unwrap().width(), 12);
+        let plan = StretchPlan::distribute(cell.stretch_x(), 8).unwrap();
+        apply_plan(&mut cell, Axis::X, &plan);
+        assert_eq!(cell.local_bbox().unwrap().width(), 20);
+        // Distributing nothing is the identity.
+        let plan = StretchPlan::distribute(cell.stretch_x(), 0).unwrap();
+        assert!(plan.is_identity());
+        apply_plan(&mut cell, Axis::X, &plan);
+        assert_eq!(cell.local_bbox().unwrap().width(), 20);
     }
 
     #[test]
     fn shrink_rejected() {
-        let mut lib = Library::new("t");
-        let id = lib.add_cell(sample_cell()).unwrap();
-        assert!(matches!(
-            stretch_to(&mut lib, id, Axis::X, 2),
-            Err(StretchError::NegativeDelta(_))
-        ));
+        assert_eq!(
+            StretchPlan::distribute(sample_cell().stretch_x(), -2),
+            Err(StretchError::NegativeDelta(-2))
+        );
     }
 
     #[test]
@@ -350,20 +277,13 @@ mod tests {
         let mut parent = Cell::new("p");
         parent.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, 2, 2)));
         parent.add_stretch_x(4);
+        let t = bristle_geom::Transform::translate(Point::new(6, 0));
+        parent.push_instance(crate::cell::Instance::new(leaf, "i", t));
+        let plan = StretchPlan::distribute(parent.stretch_x(), 4).unwrap();
+        apply_plan(&mut parent, Axis::X, &plan);
+        assert_eq!(parent.instances()[0].transform.offset, Point::new(10, 0));
         let pid = lib.add_cell(parent).unwrap();
-        lib.add_instance(
-            pid,
-            leaf,
-            "i",
-            bristle_geom::Transform::translate(Point::new(6, 0)),
-        )
-        .unwrap();
-        let before = lib.bbox(pid).unwrap(); // [0..8]
-        assert_eq!(before.width(), 8);
-        stretch_to(&mut lib, pid, Axis::X, 12).unwrap();
-        let c = lib.cell(pid);
-        assert_eq!(c.instances()[0].transform.offset, Point::new(10, 0));
-        assert_eq!(lib.bbox(pid).unwrap().width(), 12);
+        assert_eq!(lib.bbox(pid).unwrap().width(), 12); // [0..8] before
     }
 
     #[test]

@@ -6,7 +6,14 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{Cell, CellError, Library, Shape};
-use bristle_geom::{Layer, Orientation, Path, Point, Polygon, Rect, Transform};
+use bristle_geom::{Layer, Orientation, Path, Point, Polygon, Rect, Transform, MAX_COORD};
+
+/// True if a CIF value, in the writer's half-λ units, lies within twice
+/// the ±[`MAX_COORD`] λ bound: wide enough for any box extent or wire
+/// width inside it, and narrow enough that sums of two values fit `i64`.
+fn fits(v: i64) -> bool {
+    (-4 * MAX_COORD..=4 * MAX_COORD).contains(&v)
+}
 
 /// One geometric or call command inside a symbol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,14 +163,13 @@ fn parse_call(body: &str, index: usize) -> Result<CifCommand, ParseCifError> {
     while let Some(op) = toks.next() {
         let step = match op {
             "T" => {
-                let x: i64 = toks
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| syntax("T needs x y".into()))?;
-                let y: i64 = toks
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| syntax("T needs x y".into()))?;
+                let mut coord = || {
+                    toks.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&v| fits(v))
+                        .ok_or_else(|| syntax(format!("T needs x y within ±{} λ", 2 * MAX_COORD)))
+                };
+                let (x, y) = (coord()?, coord()?);
                 Transform::translate(Point::new(x, y))
             }
             "MX" => Transform::new(Orientation::MR0, Point::ORIGIN),
@@ -193,7 +199,11 @@ fn parse_call(body: &str, index: usize) -> Result<CifCommand, ParseCifError> {
             other => return Err(syntax(format!("unknown call op `{other}`"))),
         };
         // Ops apply left to right: each subsequent op wraps the current.
+        // Both offsets are within the bound, so their sum fits `i64`.
         t = step.after(&t);
+        if !fits(t.offset.x) || !fits(t.offset.y) {
+            return Err(syntax(format!("call offset beyond ±{} λ", 2 * MAX_COORD)));
+        }
     }
     Ok(CifCommand::Call {
         symbol,
@@ -205,8 +215,9 @@ fn parse_call(body: &str, index: usize) -> Result<CifCommand, ParseCifError> {
 ///
 /// # Errors
 ///
-/// Reports syntax errors with command indices, a missing `E`, and calls
-/// to undefined symbols.
+/// Reports syntax errors with command indices (a call offset beyond twice
+/// the ±[`MAX_COORD`] λ bound among them), a missing `E`, and calls to
+/// undefined symbols.
 pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
     let cmds = commands_of(text);
     let mut file = CifFile::default();
@@ -343,68 +354,34 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
     Ok(file)
 }
 
-/// The λ box the writer can emit again: it writes twice a coordinate,
-/// twice a box's extent and the sum of a box's edges, which all stay
-/// inside `i64` for coordinates within ±`i64::MAX / 4`.
-const EMITTABLE: Rect = Rect {
-    x0: -(i64::MAX / 4),
-    y0: -(i64::MAX / 4),
-    x1: i64::MAX / 4,
-    y1: i64::MAX / 4,
-};
-
-/// The box of `points` grown by `pad` on every side, if it fits `i64`.
-fn span(points: &[Point], pad: i64) -> Option<Rect> {
-    let lo = points.iter().fold(points[0], |a, &p| a.min(p));
-    let hi = points.iter().fold(points[0], |a, &p| a.max(p));
-    Some(Rect::new(
-        lo.x.checked_sub(pad)?,
-        lo.y.checked_sub(pad)?,
-        hi.x.checked_add(pad)?,
-        hi.y.checked_add(pad)?,
-    ))
-}
-
-/// `r`, a box inside [`EMITTABLE`], placed by `t`, if it fits `i64`.
-fn placed(r: Rect, t: &Transform) -> Option<Rect> {
-    let (lo, hi) = (t.orient.apply(r.lo()), t.orient.apply(r.hi()));
-    let d = t.offset;
-    Some(Rect::new(
-        lo.x.checked_add(d.x)?,
-        lo.y.checked_add(d.y)?,
-        hi.x.checked_add(d.x)?,
-        hi.y.checked_add(d.y)?,
-    ))
-}
-
 /// Rebuilds a [`Library`] from a parsed CIF file (coordinates halved
 /// back from the writer's half-λ convention).
 ///
 /// # Errors
 ///
-/// Fails on geometry that does not survive the half-λ conversion (odd
-/// CIF coordinates), on geometry that once flattened through its calls
-/// leaves ±`i64::MAX / 4` λ (beyond what the writer can emit again), or
-/// on structural library errors.
+/// Fails with [`ParseCifError::Syntax`] on a value that does not survive
+/// the half-λ conversion (odd, or beyond twice the ±[`MAX_COORD`] λ
+/// bound), and with [`ParseCifError::Cell`] when [`Library::add_cell`]
+/// rejects a symbol: a non-rectilinear polygon, a hierarchy that once
+/// flattened through its calls leaves ±[`MAX_COORD`] λ, or a duplicate
+/// name.
 pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
     let mut lib = Library::new("from-cif");
-    // Each symbol's cell and λ reach: the box of its origin, its shapes
-    // and its calls' reaches. Symbols are defined before they are
-    // called, so a call's reach composes its callee's with checked
-    // arithmetic, and every flattened coordinate and composed call
-    // offset stays inside the reach.
-    let mut ids: HashMap<i64, (bristle_cell::CellId, Rect)> = HashMap::new();
+    let mut ids: HashMap<i64, bristle_cell::CellId> = HashMap::new();
     for (si, sym) in file.symbols.iter().enumerate() {
         let err = |message: String| ParseCifError::Syntax {
             command_index: si,
             message,
         };
-        let half = |v: i64| -> Result<i64, ParseCifError> {
-            if v % 2 != 0 {
-                Err(err(format!("odd half-λ coordinate {v}")))
-            } else {
-                Ok(v / 2)
-            }
+        // Every value fits, so `cx ± length / 2` cannot overflow.
+        let bounded = |v: i64| {
+            fits(v)
+                .then_some(v)
+                .ok_or_else(|| err(format!("CIF value {v} beyond ±{} λ", 2 * MAX_COORD)))
+        };
+        let half = |v: i64| match bounded(v)? {
+            v if v % 2 != 0 => Err(err(format!("odd half-λ coordinate {v}"))),
+            v => Ok(v / 2),
         };
         let name = sym
             .name
@@ -413,14 +390,6 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
         let mut cell = Cell::new(name);
         let mut layer = Layer::Metal;
         let mut inst_counter = 0usize;
-        let mut reach = Rect::new(0, 0, 0, 0);
-        let mut grow = |r: Option<Rect>| {
-            let r = r
-                .filter(|r| EMITTABLE.contains_rect(r))
-                .ok_or_else(|| err(format!("geometry beyond ±{} λ", EMITTABLE.x1)))?;
-            reach = reach.union(&r);
-            Ok::<(), ParseCifError>(())
-        };
         for cmd in &sym.commands {
             match cmd {
                 CifCommand::Layer(l) => layer = *l,
@@ -431,18 +400,8 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
                     cy,
                 } => {
                     let (l, w) = (half(*length)?, half(*width)?);
-                    // Both edges in CIF units, which a hostile centre can
-                    // push past the i64 range.
-                    let edges = |c: i64, d: i64| {
-                        c.checked_sub(d)
-                            .zip(c.checked_add(d))
-                            .ok_or_else(|| err(format!("box edge out of range at centre {c}")))
-                    };
-                    let ((x0, x1), (y0, y1)) = (edges(*cx, l)?, edges(*cy, w)?);
-                    let (x0, y0) = (half(x0)?, half(y0)?);
-                    let (x1, y1) = (half(x1)?, half(y1)?);
-                    let r = Rect::new(x0, y0, x1, y1);
-                    grow(Some(r))?;
+                    let (cx, cy) = (bounded(*cx)?, bounded(*cy)?);
+                    let r = Rect::new(half(cx - l)?, half(cy - w)?, half(cx + l)?, half(cy + w)?);
                     cell.push_shape(Shape::rect(layer, r));
                 }
                 CifCommand::Wire { width, points } => {
@@ -453,7 +412,6 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
                         .collect::<Result<Vec<_>, ParseCifError>>()?;
                     let path =
                         Path::new(pts, w).map_err(|e| err(format!("bad wire: {e}")))?;
-                    grow(span(path.points(), w / 2))?;
                     cell.push_shape(Shape::wire(layer, path));
                 }
                 CifCommand::Poly { points } => {
@@ -463,18 +421,16 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
                         .collect::<Result<Vec<_>, ParseCifError>>()?;
                     let poly =
                         Polygon::new(pts).map_err(|e| err(format!("bad polygon: {e}")))?;
-                    grow(span(poly.vertices(), 0))?;
                     cell.push_shape(Shape::polygon(layer, poly));
                 }
                 CifCommand::Call { symbol, transform } => {
-                    let (child, child_reach) = *ids
+                    let child = *ids
                         .get(symbol)
                         .ok_or(ParseCifError::UnknownSymbol(*symbol))?;
                     let t = Transform::new(
                         transform.orient,
                         Point::new(half(transform.offset.x)?, half(transform.offset.y)?),
                     );
-                    grow(placed(child_reach, &t))?;
                     inst_counter += 1;
                     cell.push_instance(bristle_cell::Instance::new(
                         child,
@@ -485,7 +441,7 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
             }
         }
         let id = lib.add_cell(cell)?;
-        ids.insert(sym.number, (id, reach));
+        ids.insert(sym.number, id);
     }
     Ok(lib)
 }
@@ -504,21 +460,14 @@ mod tests {
             Layer::Poly,
             Path::new(vec![Point::new(-2, 4), Point::new(6, 4)], 2).unwrap(),
         ));
-        leaf.push_shape(Shape::polygon(
-            Layer::Metal,
-            Polygon::from_rect(Rect::new(0, 10, 4, 12)),
-        ));
+        let corners = [(0, 10), (4, 10), (4, 12), (0, 12)].map(|(x, y)| Point::new(x, y));
+        leaf.push_shape(Shape::polygon(Layer::Metal, Polygon::new(corners.to_vec()).unwrap()));
         let lid = lib.add_cell(leaf).unwrap();
         let mut top = Cell::new("top");
         top.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, 2, 2)));
+        let t = Transform::new(Orientation::MR90, Point::new(10, -4));
+        top.push_instance(bristle_cell::Instance::new(lid, "u", t));
         let tid = lib.add_cell(top).unwrap();
-        lib.add_instance(
-            tid,
-            lid,
-            "u",
-            Transform::new(Orientation::MR90, Point::new(10, -4)),
-        )
-        .unwrap();
 
         let text = write_cif(&lib, tid).unwrap();
         let file = parse_cif(&text).unwrap();
@@ -573,22 +522,63 @@ mod tests {
 
     #[test]
     fn nested_calls_past_the_writable_range_rejected() {
-        // Each call offset parses, but four of them nested around one box
-        // would flatten it past `i64`.
+        // Four calls nested around one box: past `i64` the offsets do
+        // not parse; inside the bound each does, but the nest carries the
+        // box past it at the third level.
         let nest = |offset: i64| {
             let mut text = String::from("DS 1 125 1; 9 s1; L NM; B 4 4 0 0; DF;");
             for n in 2..=5 {
                 text += &format!("DS {n} 125 1; 9 s{n}; C {} T {offset} 0; DF;", n - 1);
             }
-            cif_to_library(&parse_cif(&(text + "C 5; E")).unwrap())
+            cif_to_library(&parse_cif(&(text + "C 5; E"))?)
         };
         assert!(matches!(
             nest(9_223_372_036_854_775_804),
             Err(ParseCifError::Syntax { .. })
         ));
+        assert_eq!(
+            nest(MAX_COORD).unwrap_err(),
+            ParseCifError::Cell(CellError::OutOfBounds("s3".into()))
+        );
         let lib = nest(20).unwrap();
         let top = lib.find("s5").unwrap();
         assert_eq!(lib.flatten_shared(top)[0].bbox(), Rect::new(39, -1, 41, 1));
+    }
+
+    #[test]
+    fn call_offsets_past_the_bound_rejected() {
+        // Two in-range translations whose sum leaves the bound, and one
+        // that would overflow `i64` when composed.
+        let limit = 4 * MAX_COORD;
+        for ops in [format!("T {limit} 0 T 2 0"), format!("T 0 {limit} R 0 1 T -2 0")] {
+            let text = format!("DS 1; L NM; B 4 4 0 0; DF; C 1 {ops}; E");
+            assert!(
+                matches!(parse_cif(&text), Err(ParseCifError::Syntax { .. })),
+                "{ops}"
+            );
+        }
+        let text = format!("DS 1; L NM; B 4 4 0 0; DF; C 1 T {} 0 T {} 0; E", i64::MAX, i64::MAX);
+        assert!(matches!(parse_cif(&text), Err(ParseCifError::Syntax { .. })));
+        let text = format!("DS 1; L NM; B 4 4 0 0; DF; C 1 T {limit} 0 T -2 0; E");
+        assert!(parse_cif(&text).is_ok());
+    }
+
+    #[test]
+    fn huge_box_rejected() {
+        // 2^61 λ wide: the box the bound exists to refuse.
+        let text = "DS 1; 9 big; L NM; B 4611686018427387900 4611686018427387900 0 0; DF; E";
+        assert!(matches!(
+            cif_to_library(&parse_cif(text).unwrap()),
+            Err(ParseCifError::Syntax { .. })
+        ));
+        // Every CIF value in range, but the wire's squared-off corner
+        // reaches one λ past the bound: the library refuses the symbol.
+        let l = 2 * MAX_COORD;
+        let text = format!("DS 1; 9 edge; L NM; W 4 0 0 {l} 0 {l} 4; DF; E");
+        assert_eq!(
+            cif_to_library(&parse_cif(&text).unwrap()).unwrap_err(),
+            ParseCifError::Cell(CellError::OutOfBounds("edge".into()))
+        );
     }
 
     #[test]

@@ -59,7 +59,9 @@ impl Frame {
 ///
 /// # Panics
 ///
-/// Panics if `top` is not a cell of `lib`.
+/// Panics if `top` is not a cell of `lib`. Geometry cannot make it
+/// panic: [`Library::add_cell`] keeps every coordinate within
+/// ±[`MAX_COORD`](bristle_geom::MAX_COORD) λ, so every pixel fits `i64`.
 #[must_use]
 pub fn render_svg(lib: &Library, top: CellId) -> String {
     fn rect(f: &mut Frame, r: Rect, color: &str) {

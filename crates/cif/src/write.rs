@@ -170,7 +170,7 @@ fn collect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bristle_cell::{Cell, Shape};
+    use bristle_cell::{Cell, Instance, Shape};
     use bristle_geom::{Layer, Point, Rect, Transform};
 
     #[test]
@@ -195,9 +195,8 @@ mod tests {
         let lid = lib.add_cell(leaf).unwrap();
         let mut top = Cell::new("top");
         top.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, 2, 2)));
+        top.push_instance(Instance::new(lid, "u", Transform::translate(Point::new(4, 0))));
         let tid = lib.add_cell(top).unwrap();
-        lib.add_instance(tid, lid, "u", Transform::translate(Point::new(4, 0)))
-            .unwrap();
         let text = write_cif(&lib, tid).unwrap();
         let leaf_pos = text.find("9 leaf;").unwrap();
         let top_pos = text.find("9 top;").unwrap();
@@ -242,16 +241,11 @@ mod tests {
         let lid = lib.add_cell(leaf).unwrap();
         let mut top = Cell::new("top");
         top.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, 2, 2)));
-        let tid = lib.add_cell(top).unwrap();
         for i in 0..3 {
-            lib.add_instance(
-                tid,
-                lid,
-                format!("u{i}"),
-                Transform::translate(Point::new(4 * i, 0)),
-            )
-            .unwrap();
+            let t = Transform::translate(Point::new(4 * i, 0));
+            top.push_instance(Instance::new(lid, format!("u{i}"), t));
         }
+        let tid = lib.add_cell(top).unwrap();
         let text = write_cif(&lib, tid).unwrap();
         assert_eq!(text.matches("9 leaf;").count(), 1);
         assert_eq!(text.matches("C 1").count(), 3);

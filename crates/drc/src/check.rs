@@ -345,7 +345,7 @@ pub fn check_hierarchical(lib: &Library, top: CellId, rules: &RuleSet) -> Report
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bristle_cell::Cell;
+    use bristle_cell::{Cell, Instance};
     use bristle_geom::{Path, Point, Transform};
 
     fn lib_with(name: &str, shapes: Vec<Shape>) -> (Library, CellId) {
@@ -575,11 +575,11 @@ mod tests {
         leaf.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, 4, 4)));
         let lid = lib.add_cell(leaf).unwrap();
         assert!(check_flat(&lib, lid, &rules()).is_clean());
-        let top = Cell::new("top");
+        let mut top = Cell::new("top");
+        top.push_instance(Instance::new(lid, "u0", Transform::IDENTITY));
+        // 2λ gap < 3λ
+        top.push_instance(Instance::new(lid, "u1", Transform::translate(Point::new(6, 0))));
         let tid = lib.add_cell(top).unwrap();
-        lib.add_instance(tid, lid, "u0", Transform::IDENTITY).unwrap();
-        lib.add_instance(tid, lid, "u1", Transform::translate(Point::new(6, 0)))
-            .unwrap(); // 2λ gap < 3λ
         let r = check_flat(&lib, tid, &rules());
         assert_eq!(r.violations.len(), 1, "{r}");
         assert_eq!(r.violations[0].rule, RuleKind::MinSpacing(Layer::Metal));

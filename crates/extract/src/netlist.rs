@@ -585,7 +585,7 @@ pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bristle_cell::{Bristle, Cell, Flavor, Library, Shape, Side};
+    use bristle_cell::{Bristle, Cell, Flavor, Instance, Library, Shape, Side};
     use bristle_geom::Point;
 
     fn build(shapes: Vec<Shape>, bristles: Vec<Bristle>) -> Netlist {
@@ -755,19 +755,11 @@ mod tests {
         let lid = lib.add_cell(leaf).unwrap();
         let mut top = Cell::new("top");
         top.push_shape(Shape::rect(Layer::Metal, Rect::new(-20, -8, 40, -4)).with_label("bus"));
-        let tid = lib.add_cell(top).unwrap();
         for i in 0..4i64 {
-            lib.add_instance(
-                tid,
-                lid,
-                format!("u{i}"),
-                Transform::new(
-                    Orientation::ALL[(i as usize) % 4],
-                    Point::new(12 * i, 0),
-                ),
-            )
-            .unwrap();
+            let t = Transform::new(Orientation::ALL[(i as usize) % 4], Point::new(12 * i, 0));
+            top.push_instance(Instance::new(lid, format!("u{i}"), t));
         }
+        let tid = lib.add_cell(top).unwrap();
         let fast = extract(&lib, tid);
         let slow = extract_reference(&lib, tid);
         assert_eq!(fast, slow);

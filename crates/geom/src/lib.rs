@@ -75,6 +75,24 @@ pub fn max_workers() -> usize {
     MAX_WORKERS.load(Ordering::Relaxed)
 }
 
+/// The one bound on geometry: every coordinate a library holds, flattened
+/// or not, lies within ±`MAX_COORD` λ (2^29 λ, about 1.3 km at
+/// λ = 2.5 µm). `bristle_cell::Library::add_cell` rejects any cell whose
+/// hierarchy leaves it, so every consumer may rely on it. Inside the
+/// bound, with `|x|, |y| ≤ 2^29`:
+///
+/// * widths and heights are at most 2^30 and [`Rect::area`] at most 2^60;
+/// * each term of the doubled shoelace sum in [`Polygon::area`] is at
+///   most 2·2^58 = 2^59, and the sum of a simple polygon at most twice
+///   its box's area, 2·(2^30)² = 2^61;
+/// * SVG pixels at 4 px/λ, margin included, are at most 4·(2^30 + 8) <
+///   2^33;
+/// * doubled CIF coordinates are at most 2^30, doubled box extents 2^31;
+/// * a box within the bound placed by an offset within the bound stays
+///   within ±2^30, so composing a cell's box from its children's boxes
+///   cannot overflow either.
+pub const MAX_COORD: i64 = 1 << 29;
+
 /// Physical size of one λ in CIF centimicrons (10⁻⁸ m).
 ///
 /// Mead–Conway 1978 nMOS used λ = 2.5 µm = 250 centimicrons. CIF 2.0

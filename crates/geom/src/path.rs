@@ -110,10 +110,15 @@ impl Path {
     /// while terminal endpoints stay flush.
     #[must_use]
     pub fn to_rects(&self) -> Vec<Rect> {
+        self.rects().collect()
+    }
+
+    /// The rectangles of [`Path::to_rects`], without collecting them.
+    fn rects(&self) -> impl Iterator<Item = Rect> + '_ {
         let h = self.width / 2;
         let n = self.points.len() - 1;
         (0..n)
-            .map(|i| {
+            .map(move |i| {
                 let (a, b) = (self.points[i], self.points[i + 1]);
                 // Extension applies only at interior vertices.
                 let ext_a = if i > 0 { h } else { 0 };
@@ -135,18 +140,14 @@ impl Path {
                     Rect::new(a.x - h, y0 - ea, a.x + h, y1 + eb)
                 }
             })
-            .collect()
     }
 
     /// Axis-aligned bounding box of the full wire (including width).
     #[must_use]
     pub fn bbox(&self) -> Rect {
-        let rects = self.to_rects();
-        let mut bb = rects[0];
-        for r in &rects[1..] {
-            bb = bb.union(r);
-        }
-        bb
+        self.rects()
+            .reduce(|bb, r| bb.union(&r))
+            .expect("a path has at least one segment")
     }
 
     /// Translates the whole wire.

@@ -76,19 +76,6 @@ impl Polygon {
         Ok(Polygon { vertices })
     }
 
-    /// A rectangle as a four-vertex polygon (counter-clockwise).
-    #[must_use]
-    pub fn from_rect(r: Rect) -> Polygon {
-        Polygon {
-            vertices: vec![
-                Point::new(r.x0, r.y0),
-                Point::new(r.x1, r.y0),
-                Point::new(r.x1, r.y1),
-                Point::new(r.x0, r.y1),
-            ],
-        }
-    }
-
     /// The vertex loop.
     #[must_use]
     pub fn vertices(&self) -> &[Point] {
@@ -97,13 +84,18 @@ impl Polygon {
 
     /// Absolute enclosed area (shoelace formula). Integer because vertices
     /// are lattice points and the polygon is rectilinear in practice.
+    ///
+    /// Exact for a simple polygon within ±[`MAX_COORD`](crate::MAX_COORD)
+    /// λ: each term of the doubled sum fits `i64` there, and so does the
+    /// total. A running sum may pass `i64` on the way when the vertex
+    /// loop winds, so it wraps and still ends on the exact total.
     #[must_use]
     pub fn area(&self) -> i64 {
         let mut twice = 0i64;
         for i in 0..self.vertices.len() {
             let a = self.vertices[i];
             let b = self.vertices[(i + 1) % self.vertices.len()];
-            twice += a.x * b.y - b.x * a.y;
+            twice = twice.wrapping_add(a.x * b.y - b.x * a.y);
         }
         twice.abs() / 2
     }
@@ -205,6 +197,17 @@ impl fmt::Display for Polygon {
 mod tests {
     use super::*;
 
+    /// A rectangle as a four-vertex polygon (counter-clockwise).
+    fn from_rect(r: Rect) -> Polygon {
+        Polygon::new(vec![
+            Point::new(r.x0, r.y0),
+            Point::new(r.x1, r.y0),
+            Point::new(r.x1, r.y1),
+            Point::new(r.x0, r.y1),
+        ])
+        .unwrap()
+    }
+
     #[test]
     fn rejects_degenerate() {
         assert!(matches!(
@@ -220,7 +223,7 @@ mod tests {
     #[test]
     fn rect_round_trip() {
         let r = Rect::new(1, 2, 5, 7);
-        let p = Polygon::from_rect(r);
+        let p = from_rect(r);
         assert_eq!(p.area(), r.area());
         assert_eq!(p.bbox(), r);
         assert!(p.is_rectilinear());
@@ -243,7 +246,7 @@ mod tests {
 
     #[test]
     fn translate_moves_bbox() {
-        let p = Polygon::from_rect(Rect::new(0, 0, 2, 2)).translate(Point::new(5, 5));
+        let p = from_rect(Rect::new(0, 0, 2, 2)).translate(Point::new(5, 5));
         assert_eq!(p.bbox(), Rect::new(5, 5, 7, 7));
         assert_eq!(p.area(), 4);
     }
@@ -279,7 +282,7 @@ mod tests {
     #[test]
     fn rectangulation_of_plain_rect() {
         let r = Rect::new(-3, 2, 5, 9);
-        assert_eq!(Polygon::from_rect(r).to_rects(), vec![r]);
+        assert_eq!(from_rect(r).to_rects(), vec![r]);
     }
 
     #[test]

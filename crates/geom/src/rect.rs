@@ -100,7 +100,7 @@ impl Rect {
     /// True if the rectangle has zero area.
     #[must_use]
     pub fn is_degenerate(&self) -> bool {
-        self.area() == 0
+        self.x0 == self.x1 || self.y0 == self.y1
     }
 
     /// Bottom-left corner.

@@ -100,13 +100,6 @@ impl Pla {
             .collect()
     }
 
-    /// Evaluates one output for a word. `None` if the name is unknown.
-    #[must_use]
-    pub fn eval_output(&self, word: u64, name: &str) -> Option<bool> {
-        let (_, ids) = self.outputs.iter().find(|(n, _)| n == name)?;
-        Some(ids.iter().any(|&i| self.terms[i].matches(word)))
-    }
-
     /// Statistics for ablation A3 and the benchmark's `pla.terms`.
     #[must_use]
     pub fn stats(&self) -> PlaStats {
@@ -342,12 +335,15 @@ mod tests {
     #[test]
     fn eval_matches_spec() {
         let pla = sample_spec().to_pla();
-        assert_eq!(pla.eval_output(0b0001, "x"), Some(true));
-        assert_eq!(pla.eval_output(0b0001, "y"), Some(true));
-        assert_eq!(pla.eval_output(0b0001, "z"), Some(false));
-        assert_eq!(pla.eval_output(0b0000, "z"), Some(true));
-        assert_eq!(pla.eval_output(0b0010, "z"), Some(true));
-        assert_eq!(pla.eval_output(0, "ghost"), None);
+        let output = |word, name: &str| {
+            pla.eval(word).into_iter().find(|(n, _)| n == name).map(|(_, b)| b)
+        };
+        assert_eq!(output(0b0001, "x"), Some(true));
+        assert_eq!(output(0b0001, "y"), Some(true));
+        assert_eq!(output(0b0001, "z"), Some(false));
+        assert_eq!(output(0b0000, "z"), Some(true));
+        assert_eq!(output(0b0010, "z"), Some(true));
+        assert_eq!(output(0, "ghost"), None);
     }
 
     #[test]

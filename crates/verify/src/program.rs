@@ -77,27 +77,6 @@ pub struct Cycle {
     pub stacks: BTreeMap<String, StackOp>,
 }
 
-impl Cycle {
-    /// True if any read select is asserted (register read, RAM read or
-    /// stack pop).
-    #[must_use]
-    pub fn has_reads(&self) -> bool {
-        self.regs
-            .values()
-            .any(|r| r.read_a.is_some() || r.read_b.is_some())
-            || self.rams.values().any(|m| matches!(m, MemOp::Read(_)))
-            || self.stacks.values().any(|s| matches!(s, StackOp::Pop(_)))
-    }
-
-    /// True if any storage element samples the bus this cycle.
-    #[must_use]
-    pub fn has_loads(&self) -> bool {
-        self.regs.values().any(|r| r.load.is_some())
-            || !self.outport_lds.is_empty()
-            || self.rams.values().any(|m| matches!(m, MemOp::Write(_)))
-            || self.stacks.values().any(|s| matches!(s, StackOp::Push(_)))
-    }
-}
 
 /// A transfer program bound to one chip spec's element naming.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,6 +273,22 @@ mod tests {
     use super::*;
     use crate::SpecGen;
 
+    /// True if any read select is asserted (register read, RAM read or
+    /// stack pop).
+    fn has_reads(c: &Cycle) -> bool {
+        c.regs.values().any(|r| r.read_a.is_some() || r.read_b.is_some())
+            || c.rams.values().any(|m| matches!(m, MemOp::Read(_)))
+            || c.stacks.values().any(|s| matches!(s, StackOp::Pop(_)))
+    }
+
+    /// True if any storage element samples the bus this cycle.
+    fn has_loads(c: &Cycle) -> bool {
+        c.regs.values().any(|r| r.load.is_some())
+            || !c.outport_lds.is_empty()
+            || c.rams.values().any(|m| matches!(m, MemOp::Write(_)))
+            || c.stacks.values().any(|s| matches!(s, StackOp::Push(_)))
+    }
+
     #[test]
     fn generation_is_prefix_stable() {
         let spec = SpecGen::random_cosim_spec(&mut Rng::new(3), "p");
@@ -308,8 +303,8 @@ mod tests {
             let spec = SpecGen::random_cosim_spec(&mut Rng::new(seed), "p");
             let prog = Program::random(&spec, seed * 7 + 1, 30);
             for c in &prog.cycles {
-                if c.has_loads() {
-                    assert!(!c.has_reads(), "seed {seed}: load in a read cycle");
+                if has_loads(c) {
+                    assert!(!has_reads(c), "seed {seed}: load in a read cycle");
                     assert!(
                         !c.inports.is_empty(),
                         "seed {seed}: load without a driven bus"

@@ -5,7 +5,7 @@
 //! Randomized with a deterministic xorshift generator (no external
 //! dependencies are available in this workspace).
 
-use bristle_blocks::cell::{load_library, save_library, Cell, Library, Shape};
+use bristle_blocks::cell::{load_library, save_library, Cell, Instance, Library, Shape};
 use bristle_blocks::cif::{cif_to_library, parse_cif, write_cif, ParseCifError, WriteCifError};
 use bristle_blocks::core::{parse_page, Compiler};
 use bristle_blocks::geom::{Layer, Orientation, Point, Rect, Transform};
@@ -41,19 +41,14 @@ fn arb_library(rng: &mut Rng) -> Library {
     let leaf_id = lib.add_cell(leaf).unwrap();
     let mut top = Cell::new("top");
     top.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, 4, 4)));
-    let top_id = lib.add_cell(top).unwrap();
     for i in 0..rng.range(0, 4) {
         let o = Orientation::ALL[rng.range(0, 8) as usize];
         let x = rng.range(-50, 50);
         let y = rng.range(-50, 50);
-        lib.add_instance(
-            top_id,
-            leaf_id,
-            format!("u{i}"),
-            Transform::new(o, Point::new(2 * x, 2 * y)),
-        )
-        .unwrap();
+        let t = Transform::new(o, Point::new(2 * x, 2 * y));
+        top.push_instance(Instance::new(leaf_id, format!("u{i}"), t));
     }
+    lib.add_cell(top).unwrap();
     lib
 }
 
