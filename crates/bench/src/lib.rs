@@ -109,22 +109,19 @@ pub fn hand_core_area(chip: &CompiledChip) -> i64 {
     let mut ctx = GenCtx::new(chip.spec.data_width);
     let stacked = i64::from(chip.spec.data_width) - 1;
     for e in &chip.elements {
-        let kind: &str = if e.index == usize::MAX {
-            "precharge"
-        } else {
-            &chip.spec.elements[e.index].kind
-        };
-        let Some(generator) = generator_named(kind) else {
+        let Some(generator) = generator_named(&e.kind) else {
             continue;
         };
         ctx.prefix.clear();
         ctx.prefix.push_str("hand_");
         ctx.prefix.push_str(&e.prefix);
-        if e.index == usize::MAX {
-            ctx.params.clear();
-        } else {
-            ctx.params.clone_from(&chip.spec.elements[e.index].params);
+        match e.index {
+            Some(i) => ctx.params.clone_from(&chip.spec.elements[i].params),
+            None => ctx.params.clear(),
         }
+        // As in pass 1, a spec's `lane` never reaches a generator; every
+        // port keeps lane 0, its natural height.
+        ctx.params.remove("lane");
         let Ok(cols) = generator.generate(&ctx, &mut lib) else {
             continue;
         };

@@ -11,6 +11,12 @@
 //! The format is deliberately simple and diff-friendly: one statement per
 //! line, whitespace-separated tokens, `#` comments. [`save_library`] and
 //! [`load_library`] round-trip exactly (verified by property tests).
+//!
+//! A `library <name>` line comes first. Each `cell <name>` … `end` block
+//! holds `power`, `doc`, `behavior`, `blocklabel`, `stretchx`,
+//! `stretchy`, `box`, `wire`, `poly`, `bristle`, `gate` and `inst`
+//! statements; any other keyword is a parse error. There is no `stick`
+//! statement: a chip's STICKS are derived from its layout.
 
 use std::fmt::Write as _;
 
@@ -19,7 +25,7 @@ use bristle_geom::{Layer, Orientation, Path, Point, Polygon, Rect, Transform};
 use crate::bristle::{ActiveWhen, Bristle, ControlLine, Flavor, PadKind, Phase, Rail, Side};
 use crate::cell::{Cell, CellError, Library};
 use crate::power::PowerInfo;
-use crate::reprs::{LogicGate, LogicKind, Stick};
+use crate::reprs::{LogicGate, LogicKind};
 use crate::shape::{Shape, ShapeGeom};
 
 /// Errors from reading or writing the cell design language.
@@ -312,13 +318,6 @@ pub fn save_library(lib: &Library) -> Result<String, CdlError> {
                 flavor_to_token(&b.flavor)
             );
         }
-        for st in &cell.reprs().sticks {
-            let _ = writeln!(
-                out,
-                "  stick {} {} {} {} {}",
-                st.layer, st.from.x, st.from.y, st.to.x, st.to.y
-            );
-        }
         for g in &cell.reprs().logic {
             check_name(&g.output)?;
             for i in &g.inputs {
@@ -429,8 +428,8 @@ impl<'a> LineParser<'a> {
 ///
 /// Returns [`CdlError::Parse`] with a line number on malformed input and
 /// [`CdlError::Cell`] when [`Library::add_cell`] rejects a cell: a
-/// duplicate name, a non-rectilinear polygon, or geometry beyond
-/// ±[`bristle_geom::MAX_COORD`] λ.
+/// duplicate name, a non-rectilinear or self-touching polygon, or
+/// geometry beyond ±[`bristle_geom::MAX_COORD`] λ.
 pub fn load_library(text: &str) -> Result<Library, CdlError> {
     let mut lib: Option<Library> = None;
     let mut current: Option<Cell> = None;
@@ -557,16 +556,6 @@ pub fn load_library(text: &str) -> Result<Library, CdlError> {
                             flavor,
                         ));
                     }
-                    "stick" => {
-                        let layer = p.next_layer()?;
-                        let (x0, y0) = (p.next_i64("x0")?, p.next_i64("y0")?);
-                        let (x1, y1) = (p.next_i64("x1")?, p.next_i64("y1")?);
-                        cell.reprs_mut().sticks.push(Stick::new(
-                            layer,
-                            Point::new(x0, y0),
-                            Point::new(x1, y1),
-                        ));
-                    }
                     "gate" => {
                         let kind_tok = p.next("gate kind")?;
                         let kind = match kind_tok {
@@ -665,11 +654,6 @@ mod tests {
         ));
         inv.add_stretch_x(3);
         inv.add_stretch_y(2);
-        inv.reprs_mut().sticks.push(Stick::new(
-            Layer::Poly,
-            Point::new(-2, 4),
-            Point::new(4, 4),
-        ));
         inv.reprs_mut()
             .logic
             .push(LogicGate::new(LogicKind::Not, ["in"], "out"));
@@ -716,6 +700,17 @@ mod tests {
         match load_library(bad) {
             Err(CdlError::Parse { line: 3, .. }) => {}
             other => panic!("expected parse error on line 3, got {other:?}"),
+        }
+    }
+
+    /// Cells carry no sticks: the former `stick` statement is an unknown
+    /// keyword.
+    #[test]
+    fn stick_statement_refused() {
+        let bad = "library l\ncell c\n  stick NP -2 4 4 4\nend\n";
+        match load_library(bad) {
+            Err(CdlError::Parse { line: 3, message }) => assert!(message.contains("stick")),
+            other => panic!("expected a parse error on line 3, got {other:?}"),
         }
     }
 

@@ -106,6 +106,9 @@ pub enum CellError {
     /// The named cell holds a polygon with a diagonal edge; every
     /// back-end pass works on rectilinear geometry only.
     NotRectilinear(String),
+    /// The named cell holds a rectilinear polygon whose vertex loop
+    /// touches or crosses itself.
+    NotSimple(String),
 }
 
 impl fmt::Display for CellError {
@@ -118,6 +121,7 @@ impl fmt::Display for CellError {
                 write!(f, "cell `{n}` has geometry beyond ±{MAX_COORD} λ")
             }
             CellError::NotRectilinear(n) => write!(f, "cell `{n}` has a non-rectilinear polygon"),
+            CellError::NotSimple(n) => write!(f, "cell `{n}` has a self-touching polygon"),
         }
     }
 }
@@ -384,6 +388,8 @@ impl Library {
     /// * [`CellError::NotRectilinear`] if a polygon has a diagonal edge.
     /// * [`CellError::OutOfBounds`] if the cell's geometry, flattened
     ///   through its instances, leaves ±[`MAX_COORD`] λ.
+    /// * [`CellError::NotSimple`] if a polygon's vertex loop touches
+    ///   itself.
     pub fn add_cell(&mut self, cell: Cell) -> Result<CellId, CellError> {
         if self.by_name.contains_key(cell.name()) {
             return Err(CellError::DuplicateName(cell.name().to_owned()));
@@ -521,6 +527,9 @@ impl Library {
             };
             if !inside {
                 return fail(CellError::OutOfBounds);
+            }
+            if matches!(&s.geom, ShapeGeom::Poly(p) if !p.is_simple_rectilinear()) {
+                return fail(CellError::NotSimple);
             }
         }
         if !cell.bristles().iter().all(|b| BOUND.contains(b.pos)) {
@@ -797,6 +806,17 @@ mod tests {
         assert_eq!(
             lib.add_cell(holding("tri", Shape::polygon(Layer::Metal, poly))),
             Err(CellError::NotRectilinear("tri".into()))
+        );
+    }
+
+    #[test]
+    fn self_touching_polygons_rejected() {
+        let v = [(0, 0), (2, 0), (2, 4), (4, 4), (4, 2), (0, 2)].map(|(x, y)| Point::new(x, y));
+        let poly = bristle_geom::Polygon::new(v.to_vec()).unwrap();
+        let mut lib = Library::new("t");
+        assert_eq!(
+            lib.add_cell(holding("eight", Shape::polygon(Layer::Metal, poly))),
+            Err(CellError::NotSimple("eight".into()))
         );
     }
 

@@ -29,7 +29,7 @@
 //!   [`InterfaceStd::from_tracks`] over every column's natural tracks,
 //!   and the one pitch rule,
 //! * [`CellReprs`] — per-cell data for the non-layout representations
-//!   (sticks, logic, text, simulation, block).
+//!   (logic, text, simulation, block).
 //!
 //! # Examples
 //!

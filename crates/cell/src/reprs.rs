@@ -5,13 +5,14 @@
 //! itself."* — Johannsen, DAC 1979.
 //!
 //! The LAYOUT representation is the cell geometry itself; TRANSISTORS is
-//! derived by extraction. The remaining representations carry explicit
-//! per-cell data, stored here:
+//! derived by extraction, and STICKS ([`Stick`] center-lines) is derived
+//! from the chip's flat layout. The remaining representations carry
+//! explicit per-cell data, stored here:
 //!
-//! * STICKS — single-width center-lines with the layout's topology,
 //! * LOGIC — a TTL-style gate list,
 //! * TEXT — prose for the hierarchical "user's manual",
-//! * SIMULATION — the name of a registered behavioral model,
+//! * SIMULATION — the key of the behavioral model the chip's machine
+//!   builds for the element,
 //! * BLOCK — a display label for the block diagram.
 
 use std::fmt;
@@ -144,29 +145,17 @@ impl fmt::Display for LogicGate {
 /// The per-cell bundle of non-layout representation data.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellReprs {
-    /// STICKS: single-width topology lines.
-    pub sticks: Vec<Stick>,
     /// LOGIC: TTL-style gate list.
     pub logic: Vec<LogicGate>,
     /// TEXT: prose description for the "user's manual".
     pub doc: String,
-    /// SIMULATION: key of the behavioral model registered with the
-    /// functional simulator.
+    /// SIMULATION: key of the behavioral model (`bristle_sim::behaviors`)
+    /// the chip's machine builds for the element whose first column this
+    /// is; `None` for a cell with no model of its own, such as the bus
+    /// precharge the bus model covers.
     pub behavior: Option<String>,
     /// BLOCK: display label in the block diagram.
     pub block_label: Option<String>,
-}
-
-impl CellReprs {
-    /// True if no representation data is present at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sticks.is_empty()
-            && self.logic.is_empty()
-            && self.doc.is_empty()
-            && self.behavior.is_none()
-            && self.block_label.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -190,14 +179,6 @@ mod tests {
         let pass = LogicGate::new(LogicKind::Pass, ["en", "d"], "y");
         assert_eq!(pass.eval(&[true, true]), Some(true));
         assert_eq!(pass.eval(&[false, true]), None);
-    }
-
-    #[test]
-    fn reprs_emptiness() {
-        let mut r = CellReprs::default();
-        assert!(r.is_empty());
-        r.doc = "a register".into();
-        assert!(!r.is_empty());
     }
 
     #[test]

@@ -362,9 +362,9 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
 /// Fails with [`ParseCifError::Syntax`] on a value that does not survive
 /// the half-λ conversion (odd, or beyond twice the ±[`MAX_COORD`] λ
 /// bound), and with [`ParseCifError::Cell`] when [`Library::add_cell`]
-/// rejects a symbol: a non-rectilinear polygon, a hierarchy that once
-/// flattened through its calls leaves ±[`MAX_COORD`] λ, or a duplicate
-/// name.
+/// rejects a symbol: a non-rectilinear or self-touching polygon, a
+/// hierarchy that once flattened through its calls leaves ±[`MAX_COORD`]
+/// λ, or a duplicate name.
 pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
     let mut lib = Library::new("from-cif");
     let mut ids: HashMap<i64, bristle_cell::CellId> = HashMap::new();

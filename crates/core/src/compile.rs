@@ -38,7 +38,8 @@ impl PassTimings {
 /// Compilation errors.
 #[derive(Debug)]
 pub enum CompileError {
-    /// Unknown element kind in the spec.
+    /// Unknown element kind in the spec, or a cell's `behavior` key that
+    /// names no SIMULATION model.
     UnknownElement(String),
     /// A generator failed.
     Gen(GenError),
@@ -99,9 +100,9 @@ impl From<InterfaceViolation> for CompileError {
 /// Per-element record in the compiled chip.
 #[derive(Debug, Clone)]
 pub struct ElementInfo {
-    /// Element index in the spec (precharge cells inserted by the
-    /// compiler get `usize::MAX`).
-    pub index: usize,
+    /// Element index in the spec; `None` for the precharge cells the
+    /// compiler inserts.
+    pub index: Option<usize>,
     /// Generator kind.
     pub kind: String,
     /// Unique prefix (`e<i>_<kind>`).
@@ -182,7 +183,7 @@ impl Compiler {
         // element at the head of every bus segment (chip start and after
         // every declared break).
         struct Pending {
-            index: usize,
+            index: Option<usize>,
             kind: String,
             ctx: GenCtx,
             generator: Box<dyn bristle_cell::CellGenerator>,
@@ -193,7 +194,7 @@ impl Compiler {
             ctx.prefix = format!("pc{n}");
             *n += 1;
             pending.push(Pending {
-                index: usize::MAX,
+                index: None,
                 kind: "precharge".into(),
                 ctx,
                 generator: Box::new(PrechargeGen),
@@ -211,13 +212,15 @@ impl Compiler {
             let mut ctx = GenCtx::new(spec.data_width);
             ctx.prefix = format!("e{i}_{}", e.kind);
             ctx.params = e.params.clone();
+            // The lane is the compiler's own numbering: it overrides a
+            // `lane` the spec gives.
             if matches!(e.kind.as_str(), "inport" | "outport") {
                 let lane = lanes.entry(e.kind.as_str()).or_insert(0);
-                ctx.params.entry("lane".into()).or_insert(*lane);
+                ctx.params.insert("lane".into(), *lane);
                 *lane += 1;
             }
             pending.push(Pending {
-                index: i,
+                index: Some(i),
                 kind: e.kind.clone(),
                 ctx,
                 generator,
@@ -284,10 +287,7 @@ impl Compiler {
         // control column at the north edge as an observation pad point.
         if spec.flags.get("PROTOTYPE").copied().unwrap_or(false) {
             let core_top = i64::from(spec.data_width) * std.pitch;
-            for e in &elements {
-                if e.index == usize::MAX {
-                    continue;
-                }
+            for e in elements.iter().filter(|e| e.index.is_some()) {
                 let Some(&col) = e.columns.first() else { continue };
                 let Some(ctl) = lib
                     .cell(col)
@@ -762,35 +762,26 @@ impl CompiledChip {
 
     /// Builds the SIMULATION representation: a runnable [`Machine`] with
     /// one behavior per core element, control lines bound exactly as the
-    /// decoder will drive them.
+    /// decoder will drive them. Each element's model is the one its first
+    /// column's `behavior` key names; columns with no key (the inserted
+    /// precharge) add nothing, as the bus model precharges implicitly.
     ///
     /// # Errors
     ///
-    /// Fails if an element's behavior cannot be assembled.
+    /// [`CompileError::UnknownElement`] names a key no model answers to;
+    /// fails too if an element's controls cannot be bound.
     pub fn simulation(&self) -> Result<Machine, CompileError> {
         let mut machine = Machine::new(self.spec.data_width, self.microcode.clone());
         for e in &self.elements {
-            if e.index == usize::MAX {
-                continue; // precharge is implicit in the bus model
-            }
-            // Each register, RAM word and stack level is one column.
-            let n = e.columns.len();
-            let behavior = match e.kind.as_str() {
-                "registers" => bristle_sim::behaviors::register_file(&e.prefix, n),
-                "alu" => bristle_sim::behaviors::alu(&e.prefix),
-                "shifter" => bristle_sim::behaviors::shifter(&e.prefix),
-                "ram" => bristle_sim::behaviors::decoded_ram(&e.prefix, n),
-                "stack" => bristle_sim::behaviors::decoded_stack(&e.prefix, n),
-                "inport" => {
-                    bristle_sim::behaviors::input_port(&e.prefix, format!("{}_pad", e.prefix))
-                }
-                "outport" => {
-                    bristle_sim::behaviors::output_port(&e.prefix, format!("{}_pad", e.prefix))
-                }
-                other => {
-                    return Err(CompileError::UnknownElement(other.to_owned()));
-                }
+            let Some(key) = e
+                .columns
+                .first()
+                .and_then(|&c| self.lib.cell(c).reprs().behavior.as_deref())
+            else {
+                continue;
             };
+            let behavior = bristle_sim::behaviors::by_key(key, &e.prefix, e.columns.len())
+                .ok_or_else(|| CompileError::UnknownElement(key.to_owned()))?;
             machine.add_element(behavior, &self.element_controls(e))?;
         }
         Ok(machine)
@@ -863,6 +854,19 @@ mod tests {
             .unwrap();
         m.step_word(word).unwrap();
         assert_eq!(m.peek("e1_alu", "a").unwrap(), 9);
+    }
+
+    /// The machine follows each element's `behavior` key, not its kind:
+    /// a key no model answers to is refused by name.
+    #[test]
+    fn simulation_refuses_an_unknown_behavior_key() {
+        let mut chip = Compiler::new().compile(&small_spec()).unwrap();
+        let col = chip.elements.iter().find(|e| e.kind == "alu").unwrap().columns[0];
+        chip.lib.cell_mut(col).reprs_mut().behavior = Some("abacus".into());
+        match chip.simulation().err() {
+            Some(CompileError::UnknownElement(key)) => assert_eq!(key, "abacus"),
+            other => panic!("expected the key refused, got {other:?}"),
+        }
     }
 
     #[test]

@@ -65,6 +65,11 @@ impl From<SpecError> for ParsePageError {
 
 /// Parses the single-page text format into a [`ChipSpec`].
 ///
+/// An element reads only its own parameters (`count` for registers,
+/// `words` for ram, `depth` for stack) and ignores any other. A port's
+/// `lane` is the compiler's own numbering, so a page's `lane=` is
+/// ignored too.
+///
 /// # Errors
 ///
 /// Reports malformed lines with their line numbers, and propagates spec

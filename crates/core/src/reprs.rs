@@ -130,10 +130,9 @@ impl CompiledChip {
         let _ = writeln!(out);
         let _ = writeln!(out, "CORE ELEMENTS (west to east)");
         for e in &self.elements {
-            let title = if e.index == usize::MAX {
-                format!("{} (inserted by the compiler)", e.kind)
-            } else {
-                e.kind.clone()
+            let title = match e.index {
+                Some(_) => e.kind.clone(),
+                None => format!("{} (inserted by the compiler)", e.kind),
             };
             let _ = writeln!(
                 out,
@@ -203,7 +202,7 @@ impl CompiledChip {
         let labels: Vec<String> = self
             .elements
             .iter()
-            .filter(|e| e.index != usize::MAX)
+            .filter(|e| e.index.is_some())
             .map(|e| {
                 e.columns
                     .first()

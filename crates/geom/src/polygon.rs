@@ -8,7 +8,9 @@ use crate::{Point, Rect};
 ///
 /// Bristle Blocks uses polygons sparingly — pads and a few corner
 /// structures — so this type provides only what the compiler and the CIF
-/// writer need: area, bounding box, translation and rectilinearity checks.
+/// writer need: area, bounding box, translation, and rectilinearity and
+/// simplicity checks. [`Polygon::new`] checks neither; a cell library
+/// refuses a polygon that fails them when the cell is added.
 ///
 /// # Examples
 ///
@@ -122,6 +124,31 @@ impl Polygon {
         })
     }
 
+    /// True if the polygon is rectilinear and its vertex loop never
+    /// touches itself: edges that are not neighbours share no point, and
+    /// no edge folds back over the one before it. Compares coordinates
+    /// only, so it cannot overflow; quadratic in the vertex count.
+    #[must_use]
+    pub fn is_simple_rectilinear(&self) -> bool {
+        let v = &self.vertices;
+        let n = v.len();
+        // An axis-aligned edge is its own closed bounding box.
+        let edges: Vec<Rect> = (0..n).map(|i| Rect::from_points(v[i], v[(i + 1) % n])).collect();
+        // `a` and `c` lie strictly on one side of their shared `b`.
+        let folds = |a: i64, b: i64, c: i64| (a < b && c < b) || (a > b && c > b);
+        self.is_rectilinear()
+            && (0..n).all(|i| {
+                let (a, b, c) = (v[i], v[(i + 1) % n], v[(i + 2) % n]);
+                !folds(a.x, b.x, c.x)
+                    && !folds(a.y, b.y, c.y)
+                    // Edges i and j ≥ i + 2 are not neighbours, except
+                    // the first and last, which close the loop.
+                    && (i + 2..n)
+                        .filter(|&j| i > 0 || j < n - 1)
+                        .all(|j| !edges[i].touches(&edges[j]))
+            })
+    }
+
     /// Translates every vertex by `d`.
     #[must_use]
     pub fn translate(&self, d: Point) -> Polygon {
@@ -218,6 +245,28 @@ mod tests {
             Polygon::new(vec![Point::ORIGIN, Point::ORIGIN, Point::new(1, 1)]),
             Err(PolygonError::RepeatedVertex(0))
         ));
+    }
+
+    fn poly(v: &[(i64, i64)]) -> Polygon {
+        Polygon::new(v.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+    }
+
+    #[test]
+    fn simplicity() {
+        let l_shape = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)];
+        assert!(poly(&l_shape).is_simple_rectilinear());
+        // A collinear vertex is no fold.
+        assert!(poly(&[(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)]).is_simple_rectilinear());
+        for (what, v) in [
+            ("wound twice", [(0, 0), (4, 0), (4, 4), (0, 4)].repeat(2)),
+            ("crossing figure-eight", vec![(0, 0), (2, 0), (2, 4), (4, 4), (4, 2), (0, 2)]),
+            ("touching lobes", vec![(0, 0), (2, 0), (2, 2), (4, 2), (4, 4), (2, 4), (2, 2), (0, 2)]),
+            ("fold back", vec![(0, 0), (4, 0), (2, 0), (2, 2), (0, 2)]),
+            ("flat", vec![(0, 0), (2, 0), (1, 0)]),
+            ("triangle", vec![(0, 0), (4, 0), (0, 4)]),
+        ] {
+            assert!(!poly(&v).is_simple_rectilinear(), "{what}");
+        }
     }
 
     #[test]

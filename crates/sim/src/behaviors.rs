@@ -8,15 +8,18 @@
 //! Control-line names are element-local; the compiler (or a test) binds
 //! them to microcode decode specs via [`crate::Machine::add_element`].
 //!
-//! | Behavior | φ1 controls | φ2 action |
-//! |---|---|---|
-//! | [`register_file`] | `rda<i>`/`rdb<i>` drive bus A/B, `ld<i>` load from bus A | — |
-//! | [`alu`] | `lda`, `ldb` latch operands; `out` drives result on bus A | `op0..op2` select the operation |
-//! | [`shifter`] | `ld` from bus A; `out` drives bus B | `sl`/`sr` shift by one |
-//! | [`decoded_ram`] | `rd` & `sel<i>` drive word i; `wr` & `selw<i>` latch bus A | write commits |
-//! | [`decoded_stack`] | the same, with `pop`/`push` for `rd`/`wr` | write commits |
-//! | [`input_port`] | `drv` drives bus A from the pad | — |
-//! | [`output_port`] | `ld` latches bus A | value appears on the pad |
+//! A cell names its model by the key in its `behavior` representation;
+//! [`by_key`] is the one map from key to model.
+//!
+//! | Key | φ1 controls | φ2 action | State |
+//! |---|---|---|---|
+//! | `registers` | `rda<i>`/`rdb<i>` drive bus A/B, `ld<i>` load from bus A | — | `r<i>` |
+//! | `alu` | `lda`, `ldb` latch operands; `out` drives result on bus A | `op0..op2` select the operation ([`ALU_OPS`]) | `a`, `b`, `result`, `carry`, `zero` |
+//! | `shifter` | `ld` from bus A; `out` drives bus B | `sl`/`sr` shift by one | `value` |
+//! | `ram` | `rd` & `sel<i>` drive word i; `wr` & `selw<i>` latch bus A | write commits | `m<i>` |
+//! | `stack` | the same, with `pop`/`push` for `rd`/`wr` | write commits | `s<i>` |
+//! | `inport` | `drv` drives bus A from the pad | — | — |
+//! | `outport` | `ld` latches bus A | value appears on the pad | `value` |
 
 use crate::machine::{Behavior, ElementCtx};
 
@@ -43,6 +46,8 @@ fn word_index(key: &str, letter: char, len: usize) -> Option<usize> {
     (i < len).then_some(i)
 }
 
+/// A bank of registers with dual read ports (bus A via `rda<i>`, bus B
+/// via `rdb<i>`) and a write port from bus A (`ld<i>`).
 struct RegisterFile {
     name: String,
     regs: Vec<u64>,
@@ -85,16 +90,11 @@ impl Behavior for RegisterFile {
     }
 }
 
-/// A bank of `count` registers with dual read ports (bus A via `rda<i>`,
-/// bus B via `rdb<i>`) and a write port from bus A (`ld<i>`).
-#[must_use]
-pub fn register_file(name: impl Into<String>, count: usize) -> Box<dyn Behavior> {
-    Box::new(RegisterFile {
-        name: name.into(),
-        regs: vec![0; count],
-    })
-}
-
+/// An arithmetic-logic unit with a precharged Manhattan carry chain.
+/// Operands latch from buses A and B (`lda`, `ldb`); the φ2 operation is
+/// selected by control bits `op0..op2` (see [`ALU_OPS`]); `out` drives
+/// the result onto bus A.
+#[derive(Default)]
 struct Alu {
     name: String,
     a: u64,
@@ -178,22 +178,8 @@ impl Behavior for Alu {
     }
 }
 
-/// An arithmetic-logic unit with a precharged Manhattan carry chain.
-/// Operands latch from buses A and B (`lda`, `ldb`); the φ2 operation is
-/// selected by control bits `op0..op2` (see [`ALU_OPS`]); `out` drives
-/// the result onto bus A.
-#[must_use]
-pub fn alu(name: impl Into<String>) -> Box<dyn Behavior> {
-    Box::new(Alu {
-        name: name.into(),
-        a: 0,
-        b: 0,
-        result: 0,
-        carry: 0,
-        zero: 0,
-    })
-}
-
+/// A shift register: loads from bus A (`ld`), shifts left/right one bit
+/// per φ2 (`sl`, `sr`), drives bus B (`out`).
 struct Shifter {
     name: String,
     value: u64,
@@ -241,18 +227,13 @@ impl Behavior for Shifter {
     }
 }
 
-/// A shift register: loads from bus A (`ld`), shifts left/right one bit
-/// per φ2 (`sl`, `sr`), drives bus B (`out`).
-#[must_use]
-pub fn shifter(name: impl Into<String>) -> Box<dyn Behavior> {
-    Box::new(Shifter {
-        name: name.into(),
-        value: 0,
-    })
-}
-
 /// Decoded word storage: the shared behavior of the `ram` (words) and
-/// `stack` (levels) stdcells, which draw the same word cell.
+/// `stack` (levels) stdcells, which draw the same word cell. One read
+/// select `sel<i>` and one write select `selw<i>` per word (the silicon
+/// routes them as separate poly columns gating the read and write
+/// chains), plus a shared read and write control. The stack's level is
+/// the decoded `_sp` microcode field the program generator maintains, so
+/// no stack pointer lives here.
 struct DecodedWords {
     name: String,
     /// Control that drives the selected word onto bus A (`rd`/`pop`).
@@ -312,42 +293,7 @@ impl Behavior for DecodedWords {
     }
 }
 
-fn decoded_words(
-    name: String,
-    n: usize,
-    (read, write): (&'static str, &'static str),
-    key: char,
-) -> Box<dyn Behavior> {
-    Box::new(DecodedWords {
-        name,
-        read,
-        write,
-        key,
-        words: vec![0; n],
-        pending_write: None,
-    })
-}
-
-/// A RAM with fully decoded word lines, matching the physical layout of
-/// the `ram` stdcell: one read select `sel<i>` and one write select
-/// `selw<i>` per word (the silicon routes them as separate poly columns
-/// gating the read and write chains), plus shared `wr` (write bus A on
-/// φ2) and `rd` (drive bus A). Word `i` is state `m<i>`.
-#[must_use]
-pub fn decoded_ram(name: impl Into<String>, words: usize) -> Box<dyn Behavior> {
-    decoded_words(name.into(), words, ("rd", "wr"), 'm')
-}
-
-/// The sp-decoded stack matching the `stack` stdcell: a [`decoded_ram`]
-/// whose read/write controls are `pop`/`push`. The microcode carries the
-/// target level (the `_sp` field the program generator maintains),
-/// decoded into per-level `sel<i>`/`selw<i>` lines, so the stack pointer
-/// lives in the microcode, not here. Level `i` is state `s<i>`.
-#[must_use]
-pub fn decoded_stack(name: impl Into<String>, depth: usize) -> Box<dyn Behavior> {
-    decoded_words(name.into(), depth, ("pop", "push"), 's')
-}
-
+/// An input port: `drv` drives bus A from its pad.
 struct InputPort {
     name: String,
     pad: String,
@@ -367,15 +313,8 @@ impl Behavior for InputPort {
     }
 }
 
-/// An input port: `drv` drives bus A from pad `pad`.
-#[must_use]
-pub fn input_port(name: impl Into<String>, pad: impl Into<String>) -> Box<dyn Behavior> {
-    Box::new(InputPort {
-        name: name.into(),
-        pad: pad.into(),
-    })
-}
-
+/// An output port: `ld` latches bus A; the value appears on its pad
+/// every φ2.
 struct OutputPort {
     name: String,
     pad: String,
@@ -411,15 +350,32 @@ impl Behavior for OutputPort {
     }
 }
 
-/// An output port: `ld` latches bus A; the value appears on pad `pad`
-/// every φ2.
+/// The model a cell's `behavior` key names, built for the element
+/// `name` of `columns` columns (one per register, RAM word or stack
+/// level); see the module table. A port reads or drives the machine pad
+/// `<name>_pad`. Returns `None` for a key no model answers to.
 #[must_use]
-pub fn output_port(name: impl Into<String>, pad: impl Into<String>) -> Box<dyn Behavior> {
-    Box::new(OutputPort {
-        name: name.into(),
-        pad: pad.into(),
-        value: 0,
-    })
+pub fn by_key(key: &str, name: &str, columns: usize) -> Option<Box<dyn Behavior>> {
+    let name = name.to_owned();
+    let words = |name, (read, write): (&'static str, &'static str), key| DecodedWords {
+        name,
+        read,
+        write,
+        key,
+        words: vec![0; columns],
+        pending_write: None,
+    };
+    let model: Box<dyn Behavior> = match key {
+        "registers" => Box::new(RegisterFile { name, regs: vec![0; columns] }),
+        "alu" => Box::new(Alu { name, ..Alu::default() }),
+        "shifter" => Box::new(Shifter { name, value: 0 }),
+        "ram" => Box::new(words(name, ("rd", "wr"), 'm')),
+        "stack" => Box::new(words(name, ("pop", "push"), 's')),
+        "inport" => Box::new(InputPort { pad: format!("{name}_pad"), name }),
+        "outport" => Box::new(OutputPort { pad: format!("{name}_pad"), name, value: 0 }),
+        _ => return None,
+    };
+    Some(model)
 }
 
 #[cfg(test)]
@@ -475,13 +431,13 @@ mod tests {
     fn peek_and_poke_every_key() {
         let mut m = Machine::new(8, Microcode::new());
         for b in [
-            register_file("regs", 3),
-            alu("alu"),
-            shifter("sh"),
-            decoded_ram("mem", 2),
-            decoded_stack("st", 2),
-            input_port("pin", "IN"),
-            output_port("pout", "OUT"),
+            by_key("registers", "regs", 3).unwrap(),
+            by_key("alu", "alu", 1).unwrap(),
+            by_key("shifter", "sh", 1).unwrap(),
+            by_key("ram", "mem", 2).unwrap(),
+            by_key("stack", "st", 2).unwrap(),
+            by_key("inport", "pin", 1).unwrap(),
+            by_key("outport", "pout", 1).unwrap(),
         ] {
             m.add_element(b, &[]).unwrap();
         }
@@ -534,6 +490,19 @@ mod tests {
         }
     }
 
+    /// Every key in the table builds its model under the element's name;
+    /// a key no model answers to is refused.
+    #[test]
+    fn by_key_builds_each_model() {
+        for key in ["registers", "alu", "shifter", "ram", "stack", "inport", "outport"] {
+            let b = by_key(key, "e0", 2).unwrap_or_else(|| panic!("`{key}` has no model"));
+            assert_eq!(b.name(), "e0");
+        }
+        for key in ["precharge", "inv", "", "Registers", "register_file"] {
+            assert!(by_key(key, "e0", 2).is_none(), "`{key}`");
+        }
+    }
+
     /// A full little datapath: 2 registers, ALU.
     fn datapath() -> Machine {
         let mut mc = Microcode::new();
@@ -543,7 +512,7 @@ mod tests {
         mc.add_field("aluc", 2).unwrap(); // 1: latch operands, 2: drive out
         let mut m = Machine::new(8, mc);
         m.add_element(
-            register_file("regs", 2),
+            by_key("registers", "regs", 2).unwrap(),
             &[
                 ("rda0", ctl("rd", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("rda1", ctl("rd", ActiveWhen::Equals(2), Phase::Phi1)),
@@ -555,7 +524,7 @@ mod tests {
         )
         .unwrap();
         m.add_element(
-            alu("alu"),
+            by_key("alu", "alu", 1).unwrap(),
             &[
                 ("lda", ctl("aluc", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("ldb", ctl("aluc", ActiveWhen::Equals(1), Phase::Phi1)),
@@ -625,7 +594,7 @@ mod tests {
         mc.add_field("s", 2).unwrap();
         let mut m = Machine::new(8, mc);
         m.add_element(
-            shifter("sh"),
+            by_key("shifter", "sh", 1).unwrap(),
             &[
                 ("sl", ctl("s", ActiveWhen::Equals(1), Phase::Phi2)),
                 ("sr", ctl("s", ActiveWhen::Equals(2), Phase::Phi2)),
@@ -648,7 +617,7 @@ mod tests {
         mc.add_field("rw", 2).unwrap();
         let mut m = Machine::new(8, mc);
         m.add_element(
-            decoded_ram("mem", 2),
+            by_key("ram", "mem", 2).unwrap(),
             &[
                 ("sel0", ctl("sel", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("sel1", ctl("sel", ActiveWhen::Equals(2), Phase::Phi1)),
@@ -686,7 +655,7 @@ mod tests {
         mc.add_field("sp", 2).unwrap();
         let mut m = Machine::new(8, mc);
         m.add_element(
-            decoded_stack("st", 3),
+            by_key("stack", "st", 3).unwrap(),
             &[
                 ("push", ctl("stk", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("pop", ctl("stk", ActiveWhen::Equals(2), Phase::Phi1)),

@@ -38,7 +38,7 @@
 //! mc.add_field("rd", 2)?;   // value 1: reg0 -> busA; 2: reg1 -> busA
 //! mc.add_field("ld", 2)?;   // value 1: busA -> reg0; 2: busA -> reg1
 //! let mut machine = Machine::new(8, mc);
-//! let reg = behaviors::register_file("regs", 2);
+//! let reg = behaviors::by_key("registers", "regs", 2).unwrap();
 //! machine.add_element(reg, &[
 //!     ("rda0", ControlLine { field: "rd".into(), active: ActiveWhen::Equals(1), phase: Phase::Phi1 }),
 //!     ("rda1", ControlLine { field: "rd".into(), active: ActiveWhen::Equals(2), phase: Phase::Phi1 }),

@@ -462,7 +462,7 @@ mod tests {
         mc.add_field("ld", 2).unwrap();
         let mut m = Machine::new(8, mc);
         m.add_element(
-            behaviors::register_file("regs", 2),
+            behaviors::by_key("registers", "regs", 2).unwrap(),
             &[
                 ("rda0", ctl("rd", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("rda1", ctl("rd", ActiveWhen::Equals(2), Phase::Phi1)),
@@ -505,7 +505,7 @@ mod tests {
         mc.add_field("rd", 2).unwrap();
         let mut m2 = Machine::new(8, mc);
         m2.add_element(
-            behaviors::register_file("regs", 2),
+            behaviors::by_key("registers", "regs", 2).unwrap(),
             &[
                 ("rda0", ctl("rd", ActiveWhen::AnyOf(vec![1, 3]), Phase::Phi1)),
                 ("rda1", ctl("rd", ActiveWhen::AnyOf(vec![2, 3]), Phase::Phi1)),
@@ -531,12 +531,12 @@ mod tests {
             Err(SimError::UnknownState { .. })
         ));
         assert!(matches!(
-            m.add_element(behaviors::register_file("regs", 1), &[]),
+            m.add_element(behaviors::by_key("registers", "regs", 1).unwrap(), &[]),
             Err(SimError::DuplicateElement(_))
         ));
         assert!(matches!(
             m.add_element(
-                behaviors::register_file("regs2", 1),
+                behaviors::by_key("registers", "regs2", 1).unwrap(),
                 &[("x", ctl("nofield", ActiveWhen::Always, Phase::Phi1))]
             ),
             Err(SimError::UnknownControlField { .. })
@@ -652,18 +652,18 @@ mod tests {
         mc.add_field("io", 2).unwrap();
         let mut m = Machine::new(8, mc);
         m.add_element(
-            behaviors::input_port("pin", "DATA_IN"),
+            behaviors::by_key("inport", "pin", 1).unwrap(),
             &[("drv", ctl("io", ActiveWhen::Equals(1), Phase::Phi1))],
         )
         .unwrap();
         m.add_element(
-            behaviors::output_port("pout", "DATA_OUT"),
+            behaviors::by_key("outport", "pout", 1).unwrap(),
             &[("ld", ctl("io", ActiveWhen::Equals(1), Phase::Phi1))],
         )
         .unwrap();
-        m.set_pad("DATA_IN", 0x42);
+        m.set_pad("pin_pad", 0x42);
         let w = m.microcode().encode(&[("io", 1)]).unwrap();
         m.step_word(w).unwrap();
-        assert_eq!(m.pad("DATA_OUT"), Some(0x42));
+        assert_eq!(m.pad("pout_pad"), Some(0x42));
     }
 }

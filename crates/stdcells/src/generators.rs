@@ -3,9 +3,11 @@
 //!
 //! Each generator produces one bit cell per **column**; the compiler
 //! stacks columns `data_width` high and abuts elements left to right.
-//! Control bristle names match the local control names of the matching
-//! behavior in `bristle_sim::behaviors`, which is how the compiler wires
-//! the SIMULATION representation automatically.
+//! Each column's `behavior` key names its SIMULATION model in
+//! `bristle_sim::behaviors::by_key` (the compiler reads the first
+//! column's), and control bristle names match that model's local
+//! control names, which is how the compiler wires the SIMULATION
+//! representation automatically. The precharge cell carries no key.
 
 use bristle_cell::{
     ActiveWhen, CellGenerator, CellId, CellReprs, ControlLine, GenCtx, GenError, Library,
@@ -165,7 +167,6 @@ impl CellGenerator for RegistersGen {
                         "busB",
                     ),
                 ],
-                ..CellReprs::default()
             };
             columns.push(add_cell(lib, &spec)?);
         }
@@ -255,7 +256,6 @@ impl CellGenerator for AluGen {
                 LogicGate::new(LogicKind::Xor, ["opa", "opb"], "sum"),
                 LogicGate::new(LogicKind::And, ["opa", "opb"], "carry"),
             ],
-            ..CellReprs::default()
         };
         Ok(vec![add_cell(lib, &spec)?])
     }
@@ -319,7 +319,6 @@ impl CellGenerator for ShifterGen {
             behavior: Some("shifter".into()),
             block_label: Some("SHIFT".into()),
             logic: vec![LogicGate::new(LogicKind::Latch, ["ld", "busA"], "hold")],
-            ..CellReprs::default()
         };
         Ok(vec![add_cell(lib, &spec)?])
     }

@@ -70,22 +70,25 @@ fn cif_round_trip_preserves_geometry() {
     }
 }
 
+/// Every cell comes back equal in all it holds: shapes, instances,
+/// bristles, stretch lines, power and representations (the `behavior`
+/// key the SIMULATION machine is built from among them). Inputs are
+/// random libraries and the four reference chips' compiled libraries.
 #[test]
 fn cdl_round_trip_is_identity() {
     let mut rng = Rng::new(0xC1F0_0002);
-    for case in 0..48 {
-        let lib = arb_library(&mut rng);
+    let random = (0..48).map(|case| (format!("case {case}"), arb_library(&mut rng)));
+    let chips = bristle_bench::reference_specs().into_iter().map(|spec| {
+        let chip = Compiler::new().compile(&spec).unwrap();
+        (format!("chip {}", spec.name), chip.lib)
+    });
+    for (what, lib) in random.chain(chips) {
         let text = save_library(&lib).unwrap();
         let back = load_library(&text).unwrap();
-        assert_eq!(back.len(), lib.len(), "case {case}");
+        assert_eq!(back.len(), lib.len(), "{what}");
         for (_, cell) in lib.iter() {
             let rid = back.find(cell.name()).unwrap();
-            assert_eq!(back.cell(rid).shapes(), cell.shapes(), "case {case}");
-            assert_eq!(
-                back.cell(rid).instances().len(),
-                cell.instances().len(),
-                "case {case}"
-            );
+            assert_eq!(back.cell(rid), cell, "{what}");
         }
     }
 }

@@ -89,7 +89,9 @@ impl Coords<'_> {
 
     /// A rectilinear polygon of up to 26 vertices: a histogram of
     /// columns over one base line, walked base first. One in ten is a
-    /// triangle instead, and one in ten a square wound five times.
+    /// triangle instead, one in ten a square wound five times and one in
+    /// ten a figure-eight whose loop crosses itself; `add_cell` refuses
+    /// all three.
     fn poly(&mut self) -> Vec<(i64, i64)> {
         let (x0, y0) = self.point();
         match self.rng.range(0, 10) {
@@ -97,6 +99,11 @@ impl Coords<'_> {
             1 => {
                 let s = self.coord().saturating_abs().max(1);
                 [(s, s), (-s, s), (-s, -s), (s, -s)].repeat(5)
+            }
+            2 => {
+                let s = self.rng.range(1, 9);
+                let at = |i: i64, j: i64| (x0.saturating_add(i * s), y0.saturating_add(j * s));
+                vec![at(0, 0), at(2, 0), at(2, 4), at(4, 4), at(4, 2), at(0, 2)]
             }
             _ => {
                 let mut xs = vec![x0];
@@ -237,7 +244,10 @@ fn on_page<T>(what: &str, text: &str, check: impl FnOnce() -> T) -> T {
 }
 
 fn bound_error(e: &CellError) -> bool {
-    matches!(e, CellError::OutOfBounds(_) | CellError::NotRectilinear(_))
+    matches!(
+        e,
+        CellError::OutOfBounds(_) | CellError::NotRectilinear(_) | CellError::NotSimple(_)
+    )
 }
 
 #[test]
@@ -291,6 +301,28 @@ fn huge_box_refused_in_both_formats() {
 }
 
 #[test]
+fn self_touching_polygons_refused_in_both_formats() {
+    let wound = [(4, 4), (-4, 4), (-4, -4), (4, -4)].repeat(5);
+    let eight = vec![(0, 0), (2, 0), (2, 4), (4, 4), (4, 2), (0, 2)];
+    for (name, loop_) in [("wound", wound), ("eight", eight)] {
+        let page: Page = vec![vec![Item::Poly(loop_)]];
+        let cif = to_cif(&page, &mut Rng::new(1));
+        assert!(
+            matches!(
+                parse_cif(&cif).and_then(|f| cif_to_library(&f)),
+                Err(ParseCifError::Cell(CellError::NotSimple(_)))
+            ),
+            "{name} in CIF:\n{cif}"
+        );
+        assert_eq!(
+            load_library(&to_cdl(&page)).unwrap_err(),
+            CdlError::Cell(CellError::NotSimple("s0".into())),
+            "{name} in CDL"
+        );
+    }
+}
+
+#[test]
 fn nested_instances_past_the_bound_refused_in_cdl() {
     // Four levels, each offset within the bound; the third carries the
     // box past it.
@@ -302,4 +334,28 @@ fn nested_instances_past_the_bound_refused_in_cdl() {
         load_library(&text).unwrap_err(),
         CdlError::Cell(CellError::OutOfBounds("s3".into()))
     );
+}
+
+#[test]
+fn element_parameters_compile_or_get_a_typed_error() {
+    use bristle_blocks::core::{parse_page, Compiler};
+    let values = [0, 1, -1, 16, 17, 1 << 60, i64::MIN, i64::MAX];
+    for g in bristle_blocks::stdcells::all_generators() {
+        for param in ["count", "words", "depth", "lane"] {
+            for v in values {
+                let page = format!(
+                    "chip t\nwidth 4\nelement registers\nelement {} {param}={v}\n",
+                    g.name()
+                );
+                // Any outcome but a panic: a chip, or a typed error.
+                on_page(&format!("{} {param}={v}", g.name()), &page, || {
+                    let spec = parse_page(&page).expect("the page parses");
+                    if let Ok(chip) = Compiler::new().compile(&spec) {
+                        chip.simulation().expect("a compiled chip simulates");
+                        assert!(bristle_bench::hand_core_area(&chip) <= chip.core_area());
+                    }
+                });
+            }
+        }
+    }
 }
