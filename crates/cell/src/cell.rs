@@ -16,9 +16,11 @@
 //!   and the instance-path prefix down the hierarchy, and emits each leaf
 //!   shape and bristle exactly once: a cell's own items first, then each
 //!   instance's subtree in instance order.
-//! * [`Library::flatten_shared`] and [`Library::flat_bristles_shared`]
-//!   memoize their result for the cell that was asked for, and only for
-//!   it: the cells the walk passes through get no entry.
+//! * [`Library::flatten_shared`], [`Library::flat_bristles_shared`] and
+//!   [`Library::flat_layers_shared`] (the per-layer indexed view that
+//!   extraction and DRC share) memoize their result for the cell that
+//!   was asked for, and only for it: the cells the walk passes through
+//!   get no entry.
 //!   [`Library::flat_bristles_where`] keeps only the bristles a filter
 //!   accepts and caches nothing.
 //! * **Invalidation:** the one mutation entry point,
@@ -46,6 +48,7 @@ use std::sync::{Arc, RwLock};
 use bristle_geom::{Point, Rect, Transform, MAX_COORD};
 
 use crate::bristle::{Bristle, Flavor, Side};
+use crate::flat_layers::FlatLayers;
 use crate::power::PowerInfo;
 use crate::reprs::CellReprs;
 use crate::shape::{Shape, ShapeGeom};
@@ -332,6 +335,21 @@ pub struct Library {
     /// Flat bristles of each cell passed to `flat_bristles_shared`,
     /// same invariants as `flat_cache` (cleared together with it).
     bristle_cache: RwLock<HashMap<CellId, Arc<Vec<Bristle>>>>,
+    /// Indexed layer view of each cell passed to `flat_layers_shared`,
+    /// same invariants as `flat_cache` (cleared together with it).
+    layers_cache: RwLock<HashMap<CellId, Arc<FlatLayers>>>,
+}
+
+/// The entry for `id` in one of a library's flat-view caches, computed
+/// by `build` and stored on a miss.
+fn memoized<T>(cache: &RwLock<HashMap<CellId, Arc<T>>>, id: CellId, build: impl FnOnce() -> T) -> Arc<T> {
+    if let Some(hit) = cache.read().expect("flat cache poisoned").get(&id) {
+        return Arc::clone(hit);
+    }
+    let arc = Arc::new(build());
+    // Racing computations of the same cell produce identical values;
+    // keep whichever entry landed first.
+    Arc::clone(cache.write().expect("flat cache poisoned").entry(id).or_insert(arc))
 }
 
 impl Clone for Library {
@@ -343,6 +361,7 @@ impl Clone for Library {
             // The caches are derived data; a clone starts cold.
             flat_cache: RwLock::new(HashMap::new()),
             bristle_cache: RwLock::new(HashMap::new()),
+            layers_cache: RwLock::new(HashMap::new()),
         }
     }
 }
@@ -357,6 +376,7 @@ impl Library {
             by_name: HashMap::new(),
             flat_cache: RwLock::new(HashMap::new()),
             bristle_cache: RwLock::new(HashMap::new()),
+            layers_cache: RwLock::new(HashMap::new()),
         }
     }
 
@@ -436,10 +456,8 @@ impl Library {
 
     fn invalidate_flat_cache(&self) {
         self.flat_cache.write().expect("flat cache poisoned").clear();
-        self.bristle_cache
-            .write()
-            .expect("bristle cache poisoned")
-            .clear();
+        self.bristle_cache.write().expect("flat cache poisoned").clear();
+        self.layers_cache.write().expect("flat cache poisoned").clear();
     }
 
     /// Drops every memoized flat view, releasing the cached geometry.
@@ -451,11 +469,13 @@ impl Library {
         self.invalidate_flat_cache();
     }
 
-    /// Number of memoized flat views, shapes and bristles together.
+    /// Number of memoized flat views: shapes, bristles and layer views
+    /// together.
     #[cfg(test)]
     fn cached_entries(&self) -> usize {
         self.flat_cache.read().expect("flat cache poisoned").len()
-            + self.bristle_cache.read().expect("bristle cache poisoned").len()
+            + self.bristle_cache.read().expect("flat cache poisoned").len()
+            + self.layers_cache.read().expect("flat cache poisoned").len()
     }
 
     /// Looks a cell up by name.
@@ -579,23 +599,28 @@ impl Library {
     /// Panics if `id` did not come from this library.
     #[must_use]
     pub fn flatten_shared(&self, id: CellId) -> Arc<Vec<Shape>> {
-        if let Some(hit) = self.flat_cache.read().expect("flat cache poisoned").get(&id) {
-            return Arc::clone(hit);
-        }
-        let mut out: Vec<Shape> = Vec::new();
-        self.walk(id, &Transform::IDENTITY, &mut String::new(), &mut |cell, t, _| {
-            out.extend(cell.shapes().iter().map(|s| s.transform(t)));
-        });
-        let arc = Arc::new(out);
-        // Racing computations of the same cell produce identical values;
-        // keep whichever entry landed first.
-        Arc::clone(
-            self.flat_cache
-                .write()
-                .expect("flat cache poisoned")
-                .entry(id)
-                .or_insert(arc),
-        )
+        memoized(&self.flat_cache, id, || {
+            let mut out: Vec<Shape> = Vec::new();
+            self.walk(id, &Transform::IDENTITY, &mut String::new(), &mut |cell, t, _| {
+                out.extend(cell.shapes().iter().map(|s| s.transform(t)));
+            });
+            out
+        })
+    }
+
+    /// The per-layer indexed view of `flatten_shared(id)`: each layer's
+    /// rectangles, their index and the transistor gates, built once for
+    /// extraction and DRC to share. Memoized for `id` alone with
+    /// `flatten_shared`'s invalidation: [`Library::cell_mut`] and
+    /// [`Library::clear_flat_cache`] clear it, `add_cell` keeps it, clones
+    /// start cold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from this library.
+    #[must_use]
+    pub fn flat_layers_shared(&self, id: CellId) -> Arc<FlatLayers> {
+        memoized(&self.layers_cache, id, || FlatLayers::build(self.flatten_shared(id)))
     }
 
     /// All bristles of a cell hierarchy, in the cell's frame, with
@@ -609,22 +634,7 @@ impl Library {
     /// Panics if `id` did not come from this library.
     #[must_use]
     pub fn flat_bristles_shared(&self, id: CellId) -> Arc<Vec<Bristle>> {
-        if let Some(hit) = self
-            .bristle_cache
-            .read()
-            .expect("bristle cache poisoned")
-            .get(&id)
-        {
-            return Arc::clone(hit);
-        }
-        let arc = Arc::new(self.flat_bristles_where(id, |_, _, _| true));
-        Arc::clone(
-            self.bristle_cache
-                .write()
-                .expect("bristle cache poisoned")
-                .entry(id)
-                .or_insert(arc),
-        )
+        memoized(&self.bristle_cache, id, || self.flat_bristles_where(id, |_, _, _| true))
     }
 
     /// The bristles of `flat_bristles_shared(id)` that `keep` accepts,
@@ -1268,6 +1278,70 @@ mod tests {
         let _ = lib.bbox(top);
         assert_eq!(lib.cached_entries(), 2, "filtered walks and boxes cache nothing");
         assert_eq!(lib.clone().cached_entries(), 0, "clones start cold");
+    }
+
+    /// The layer view holds each flat shape's non-degenerate rects on its
+    /// layer, in flat order, each traced back to its shape.
+    fn assert_layer_view_matches(lib: &Library, id: CellId) {
+        let view = lib.flat_layers_shared(id);
+        let flat = flatten_oracle(lib, id);
+        assert_eq!(view.shapes(), &flat[..]);
+        for layer in Layer::ALL {
+            let mut want: Vec<(Rect, usize)> = Vec::new();
+            for (k, s) in flat.iter().enumerate().filter(|(_, s)| s.layer == layer) {
+                want.extend(s.to_rects().into_iter().filter(|r| !r.is_degenerate()).map(|r| (r, k)));
+            }
+            let rects = view.rects(layer);
+            assert_eq!(rects, want.iter().map(|&(r, _)| r).collect::<Vec<_>>(), "{layer:?}");
+            for (k, &(_, owner)) in want.iter().enumerate() {
+                assert_eq!(view.owner(layer, k), &flat[owner], "{layer:?} rect {k}");
+            }
+            let indexed: Vec<(usize, Rect)> = view.rect_index(layer).iter().collect();
+            assert_eq!(indexed, rects.iter().copied().enumerate().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn flat_layers_are_cached_once_and_invalidated_with_the_flat_view() {
+        let (mut lib, top) = three_level_library();
+        // A transistor crossing, so the view has a gate.
+        let mid = lib.find("mid").unwrap();
+        lib.cell_mut(mid)
+            .push_shape(Shape::rect(Layer::Diffusion, Rect::new(1, -3, 2, 5)));
+        assert_layer_view_matches(&lib, top);
+        let view = lib.flat_layers_shared(top);
+        assert!(Arc::ptr_eq(&view, &lib.flat_layers_shared(top)), "cache must hand out the same Arc");
+        assert_eq!(lib.cached_entries(), 2, "the view and the flat shapes it reads, for `top` only");
+        let poly = view.rects(Layer::Poly);
+        let want = gate_regions_oracle(poly, view.rects(Layer::Diffusion));
+        assert!(!want.is_empty());
+        assert_eq!(view.gates(), &want[..]);
+        // `cell_mut` drops the view; the next one sees the edit.
+        let a = lib.find("a").unwrap();
+        lib.cell_mut(a)
+            .push_shape(Shape::rect(Layer::Metal, Rect::new(50, 50, 54, 52)));
+        assert_eq!(lib.cached_entries(), 0);
+        let after = lib.flat_layers_shared(top);
+        assert!(!Arc::ptr_eq(&view, &after));
+        assert!(after.rects(Layer::Metal).len() > view.rects(Layer::Metal).len());
+        assert_layer_view_matches(&lib, top);
+        // So does `clear_flat_cache`, and a clone starts cold.
+        assert_eq!(lib.clone().cached_entries(), 0, "clones start cold");
+        lib.clear_flat_cache();
+        assert_eq!(lib.cached_entries(), 0);
+        assert!(!Arc::ptr_eq(&after, &lib.flat_layers_shared(top)));
+    }
+
+    /// Gates by brute force, with no buried contacts: every poly ∩
+    /// diffusion region, sorted, first poly rect kept.
+    fn gate_regions_oracle(poly: &[Rect], diff: &[Rect]) -> Vec<(Rect, usize)> {
+        let mut gates: Vec<(Rect, usize)> = Vec::new();
+        for (pi, p) in poly.iter().enumerate() {
+            gates.extend(diff.iter().filter_map(|d| p.intersection(d)).map(|g| (g, pi)));
+        }
+        gates.sort_unstable();
+        gates.dedup_by_key(|&mut (g, _)| g);
+        gates
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   distinguishes pad requests, decoder-driven control lines, bus taps,
 //!   power, clocks and plain signals),
 //! * [`Cell`] and [`Library`] — the hierarchical cell store with
-//!   [`Instance`] references,
+//!   [`Instance`] references, and [`FlatLayers`], the per-layer indexed
+//!   view of a flattened cell that extraction and DRC share,
 //! * [`stretch`] — the stretch engine that lets every cell match the
 //!   widest cell's pitch ("a painless operation"),
 //! * [`CellGenerator`] — the trait implemented by procedural cells,
@@ -52,6 +53,7 @@
 mod bristle;
 mod cdl;
 mod cell;
+mod flat_layers;
 mod generator;
 mod interface;
 mod power;
@@ -62,6 +64,7 @@ pub mod stretch;
 pub use bristle::{ActiveWhen, Bristle, ControlLine, Flavor, PadKind, Phase, Rail, Side};
 pub use cdl::{load_library, save_library, CdlError};
 pub use cell::{Cell, CellError, CellId, Instance, Library};
+pub use flat_layers::FlatLayers;
 pub use generator::{CellGenerator, GenCtx, GenError};
 pub use interface::{InterfaceStd, InterfaceViolation, TrackSet, Tracks, TRACK_WIDTH};
 pub use power::{PowerInfo, INVERTER_STATIC_UA, MIN_RAIL_WIDTH, UA_PER_LAMBDA};

@@ -773,11 +773,7 @@ impl CompiledChip {
     pub fn simulation(&self) -> Result<Machine, CompileError> {
         let mut machine = Machine::new(self.spec.data_width, self.microcode.clone());
         for e in &self.elements {
-            let Some(key) = e
-                .columns
-                .first()
-                .and_then(|&c| self.lib.cell(c).reprs().behavior.as_deref())
-            else {
+            let Some(key) = self.behavior_key(e) else {
                 continue;
             };
             let behavior = bristle_sim::behaviors::by_key(key, &e.prefix, e.columns.len())
@@ -785,6 +781,16 @@ impl CompiledChip {
             machine.add_element(behavior, &self.element_controls(e))?;
         }
         Ok(machine)
+    }
+
+    /// The `behavior` key of an element: its first column's. It names
+    /// the element's model ([`bristle_sim::behaviors::by_key`]) and the
+    /// storage a co-simulation checks ([`bristle_sim::behaviors::storage_by_key`]).
+    /// `None` for the precharge columns, which carry no key.
+    #[must_use]
+    pub fn behavior_key(&self, e: &ElementInfo) -> Option<&str> {
+        let &first = e.columns.first()?;
+        self.lib.cell(first).reprs().behavior.as_deref()
     }
 
     /// The control bindings of one element, exactly as the decoder

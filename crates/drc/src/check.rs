@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use bristle_cell::{CellId, Library, Shape, ShapeGeom};
-use bristle_geom::{covered_by, gate_regions, Layer, QueryScratch, Rect, RectIndex};
+use bristle_cell::{CellId, FlatLayers, Library, Shape, ShapeGeom};
+use bristle_geom::{covered_by, Layer, Rect};
 
 use crate::rules::{RuleKind, RuleSet};
 
@@ -56,47 +56,12 @@ impl fmt::Display for Report {
     }
 }
 
-/// Rectangle soup for one layer.
-struct LayerSoup {
-    rects: Vec<Rect>,
-    index: RectIndex,
-}
-
-/// One soup per layer, at `layer as usize`: `Layer`'s declaration order,
-/// which is both its sorted order and the order of `Layer::ALL`.
-struct Soup {
-    layers: [LayerSoup; Layer::ALL.len()],
-}
-
-impl Soup {
-    fn build(shapes: &[Shape]) -> Soup {
-        let mut per_layer: [Vec<Rect>; Layer::ALL.len()] = Default::default();
-        for shape in shapes {
-            let rects = &mut per_layer[shape.layer as usize];
-            shape.for_each_rect(|r| {
-                if !r.is_degenerate() {
-                    rects.push(r);
-                }
-            });
-        }
-        let layers = per_layer.map(|rects| {
-            let index = RectIndex::bulk_build(rects.iter().copied().enumerate());
-            LayerSoup { rects, index }
-        });
-        Soup { layers }
-    }
-
-    fn layer(&self, layer: Layer) -> &LayerSoup {
-        &self.layers[layer as usize]
-    }
-
-    /// Fills `near` with the rects on `layer` that touch `window`: all
-    /// that an enclosure test of `window` (or of any window inside it)
-    /// can depend on.
-    fn near(&self, layer: Layer, window: Rect, scratch: &mut QueryScratch, near: &mut Vec<Rect>) {
-        near.clear();
-        self.layer(layer).index.query_with(window, scratch, |_, r| near.push(r));
-    }
+/// Fills `near` with the rects on `layer` that touch `window`: all that
+/// an enclosure test of `window` (or of any window inside it) can depend
+/// on.
+fn near(view: &FlatLayers, layer: Layer, window: Rect, out: &mut Vec<Rect>) {
+    out.clear();
+    view.rect_index(layer).for_each_touching(window, |_, r| out.push(r));
 }
 
 fn check_shape_widths(shapes: &[Shape], rules: &RuleSet, out: &mut Report) {
@@ -135,17 +100,18 @@ fn between(a: Rect, b: Rect) -> Rect {
     Rect::new(x0, y0, x1, y1)
 }
 
-fn check_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
-    let mut scratch = QueryScratch::new();
-    let mut fill_scratch = QueryScratch::new();
+fn check_spacing(view: &FlatLayers, rules: &RuleSet, out: &mut Report) {
     let mut fill = Vec::new();
-    // Layers come in sorted order, so reports are deterministic.
-    for (&layer, ls) in Layer::ALL.iter().zip(&soup.layers) {
+    let mut found = Vec::new();
+    // Layers come in sorted order, and each layer's violations in pair
+    // order, so reports are deterministic.
+    for layer in Layer::ALL {
         let Some(space) = rules.min_spacing(layer) else {
             continue;
         };
-        for (i, &r) in ls.rects.iter().enumerate() {
-            ls.index.query_with(r.inflate(space), &mut scratch, |j, other| {
+        let index = view.rect_index(layer);
+        for (i, &r) in view.rects(layer).iter().enumerate() {
+            index.for_each_touching(r.inflate(space), |j, other| {
                 if j <= i {
                     return;
                 }
@@ -157,32 +123,34 @@ fn check_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
                 // Where the layer fills the gap, the pair is one solid
                 // shape drawn in pieces, not two shapes too close.
                 let region = between(r, other);
-                soup.near(layer, region, &mut fill_scratch, &mut fill);
+                near(view, layer, region, &mut fill);
                 if !covered_by(region, &fill) {
-                    out.violations.push(Violation {
+                    found.push(((i, j), Violation {
                         rule: RuleKind::MinSpacing(layer),
                         at: r.union(&other),
                         message: format!("gap {gap}λ < {space}λ"),
-                    });
+                    }));
                 }
             });
         }
+        push_in_pair_order(&mut found, out);
     }
 }
 
-fn check_transistors(soup: &Soup, rules: &RuleSet, out: &mut Report) {
-    let gates = gate_regions(
-        soup.layer(Layer::Poly).rects.iter().copied(),
-        &soup.layer(Layer::Diffusion).index,
-        &soup.layer(Layer::Buried).index,
-    );
-    let mut scratch = QueryScratch::new();
+/// Moves `found` into `out` sorted by the pair of rect positions that
+/// produced each violation: probes report in no set order.
+fn push_in_pair_order(found: &mut Vec<((usize, usize), Violation)>, out: &mut Report) {
+    found.sort_unstable_by_key(|&(pair, _)| pair);
+    out.violations.extend(found.drain(..).map(|(_, v)| v));
+}
+
+fn check_transistors(view: &FlatLayers, rules: &RuleSet, out: &mut Report) {
     let (mut poly, mut diff, mut implant) = (Vec::new(), Vec::new(), Vec::new());
-    for (g, _) in gates {
+    for &(g, _) in view.gates() {
         let oh = rules.gate_overhang;
         let ext = rules.sd_extension;
-        soup.near(Layer::Poly, g.inflate(oh), &mut scratch, &mut poly);
-        soup.near(Layer::Diffusion, g.inflate(ext), &mut scratch, &mut diff);
+        near(view, Layer::Poly, g.inflate(oh), &mut poly);
+        near(view, Layer::Diffusion, g.inflate(ext), &mut diff);
         // Configuration A: poly runs horizontally (overhangs left/right),
         // diffusion runs vertically (extends below/above).
         let poly_ok_a = covered_by(Rect::new(g.x0 - oh, g.y0, g.x0, g.y1), &poly)
@@ -212,7 +180,7 @@ fn check_transistors(soup: &Soup, rules: &RuleSet, out: &mut Report) {
         }
         // Implant: all-or-nothing with margin.
         let m = rules.implant_margin;
-        soup.near(Layer::Implant, g.inflate(m), &mut scratch, &mut implant);
+        near(view, Layer::Implant, g.inflate(m), &mut implant);
         if implant.iter().any(|i| i.overlaps(&g)) {
             if !covered_by(g.inflate(m), &implant) {
                 out.violations.push(Violation {
@@ -231,14 +199,13 @@ fn check_transistors(soup: &Soup, rules: &RuleSet, out: &mut Report) {
     }
 }
 
-fn check_poly_diff_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
+fn check_poly_diff_spacing(view: &FlatLayers, rules: &RuleSet, out: &mut Report) {
     let s = rules.space_poly_diff;
-    let mut scratch = QueryScratch::new();
-    let mut buried_scratch = QueryScratch::new();
     let mut buried = Vec::new();
-    let diff = &soup.layer(Layer::Diffusion).index;
-    for &p in &soup.layer(Layer::Poly).rects {
-        diff.query_with(p.inflate(s), &mut scratch, |_, d| {
+    let mut found = Vec::new();
+    let diff = view.rect_index(Layer::Diffusion);
+    for (pi, &p) in view.rects(Layer::Poly).iter().enumerate() {
+        diff.for_each_touching(p.inflate(s), |di, d| {
             out.checked_pairs += 1;
             if p.overlaps(&d) {
                 return; // transistor or buried junction: handled elsewhere
@@ -247,29 +214,29 @@ fn check_poly_diff_spacing(soup: &Soup, rules: &RuleSet, out: &mut Report) {
             if gap < s {
                 // A butting junction is fine when a buried contact spans it.
                 let junction = p.union(&d);
-                soup.near(Layer::Buried, junction, &mut buried_scratch, &mut buried);
+                near(view, Layer::Buried, junction, &mut buried);
                 if buried.iter().any(|b| b.overlaps(&junction)) {
                     return;
                 }
-                out.violations.push(Violation {
+                found.push(((pi, di), Violation {
                     rule: RuleKind::PolyDiffSpacing,
                     at: junction,
                     message: format!("poly–diffusion gap {gap}λ < {s}λ"),
-                });
+                }));
             }
         });
     }
+    push_in_pair_order(&mut found, out);
 }
 
-fn check_contacts(soup: &Soup, rules: &RuleSet, out: &mut Report) {
+fn check_contacts(view: &FlatLayers, rules: &RuleSet, out: &mut Report) {
     let e = rules.contact_enclosure;
-    let mut scratch = QueryScratch::new();
-    let mut near = Vec::new();
+    let mut nearby = Vec::new();
     let mut covers = |layer: Layer, window: Rect| {
-        soup.near(layer, window, &mut scratch, &mut near);
-        covered_by(window, &near)
+        near(view, layer, window, &mut nearby);
+        covered_by(window, &nearby)
     };
-    for &c in &soup.layer(Layer::Contact).rects {
+    for &c in view.rects(Layer::Contact) {
         if c.width() != rules.contact_size || c.height() != rules.contact_size {
             out.violations.push(Violation {
                 rule: RuleKind::ContactSize,
@@ -298,7 +265,7 @@ fn check_contacts(soup: &Soup, rules: &RuleSet, out: &mut Report) {
             });
         }
     }
-    for &b in &soup.layer(Layer::Buried).rects {
+    for &b in view.rects(Layer::Buried) {
         if !covers(Layer::Poly, b) || !covers(Layer::Diffusion, b) {
             out.violations.push(Violation {
                 rule: RuleKind::BuriedEnclosure,
@@ -312,25 +279,26 @@ fn check_contacts(soup: &Soup, rules: &RuleSet, out: &mut Report) {
 /// Checks the flattened artwork of `top` against `rules`.
 ///
 /// The width rules run on every flat shape; the spacing, transistor,
-/// contact and implant rules on one per-layer indexed soup of their
-/// rectangles, so a rule looks only at the shapes near the window it
-/// tests. The flattened view is `Library::flatten_shared(top)`, memoized
-/// for `top`, so repeated checks re-use the geometry. Violations come out in a
-/// fixed order: widths, spacing by layer, then the device rules.
+/// contact and implant rules on the cell's shared layer view,
+/// `Library::flat_layers_shared(top)`, so a rule looks only at the
+/// shapes near the window it tests. The view, its per-layer indexes and
+/// its gate regions are built once per cell and shared with extraction:
+/// checking a cell that was just extracted builds nothing more.
+/// Violations come out in a fixed order: widths, spacing by layer and
+/// then by pair, then the device rules.
 ///
 /// # Panics
 ///
 /// Panics if `top` is not a cell of `lib`.
 #[must_use]
 pub fn check_flat(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
-    let flat = lib.flatten_shared(top);
+    let view = lib.flat_layers_shared(top);
     let mut out = Report::default();
-    check_shape_widths(&flat, rules, &mut out);
-    let soup = Soup::build(&flat);
-    check_spacing(&soup, rules, &mut out);
-    check_transistors(&soup, rules, &mut out);
-    check_poly_diff_spacing(&soup, rules, &mut out);
-    check_contacts(&soup, rules, &mut out);
+    check_shape_widths(view.shapes(), rules, &mut out);
+    check_spacing(&view, rules, &mut out);
+    check_transistors(&view, rules, &mut out);
+    check_poly_diff_spacing(&view, rules, &mut out);
+    check_contacts(&view, rules, &mut out);
     out
 }
 
@@ -445,6 +413,31 @@ mod tests {
         let (lib, id) = lib_with("jog", padded);
         let r = check_flat(&lib, id, &rules());
         assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
+    fn spacing_violations_come_in_pair_order() {
+        // A column of pads 2λ apart, every other one drawn bottom-up and
+        // the rest top-down: every adjacent pair is too close. A pad's
+        // lower neighbour has the larger position but lies in a lower
+        // bin, so the probe meets the pairs out of order.
+        let mut shapes = Vec::new();
+        let ys: Vec<i64> = (0..6).map(|k| 12 * k).chain((0..6).rev().map(|k| 12 * k + 6)).collect();
+        for &y in &ys {
+            shapes.push(Shape::rect(Layer::Metal, Rect::new(0, y, 4, y + 4)));
+        }
+        let (lib, id) = lib_with("rails", shapes);
+        let r = check_flat(&lib, id, &rules());
+        let mut want = Vec::new();
+        for (i, &a) in ys.iter().enumerate() {
+            for &b in &ys[i + 1..] {
+                if (a - b).abs() == 6 {
+                    want.push(Rect::new(0, a.min(b), 4, a.max(b) + 4));
+                }
+            }
+        }
+        let got: Vec<Rect> = r.violations.iter().map(|v| v.at).collect();
+        assert_eq!(got, want, "{r}");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! checking \[can\] be performed on individual cells as the cells are
 //! designed, rather than on fully instantiated artwork"*. This crate has
 //! one check, [`check_flat`]: flatten the cell (one walk of its
-//! hierarchy, memoized for that cell) and run every rule on one
-//! per-layer indexed soup of its rectangles. Checking "individual
+//! hierarchy, memoized for that cell) and run every rule on the cell's
+//! per-layer indexed view of its rectangles, which extraction reads too
+//! (`Library::flat_layers_shared`). Checking "individual
 //! cells as they are designed" is then simply `check_flat` on a leaf:
 //! the generators in `bristle-stdcells` and `bristle-pla` test each of
 //! their cells that way, and checking the top cell finds the glue

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use bristle_cell::{CellId, Library};
-use bristle_geom::{covered_by, gate_regions, Layer, QueryScratch, Rect, RectIndex};
+use bristle_geom::{covered_by, Layer, Rect, RectIndex};
 
 use crate::union_find::UnionFind;
 
@@ -142,140 +142,98 @@ struct Piece {
 /// Net names come from shape labels (`Shape::with_label`) and from
 /// bristles; unlabeled nets are named `n<k>`.
 ///
-/// Flatten-once pipeline: the hierarchy is flattened in one walk
-/// (`Library::flatten_shared`, memoized for `top`, so a DRC or SVG of
-/// the same cell reuses it). Conductor pieces are one rect list per
-/// layer with a parallel list of labels borrowed from the flat shapes;
-/// a net's name is allocated once, when the netlist is built. Gate
-/// regions come from [`bristle_geom::gate_regions`], the routine DRC
-/// checks gates with, and diffusion is split at its nearby gates in
-/// reused buffers. Every conductor layer is indexed once with
-/// [`RectIndex::bulk_build`]: same-layer touching is one
-/// [`RectIndex::for_each_touching_pair`] join per layer, and contact
-/// and buried joins, terminal hits and each gate's source, drain and
-/// channel direction are index queries. The resulting netlist is
-/// byte-identical to the naive reference ([`extract_reference`]).
+/// Extraction reads the cell's shared layer view,
+/// `Library::flat_layers_shared(top)`: each layer's rectangles in flat
+/// order with their index, and the gate regions of
+/// [`bristle_geom::gate_regions`], all built once per cell and shared
+/// with DRC. Conductor pieces are the poly rects, the diffusion split at
+/// its nearby gates, and the metal rects, in that order; a net is named
+/// by its first labelled piece, and its name is allocated once, when
+/// the netlist is built. Only the split diffusion and the gates get
+/// indexes of their own. Same-layer touching is one
+/// [`RectIndex::for_each_touching_pair`] join per conductor layer; cuts,
+/// terminals and each gate's source, drain, channel direction and
+/// implant are [`RectIndex::for_each_touching`] probes, whose order
+/// nothing depends on. The resulting netlist is byte-identical to the
+/// naive reference ([`extract_reference`]).
 ///
 /// # Panics
 ///
 /// Panics if `top` is not a cell of `lib`.
 #[must_use]
 pub fn extract(lib: &Library, top: CellId) -> Netlist {
-    let flat = lib.flatten_shared(top);
+    let view = &*lib.flat_layers_shared(top);
     let bristles = lib.flat_bristles_shared(top);
-
-    // Gather conductor rects per layer, each with its shape's label;
-    // cuts and implants are kept whole.
-    let mut rects: [Vec<Rect>; 3] = Default::default();
-    let mut labels: [Vec<Option<&str>>; 3] = Default::default();
-    let mut contacts: Vec<Rect> = Vec::new();
-    let mut buried: Vec<Rect> = Vec::new();
-    let mut implants: Vec<Rect> = Vec::new();
-    for shape in flat.iter() {
-        let (label, l) = (shape.label(), conductor(shape.layer));
-        shape.for_each_rect(|r| {
-            if r.is_degenerate() {
-                return;
-            }
-            match (l, shape.layer) {
-                (Some(l), _) => {
-                    rects[l].push(r);
-                    labels[l].push(label);
-                }
-                (None, Layer::Contact) => contacts.push(r),
-                (None, Layer::Buried) => buried.push(r),
-                (None, Layer::Implant) => implants.push(r),
-                (None, _) => {}
-            }
-        });
-    }
-
-    // Gate regions: poly ∩ diffusion, minus buried-contact cover.
-    let [poly, diff, _] = &rects;
-    let gates = gate_regions(
-        poly.iter().copied(),
-        &RectIndex::bulk_build(diff.iter().copied().enumerate()),
-        &RectIndex::bulk_build(buried.iter().copied().enumerate()),
-    );
+    let gates = view.gates();
 
     // Split diffusion at the gates. Only cuts near a diffusion rect can
-    // split it, so query the gate index instead of scanning every gate;
-    // the candidate list keeps the global gate order, which the split
-    // depends on for its fragment geometry.
+    // split it, so probe the gate index instead of scanning every gate;
+    // the fragment geometry depends on the order of the cuts, so the
+    // candidates are sorted back into gate order first.
     let gate_index =
         RectIndex::bulk_build(gates.iter().enumerate().map(|(i, &(g, _))| (i, g)));
-    let mut scratch = QueryScratch::new();
     let (mut channels, mut channel_labels) = (Vec::new(), Vec::new());
-    let (mut near_gates, mut split, mut spare) = (Vec::new(), Vec::new(), Vec::new());
-    for (&d, &label) in diff.iter().zip(&labels[1]) {
-        near_gates.clear();
-        gate_index.query_with(d, &mut scratch, |_, g| near_gates.push(g));
-        d.subtract_into(&near_gates, &mut split, &mut spare);
+    let (mut near, mut cuts) = (Vec::new(), Vec::new());
+    let (mut split, mut spare) = (Vec::new(), Vec::new());
+    for (k, &d) in view.rects(Layer::Diffusion).iter().enumerate() {
+        near.clear();
+        gate_index.for_each_touching(d, |i, _| near.push(i));
+        near.sort_unstable();
+        cuts.clear();
+        cuts.extend(near.iter().map(|&i| gates[i].0));
+        d.subtract_into(&cuts, &mut split, &mut spare);
+        let label = view.owner(Layer::Diffusion, k).label();
         for &r in split.iter().filter(|r| !r.is_degenerate()) {
             channels.push(r);
             channel_labels.push(label);
         }
     }
-    rects[1] = channels;
-    labels[1] = channel_labels;
+    let diff_index = RectIndex::bulk_build(channels.iter().copied().enumerate());
 
-    // Piece `base[l] + k` is rect `k` of conductor `l`: poly, then
-    // diffusion, then metal. Index every conductor layer once under
-    // those ids; the indexes back all remaining connectivity questions.
-    let base = [0, rects[0].len(), rects[0].len() + rects[1].len()];
-    let piece_count = base[2] + rects[2].len();
-    let by_layer: [RectIndex; 3] = std::array::from_fn(|l| {
-        RectIndex::bulk_build(rects[l].iter().enumerate().map(|(k, &r)| (base[l] + k, r)))
-    });
-    let [poly_index, diff_index, _] = &by_layer;
+    // Piece `base[l] + k` is rect `k` of conductor `l`: poly, then split
+    // diffusion, then metal. Each index holds its layer under local ids.
+    let by_layer = [view.rect_index(Layer::Poly), &diff_index, view.rect_index(Layer::Metal)];
+    let base = [0, by_layer[0].len(), by_layer[0].len() + channels.len()];
+    let piece_count = base[2] + by_layer[2].len();
 
     let mut uf = UnionFind::new(piece_count);
 
     // Same-layer touching rects connect: one pair join per layer.
-    for index in &by_layer {
-        index.for_each_touching_pair(|i, j| uf.union(i, j));
+    for (index, b) in by_layer.iter().zip(base) {
+        index.for_each_touching_pair(|i, j| uf.union(b + i, b + j));
     }
 
     // Contacts join everything they overlap (metal↔poly/diff; a butting
-    // contact may join all three). Each cut queries the layer indexes
-    // instead of scanning every piece.
+    // contact may join all three), buried contacts poly and diffusion.
+    // Each cut probes the layer indexes instead of scanning every piece.
     let mut joined: Vec<usize> = Vec::new();
-    for c in &contacts {
-        joined.clear();
-        for idx in &by_layer {
-            idx.query_with(*c, &mut scratch, |i, r| {
-                if r.overlaps(c) {
-                    joined.push(i);
-                }
-            });
-        }
-        for w in joined.windows(2) {
-            uf.union(w[0], w[1]);
-        }
-    }
-
-    // Buried contacts join poly and diffusion.
-    for b in &buried {
-        joined.clear();
-        for idx in [poly_index, diff_index] {
-            idx.query_with(*b, &mut scratch, |i, r| {
-                if r.overlaps(b) {
-                    joined.push(i);
-                }
-            });
-        }
-        for w in joined.windows(2) {
-            uf.union(w[0], w[1]);
+    for (cut_layer, layers) in [(Layer::Contact, 3), (Layer::Buried, 2)] {
+        for c in view.rects(cut_layer) {
+            joined.clear();
+            for (index, b) in by_layer.iter().zip(base).take(layers) {
+                index.for_each_touching(*c, |i, r| {
+                    if r.overlaps(c) {
+                        joined.push(b + i);
+                    }
+                });
+            }
+            for w in joined.windows(2) {
+                uf.union(w[0], w[1]);
+            }
         }
     }
 
     // Number the union-find roots in piece order: `net[i]` is piece
     // `i`'s net, and `root_to_net[root]` is `u32::MAX` until the root's
     // first piece is reached. A net is named by its first labeled piece.
+    let labels = |layer| (0..view.rects(layer).len()).map(move |k| view.owner(layer, k).label());
     let mut root_to_net: Vec<u32> = vec![u32::MAX; piece_count];
     let mut net: Vec<NetId> = Vec::with_capacity(piece_count);
     let mut names: Vec<Option<&str>> = Vec::new();
-    for (i, &label) in labels.iter().flatten().enumerate() {
+    let piece_labels = labels(Layer::Poly)
+        .chain(channel_labels.iter().copied())
+        .chain(labels(Layer::Metal));
+    for (i, label) in piece_labels.enumerate() {
         let id = &mut root_to_net[uf.find(i)];
         if *id == u32::MAX {
             *id = names.len() as u32;
@@ -288,37 +246,44 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
         net.push(NetId(*id));
     }
 
-    // Bristle terminals: name the net under each bristle position. The
-    // layer index yields candidates in piece order, so the first hit is
-    // the earliest piece containing the bristle, as in the reference.
+    // Bristle terminals: name the net under each bristle position, that
+    // of the earliest piece containing it, as in the reference.
     let mut terminals: Vec<(String, NetId)> = Vec::new();
     for b in bristles.iter() {
+        let Some(l) = conductor(b.layer) else {
+            continue;
+        };
         let probe = Rect::new(b.pos.x, b.pos.y, b.pos.x, b.pos.y);
-        let hit = conductor(b.layer).and_then(|l| {
-            by_layer[l].first_match(probe, &mut scratch, |_, r| r.contains(b.pos))
+        let mut first = usize::MAX;
+        by_layer[l].for_each_touching(probe, |i, r| {
+            if r.contains(b.pos) {
+                first = first.min(i);
+            }
         });
-        if let Some((i, _)) = hit {
-            names[net[i].0 as usize].get_or_insert(b.name.as_str());
-            terminals.push((b.name.clone(), net[i]));
+        if first != usize::MAX {
+            let id = net[base[l] + first];
+            names[id.0 as usize].get_or_insert(b.name.as_str());
+            terminals.push((b.name.clone(), id));
         }
     }
 
     // Transistors: for each gate, the gate net is its poly piece's net;
     // source/drain are diffusion pieces touching the gate region, found
-    // with the channel direction in one query.
-    let implant_index = RectIndex::bulk_build(implants.iter().copied().enumerate());
+    // with the channel direction in one probe.
+    let implants = view.rect_index(Layer::Implant);
     let mut transistors = Vec::new();
     let mut sd: Vec<NetId> = Vec::new();
-    for &(g, poly_piece) in &gates {
+    for &(g, poly_piece) in gates {
         sd.clear();
         // Channel direction: diffusion continues past the gate on two
         // opposite sides; current flows that way. If diffusion extends
         // vertically, L = gate height and W = gate width.
         let mut vertical = false;
-        diff_index.query_with(g.inflate(1), &mut scratch, |j, r| {
+        diff_index.for_each_touching(g.inflate(1), |j, r| {
             if r.touches(&g) {
-                if !sd.contains(&net[j]) {
-                    sd.push(net[j]);
+                let id = net[base[1] + j];
+                if !sd.contains(&id) {
+                    sd.push(id);
                 }
                 vertical |= r.x0 < g.x1 && g.x0 < r.x1 && (r.y1 == g.y0 || r.y0 == g.y1);
             }
@@ -330,9 +295,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
             [a, b, ..] => (*a, *b),
         };
         let mut depletion = false;
-        implant_index.query_with(g, &mut scratch, |_, imp| {
-            depletion |= imp.overlaps(&g);
-        });
+        implants.for_each_touching(g, |_, imp| depletion |= imp.overlaps(&g));
         let kind = if depletion {
             TransistorKind::Depletion
         } else {

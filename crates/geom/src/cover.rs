@@ -4,7 +4,7 @@
 //! [`gate_regions`] uses it to tell a buried contact from a gate, for
 //! both DRC and extraction.
 
-use crate::{QueryScratch, Rect, RectIndex};
+use crate::{Rect, RectIndex};
 
 /// True if `window` is entirely covered by the union of `rects`.
 ///
@@ -86,23 +86,22 @@ pub fn gate_regions(
     diff: &RectIndex,
     buried: &RectIndex,
 ) -> Vec<(Rect, usize)> {
-    let mut scratch = QueryScratch::new();
-    let mut crossings: Vec<Rect> = Vec::new();
     let mut near_buried: Vec<Rect> = Vec::new();
     let mut gates = Vec::new();
     for (pi, p) in poly.into_iter().enumerate() {
-        crossings.clear();
-        diff.query_with(p, &mut scratch, |_, d| crossings.extend(p.intersection(&d)));
-        for &g in &crossings {
+        diff.for_each_touching(p, |_, d| {
+            let Some(g) = p.intersection(&d) else {
+                return;
+            };
             near_buried.clear();
-            buried.query_with(g, &mut scratch, |_, b| near_buried.push(b));
+            buried.for_each_touching(g, |_, b| near_buried.push(b));
             if !covered_by(g, &near_buried) {
                 gates.push((g, pi));
             }
-        }
+        });
     }
-    // The same region can come from several rect pairs; keep the first
-    // poly rect.
+    // Crossings come in probe order, and the same region can come from
+    // several rect pairs: sort, and keep the first poly rect.
     gates.sort_unstable();
     gates.dedup_by_key(|&mut (g, _)| g);
     gates

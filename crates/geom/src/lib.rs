@@ -18,9 +18,10 @@
 //! * [`Layer`] — the nMOS mask layers with their CIF names,
 //! * [`covered_by`] — is a window covered by a union of rectangles, and
 //!   [`gate_regions`] — the transistor gates DRC and extraction share,
-//! * [`RectIndex`] — a build-once dense grid index used by DRC and
-//!   extraction, with an allocation-free stamped-dedup query path
-//!   ([`QueryScratch`]).
+//! * [`RectIndex`] — a build-once dense grid index on power-of-two bins
+//!   used by DRC and extraction, with one allocation-free probe
+//!   ([`RectIndex::for_each_touching`]) and one pair join
+//!   ([`RectIndex::for_each_touching_pair`]).
 //!
 //! # Examples
 //!
@@ -51,7 +52,7 @@ pub use path::{Path, PathError};
 pub use point::Point;
 pub use polygon::{Polygon, PolygonError};
 pub use rect::Rect;
-pub use rect_index::{QueryScratch, RectIndex};
+pub use rect_index::RectIndex;
 pub use transform::{Orientation, Transform};
 
 use std::sync::atomic::{AtomicUsize, Ordering};

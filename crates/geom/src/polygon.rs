@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Point, Rect};
+use crate::{Point, Rect, RectIndex};
 
 /// A simple (non-self-intersecting) polygon on the λ lattice.
 ///
@@ -127,26 +127,31 @@ impl Polygon {
     /// True if the polygon is rectilinear and its vertex loop never
     /// touches itself: edges that are not neighbours share no point, and
     /// no edge folds back over the one before it. Compares coordinates
-    /// only, so it cannot overflow; quadratic in the vertex count.
+    /// only, so it cannot overflow. The edges' boxes go into one
+    /// [`RectIndex`], and its pair join finds the edges that touch, so
+    /// the check is near-linear in the vertex count rather than comparing
+    /// every pair of edges.
     #[must_use]
     pub fn is_simple_rectilinear(&self) -> bool {
         let v = &self.vertices;
         let n = v.len();
-        // An axis-aligned edge is its own closed bounding box.
-        let edges: Vec<Rect> = (0..n).map(|i| Rect::from_points(v[i], v[(i + 1) % n])).collect();
         // `a` and `c` lie strictly on one side of their shared `b`.
         let folds = |a: i64, b: i64, c: i64| (a < b && c < b) || (a > b && c > b);
-        self.is_rectilinear()
-            && (0..n).all(|i| {
+        if !self.is_rectilinear()
+            || (0..n).any(|i| {
                 let (a, b, c) = (v[i], v[(i + 1) % n], v[(i + 2) % n]);
-                !folds(a.x, b.x, c.x)
-                    && !folds(a.y, b.y, c.y)
-                    // Edges i and j ≥ i + 2 are not neighbours, except
-                    // the first and last, which close the loop.
-                    && (i + 2..n)
-                        .filter(|&j| i > 0 || j < n - 1)
-                        .all(|j| !edges[i].touches(&edges[j]))
+                folds(a.x, b.x, c.x) || folds(a.y, b.y, c.y)
             })
+        {
+            return false;
+        }
+        // An axis-aligned edge is its own closed bounding box. Edge `i`
+        // touches its neighbours `i ± 1` (the first and last close the
+        // loop) at their shared vertices, and must touch nothing else.
+        let edges = RectIndex::bulk_build((0..n).map(|i| (i, Rect::from_points(v[i], v[(i + 1) % n]))));
+        let mut simple = true;
+        edges.for_each_touching_pair(|i, j| simple &= j == i + 1 || (i == 0 && j == n - 1));
+        simple
     }
 
     /// Translates every vertex by `d`.
@@ -249,6 +254,100 @@ mod tests {
 
     fn poly(v: &[(i64, i64)]) -> Polygon {
         Polygon::new(v.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+    }
+
+    /// The all-pairs simplicity check: every two edges that are not
+    /// neighbours are compared.
+    fn is_simple_rectilinear_oracle(p: &Polygon) -> bool {
+        let v = &p.vertices;
+        let n = v.len();
+        let edges: Vec<Rect> = (0..n).map(|i| Rect::from_points(v[i], v[(i + 1) % n])).collect();
+        let folds = |a: i64, b: i64, c: i64| (a < b && c < b) || (a > b && c > b);
+        p.is_rectilinear()
+            && (0..n).all(|i| {
+                let (a, b, c) = (v[i], v[(i + 1) % n], v[(i + 2) % n]);
+                !folds(a.x, b.x, c.x)
+                    && !folds(a.y, b.y, c.y)
+                    // Edges i and j ≥ i + 2 are not neighbours, except
+                    // the first and last, which close the loop.
+                    && (i + 2..n)
+                        .filter(|&j| i > 0 || j < n - 1)
+                        .all(|j| !edges[i].touches(&edges[j]))
+            })
+    }
+
+    /// Deterministic xorshift64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> i64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n) as i64
+        }
+    }
+
+    /// A random closed rectilinear loop whose edges alternate between
+    /// horizontal and vertical: `(x[0], y[0]), (x[1], y[0]), (x[1], y[1]),
+    /// …, (x[0], y[m-1])`. On a small lattice most loops cross or touch
+    /// themselves.
+    fn random_loop(rng: &mut Rng, m: usize, span: u64) -> Option<Polygon> {
+        let xs: Vec<i64> = (0..m).map(|_| rng.below(span)).collect();
+        let ys: Vec<i64> = (0..m).map(|_| rng.below(span)).collect();
+        let mut v = Vec::with_capacity(2 * m);
+        for k in 0..m {
+            v.push(Point::new(xs[k], ys[k]));
+            v.push(Point::new(xs[(k + 1) % m], ys[k]));
+        }
+        Polygon::new(v).ok()
+    }
+
+    /// A histogram: bars of random heights side by side on the x axis.
+    /// Simple while every bar is taller than zero; a zero-height bar
+    /// makes its top edge touch the base.
+    fn random_histogram(rng: &mut Rng, bars: usize) -> Option<Polygon> {
+        let mut x = 0;
+        let mut xs = vec![x];
+        for _ in 0..bars {
+            x += 1 + rng.below(4);
+            xs.push(x);
+        }
+        let hs: Vec<i64> = (0..bars).map(|_| rng.below(6)).collect();
+        let mut v = vec![Point::new(0, 0), Point::new(x, 0)];
+        for k in (0..bars).rev() {
+            v.push(Point::new(xs[k + 1], hs[k]));
+            v.push(Point::new(xs[k], hs[k]));
+        }
+        // Collinear runs are fine, repeated vertices are not.
+        v.dedup();
+        if v.first() == v.last() {
+            v.pop();
+        }
+        Polygon::new(v).ok()
+    }
+
+    #[test]
+    fn simplicity_matches_all_pairs_oracle() {
+        let mut rng = Rng(0x5109_1E00_0000_0001);
+        let (mut simple, mut touching) = (0, 0);
+        for case in 0..3000 {
+            let size = 1 + rng.below(12) as usize;
+            let p = match case % 3 {
+                0 => random_loop(&mut rng, 2 + size % 5, 8),
+                1 => random_loop(&mut rng, 1 + size, 40),
+                _ => random_histogram(&mut rng, size),
+            };
+            let Some(p) = p else { continue };
+            let want = is_simple_rectilinear_oracle(&p);
+            assert_eq!(p.is_simple_rectilinear(), want, "case {case}: {p:?}");
+            if want {
+                simple += 1;
+            } else {
+                touching += 1;
+            }
+        }
+        assert!(simple > 300 && touching > 300, "{simple} simple, {touching} touching");
     }
 
     #[test]

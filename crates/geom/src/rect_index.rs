@@ -2,14 +2,25 @@
 //!
 //! DRC and extraction repeatedly ask "which shapes are near this one?".
 //! [`RectIndex`] answers from a dense grid of bins laid over the
-//! bounding box of its rectangles: nothing is hashed, and with a reused
-//! [`QueryScratch`] nothing is allocated once the scratch has warmed up.
+//! bounding box of its rectangles. Bin sides are powers of two, so
+//! finding a coordinate's bin is one subtraction and one shift. Nothing
+//! is hashed and nothing is allocated per question.
 //!
-//! Extraction also asks "which stored shapes touch each other?" of a
-//! whole layer. [`RectIndex::for_each_touching_pair`] answers that with
-//! one pair join: it compares the rectangles within each bin and reports
-//! each touching pair once, in the one bin that holds a point both
-//! contain, with no query per rectangle.
+//! There is one probe and one join, and both report each stored
+//! rectangle (or pair) once, with no dedup state, by the same rule: a
+//! rectangle spanning several bins is reported only in the bin that
+//! holds one point determined by the question.
+//!
+//! * [`RectIndex::for_each_touching`] reports every stored rectangle
+//!   that touches a window, in the bin of `(max x0, max y0)` of the
+//!   rectangle and the window.
+//! * [`RectIndex::for_each_touching_pair`] reports every touching pair
+//!   of stored rectangles, in the bin of `(max x0, max y0)` of the pair,
+//!   comparing the rectangles within each bin with no query per
+//!   rectangle.
+//!
+//! Neither has a set order; a caller that needs one sorts what it
+//! collected.
 
 use crate::Rect;
 
@@ -17,63 +28,8 @@ use crate::Rect;
 /// rectangle.
 const MAX_BINS_PER_RECT: u128 = 8;
 
-/// Bin side of an empty index.
-const EMPTY_BIN: i64 = 16;
-
-/// Reusable scratch state for [`RectIndex::query_with`].
-///
-/// Queries visit every bin the window covers; a rectangle spanning
-/// several bins appears in each of them, so the query must deduplicate.
-/// Instead of a per-query hash set, the scratch keeps one stamp per
-/// stored slot and a monotonically increasing epoch: a slot is fresh for
-/// this query iff its stamp differs from the current epoch. After warmup
-/// (one allocation sized to the index), queries allocate nothing.
-///
-/// A single scratch may be reused across indexes of different sizes; it
-/// grows to the largest index it has served.
-#[derive(Debug, Clone, Default)]
-pub struct QueryScratch {
-    /// `stamp[slot] == epoch` iff the slot was already seen this query.
-    stamp: Vec<u32>,
-    /// Current query epoch; bumped by every `begin`.
-    epoch: u32,
-    /// Slots collected this query, sorted before yielding.
-    slots: Vec<u32>,
-}
-
-impl QueryScratch {
-    /// Creates an empty scratch.
-    #[must_use]
-    pub fn new() -> QueryScratch {
-        QueryScratch::default()
-    }
-
-    /// Prepares for a query against an index holding `n` slots.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        // On epoch wraparound every stamp could spuriously equal the new
-        // epoch; clear once every 2³² queries to stay correct.
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.slots.clear();
-    }
-
-    /// Marks a slot; true if it was not yet seen this query.
-    fn mark(&mut self, slot: u32) -> bool {
-        let s = &mut self.stamp[slot as usize];
-        if *s == self.epoch {
-            false
-        } else {
-            *s = self.epoch;
-            true
-        }
-    }
-}
+/// Bin side of an empty index, as a power of two (16λ).
+const EMPTY_SHIFT: u32 = 4;
 
 /// A dense grid index mapping bins to rectangle ids, built once from a
 /// rectangle set.
@@ -81,14 +37,15 @@ impl QueryScratch {
 /// [`RectIndex::bulk_build`] lays a grid of square bins over the
 /// bounding box of its rectangles and records, bin by bin, which
 /// rectangles cover each bin, in compressed sparse row form: one flat
-/// slot array, and one start offset per bin into it. A query reads the
+/// slot array, and one start offset per bin into it. A probe reads the
 /// bins its window covers as one slice per grid row.
 ///
 /// The bin side comes from the data: roughly the mean side of the
-/// rectangles, clamped to 8–128λ, which keeps occupancy near one shape
-/// per bin from 2λ contacts to wide power rails. The side then doubles
-/// until the grid holds at most 8 bins per rectangle, so a sparse layer
-/// (a few cuts scattered across a die) never allocates a die-sized grid.
+/// rectangles, clamped to 8–128λ and rounded up to a power of two, which
+/// keeps occupancy near one shape per bin from 2λ contacts to wide power
+/// rails. The side then doubles until the grid holds at most 8 bins per
+/// rectangle, so a sparse layer (a few cuts scattered across a die)
+/// never allocates a die-sized grid.
 ///
 /// Ids are indices into the caller's rectangle storage; the index itself
 /// stores copies of the rectangles for overlap confirmation.
@@ -102,7 +59,8 @@ impl QueryScratch {
 ///     (0, Rect::new(0, 0, 4, 4)),
 ///     (1, Rect::new(100, 100, 104, 104)),
 /// ]);
-/// let near: Vec<_> = idx.query(Rect::new(2, 2, 6, 6)).collect();
+/// let mut near = Vec::new();
+/// idx.for_each_touching(Rect::new(2, 2, 6, 6), |id, r| near.push((id, r)));
 /// assert_eq!(near, vec![(0, Rect::new(0, 0, 4, 4))]);
 /// ```
 #[derive(Debug, Clone)]
@@ -116,11 +74,11 @@ pub struct RectIndex {
     slots: Vec<u32>,
 }
 
-/// The bins of a [`RectIndex`]: `cols × rows` squares of side `bin`,
-/// the first with its lower-left corner at `(x0, y0)`.
+/// The bins of a [`RectIndex`]: `cols × rows` squares of side
+/// `1 << shift`, the first with its lower-left corner at `(x0, y0)`.
 #[derive(Debug, Clone, Copy)]
 struct Grid {
-    bin: i64,
+    shift: u32,
     x0: i64,
     y0: i64,
     /// Both zero for an empty index.
@@ -133,28 +91,37 @@ impl Grid {
     /// described at [`RectIndex`].
     fn fit(items: &[(usize, Rect)]) -> Grid {
         let Some(bbox) = items.iter().map(|&(_, r)| r).reduce(|a, b| a.union(&b)) else {
-            return Grid { bin: EMPTY_BIN, x0: 0, y0: 0, cols: 0, rows: 0 };
+            return Grid { shift: EMPTY_SHIFT, x0: 0, y0: 0, cols: 0, rows: 0 };
         };
         let sum: i64 = items
             .iter()
             .map(|&(_, r)| (r.width() + r.height()) / 2)
             .sum();
-        let mut bin = (sum / items.len() as i64).clamp(8, 128);
-        let size = |bin: i64| (bbox.width() / bin + 1, bbox.height() / bin + 1);
+        let mean = (sum / items.len() as i64).clamp(8, 128) as u64;
+        let mut shift = mean.next_power_of_two().trailing_zeros();
+        let size = |shift: u32| ((bbox.width() >> shift) + 1, (bbox.height() >> shift) + 1);
         let bins = |(cols, rows): (i64, i64)| cols as u128 * rows as u128;
-        while bins(size(bin)) > MAX_BINS_PER_RECT * items.len() as u128 {
-            bin *= 2;
+        while bins(size(shift)) > MAX_BINS_PER_RECT * items.len() as u128 {
+            shift += 1;
         }
-        let (cols, rows) = size(bin);
-        Grid { bin, x0: bbox.x0, y0: bbox.y0, cols: cols as usize, rows: rows as usize }
+        let (cols, rows) = size(shift);
+        Grid { shift, x0: bbox.x0, y0: bbox.y0, cols: cols as usize, rows: rows as usize }
+    }
+
+    /// The column of `x` and the row of `y`, for a point in the grid's
+    /// bounding box.
+    fn bin_of(&self, x: i64, y: i64) -> (usize, usize) {
+        (((x - self.x0) >> self.shift) as usize, ((y - self.y0) >> self.shift) as usize)
     }
 
     /// The column and row ranges `(c0, c1, r0, r1)` of the bins `r`
     /// covers, clamped to the grid; `None` if `r` misses the grid.
     fn span(&self, r: Rect) -> Option<(usize, usize, usize, usize)> {
+        // An arithmetic shift floors, so coordinates left of or below the
+        // grid land in negative bins and clamp to the first.
         let clamp = |lo: i64, hi: i64, origin: i64, n: usize| {
-            let a = lo.saturating_sub(origin).div_euclid(self.bin);
-            let b = hi.saturating_sub(origin).div_euclid(self.bin);
+            let a = lo.saturating_sub(origin) >> self.shift;
+            let b = hi.saturating_sub(origin) >> self.shift;
             let (a, b) = (a.max(0), b.min(n as i64 - 1));
             (a <= b).then_some((a as usize, b as usize))
         };
@@ -207,10 +174,10 @@ impl RectIndex {
         RectIndex { grid, items, starts, slots }
     }
 
-    /// The bin size in λ.
+    /// The bin size in λ, a power of two.
     #[must_use]
     pub fn bin_size(&self) -> i64 {
-        self.grid.bin
+        1 << self.grid.shift
     }
 
     /// Number of rectangles stored.
@@ -225,67 +192,44 @@ impl RectIndex {
         self.items.is_empty()
     }
 
-    /// All rectangles whose bounding boxes **touch** the query window
-    /// (overlap or share an edge/corner). Each stored rectangle is yielded
-    /// at most once, in insertion order.
+    /// The probe: calls `f(id, rect)` once for every stored rectangle
+    /// that **touches** `window` (overlaps it or shares an edge or
+    /// corner), in no set order. Allocates nothing.
     ///
-    /// Allocates per query; hot loops should prefer
-    /// [`RectIndex::query_with`] and a reused [`QueryScratch`].
-    pub fn query(&self, window: Rect) -> impl Iterator<Item = (usize, Rect)> + '_ {
-        let mut scratch = QueryScratch::new();
-        let mut hits: Vec<(usize, Rect)> = Vec::new();
-        self.query_with(window, &mut scratch, |id, r| hits.push((id, r)));
-        hits.into_iter()
-    }
-
-    /// Stamped-dedup query: calls `f(id, rect)` for every stored rectangle
-    /// that touches `window`, in insertion order, deduplicating via
-    /// `scratch` without allocating (after scratch warmup).
-    pub fn query_with(
-        &self,
-        window: Rect,
-        scratch: &mut QueryScratch,
-        mut f: impl FnMut(usize, Rect),
-    ) {
-        let Some((c0, c1, r0, r1)) = self.grid.span(window) else {
+    /// A rectangle and the window that touch both contain the point
+    /// `(max x0, max y0)` of the two, so the rectangle is in that point's
+    /// bin, which the window covers; only that bin reports it.
+    ///
+    /// ```
+    /// use bristle_geom::{Rect, RectIndex};
+    ///
+    /// let idx = RectIndex::bulk_build([
+    ///     (7, Rect::new(0, 0, 4, 4)),
+    ///     (8, Rect::new(4, 0, 300, 4)), // shares an edge with the window
+    ///     (9, Rect::new(50, 50, 54, 54)),
+    /// ]);
+    /// let mut ids = Vec::new();
+    /// idx.for_each_touching(Rect::new(0, 0, 4, 4), |id, _| ids.push(id));
+    /// ids.sort_unstable();
+    /// assert_eq!(ids, vec![7, 8]);
+    /// ```
+    pub fn for_each_touching(&self, window: Rect, mut f: impl FnMut(usize, Rect)) {
+        let g = &self.grid;
+        let Some((c0, c1, r0, r1)) = g.span(window) else {
             return;
         };
-        scratch.begin(self.items.len());
         for row in r0..=r1 {
-            // Bins `c0..=c1` of one row are adjacent in `slots`.
-            let b = row * self.grid.cols;
-            let run = self.starts[b + c0] as usize..self.starts[b + c1 + 1] as usize;
-            for &s in &self.slots[run] {
-                if scratch.mark(s) && self.items[s as usize].1.touches(&window) {
-                    scratch.slots.push(s);
+            let b = row * g.cols;
+            for col in c0..=c1 {
+                let run = self.starts[b + col] as usize..self.starts[b + col + 1] as usize;
+                for &s in &self.slots[run] {
+                    let (id, r) = self.items[s as usize];
+                    if r.touches(&window) && g.bin_of(r.x0.max(window.x0), r.y0.max(window.y0)) == (col, row) {
+                        f(id, r);
+                    }
                 }
             }
         }
-        scratch.slots.sort_unstable();
-        for &s in &scratch.slots {
-            let (id, r) = self.items[s as usize];
-            f(id, r);
-        }
-    }
-
-    /// The **earliest-inserted** match: the first rectangle in insertion
-    /// order that touches `window` and satisfies `pred`, with its id.
-    /// (When ids are inserted in ascending order — as the extraction and
-    /// DRC pipelines do — this is also the smallest matching id.) A
-    /// scratch-based point/area probe for terminal lookup.
-    pub fn first_match(
-        &self,
-        window: Rect,
-        scratch: &mut QueryScratch,
-        mut pred: impl FnMut(usize, Rect) -> bool,
-    ) -> Option<(usize, Rect)> {
-        let mut found: Option<(usize, Rect)> = None;
-        self.query_with(window, scratch, |id, r| {
-            if found.is_none() && pred(id, r) {
-                found = Some((id, r));
-            }
-        });
-        found
     }
 
     /// The pair join: calls `f(a, b)` once for every pair of stored
@@ -320,12 +264,7 @@ impl RectIndex {
                     let (a, ra) = self.items[s as usize];
                     for &t in &run[k + 1..] {
                         let (b, rb) = self.items[t as usize];
-                        // Both bin coordinates are non-negative: the point
-                        // lies in the grid's bounding box.
-                        if ra.touches(&rb)
-                            && ((ra.x0.max(rb.x0) - g.x0) / g.bin) as usize == col
-                            && ((ra.y0.max(rb.y0) - g.y0) / g.bin) as usize == row
-                        {
+                        if ra.touches(&rb) && g.bin_of(ra.x0.max(rb.x0), ra.y0.max(rb.y0)) == (col, row) {
                             f(a, b);
                         }
                     }
@@ -344,8 +283,13 @@ impl RectIndex {
 mod tests {
     use super::*;
 
+    /// The ids `for_each_touching` reports, sorted; a duplicate would
+    /// survive the sort and fail the comparison.
     fn ids(idx: &RectIndex, window: Rect) -> Vec<usize> {
-        idx.query(window).map(|(i, _)| i).collect()
+        let mut ids = Vec::new();
+        idx.for_each_touching(window, |i, _| ids.push(i));
+        ids.sort_unstable();
+        ids
     }
 
     #[test]
@@ -364,6 +308,8 @@ mod tests {
         let idx = RectIndex::bulk_build([(1, Rect::new(0, 0, 40, 2)), (2, Rect::new(0, 9, 2, 11))]);
         assert!(idx.grid.cols > 1);
         assert_eq!(ids(&idx, Rect::new(0, 0, 40, 2)), vec![1]);
+        // A window starting left of and below the grid.
+        assert_eq!(ids(&idx, Rect::new(-50, -50, 100, 10)), vec![1, 2]);
     }
 
     #[test]
@@ -372,8 +318,8 @@ mod tests {
             (0, Rect::new(-20, -20, -10, -10)),
             (1, Rect::new(-200, -90, -196, -86)),
         ]);
-        assert_eq!(idx.query(Rect::new(-15, -15, -12, -12)).count(), 1);
-        assert_eq!(idx.query(Rect::new(0, 0, 4, 4)).count(), 0);
+        assert_eq!(ids(&idx, Rect::new(-15, -15, -12, -12)), vec![0]);
+        assert_eq!(ids(&idx, Rect::new(0, 0, 4, 4)), Vec::<usize>::new());
         assert_eq!(ids(&idx, Rect::new(-300, -300, -198, -88)), vec![1]);
     }
 
@@ -395,7 +341,8 @@ mod tests {
             Rect::new(100, 100, 160, 104),
         ];
         let idx = RectIndex::bulk_build(rects.iter().copied().enumerate());
-        let g = idx.grid;
+        let (g, bin) = (idx.grid, idx.bin_size());
+        assert!(bin.count_ones() == 1 && (8..=128).contains(&bin), "bin {bin}");
         assert_eq!(idx.starts.len(), g.cols * g.rows + 1);
         assert_eq!(idx.starts[g.cols * g.rows] as usize, idx.slots.len());
         for b in 0..g.cols * g.rows {
@@ -403,10 +350,10 @@ mod tests {
             assert!(run.windows(2).all(|w| w[0] < w[1]), "bin {b}: {run:?}");
             let (col, row) = ((b % g.cols) as i64, (b / g.cols) as i64);
             let cell = Rect::new(
-                g.x0 + col * g.bin,
-                g.y0 + row * g.bin,
-                g.x0 + (col + 1) * g.bin - 1,
-                g.y0 + (row + 1) * g.bin - 1,
+                g.x0 + col * bin,
+                g.y0 + row * bin,
+                g.x0 + (col + 1) * bin - 1,
+                g.y0 + (row + 1) * bin - 1,
             );
             let want: Vec<u32> = (0..rects.len() as u32)
                 .filter(|&s| rects[s as usize].touches(&cell))
@@ -430,23 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_queries_and_indexes() {
-        let small = RectIndex::bulk_build([(0, Rect::new(0, 0, 2, 2))]);
-        let big = RectIndex::bulk_build(
-            (0..100).map(|i| (i, Rect::new(3 * i as i64, 0, 3 * i as i64 + 2, 2))),
-        );
-        let mut scratch = QueryScratch::new();
-        for _ in 0..3 {
-            let mut hits = 0;
-            small.query_with(Rect::new(0, 0, 2, 2), &mut scratch, |_, _| hits += 1);
-            assert_eq!(hits, 1);
-            let mut hits = 0;
-            big.query_with(Rect::new(0, 0, 300, 2), &mut scratch, |_, _| hits += 1);
-            assert_eq!(hits, 100);
-        }
-    }
-
-    #[test]
     fn touching_pair_spanning_many_bins_is_reported_once() {
         // A rail crossing several bins, a strap overlapping it across
         // two of them, an edge neighbour, a corner neighbour and a loner.
@@ -462,16 +392,5 @@ mod tests {
         idx.for_each_touching_pair(|a, b| pairs.push((a, b)));
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(10, 11), (10, 12), (10, 13)]);
-    }
-
-    #[test]
-    fn first_match_returns_lowest_id() {
-        let idx =
-            RectIndex::bulk_build([(5, Rect::new(0, 0, 10, 10)), (2, Rect::new(0, 0, 10, 10))]);
-        let mut scratch = QueryScratch::new();
-        // Insertion order, not id order: slot for id 5 precedes id 2, but
-        // ids sort by slot, so the first yielded is id 5 (inserted first).
-        let hit = idx.first_match(Rect::new(1, 1, 2, 2), &mut scratch, |_, _| true);
-        assert_eq!(hit.map(|(i, _)| i), Some(5));
     }
 }

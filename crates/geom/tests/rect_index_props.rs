@@ -1,14 +1,17 @@
-//! Property tests: `RectIndex` queries (both the allocating iterator and
-//! the stamped-dedup scratch path) agree with a brute-force O(n²) oracle
-//! on random rectangle soups, at both clamps of the data-driven bin size,
-//! on sparse soups whose grid the bin-count bound sizes, and for windows
-//! inside, across and wholly outside the indexed bounding box. The pair
-//! join reports exactly the brute-force set of touching pairs, each once.
+//! Property tests: the `RectIndex` probe, `for_each_touching`, reports
+//! exactly what a brute-force O(n²) oracle finds, each rectangle once,
+//! on random rectangle soups: at both clamps of the data-driven bin
+//! size, on sparse soups whose grid the bin-count bound sizes, at
+//! negative origins, on rectangles spanning many bins, and for windows
+//! inside, straddling and wholly outside the indexed bounding box. The
+//! probe has no set order, so its hits are compared after sorting. The
+//! pair join reports exactly the brute-force set of touching pairs, each
+//! once.
 //!
 //! Randomized with a deterministic xorshift generator (no external
 //! dependencies are available in this workspace).
 
-use bristle_geom::{QueryScratch, Rect, RectIndex};
+use bristle_geom::{Rect, RectIndex};
 
 /// Deterministic xorshift64* PRNG for dependency-free property tests.
 struct Rng(u64);
@@ -55,6 +58,15 @@ fn oracle(soup: &[Rect], window: Rect) -> Vec<(usize, Rect)> {
         .enumerate()
         .filter(|(_, r)| r.touches(&window))
         .collect()
+}
+
+/// Everything the probe reports for `window`, sorted: a rectangle
+/// reported twice survives the sort and fails the comparison.
+fn probe(idx: &RectIndex, window: Rect) -> Vec<(usize, Rect)> {
+    let mut got = Vec::new();
+    idx.for_each_touching(window, |i, r| got.push((i, r)));
+    got.sort_unstable_by_key(|&(i, _)| i);
+    got
 }
 
 /// Dense soups of small shapes: the mean side is under 8λ, so the bin
@@ -138,8 +150,7 @@ fn query_matches_oracle() {
             assert!(idx.bin_size() > 128, "case {case}: bin {}", idx.bin_size());
         }
         for window in windows(&mut rng, bbox(&soup), 30) {
-            let got: Vec<_> = idx.query(window).collect();
-            assert_eq!(got, oracle(&soup, window), "case {case} window {window}");
+            assert_eq!(probe(&idx, window), oracle(&soup, window), "case {case} window {window}");
         }
     }
 }
@@ -148,18 +159,13 @@ fn query_matches_oracle() {
 fn empty_index_finds_nothing() {
     let idx = RectIndex::bulk_build([]);
     assert!(idx.is_empty());
-    let mut scratch = QueryScratch::new();
     for window in [Rect::new(0, 0, 0, 0), Rect::new(-100, -100, 100, 100)] {
-        assert_eq!(idx.query(window).count(), 0);
-        let mut hits = 0;
-        idx.query_with(window, &mut scratch, |_, _| hits += 1);
-        assert_eq!(hits, 0);
-        assert_eq!(idx.first_match(window, &mut scratch, |_, _| true), None);
+        assert_eq!(probe(&idx, window), Vec::new());
     }
 }
 
 #[test]
-fn one_scratch_serves_indexes_of_every_grid_shape() {
+fn probe_serves_indexes_of_every_grid_shape() {
     let mut rng = Rng::new(0x1D40_0005);
     let soups: Vec<Vec<Rect>> = vec![
         Vec::new(),
@@ -173,7 +179,6 @@ fn one_scratch_serves_indexes_of_every_grid_shape() {
         .iter()
         .map(|s| RectIndex::bulk_build(s.iter().copied().enumerate()))
         .collect();
-    let mut scratch = QueryScratch::new();
     for round in 0..20 {
         for (k, (soup, idx)) in soups.iter().zip(&indexes).enumerate() {
             let around = if soup.is_empty() {
@@ -182,10 +187,8 @@ fn one_scratch_serves_indexes_of_every_grid_shape() {
                 bbox(soup)
             };
             for window in windows(&mut rng, around, 5) {
-                let mut got: Vec<(usize, Rect)> = Vec::new();
-                idx.query_with(window, &mut scratch, |i, r| got.push((i, r)));
                 assert_eq!(
-                    got,
+                    probe(idx, window),
                     oracle(soup, window),
                     "round {round} soup {k} window {window}"
                 );
@@ -195,11 +198,8 @@ fn one_scratch_serves_indexes_of_every_grid_shape() {
 }
 
 #[test]
-fn stamped_dedup_path_matches_oracle() {
+fn probe_reports_each_rect_once() {
     let mut rng = Rng::new(0x1D40_0002);
-    // One scratch reused across every index and query — the stamped
-    // epoch must never leak hits between queries.
-    let mut scratch = QueryScratch::new();
     for case in 0..40 {
         let soup = arb_soup(&mut rng, 80);
         let idx = RectIndex::bulk_build(soup.iter().copied().enumerate());
@@ -207,9 +207,7 @@ fn stamped_dedup_path_matches_oracle() {
             let x = rng.range(-250, 250);
             let y = rng.range(-250, 250);
             let window = Rect::new(x, y, x + rng.range(1, 120), y + rng.range(1, 120));
-            let mut got: Vec<(usize, Rect)> = Vec::new();
-            idx.query_with(window, &mut scratch, |i, r| got.push((i, r)));
-            assert_eq!(got, oracle(&soup, window), "case {case} window {window}");
+            assert_eq!(probe(&idx, window), oracle(&soup, window), "case {case} window {window}");
         }
     }
 }
@@ -217,36 +215,48 @@ fn stamped_dedup_path_matches_oracle() {
 #[test]
 fn degenerate_point_windows_match_oracle() {
     let mut rng = Rng::new(0x1D40_0003);
-    let mut scratch = QueryScratch::new();
     for case in 0..40 {
         let soup = arb_soup(&mut rng, 50);
         let idx = RectIndex::bulk_build(soup.iter().copied().enumerate());
         for _ in 0..30 {
             let p = (rng.range(-220, 220), rng.range(-220, 220));
             let window = Rect::new(p.0, p.1, p.0, p.1);
-            let mut got: Vec<(usize, Rect)> = Vec::new();
-            idx.query_with(window, &mut scratch, |i, r| got.push((i, r)));
-            assert_eq!(got, oracle(&soup, window), "case {case} point {p:?}");
+            assert_eq!(probe(&idx, window), oracle(&soup, window), "case {case} point {p:?}");
         }
     }
 }
 
+/// Long rails and straps far left of and below the origin, each
+/// spanning many bins, over a few small cuts: the grid's origin is
+/// negative, and most windows cover several bins of one rail.
+fn negative_spanning_soup(rng: &mut Rng, n: usize) -> Vec<Rect> {
+    (0..n)
+        .map(|k| {
+            let (x, y) = (rng.range(-5000, -3000), rng.range(-5000, -3000));
+            match k % 3 {
+                0 => Rect::new(x, y, x + rng.range(200, 1500), y + rng.range(2, 6)),
+                1 => Rect::new(x, y, x + rng.range(2, 6), y + rng.range(200, 1500)),
+                _ => Rect::new(x, y, x + 2, y + 2),
+            }
+        })
+        .collect()
+}
+
 #[test]
-fn first_match_agrees_with_oracle_minimum() {
-    let mut rng = Rng::new(0x1D40_0004);
-    let mut scratch = QueryScratch::new();
-    for case in 0..40 {
-        let soup = arb_soup(&mut rng, 60);
+fn probe_at_negative_origins_over_many_bins_matches_oracle() {
+    let mut rng = Rng::new(0x1D40_0007);
+    for case in 0..30 {
+        let soup = negative_spanning_soup(&mut rng, 40);
         let idx = RectIndex::bulk_build(soup.iter().copied().enumerate());
-        for _ in 0..20 {
-            let x = rng.range(-250, 250);
-            let y = rng.range(-250, 250);
-            let window = Rect::new(x, y, x + rng.range(1, 60), y + rng.range(1, 60));
-            let got = idx.first_match(window, &mut scratch, |_, r| r.area() > 50);
-            let want = oracle(&soup, window)
-                .into_iter()
-                .find(|&(_, r)| r.area() > 50);
-            assert_eq!(got, want, "case {case} window {window}");
+        let b = bbox(&soup);
+        // The rails span many bins.
+        assert!(soup.iter().any(|r| r.width().max(r.height()) > 4 * idx.bin_size()), "case {case}");
+        for window in windows(&mut rng, b, 40) {
+            assert_eq!(probe(&idx, window), oracle(&soup, window), "case {case} window {window}");
+        }
+        // Windows that straddle the whole grid, or miss it by one λ.
+        for window in [b.inflate(3), b, Rect::new(b.x1 + 1, b.y0, b.x1 + 9, b.y1)] {
+            assert_eq!(probe(&idx, window), oracle(&soup, window), "case {case} window {window}");
         }
     }
 }

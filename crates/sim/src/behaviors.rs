@@ -9,7 +9,9 @@
 //! them to microcode decode specs via [`crate::Machine::add_element`].
 //!
 //! A cell names its model by the key in its `behavior` representation;
-//! [`by_key`] is the one map from key to model.
+//! [`by_key`] is the one map from key to model, and [`storage_by_key`]
+//! the one map from key to the plates a co-simulation checks against
+//! the model's per-column words.
 //!
 //! | Key | φ1 controls | φ2 action | State |
 //! |---|---|---|---|
@@ -378,6 +380,34 @@ pub fn by_key(key: &str, name: &str, columns: usize) -> Option<Box<dyn Behavior>
     Some(model)
 }
 
+/// The words a key's model keeps one per column (a register, RAM word
+/// or stack level), as the silicon holds them. A co-simulation checks
+/// each column's plates against the machine's state key for that word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Storage {
+    /// The machine's state key for column `i` is `<letter><i>`.
+    pub letter: char,
+    /// Each plate of a column that holds the word, with the label its
+    /// check reports: `(plate bristle, check label)`.
+    pub plates: &'static [(&'static str, &'static str)],
+}
+
+/// The per-column storage of the model a `behavior` key names, beside
+/// [`by_key`] so that one key picks both the model and what of the
+/// silicon is checked against it. `None` for a key whose model keeps no
+/// per-column words.
+#[must_use]
+pub fn storage_by_key(key: &str) -> Option<Storage> {
+    let (letter, plates): (char, &'static [(&'static str, &'static str)]) = match key {
+        // Both register plates are written from bus A.
+        "registers" => ('r', &[("storeA", "storeA"), ("storeB", "storeB")]),
+        "ram" => ('m', &[("cell", "ram-cell")]),
+        "stack" => ('s', &[("level", "stack-level")]),
+        _ => return None,
+    };
+    Some(Storage { letter, plates })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,6 +530,25 @@ mod tests {
         }
         for key in ["precharge", "inv", "", "Registers", "register_file"] {
             assert!(by_key(key, "e0", 2).is_none(), "`{key}`");
+        }
+    }
+
+    /// Every model with per-column words answers to the state keys its
+    /// storage names, one per column, and no model without them does.
+    #[test]
+    fn storage_keys_name_each_models_words() {
+        for key in ["registers", "alu", "shifter", "ram", "stack", "inport", "outport"] {
+            let model = by_key(key, "e0", 3).unwrap();
+            match storage_by_key(key) {
+                Some(st) => {
+                    assert!(!st.plates.is_empty(), "`{key}`");
+                    for i in 0..3 {
+                        assert_eq!(model.peek(&format!("{}{i}", st.letter)), Some(0), "`{key}` word {i}");
+                    }
+                    assert_eq!(model.peek(&format!("{}3", st.letter)), None, "`{key}`");
+                }
+                None => assert!(["r0", "m0", "s0"].iter().all(|k| model.peek(k).is_none()), "`{key}`"),
+            }
         }
     }
 

@@ -44,6 +44,7 @@ use std::fmt;
 use bristle_cell::Phase;
 use bristle_core::{ChipSpec, CompileError, CompiledChip, Compiler};
 use bristle_extract::{extract, Netlist};
+use bristle_sim::behaviors::storage_by_key;
 use bristle_sim::BridgeError::{self, XLevel};
 use bristle_sim::{Level, NetlistBridge, SimError};
 
@@ -186,20 +187,17 @@ impl Prepared {
             for (local, line) in chip.element_controls(e) {
                 controls.push((bridge.nets(prefix, local, None)?, line));
             }
-            // Both register plates are written from bus A.
-            let (key, plates): (char, &[(&str, &str)]) = match e.kind.as_str() {
-                "registers" => ('r', &[("storeA", "storeA"), ("storeB", "storeB")]),
-                "ram" => ('m', &[("cell", "ram-cell")]),
-                "stack" => ('s', &[("level", "stack-level")]),
-                _ => continue,
+            // The key that built the element's model picks its plates.
+            let Some(words) = chip.behavior_key(e).and_then(storage_by_key) else {
+                continue;
             };
             for column in 0..e.columns.len() as u32 {
                 let mut bound = Vec::new();
-                for &(plate, check) in plates {
+                for &(plate, check) in words.plates {
                     let signal = format!("{prefix}/{plate}[c{column}]");
                     bound.push((check, signal, bridge.nets(prefix, plate, Some(column))?));
                 }
-                storage.push((prefix, format!("{key}{column}"), bound));
+                storage.push((prefix, format!("{}{column}", words.letter), bound));
             }
         }
         let mut pads = [Vec::new(), Vec::new()];
