@@ -1296,8 +1296,7 @@ mod tests {
             for (k, &(_, owner)) in want.iter().enumerate() {
                 assert_eq!(view.owner(layer, k), &flat[owner], "{layer:?} rect {k}");
             }
-            let indexed: Vec<(usize, Rect)> = view.rect_index(layer).iter().collect();
-            assert_eq!(indexed, rects.iter().copied().enumerate().collect::<Vec<_>>());
+            assert!(std::ptr::eq(view.rect_index(layer).rects(), rects), "{layer:?}: one copy of the rects");
         }
     }
 

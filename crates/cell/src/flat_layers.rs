@@ -9,19 +9,16 @@ use crate::shape::Shape;
 /// The rectangles of one mask layer of a [`FlatLayers`] view.
 #[derive(Debug)]
 struct LayerRects {
-    /// Non-degenerate rectangles, in flat order.
-    rects: Vec<Rect>,
+    /// The non-degenerate rectangles, in flat order, each under its
+    /// position as id. The view keeps them nowhere else.
+    index: RectIndex,
     /// `owners[k]` is the position in the flat shapes of the shape rect
     /// `k` was cut from.
     owners: Vec<u32>,
-    /// `rects` under ids `0..rects.len()`, built on first use: no rule
-    /// probes some layers (contact cuts, overglass).
-    index: OnceLock<RectIndex>,
 }
 
 /// A flat cell as extraction and DRC read it: every layer's rectangles,
-/// each layer indexed at most once, and the cell's transistor gates,
-/// computed at most once.
+/// indexed once, and the cell's transistor gates, computed at most once.
 ///
 /// [`crate::Library::flat_layers_shared`] builds it from
 /// `flatten_shared` and memoizes it with the same policy, so that
@@ -36,8 +33,9 @@ pub struct FlatLayers {
 }
 
 impl FlatLayers {
-    /// Splits `shapes` into per-layer rectangle lists: each shape's
-    /// rectangles in flat order, degenerate ones dropped.
+    /// Splits `shapes` into per-layer rectangle lists (each shape's
+    /// rectangles in flat order, degenerate ones dropped) and indexes
+    /// each list.
     pub(crate) fn build(shapes: Arc<Vec<Shape>>) -> FlatLayers {
         let mut per_layer: [(Vec<Rect>, Vec<u32>); Layer::ALL.len()] = Default::default();
         for (k, shape) in shapes.iter().enumerate() {
@@ -49,7 +47,7 @@ impl FlatLayers {
                 }
             });
         }
-        let layers = per_layer.map(|(rects, owners)| LayerRects { rects, owners, index: OnceLock::new() });
+        let layers = per_layer.map(|(rects, owners)| LayerRects { index: RectIndex::bulk_build(rects), owners });
         FlatLayers { shapes, layers, gates: OnceLock::new() }
     }
 
@@ -64,7 +62,7 @@ impl FlatLayers {
     /// shape's rectangles, shape by shape.
     #[must_use]
     pub fn rects(&self, layer: Layer) -> &[Rect] {
-        &self.layers[layer as usize].rects
+        self.layers[layer as usize].index.rects()
     }
 
     /// The flat shape that rectangle `k` of `layer` was cut from.
@@ -78,11 +76,10 @@ impl FlatLayers {
     }
 
     /// The index of [`FlatLayers::rects`]`(layer)`, under ids equal to
-    /// positions in that slice. Built on first use, then kept.
+    /// positions in that slice.
     #[must_use]
     pub fn rect_index(&self, layer: Layer) -> &RectIndex {
-        let l = &self.layers[layer as usize];
-        l.index.get_or_init(|| RectIndex::bulk_build(l.rects.iter().copied().enumerate()))
+        &self.layers[layer as usize].index
     }
 
     /// The transistor gates: [`gate_regions`] of the poly rectangles

@@ -170,8 +170,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     // split it, so probe the gate index instead of scanning every gate;
     // the fragment geometry depends on the order of the cuts, so the
     // candidates are sorted back into gate order first.
-    let gate_index =
-        RectIndex::bulk_build(gates.iter().enumerate().map(|(i, &(g, _))| (i, g)));
+    let gate_index = RectIndex::bulk_build(gates.iter().map(|&(g, _)| g));
     let (mut channels, mut channel_labels) = (Vec::new(), Vec::new());
     let (mut near, mut cuts) = (Vec::new(), Vec::new());
     let (mut split, mut spare) = (Vec::new(), Vec::new());
@@ -188,12 +187,12 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
             channel_labels.push(label);
         }
     }
-    let diff_index = RectIndex::bulk_build(channels.iter().copied().enumerate());
+    let diff_index = RectIndex::bulk_build(channels);
 
     // Piece `base[l] + k` is rect `k` of conductor `l`: poly, then split
     // diffusion, then metal. Each index holds its layer under local ids.
     let by_layer = [view.rect_index(Layer::Poly), &diff_index, view.rect_index(Layer::Metal)];
-    let base = [0, by_layer[0].len(), by_layer[0].len() + channels.len()];
+    let base = [0, by_layer[0].len(), by_layer[0].len() + by_layer[1].len()];
     let piece_count = base[2] + by_layer[2].len();
 
     let mut uf = UnionFind::new(piece_count);

@@ -75,8 +75,8 @@ pub fn covered_by(window: Rect, rects: &[Rect]) -> bool {
 /// use bristle_geom::{gate_regions, Rect, RectIndex};
 ///
 /// let poly = [Rect::new(0, 4, 12, 6), Rect::new(0, 10, 12, 12)];
-/// let diff = RectIndex::bulk_build([(0, Rect::new(4, 0, 6, 16))]);
-/// let buried = RectIndex::bulk_build([(0, Rect::new(3, 9, 7, 13))]);
+/// let diff = RectIndex::bulk_build([Rect::new(4, 0, 6, 16)]);
+/// let buried = RectIndex::bulk_build([Rect::new(3, 9, 7, 13)]);
 /// let gates = gate_regions(poly, &diff, &buried);
 /// assert_eq!(gates, vec![(Rect::new(4, 4, 6, 6), 0)]);
 /// ```

@@ -1,8 +1,9 @@
 //! Simple rectilinear polygons.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::{Point, Rect, RectIndex};
+use crate::{Point, Rect};
 
 /// A simple (non-self-intersecting) polygon on the λ lattice.
 ///
@@ -127,10 +128,9 @@ impl Polygon {
     /// True if the polygon is rectilinear and its vertex loop never
     /// touches itself: edges that are not neighbours share no point, and
     /// no edge folds back over the one before it. Compares coordinates
-    /// only, so it cannot overflow. The edges' boxes go into one
-    /// [`RectIndex`], and its pair join finds the edges that touch, so
-    /// the check is near-linear in the vertex count rather than comparing
-    /// every pair of edges.
+    /// only, so it cannot overflow. Sorts the edges and sweeps them once,
+    /// so it takes O(n log n) time and O(n) space in the vertex count,
+    /// however long the edges are.
     #[must_use]
     pub fn is_simple_rectilinear(&self) -> bool {
         let v = &self.vertices;
@@ -145,13 +145,50 @@ impl Polygon {
         {
             return false;
         }
-        // An axis-aligned edge is its own closed bounding box. Edge `i`
-        // touches its neighbours `i ± 1` (the first and last close the
-        // loop) at their shared vertices, and must touch nothing else.
-        let edges = RectIndex::bulk_build((0..n).map(|i| (i, Rect::from_points(v[i], v[(i + 1) % n]))));
-        let mut simple = true;
-        edges.for_each_touching_pair(|i, j| simple &= j == i + 1 || (i == 0 && j == n - 1));
-        simple
+        // Edge `i` touches its neighbours `i ± 1` (the first and last
+        // close the loop) at their shared vertices, and must touch
+        // nothing else.
+        let neighbours = |i: usize, j: usize| (i + 1) % n == j || (j + 1) % n == i;
+        // Only a horizontal and a vertical edge need comparing. Where two
+        // parallel edges touch, the runs of collinear edges they lie on
+        // overlap, so one run ends inside the other, and the
+        // perpendicular edge at that end touches an edge of the other
+        // run that is not its neighbour.
+        //
+        // Sweep x: a horizontal edge is live from its left end to its
+        // right end inclusive (at one x, starts come before vertical
+        // edges and ends after), and each vertical edge looks up the live
+        // ones on the lines in its span. Only its two neighbours may be
+        // there, so a lookup visits at most three.
+        let mut events: Vec<(i64, u8, usize)> = Vec::with_capacity(2 * n);
+        for i in 0..n {
+            let (a, b) = (v[i], v[(i + 1) % n]);
+            if a.y == b.y {
+                events.extend([(a.x.min(b.x), 0, i), (a.x.max(b.x), 2, i)]);
+            } else {
+                events.push((a.x, 1, i));
+            }
+        }
+        events.sort_unstable();
+        let mut live = BTreeSet::new();
+        for (_, what, i) in events {
+            let (a, b) = (v[i], v[(i + 1) % n]);
+            match what {
+                0 => {
+                    live.insert((a.y, i));
+                }
+                2 => {
+                    live.remove(&(a.y, i));
+                }
+                _ => {
+                    let span = (a.y.min(b.y), 0)..=(a.y.max(b.y), usize::MAX);
+                    if live.range(span).any(|&(_, j)| !neighbours(i, j)) {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
     }
 
     /// Translates every vertex by `d`.
@@ -327,20 +364,48 @@ mod tests {
         Polygon::new(v).ok()
     }
 
+    /// A random walk of `m` steps, each along a random axis to a random
+    /// lattice coordinate, closed by one step back to the start's x: it
+    /// has collinear runs, folds and crossings.
+    fn random_walk(rng: &mut Rng, m: usize, span: u64) -> Option<Polygon> {
+        let mut v = vec![Point::new(rng.below(span), rng.below(span))];
+        for _ in 0..m {
+            let mut q = *v.last().unwrap();
+            if rng.below(2) == 0 {
+                q.x = rng.below(span);
+            } else {
+                q.y = rng.below(span);
+            }
+            v.push(q);
+        }
+        v.push(Point::new(v[0].x, v.last().unwrap().y));
+        v.dedup();
+        if v.first() == v.last() {
+            v.pop();
+        }
+        Polygon::new(v).ok()
+    }
+
     #[test]
     fn simplicity_matches_all_pairs_oracle() {
         let mut rng = Rng(0x5109_1E00_0000_0001);
         let (mut simple, mut touching) = (0, 0);
         for case in 0..3000 {
             let size = 1 + rng.below(12) as usize;
-            let p = match case % 3 {
+            let p = match case % 4 {
                 0 => random_loop(&mut rng, 2 + size % 5, 8),
                 1 => random_loop(&mut rng, 1 + size, 40),
+                2 => random_walk(&mut rng, 2 + size % 6, 6),
                 _ => random_histogram(&mut rng, size),
             };
             let Some(p) = p else { continue };
             let want = is_simple_rectilinear_oracle(&p);
             assert_eq!(p.is_simple_rectilinear(), want, "case {case}: {p:?}");
+            // Stretched across most of the coordinate range, with the
+            // origin moved far negative, the loop touches itself where it
+            // did before.
+            let far = p.map_points(|q| Point::new(q.x * (1 << 22) - (1 << 28), q.y * (1 << 21) - (1 << 27)));
+            assert_eq!(far.is_simple_rectilinear(), want, "case {case} stretched: {far:?}");
             if want {
                 simple += 1;
             } else {

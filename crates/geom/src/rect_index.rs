@@ -31,8 +31,8 @@ const MAX_BINS_PER_RECT: u128 = 8;
 /// Bin side of an empty index, as a power of two (16λ).
 const EMPTY_SHIFT: u32 = 4;
 
-/// A dense grid index mapping bins to rectangle ids, built once from a
-/// rectangle set.
+/// A dense grid index mapping bins to rectangles, built once from a
+/// rectangle list. A rectangle's id is its position in that list.
 ///
 /// [`RectIndex::bulk_build`] lays a grid of square bins over the
 /// bounding box of its rectangles and records, bin by bin, which
@@ -47,18 +47,15 @@ const EMPTY_SHIFT: u32 = 4;
 /// rectangle, so a sparse layer (a few cuts scattered across a die)
 /// never allocates a die-sized grid.
 ///
-/// Ids are indices into the caller's rectangle storage; the index itself
-/// stores copies of the rectangles for overlap confirmation.
+/// The index owns the list, so a caller that keeps its rectangles only
+/// here reads them back with [`RectIndex::rects`].
 ///
 /// # Examples
 ///
 /// ```
 /// use bristle_geom::{Rect, RectIndex};
 ///
-/// let idx = RectIndex::bulk_build([
-///     (0, Rect::new(0, 0, 4, 4)),
-///     (1, Rect::new(100, 100, 104, 104)),
-/// ]);
+/// let idx = RectIndex::bulk_build([Rect::new(0, 0, 4, 4), Rect::new(100, 100, 104, 104)]);
 /// let mut near = Vec::new();
 /// idx.for_each_touching(Rect::new(2, 2, 6, 6), |id, r| near.push((id, r)));
 /// assert_eq!(near, vec![(0, Rect::new(0, 0, 4, 4))]);
@@ -66,8 +63,8 @@ const EMPTY_SHIFT: u32 = 4;
 #[derive(Debug, Clone)]
 pub struct RectIndex {
     grid: Grid,
-    /// The stored `(id, rect)` pairs; a rectangle's slot is its position.
-    items: Vec<(usize, Rect)>,
+    /// The stored rectangles; a rectangle's id and slot are its position.
+    rects: Vec<Rect>,
     /// `slots[starts[b]..starts[b + 1]]` are the slots covering bin
     /// `b = row · cols + col`, in ascending order.
     starts: Vec<u32>,
@@ -87,21 +84,18 @@ struct Grid {
 }
 
 impl Grid {
-    /// The grid over the bounding box of `items`, with the bin side
+    /// The grid over the bounding box of `rects`, with the bin side
     /// described at [`RectIndex`].
-    fn fit(items: &[(usize, Rect)]) -> Grid {
-        let Some(bbox) = items.iter().map(|&(_, r)| r).reduce(|a, b| a.union(&b)) else {
+    fn fit(rects: &[Rect]) -> Grid {
+        let Some(bbox) = rects.iter().copied().reduce(|a, b| a.union(&b)) else {
             return Grid { shift: EMPTY_SHIFT, x0: 0, y0: 0, cols: 0, rows: 0 };
         };
-        let sum: i64 = items
-            .iter()
-            .map(|&(_, r)| (r.width() + r.height()) / 2)
-            .sum();
-        let mean = (sum / items.len() as i64).clamp(8, 128) as u64;
+        let sum: i64 = rects.iter().map(|r| (r.width() + r.height()) / 2).sum();
+        let mean = (sum / rects.len() as i64).clamp(8, 128) as u64;
         let mut shift = mean.next_power_of_two().trailing_zeros();
         let size = |shift: u32| ((bbox.width() >> shift) + 1, (bbox.height() >> shift) + 1);
         let bins = |(cols, rows): (i64, i64)| cols as u128 * rows as u128;
-        while bins(size(shift)) > MAX_BINS_PER_RECT * items.len() as u128 {
+        while bins(size(shift)) > MAX_BINS_PER_RECT * rects.len() as u128 {
             shift += 1;
         }
         let (cols, rows) = size(shift);
@@ -143,18 +137,19 @@ impl Grid {
 }
 
 impl RectIndex {
-    /// Builds an index from a rectangle set, choosing the bin size from
-    /// the data (see [`RectIndex`]), with a count pass, a prefix sum and
-    /// a fill pass.
+    /// Builds an index over `rects`, each under its position as id,
+    /// choosing the bin size from the data (see [`RectIndex`]), with a
+    /// count pass, a prefix sum and a fill pass. A `Vec` passed in is
+    /// kept, not copied.
     #[must_use]
-    pub fn bulk_build(rects: impl IntoIterator<Item = (usize, Rect)>) -> RectIndex {
-        let items: Vec<(usize, Rect)> = rects.into_iter().collect();
-        assert!(u32::try_from(items.len()).is_ok(), "slots are u32");
-        let grid = Grid::fit(&items);
+    pub fn bulk_build(rects: impl IntoIterator<Item = Rect>) -> RectIndex {
+        let rects: Vec<Rect> = rects.into_iter().collect();
+        assert!(u32::try_from(rects.len()).is_ok(), "slots are u32");
+        let grid = Grid::fit(&rects);
         // Count each bin's slots, then turn the counts into running ends:
         // `starts[b]` becomes the end of bin `b`'s run.
         let mut starts = vec![0u32; grid.cols * grid.rows + 1];
-        for &(_, r) in &items {
+        for &r in &rects {
             grid.for_each_bin(r, |b| starts[b] += 1);
         }
         let mut end = 0u32;
@@ -165,13 +160,13 @@ impl RectIndex {
         // Fill back to front: each bin's end moves down to its start, and
         // its run comes out in ascending slot order.
         let mut slots = vec![0u32; end as usize];
-        for (slot, &(_, r)) in items.iter().enumerate().rev() {
+        for (slot, &r) in rects.iter().enumerate().rev() {
             grid.for_each_bin(r, |b| {
                 starts[b] -= 1;
                 slots[starts[b] as usize] = slot as u32;
             });
         }
-        RectIndex { grid, items, starts, slots }
+        RectIndex { grid, rects, starts, slots }
     }
 
     /// The bin size in λ, a power of two.
@@ -183,13 +178,13 @@ impl RectIndex {
     /// Number of rectangles stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.rects.len()
     }
 
     /// True if no rectangles are stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.rects.is_empty()
     }
 
     /// The probe: calls `f(id, rect)` once for every stored rectangle
@@ -204,14 +199,14 @@ impl RectIndex {
     /// use bristle_geom::{Rect, RectIndex};
     ///
     /// let idx = RectIndex::bulk_build([
-    ///     (7, Rect::new(0, 0, 4, 4)),
-    ///     (8, Rect::new(4, 0, 300, 4)), // shares an edge with the window
-    ///     (9, Rect::new(50, 50, 54, 54)),
+    ///     Rect::new(0, 0, 4, 4),
+    ///     Rect::new(4, 0, 300, 4), // shares an edge with the window
+    ///     Rect::new(50, 50, 54, 54),
     /// ]);
     /// let mut ids = Vec::new();
     /// idx.for_each_touching(Rect::new(0, 0, 4, 4), |id, _| ids.push(id));
     /// ids.sort_unstable();
-    /// assert_eq!(ids, vec![7, 8]);
+    /// assert_eq!(ids, vec![0, 1]);
     /// ```
     pub fn for_each_touching(&self, window: Rect, mut f: impl FnMut(usize, Rect)) {
         let g = &self.grid;
@@ -223,9 +218,9 @@ impl RectIndex {
             for col in c0..=c1 {
                 let run = self.starts[b + col] as usize..self.starts[b + col + 1] as usize;
                 for &s in &self.slots[run] {
-                    let (id, r) = self.items[s as usize];
+                    let r = self.rects[s as usize];
                     if r.touches(&window) && g.bin_of(r.x0.max(window.x0), r.y0.max(window.y0)) == (col, row) {
-                        f(id, r);
+                        f(s as usize, r);
                     }
                 }
             }
@@ -234,7 +229,7 @@ impl RectIndex {
 
     /// The pair join: calls `f(a, b)` once for every pair of stored
     /// rectangles that **touch** (overlap or share an edge or corner),
-    /// with `a` inserted before `b`. Allocates nothing.
+    /// with `a < b`. Allocates nothing.
     ///
     /// Each bin compares its own slots pairwise. Two touching closed
     /// rectangles both contain the point `(max x0, max y0)`, so both are
@@ -246,9 +241,9 @@ impl RectIndex {
     /// use bristle_geom::{Rect, RectIndex};
     ///
     /// let idx = RectIndex::bulk_build([
-    ///     (0, Rect::new(0, 0, 40, 2)),
-    ///     (1, Rect::new(40, 0, 42, 9)),
-    ///     (2, Rect::new(90, 90, 92, 92)),
+    ///     Rect::new(0, 0, 40, 2),
+    ///     Rect::new(40, 0, 42, 9),
+    ///     Rect::new(90, 90, 92, 92),
     /// ]);
     /// let mut pairs = Vec::new();
     /// idx.for_each_touching_pair(|a, b| pairs.push((a, b)));
@@ -261,11 +256,11 @@ impl RectIndex {
                 let bin = row * g.cols + col;
                 let run = &self.slots[self.starts[bin] as usize..self.starts[bin + 1] as usize];
                 for (k, &s) in run.iter().enumerate() {
-                    let (a, ra) = self.items[s as usize];
+                    let ra = self.rects[s as usize];
                     for &t in &run[k + 1..] {
-                        let (b, rb) = self.items[t as usize];
+                        let rb = self.rects[t as usize];
                         if ra.touches(&rb) && g.bin_of(ra.x0.max(rb.x0), ra.y0.max(rb.y0)) == (col, row) {
-                            f(a, b);
+                            f(s as usize, t as usize);
                         }
                     }
                 }
@@ -273,9 +268,10 @@ impl RectIndex {
         }
     }
 
-    /// Iterates over all stored `(id, rect)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, Rect)> + '_ {
-        self.items.iter().copied()
+    /// The stored rectangles, each at its id.
+    #[must_use]
+    pub fn rects(&self) -> &[Rect] {
+        &self.rects
     }
 }
 
@@ -295,29 +291,26 @@ mod tests {
     #[test]
     fn query_finds_touching() {
         let idx = RectIndex::bulk_build([
-            (7, Rect::new(0, 0, 4, 4)),
-            (8, Rect::new(4, 0, 8, 4)), // shares an edge with the window below
-            (9, Rect::new(50, 50, 54, 54)),
+            Rect::new(0, 0, 4, 4),
+            Rect::new(4, 0, 8, 4), // shares an edge with the window below
+            Rect::new(50, 50, 54, 54),
         ]);
-        assert_eq!(ids(&idx, Rect::new(0, 0, 4, 4)), vec![7, 8]);
+        assert_eq!(ids(&idx, Rect::new(0, 0, 4, 4)), vec![0, 1]);
     }
 
     #[test]
     fn no_duplicates_across_bins() {
         // Spans many bins.
-        let idx = RectIndex::bulk_build([(1, Rect::new(0, 0, 40, 2)), (2, Rect::new(0, 9, 2, 11))]);
+        let idx = RectIndex::bulk_build([Rect::new(0, 0, 40, 2), Rect::new(0, 9, 2, 11)]);
         assert!(idx.grid.cols > 1);
-        assert_eq!(ids(&idx, Rect::new(0, 0, 40, 2)), vec![1]);
+        assert_eq!(ids(&idx, Rect::new(0, 0, 40, 2)), vec![0]);
         // A window starting left of and below the grid.
-        assert_eq!(ids(&idx, Rect::new(-50, -50, 100, 10)), vec![1, 2]);
+        assert_eq!(ids(&idx, Rect::new(-50, -50, 100, 10)), vec![0, 1]);
     }
 
     #[test]
     fn negative_coordinates() {
-        let idx = RectIndex::bulk_build([
-            (0, Rect::new(-20, -20, -10, -10)),
-            (1, Rect::new(-200, -90, -196, -86)),
-        ]);
+        let idx = RectIndex::bulk_build([Rect::new(-20, -20, -10, -10), Rect::new(-200, -90, -196, -86)]);
         assert_eq!(ids(&idx, Rect::new(-15, -15, -12, -12)), vec![0]);
         assert_eq!(ids(&idx, Rect::new(0, 0, 4, 4)), Vec::<usize>::new());
         assert_eq!(ids(&idx, Rect::new(-300, -300, -198, -88)), vec![1]);
@@ -326,10 +319,10 @@ mod tests {
     #[test]
     fn len_and_iter() {
         assert!(RectIndex::bulk_build([]).is_empty());
-        let idx = RectIndex::bulk_build([(3, Rect::new(0, 0, 1, 1)), (4, Rect::new(2, 2, 3, 3))]);
+        let rects = [Rect::new(0, 0, 1, 1), Rect::new(2, 2, 3, 3)];
+        let idx = RectIndex::bulk_build(rects);
         assert_eq!(idx.len(), 2);
-        let all: Vec<usize> = idx.iter().map(|(i, _)| i).collect();
-        assert_eq!(all, vec![3, 4]);
+        assert_eq!(idx.rects(), rects);
     }
 
     #[test]
@@ -340,7 +333,7 @@ mod tests {
             Rect::new(-30, 2, -26, 40),
             Rect::new(100, 100, 160, 104),
         ];
-        let idx = RectIndex::bulk_build(rects.iter().copied().enumerate());
+        let idx = RectIndex::bulk_build(rects);
         let (g, bin) = (idx.grid, idx.bin_size());
         assert!(bin.count_ones() == 1 && (8..=128).contains(&bin), "bin {bin}");
         assert_eq!(idx.starts.len(), g.cols * g.rows + 1);
@@ -370,7 +363,7 @@ mod tests {
             let (x, y) = (97 * i % 2000, 211 * i % 3000);
             Rect::new(x, y, x + 2, y + 2)
         }));
-        let idx = RectIndex::bulk_build(rects.iter().copied().enumerate());
+        let idx = RectIndex::bulk_build(rects.clone());
         assert!(idx.bin_size() > 128, "bin {}", idx.bin_size());
         assert!((idx.grid.cols * idx.grid.rows) as u128 <= MAX_BINS_PER_RECT * rects.len() as u128);
         assert_eq!(ids(&idx, Rect::new(1000, 3, 1001, 3)), vec![0]);
@@ -381,16 +374,16 @@ mod tests {
         // A rail crossing several bins, a strap overlapping it across
         // two of them, an edge neighbour, a corner neighbour and a loner.
         let idx = RectIndex::bulk_build([
-            (10, Rect::new(0, 0, 200, 4)),
-            (11, Rect::new(30, -20, 60, 20)),
-            (12, Rect::new(200, 4, 210, 30)),
-            (13, Rect::new(-9, -9, 0, 0)),
-            (14, Rect::new(500, 500, 502, 502)),
+            Rect::new(0, 0, 200, 4),
+            Rect::new(30, -20, 60, 20),
+            Rect::new(200, 4, 210, 30),
+            Rect::new(-9, -9, 0, 0),
+            Rect::new(500, 500, 502, 502),
         ]);
         assert!(idx.grid.cols > 2);
         let mut pairs = Vec::new();
         idx.for_each_touching_pair(|a, b| pairs.push((a, b)));
         pairs.sort_unstable();
-        assert_eq!(pairs, vec![(10, 11), (10, 12), (10, 13)]);
+        assert_eq!(pairs, vec![(0, 1), (0, 2), (0, 3)]);
     }
 }

@@ -141,7 +141,7 @@ fn query_matches_oracle() {
             2 => (sparse_soup(&mut rng, 30), None),
             _ => (arb_soup(&mut rng, 60), None),
         };
-        let idx = RectIndex::bulk_build(soup.iter().copied().enumerate());
+        let idx = RectIndex::bulk_build(soup.clone());
         if let Some(bin) = bin {
             assert_eq!(idx.bin_size(), bin, "case {case}");
         }
@@ -177,7 +177,7 @@ fn probe_serves_indexes_of_every_grid_shape() {
     ];
     let indexes: Vec<RectIndex> = soups
         .iter()
-        .map(|s| RectIndex::bulk_build(s.iter().copied().enumerate()))
+        .map(|s| RectIndex::bulk_build(s.clone()))
         .collect();
     for round in 0..20 {
         for (k, (soup, idx)) in soups.iter().zip(&indexes).enumerate() {
@@ -202,7 +202,7 @@ fn probe_reports_each_rect_once() {
     let mut rng = Rng::new(0x1D40_0002);
     for case in 0..40 {
         let soup = arb_soup(&mut rng, 80);
-        let idx = RectIndex::bulk_build(soup.iter().copied().enumerate());
+        let idx = RectIndex::bulk_build(soup.clone());
         for _ in 0..20 {
             let x = rng.range(-250, 250);
             let y = rng.range(-250, 250);
@@ -217,7 +217,7 @@ fn degenerate_point_windows_match_oracle() {
     let mut rng = Rng::new(0x1D40_0003);
     for case in 0..40 {
         let soup = arb_soup(&mut rng, 50);
-        let idx = RectIndex::bulk_build(soup.iter().copied().enumerate());
+        let idx = RectIndex::bulk_build(soup.clone());
         for _ in 0..30 {
             let p = (rng.range(-220, 220), rng.range(-220, 220));
             let window = Rect::new(p.0, p.1, p.0, p.1);
@@ -247,7 +247,7 @@ fn probe_at_negative_origins_over_many_bins_matches_oracle() {
     let mut rng = Rng::new(0x1D40_0007);
     for case in 0..30 {
         let soup = negative_spanning_soup(&mut rng, 40);
-        let idx = RectIndex::bulk_build(soup.iter().copied().enumerate());
+        let idx = RectIndex::bulk_build(soup.clone());
         let b = bbox(&soup);
         // The rails span many bins.
         assert!(soup.iter().any(|r| r.width().max(r.height()) > 4 * idx.bin_size()), "case {case}");
@@ -300,10 +300,9 @@ fn touching_pairs_match_oracle_each_once() {
             3 => arb_soup(&mut rng, 80),
             _ => degenerate_soup(&mut rng, 60),
         };
-        // Ids offset from slots, as extraction's global piece ids are.
-        let idx = RectIndex::bulk_build(soup.iter().copied().enumerate().map(|(i, r)| (i + 7, r)));
+        let idx = RectIndex::bulk_build(soup.clone());
         let mut got: Vec<(usize, usize)> = Vec::new();
-        idx.for_each_touching_pair(|a, b| got.push((a - 7, b - 7)));
+        idx.for_each_touching_pair(|a, b| got.push((a, b)));
         // Earlier-inserted first in every pair; sorting must not merge
         // duplicates, so a pair reported twice fails the comparison.
         assert!(got.iter().all(|&(a, b)| a < b), "case {case}");

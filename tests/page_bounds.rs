@@ -8,6 +8,7 @@
 //! dependencies are available in this workspace).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 use bristle_blocks::cell::{load_library, CdlError, CellError, Library};
 use bristle_blocks::cif::{cif_to_library, parse_cif, render_svg, write_cif, ParseCifError};
@@ -319,6 +320,43 @@ fn self_touching_polygons_refused_in_both_formats() {
             CdlError::Cell(CellError::NotSimple("s0".into())),
             "{name} in CDL"
         );
+    }
+}
+
+/// A comb of `teeth` fingers 1 λ wide and 1 λ apart on a 1 λ base, each
+/// running the full height of the bound: 4 × `teeth` vertices. With
+/// `touch`, the middle gap reaches down to the base's bottom edge, so
+/// the loop touches itself there.
+fn long_finger_comb(teeth: i64, touch: bool) -> Vec<(i64, i64)> {
+    let (lo, hi) = (-MAX_COORD, MAX_COORD);
+    let mut v = vec![(0, lo)];
+    for k in 0..teeth {
+        v.extend([(2 * k, hi), (2 * k + 1, hi)]);
+        if k + 1 < teeth {
+            let floor = if touch && k == teeth / 2 { lo } else { lo + 1 };
+            v.extend([(2 * k + 1, floor), (2 * k + 2, floor)]);
+        }
+    }
+    v.push((2 * teeth - 1, lo));
+    v
+}
+
+#[test]
+fn long_finger_combs_load_in_bounded_time() {
+    // 20,000 vertices and 10,000 edges 2^30 λ long. The simplicity check
+    // must not grow with edge length, nor with the square of the vertex
+    // count: comparing all pairs of edges takes about 2·10^8 steps here.
+    for touch in [false, true] {
+        let text = to_cdl(&vec![vec![Item::Poly(long_finger_comb(5000, touch))]]);
+        let start = Instant::now();
+        let loaded = load_library(&text);
+        let took = start.elapsed();
+        if touch {
+            assert_eq!(loaded.unwrap_err(), CdlError::Cell(CellError::NotSimple("s0".into())));
+        } else {
+            assert!(loaded.is_ok(), "{:?}", loaded.err());
+        }
+        assert!(took < Duration::from_secs(2), "touch={touch}: loading took {took:?}");
     }
 }
 
