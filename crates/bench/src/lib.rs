@@ -106,7 +106,7 @@ pub fn hand_core_area(chip: &CompiledChip) -> i64 {
     // prefix keeps generated cell names unique, and `clone_from` reuses
     // the parameter map's allocation instead of cloning afresh.
     let mut lib = bristle_cell::Library::new("hand");
-    let mut ctx = GenCtx::new(chip.spec.data_width);
+    let mut ctx = GenCtx::new();
     let stacked = i64::from(chip.spec.data_width) - 1;
     for e in &chip.elements {
         let Some(generator) = generator_named(&e.kind) else {

@@ -246,12 +246,10 @@ pub enum Flavor {
     /// Requests a decoder-driven control line; the control pass inserts a
     /// buffer and programs the decoder PLA.
     Control(ControlLine),
-    /// Taps data bus `bus` (0 = upper, 1 = lower) at bit `bit`.
+    /// Taps data bus `bus` (0 = upper, 1 = lower).
     Bus {
         /// Bus index: 0 is the paper's upper bus, 1 the lower bus.
         bus: u8,
-        /// Data bit index, LSB = 0.
-        bit: u32,
     },
     /// Power connection.
     Power(Rail),
@@ -266,7 +264,9 @@ impl fmt::Display for Flavor {
         match self {
             Flavor::Pad(k) => write!(f, "pad:{k}"),
             Flavor::Control(c) => write!(f, "ctl:{c}"),
-            Flavor::Bus { bus, bit } => write!(f, "bus{bus}[{bit}]"),
+            // The `[0]` is the bit index the variant once carried (always
+            // 0); it stays so the layout SVG's bristle titles are unchanged.
+            Flavor::Bus { bus } => write!(f, "bus{bus}[0]"),
             Flavor::Power(r) => write!(f, "power:{r}"),
             Flavor::Clock(p) => write!(f, "clock:{p}"),
             Flavor::Signal => f.write_str("signal"),
@@ -414,7 +414,7 @@ mod tests {
             phase: Phase::Phi2,
         };
         assert_eq!(c.to_string(), "alu_op=2 @phi2");
-        assert_eq!(Flavor::Bus { bus: 0, bit: 3 }.to_string(), "bus0[3]");
+        assert_eq!(Flavor::Bus { bus: 1 }.to_string(), "bus1[0]");
         assert_eq!(Flavor::Power(Rail::Gnd).to_string(), "power:GND");
     }
 }

@@ -13,10 +13,11 @@
 //! [`load_library`] round-trip exactly (verified by property tests).
 //!
 //! A `library <name>` line comes first. Each `cell <name>` … `end` block
-//! holds `power`, `doc`, `behavior`, `blocklabel`, `stretchx`,
-//! `stretchy`, `box`, `wire`, `poly`, `bristle`, `gate` and `inst`
-//! statements; any other keyword is a parse error. There is no `stick`
-//! statement: a chip's STICKS are derived from its layout.
+//! holds `power`, `doc`, `behavior`, `blocklabel`, `stretchy`, `box`,
+//! `wire`, `poly`, `bristle`, `gate` and `inst` statements; any other
+//! keyword is a parse error. There is no `stick` statement: a chip's
+//! STICKS are derived from its layout. Stretch lines are horizontal
+//! only: cells stretch along y, to the slice pitch.
 
 use std::fmt::Write as _;
 
@@ -119,7 +120,7 @@ fn flavor_to_token(flavor: &Flavor) -> String {
             };
             format!("ctl:{}:{}:{}", c.field, cond, c.phase)
         }
-        Flavor::Bus { bus, bit } => format!("bus:{bus}:{bit}"),
+        Flavor::Bus { bus } => format!("bus:{bus}"),
         Flavor::Power(Rail::Vdd) => "power:vdd".to_owned(),
         Flavor::Power(Rail::Gnd) => "power:gnd".to_owned(),
         Flavor::Clock(Phase::Phi1) => "clock:phi1".to_owned(),
@@ -138,7 +139,7 @@ fn parse_phase(s: &str) -> Option<Phase> {
 
 fn parse_flavor(tok: &str) -> Option<Flavor> {
     let mut parts = tok.split(':');
-    match parts.next()? {
+    let flavor = match parts.next()? {
         "pad" => {
             let k = match parts.next()? {
                 "input" => PadKind::Input,
@@ -150,7 +151,7 @@ fn parse_flavor(tok: &str) -> Option<Flavor> {
                 "phi2" => PadKind::Phi2,
                 _ => return None,
             };
-            Some(Flavor::Pad(k))
+            Flavor::Pad(k)
         }
         "ctl" => {
             let field = parts.next()?.to_owned();
@@ -169,25 +170,27 @@ fn parse_flavor(tok: &str) -> Option<Flavor> {
                 _ => return None,
             };
             let phase = parse_phase(parts.next()?)?;
-            Some(Flavor::Control(ControlLine {
+            Flavor::Control(ControlLine {
                 field,
                 active,
                 phase,
-            }))
+            })
         }
-        "bus" => Some(Flavor::Bus {
+        "bus" => Flavor::Bus {
             bus: parts.next()?.parse().ok()?,
-            bit: parts.next()?.parse().ok()?,
-        }),
-        "power" => match parts.next()? {
-            "vdd" => Some(Flavor::Power(Rail::Vdd)),
-            "gnd" => Some(Flavor::Power(Rail::Gnd)),
-            _ => None,
         },
-        "clock" => Some(Flavor::Clock(parse_phase(parts.next()?)?)),
-        "signal" => Some(Flavor::Signal),
-        _ => None,
-    }
+        "power" => match parts.next()? {
+            "vdd" => Flavor::Power(Rail::Vdd),
+            "gnd" => Flavor::Power(Rail::Gnd),
+            _ => return None,
+        },
+        "clock" => Flavor::Clock(parse_phase(parts.next()?)?),
+        "signal" => Flavor::Signal,
+        _ => return None,
+    };
+    // A token is exactly what `flavor_to_token` writes: nothing trails it
+    // (the former `bus:<n>:<bit>` form among them).
+    parts.next().is_none().then_some(flavor)
 }
 
 fn side_token(side: Side) -> &'static str {
@@ -252,10 +255,6 @@ pub fn save_library(lib: &Library) -> Result<String, CdlError> {
         }
         if let Some(l) = &cell.reprs().block_label {
             let _ = writeln!(out, "  blocklabel {}", escape_text(l));
-        }
-        if !cell.stretch_x().is_empty() {
-            let xs: Vec<String> = cell.stretch_x().iter().map(i64::to_string).collect();
-            let _ = writeln!(out, "  stretchx {}", xs.join(" "));
         }
         if !cell.stretch_y().is_empty() {
             let ys: Vec<String> = cell.stretch_y().iter().map(i64::to_string).collect();
@@ -490,12 +489,6 @@ pub fn load_library(text: &str) -> Result<Library, CdlError> {
                         let text = p.rest().join(" ");
                         cell.reprs_mut().block_label = Some(unescape_text(&text));
                     }
-                    "stretchx" => {
-                        while !p.rest().is_empty() {
-                            let x = p.next_i64("stretch x")?;
-                            cell.add_stretch_x(x);
-                        }
-                    }
                     "stretchy" => {
                         while !p.rest().is_empty() {
                             let y = p.next_i64("stretch y")?;
@@ -652,7 +645,6 @@ mod tests {
                 phase: Phase::Phi2,
             }),
         ));
-        inv.add_stretch_x(3);
         inv.add_stretch_y(2);
         inv.reprs_mut()
             .logic
@@ -685,7 +677,6 @@ mod tests {
             let rcell = back.cell(rid);
             assert_eq!(rcell.shapes(), cell.shapes(), "shapes of {}", cell.name());
             assert_eq!(rcell.bristles(), cell.bristles());
-            assert_eq!(rcell.stretch_x(), cell.stretch_x());
             assert_eq!(rcell.stretch_y(), cell.stretch_y());
             assert_eq!(rcell.power(), cell.power());
             assert_eq!(rcell.reprs(), cell.reprs());
@@ -710,6 +701,32 @@ mod tests {
         let bad = "library l\ncell c\n  stick NP -2 4 4 4\nend\n";
         match load_library(bad) {
             Err(CdlError::Parse { line: 3, message }) => assert!(message.contains("stick")),
+            other => panic!("expected a parse error on line 3, got {other:?}"),
+        }
+    }
+
+    /// Cells stretch along y only: the former `stretchx` statement is an
+    /// unknown keyword.
+    #[test]
+    fn stretchx_statement_refused() {
+        let bad = "library l\ncell c\n  stretchy 2\n  stretchx 3\nend\n";
+        match load_library(bad) {
+            Err(CdlError::Parse { line: 4, message }) => assert!(message.contains("stretchx")),
+            other => panic!("expected a parse error on line 4, got {other:?}"),
+        }
+    }
+
+    /// A bus bristle names its bus only; the former trailing bit index is
+    /// refused.
+    #[test]
+    fn bus_bit_refused() {
+        let page =
+            |flavor: &str| format!("library l\ncell c\n  bristle a NM 0 0 W {flavor}\nend\n");
+        let lib = load_library(&page("bus:1")).unwrap();
+        let c = lib.cell(lib.find("c").unwrap());
+        assert_eq!(c.bristles()[0].flavor, Flavor::Bus { bus: 1 });
+        match load_library(&page("bus:1:0")) {
+            Err(CdlError::Parse { line: 3, message }) => assert!(message.contains("bus:1:0")),
             other => panic!("expected a parse error on line 3, got {other:?}"),
         }
     }

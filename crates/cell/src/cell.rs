@@ -139,8 +139,6 @@ pub struct Cell {
     shapes: Vec<Shape>,
     instances: Vec<Instance>,
     bristles: Vec<Bristle>,
-    /// x-positions at which the cell may be stretched horizontally.
-    stretch_x: Vec<i64>,
     /// y-positions at which the cell may be stretched vertically.
     stretch_y: Vec<i64>,
     power: PowerInfo,
@@ -156,7 +154,6 @@ impl Cell {
             shapes: Vec::new(),
             instances: Vec::new(),
             bristles: Vec::new(),
-            stretch_x: Vec::new(),
             stretch_y: Vec::new(),
             power: PowerInfo::default(),
             reprs: CellReprs::default(),
@@ -211,8 +208,8 @@ impl Cell {
         &self.bristles
     }
 
-    /// Mutable access to bristles.
-    pub fn bristles_mut(&mut self) -> &mut Vec<Bristle> {
+    /// Mutable access to bristles (used by the stretch engine).
+    pub(crate) fn bristles_mut(&mut self) -> &mut Vec<Bristle> {
         &mut self.bristles
     }
 
@@ -221,37 +218,19 @@ impl Cell {
         self.bristles.push(bristle);
     }
 
-    /// Declared horizontal stretch lines (x positions).
-    #[must_use]
-    pub fn stretch_x(&self) -> &[i64] {
-        &self.stretch_x
-    }
-
     /// Declared vertical stretch lines (y positions).
     #[must_use]
     pub fn stretch_y(&self) -> &[i64] {
         &self.stretch_y
     }
 
-    /// Declares a horizontal stretch line at `x`: geometry strictly right
-    /// of the line shifts, geometry crossing it widens.
-    pub fn add_stretch_x(&mut self, x: i64) {
-        if !self.stretch_x.contains(&x) {
-            self.stretch_x.push(x);
-            self.stretch_x.sort_unstable();
-        }
-    }
-
-    /// Declares a vertical stretch line at `y`.
+    /// Declares a stretch line at `y`: geometry strictly above it shifts
+    /// up, geometry crossing it grows taller.
     pub fn add_stretch_y(&mut self, y: i64) {
         if !self.stretch_y.contains(&y) {
             self.stretch_y.push(y);
             self.stretch_y.sort_unstable();
         }
-    }
-
-    pub(crate) fn set_stretch_x(&mut self, xs: Vec<i64>) {
-        self.stretch_x = xs;
     }
 
     pub(crate) fn set_stretch_y(&mut self, ys: Vec<i64>) {
@@ -898,10 +877,10 @@ mod tests {
     #[test]
     fn stretch_line_dedup_and_order() {
         let mut c = Cell::new("c");
-        c.add_stretch_x(8);
-        c.add_stretch_x(2);
-        c.add_stretch_x(8);
-        assert_eq!(c.stretch_x(), &[2, 8]);
+        c.add_stretch_y(8);
+        c.add_stretch_y(2);
+        c.add_stretch_y(8);
+        assert_eq!(c.stretch_y(), &[2, 8]);
     }
 
     /// Flatten oracle: per-level composition, unmemoized. A cell's own

@@ -13,13 +13,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::cell::{CellError, CellId, Library};
-use crate::stretch::StretchError;
 
 /// Everything a procedural cell may consult while generating itself.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GenCtx {
-    /// Data word width in bits (slices to stack).
-    pub data_width: u32,
     /// Element parameters from the user's chip description.
     pub params: BTreeMap<String, i64>,
     /// Name prefix making generated cell names unique per element
@@ -28,26 +25,10 @@ pub struct GenCtx {
 }
 
 impl GenCtx {
-    /// Creates a context with the given data width and defaults elsewhere.
+    /// Creates a context with no parameters and no prefix.
     #[must_use]
-    pub fn new(data_width: u32) -> GenCtx {
-        GenCtx {
-            data_width,
-            params: BTreeMap::new(),
-            prefix: String::new(),
-        }
-    }
-
-    /// Fetches a required integer parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::MissingParam`] if absent.
-    pub fn param(&self, name: &str) -> Result<i64, GenError> {
-        self.params
-            .get(name)
-            .copied()
-            .ok_or_else(|| GenError::MissingParam(name.to_owned()))
+    pub fn new() -> GenCtx {
+        GenCtx::default()
     }
 
     /// Fetches an optional integer parameter with a default.
@@ -70,8 +51,6 @@ impl GenCtx {
 /// Errors produced by procedural cell generators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenError {
-    /// A required element parameter was not supplied.
-    MissingParam(String),
     /// A parameter value is out of range.
     BadParam {
         /// Parameter name.
@@ -83,8 +62,6 @@ pub enum GenError {
     },
     /// The library rejected a generated cell.
     Cell(CellError),
-    /// Stretching a generated cell failed.
-    Stretch(StretchError),
     /// The generator does not support the requested configuration.
     Unsupported(String),
 }
@@ -92,12 +69,10 @@ pub enum GenError {
 impl fmt::Display for GenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GenError::MissingParam(p) => write!(f, "missing element parameter `{p}`"),
             GenError::BadParam { name, value, reason } => {
                 write!(f, "bad parameter `{name}` = {value}: {reason}")
             }
             GenError::Cell(e) => write!(f, "{e}"),
-            GenError::Stretch(e) => write!(f, "{e}"),
             GenError::Unsupported(what) => write!(f, "unsupported configuration: {what}"),
         }
     }
@@ -107,7 +82,6 @@ impl std::error::Error for GenError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             GenError::Cell(e) => Some(e),
-            GenError::Stretch(e) => Some(e),
             _ => None,
         }
     }
@@ -119,23 +93,17 @@ impl From<CellError> for GenError {
     }
 }
 
-impl From<StretchError> for GenError {
-    fn from(e: StretchError) -> GenError {
-        GenError::Stretch(e)
-    }
-}
-
 /// A procedural cell: "a little program that can draw itself".
 ///
 /// Implementors generate one or more **columns**; each column is a bit
-/// cell that the compiler stacks `data_width` high. Bit cells carry
-/// bristles for their bus taps ([`crate::Flavor::Bus`], with `bit = 0` —
-/// stacking assigns real bit indices), power rails, control lines (South
-/// side, toward the decoder) and pad requests.
+/// cell that the compiler stacks once per data bit. Bit cells carry
+/// bristles for their bus taps ([`crate::Flavor::Bus`]), power rails,
+/// control lines (South side, toward the decoder) and pad requests.
 ///
 /// The compiler calls [`CellGenerator::generate`] once per element: every
 /// column's natural tracks vote on the chip's interface standard, and
-/// each column is then stretched to it. A generator offers one layout.
+/// each column is then stretched to it with [`crate::InterfaceStd::align`].
+/// A generator offers one layout.
 pub trait CellGenerator {
     /// The element type name users write in the chip description
     /// (e.g. `"alu"`, `"registers"`).
@@ -165,11 +133,10 @@ mod tests {
 
     #[test]
     fn ctx_params_and_cell_names() {
-        let mut ctx = GenCtx::new(8);
+        let mut ctx = GenCtx::new();
         ctx.params.insert("count".into(), 4);
         ctx.prefix = "e2_reg".into();
-        assert_eq!(ctx.param("count").unwrap(), 4);
-        assert!(matches!(ctx.param("nope"), Err(GenError::MissingParam(_))));
+        assert_eq!(ctx.param_or("count", 7), 4);
         assert_eq!(ctx.param_or("nope", 7), 7);
         assert_eq!(ctx.cell_name("bit"), "e2_reg_bit");
     }

@@ -13,14 +13,18 @@
 //! with. Natural track positions are read off a bit cell's bristles
 //! ([`TrackSet::from_cell`]); the compiler computes the per-segment maxima
 //! over all elements ([`InterfaceStd::from_tracks`], which also fixes the
-//! slice pitch — the paper's "common pitch (width)") and stretch-aligns
-//! every cell to the standard.
+//! slice pitch — the paper's "common pitch (width)") and stretches every
+//! cell to the standard with one call, [`InterfaceStd::align`].
+//!
+//! Bristle Blocks abuts core elements along x (the chip "length" in the
+//! paper's vocabulary) and measures the common cell pitch along y (the
+//! paper's "width"), so alignment only ever stretches along y.
 
 use std::fmt;
 
 use crate::bristle::{Flavor, Rail};
 use crate::cell::Cell;
-use crate::stretch::{StretchError, StretchPlan};
+use crate::stretch::StretchPlan;
 
 /// Center-line y offsets of the four standard tracks of a bit slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +97,14 @@ pub enum InterfaceViolation {
         /// Actual offset.
         got: i64,
     },
+    /// A track must move up by `needed` λ, but the cell declares no
+    /// stretch line in the segment below it.
+    NotStretchable {
+        /// Which track.
+        track: &'static str,
+        /// λ of growth that could not be realized.
+        needed: i64,
+    },
 }
 
 impl fmt::Display for InterfaceViolation {
@@ -107,6 +119,10 @@ impl fmt::Display for InterfaceViolation {
             InterfaceViolation::Misaligned { track, want, got } => {
                 write!(f, "track `{track}` at y={got}, standard requires y={want}")
             }
+            InterfaceViolation::NotStretchable { track, needed } => write!(
+                f,
+                "track `{track}` must rise {needed}λ, but no stretch line lies below it"
+            ),
         }
     }
 }
@@ -129,8 +145,8 @@ impl TrackSet {
         for b in cell.bristles() {
             let track = match &b.flavor {
                 Flavor::Power(Rail::Gnd) => 0,
-                Flavor::Bus { bus: 0, .. } => 1,
-                Flavor::Bus { bus: 1, .. } => 2,
+                Flavor::Bus { bus: 0 } => 1,
+                Flavor::Bus { bus: 1 } => 2,
                 Flavor::Power(Rail::Vdd) => 3,
                 _ => continue,
             };
@@ -198,56 +214,47 @@ impl InterfaceStd {
         InterfaceStd { pitch, tracks: std }
     }
 
-    /// Plans the vertical stretch aligning a natural track set to this
-    /// standard. One insertion lands in each segment that must grow, at a
-    /// stretch line the cell declared inside that segment.
+    /// Stretches a bit cell along y so its tracks sit exactly on the
+    /// standard offsets: one insertion lands in each segment that must
+    /// grow, at the first stretch line the cell declares in `[track
+    /// below, track)`. A refused cell is left untouched.
     ///
     /// # Errors
     ///
-    /// [`StretchError::NotStretchable`] if a segment must grow but the
-    /// cell declares no stretch line strictly inside `[lower_track,
-    /// upper_track)`.
-    pub fn plan_alignment(
-        &self,
-        natural: &TrackSet,
-        stretch_lines: &[i64],
-        cell_name: &str,
-    ) -> Result<StretchPlan, StretchError> {
-        let mut plan = StretchPlan::new();
-        let nat = natural.tracks.ys();
+    /// A missing or out-of-order track (see [`TrackSet::from_cell`]);
+    /// [`InterfaceViolation::Misaligned`] if the standard puts a track
+    /// below where stretching the segments under it carries the track
+    /// (stretching only grows);
+    /// [`InterfaceViolation::NotStretchable`] if a segment must grow but
+    /// holds no stretch line.
+    pub fn align(&self, cell: &mut Cell) -> Result<(), InterfaceViolation> {
+        let nat = TrackSet::from_cell(cell)?.tracks.ys();
         // The natural track below each track bounds its segment.
         let below = [i64::MIN, nat[0], nat[1], nat[2]];
-        let mut inserted = 0i64;
-        for ((lo, nat), std) in below.into_iter().zip(nat).zip(self.tracks.ys()) {
-            let delta = (std - nat) - inserted;
-            debug_assert!(delta >= 0, "standard below natural: segment maxima violated");
-            if delta == 0 {
+        let mut plan = StretchPlan::default();
+        let mut inserted = 0;
+        for (((track, want), got), lo) in self.tracks.iter().zip(nat).zip(below) {
+            let needed = want - got - inserted;
+            if needed < 0 {
+                // Stretching below already carries the track to `got + inserted`.
+                let got = got + inserted;
+                return Err(InterfaceViolation::Misaligned { track, want, got });
+            }
+            if needed == 0 {
                 continue;
             }
-            // A line at position p moves coordinates > p; to move `nat`
-            // without moving `lo`, we need p in [lo, nat).
-            let line = stretch_lines
+            // A line at p moves coordinates > p; to move `got` without
+            // moving `lo`, p must lie in [lo, got).
+            let line = cell
+                .stretch_y()
                 .iter()
                 .copied()
-                .find(|&p| p >= lo && p < nat)
-                .ok_or(StretchError::NotStretchable {
-                    cell: cell_name.to_owned(),
-                    axis: bristle_geom::Axis::Y,
-                    needed: delta,
-                })?;
-            plan.insert(line, delta)?;
-            inserted += delta;
+                .find(|&p| p >= lo && p < got)
+                .ok_or(InterfaceViolation::NotStretchable { track, needed })?;
+            plan.insert(line, needed);
+            inserted += needed;
         }
-        Ok(plan)
-    }
-
-    /// Checks that a (stretched) cell's tracks sit exactly on the
-    /// standard offsets.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation found.
-    pub fn check(&self, cell: &Cell) -> Result<(), InterfaceViolation> {
+        plan.apply(cell);
         let got = TrackSet::from_cell(cell)?.tracks;
         for ((track, want), got) in self.tracks.iter().zip(got.ys()) {
             if want != got {
@@ -273,8 +280,7 @@ mod tests {
     use super::*;
     use crate::bristle::{Bristle, Side};
     use crate::shape::Shape;
-    use crate::stretch::apply_plan;
-    use bristle_geom::{Axis, Layer, Point, Rect};
+    use bristle_geom::{Layer, Point, Rect};
 
     /// Builds a bit cell with tracks at the given offsets and a stretch
     /// line between each pair of tracks.
@@ -282,8 +288,8 @@ mod tests {
         let mut c = Cell::new(name);
         for (n, y, flavor) in [
             ("gnd", gnd, Flavor::Power(Rail::Gnd)),
-            ("busA", a, Flavor::Bus { bus: 0, bit: 0 }),
-            ("busB", b, Flavor::Bus { bus: 1, bit: 0 }),
+            ("busA", a, Flavor::Bus { bus: 0 }),
+            ("busB", b, Flavor::Bus { bus: 1 }),
             ("vdd", vdd, Flavor::Power(Rail::Vdd)),
         ] {
             c.push_bristle(Bristle::new(n, Layer::Metal, Point::new(0, y), Side::West, flavor));
@@ -337,38 +343,41 @@ mod tests {
         let t1 = TrackSet::from_cell(&c1).unwrap();
         let t2 = TrackSet::from_cell(&c2).unwrap();
         let std = InterfaceStd::from_tracks(&[t1, t2]);
-        for (cell, t) in [(&mut c1, t1), (&mut c2, t2)] {
-            let plan = std
-                .plan_alignment(&t, cell.stretch_y(), cell.name())
-                .unwrap();
-            apply_plan(cell, Axis::Y, &plan);
-            std.check(cell).unwrap();
+        for cell in [&mut c1, &mut c2] {
+            std.align(cell).unwrap();
+            assert_eq!(TrackSet::from_cell(cell).unwrap().tracks, std.tracks);
         }
     }
 
+    /// GND can rise on the line at y = 0, but busB must rise 2λ more and
+    /// no line lies in its segment: the cell is refused whole.
     #[test]
     fn alignment_fails_without_lines() {
         let mut c = tracked_cell("a", 2, 10, 18, 26);
-        c.set_stretch_y(Vec::new());
-        let t = TrackSet::from_cell(&c).unwrap();
-        let other = TrackSet {
-            tracks: Tracks::from_ys([6, 14, 22, 30]),
-            top: 32,
+        c.set_stretch_y(vec![0]);
+        let std = InterfaceStd {
+            pitch: 40,
+            tracks: Tracks::from_ys([6, 14, 24, 32]),
         };
-        let std = InterfaceStd::from_tracks(&[t, other]);
-        let err = std.plan_alignment(&t, &[], "a").unwrap_err();
-        assert!(matches!(err, StretchError::NotStretchable { .. }));
+        let before = c.clone();
+        assert_eq!(
+            std.align(&mut c),
+            Err(InterfaceViolation::NotStretchable { track: "busB", needed: 2 })
+        );
+        assert_eq!(c, before);
     }
 
     #[test]
     fn check_reports_misalignment() {
-        let c = tracked_cell("a", 2, 10, 18, 26);
+        let mut c = tracked_cell("a", 2, 10, 18, 26);
         let t = TrackSet::from_cell(&c).unwrap();
         let mut std = InterfaceStd::from_tracks(&[t]);
-        std.tracks.bus_a_y += 2;
-        assert!(matches!(
-            std.check(&c),
-            Err(InterfaceViolation::Misaligned { track: "busA", .. })
-        ));
+        std.tracks.bus_a_y -= 2;
+        let before = c.clone();
+        assert_eq!(
+            std.align(&mut c),
+            Err(InterfaceViolation::Misaligned { track: "busA", want: 8, got: 10 })
+        );
+        assert_eq!(c, before);
     }
 }

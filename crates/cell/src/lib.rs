@@ -18,8 +18,6 @@
 //! * [`Cell`] and [`Library`] — the hierarchical cell store with
 //!   [`Instance`] references, and [`FlatLayers`], the per-layer indexed
 //!   view of a flattened cell that extraction and DRC share,
-//! * [`stretch`] — the stretch engine that lets every cell match the
-//!   widest cell's pitch ("a painless operation"),
 //! * [`CellGenerator`] — the trait implemented by procedural cells,
 //! * [`Tracks`] — the four standard track offsets of a bit slice (GND,
 //!   bus A, bus B, VDD, bottom to top), the one type a cell's natural
@@ -28,7 +26,9 @@
 //!   plus the slice pitch) that lets any two elements plug together; it
 //!   is the paper's global-parameter vote, resolved by
 //!   [`InterfaceStd::from_tracks`] over every column's natural tracks,
-//!   and the one pitch rule,
+//!   and the one pitch rule; [`InterfaceStd::align`] stretches a column
+//!   along y onto it ("a painless operation"), the one use of the
+//!   crate-private stretch engine,
 //! * [`CellReprs`] — per-cell data for the non-layout representations
 //!   (logic, text, simulation, block).
 //!
@@ -59,7 +59,7 @@ mod interface;
 mod power;
 mod reprs;
 mod shape;
-pub mod stretch;
+mod stretch;
 
 pub use bristle::{ActiveWhen, Bristle, ControlLine, Flavor, PadKind, Phase, Rail, Side};
 pub use cdl::{load_library, save_library, CdlError};

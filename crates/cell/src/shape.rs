@@ -85,7 +85,7 @@ impl Shape {
         self.label.as_deref()
     }
 
-    /// Axis-aligned bounding box.
+    /// Bounding box, edges parallel to the axes.
     #[must_use]
     pub fn bbox(&self) -> Rect {
         match &self.geom {

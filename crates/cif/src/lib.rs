@@ -14,7 +14,9 @@
 //! Coordinates: cells are designed in integer λ. CIF distances are
 //! centimicrons, and λ = 2.5 µm = 250 centimicrons; symbols are emitted
 //! with `DS n 125 1` and coordinates in **half-λ** so box centers stay
-//! integral.
+//! integral. The reader reads that scale only (`DS n a b` with
+//! `a = 125·b`) and refuses a symbol in any other units rather than
+//! convert it.
 //!
 //! # Examples
 //!

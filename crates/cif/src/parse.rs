@@ -8,6 +8,8 @@ use std::fmt;
 use bristle_cell::{Cell, CellError, Library, Shape};
 use bristle_geom::{Layer, Orientation, Path, Point, Polygon, Rect, Transform, MAX_COORD};
 
+use crate::CIF_SCALE_NUM;
+
 /// True if a CIF value, in the writer's half-λ units, lies within twice
 /// the ±[`MAX_COORD`] λ bound: wide enough for any box extent or wire
 /// width inside it, and narrow enough that sums of two values fit `i64`.
@@ -359,7 +361,9 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
 ///
 /// # Errors
 ///
-/// Fails with [`ParseCifError::Syntax`] on a value that does not survive
+/// Fails with [`ParseCifError::Syntax`] on a symbol whose `DS a b` scale
+/// is not the writer's half-λ (`a = 125·b`, [`CIF_SCALE_NUM`]; other
+/// units are refused, not converted), on a value that does not survive
 /// the half-λ conversion (odd, or beyond twice the ±[`MAX_COORD`] λ
 /// bound), and with [`ParseCifError::Cell`] when [`Library::add_cell`]
 /// rejects a symbol: a non-rectilinear or self-touching polygon, a
@@ -383,6 +387,13 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
             v if v % 2 != 0 => Err(err(format!("odd half-λ coordinate {v}"))),
             v => Ok(v / 2),
         };
+        let (a, b) = sym.scale;
+        if b <= 0 || a % CIF_SCALE_NUM != 0 || a / CIF_SCALE_NUM != b {
+            return Err(err(format!(
+                "symbol {} has scale {a}/{b}; only the half-λ {CIF_SCALE_NUM}/1 is read",
+                sym.number
+            )));
+        }
         let name = sym
             .name
             .clone()
@@ -566,7 +577,7 @@ mod tests {
     #[test]
     fn huge_box_rejected() {
         // 2^61 λ wide: the box the bound exists to refuse.
-        let text = "DS 1; 9 big; L NM; B 4611686018427387900 4611686018427387900 0 0; DF; E";
+        let text = "DS 1 125 1; 9 big; L NM; B 4611686018427387900 4611686018427387900 0 0; DF; E";
         assert!(matches!(
             cif_to_library(&parse_cif(text).unwrap()),
             Err(ParseCifError::Syntax { .. })
@@ -574,11 +585,31 @@ mod tests {
         // Every CIF value in range, but the wire's squared-off corner
         // reaches one λ past the bound: the library refuses the symbol.
         let l = 2 * MAX_COORD;
-        let text = format!("DS 1; 9 edge; L NM; W 4 0 0 {l} 0 {l} 4; DF; E");
+        let text = format!("DS 1 125 1; 9 edge; L NM; W 4 0 0 {l} 0 {l} 4; DF; E");
         assert_eq!(
             cif_to_library(&parse_cif(&text).unwrap()).unwrap_err(),
             ParseCifError::Cell(CellError::OutOfBounds("edge".into()))
         );
+    }
+
+    /// Only the writer's half-λ scale is read: a page in other units is
+    /// refused by name, never loaded at the wrong size.
+    #[test]
+    fn other_scales_refused() {
+        let load = |ds: &str| cif_to_library(&parse_cif(&format!("{ds}; L NM; B 8 8 0 0; DF; E"))?);
+        for ds in ["DS 1 250 1", "DS 1 1 1", "DS 1", "DS 1 0 0", "DS 1 -125 -1"] {
+            match load(ds) {
+                Err(ParseCifError::Syntax { message, .. }) => {
+                    assert!(message.contains("symbol 1"), "{ds}: {message}");
+                }
+                other => panic!("{ds}: expected a scale error, got {other:?}"),
+            }
+        }
+        for ds in ["DS 1 125 1", "DS 1 250 2"] {
+            let lib = load(ds).unwrap();
+            let id = lib.find("sym1").unwrap();
+            assert_eq!(lib.bbox(id), Some(Rect::new(-2, -2, 2, 2)), "{ds}");
+        }
     }
 
     #[test]

@@ -51,8 +51,9 @@ pub enum CompileError {
     Pla(PlaLayoutError),
     /// Pad routing failure.
     Route(RouteError),
-    /// Stretch alignment failure.
-    Stretch(bristle_cell::stretch::StretchError),
+    /// A column fails the interface standard: a missing or misordered
+    /// track, or one stretching cannot align.
+    Interface(InterfaceViolation),
     /// Simulation assembly failure.
     Sim(SimError),
 }
@@ -66,7 +67,7 @@ impl fmt::Display for CompileError {
             CompileError::Microcode(e) => write!(f, "microcode: {e}"),
             CompileError::Pla(e) => write!(f, "decoder: {e}"),
             CompileError::Route(e) => write!(f, "pads: {e}"),
-            CompileError::Stretch(e) => write!(f, "stretch: {e}"),
+            CompileError::Interface(e) => write!(f, "interface: {e}"),
             CompileError::Sim(e) => write!(f, "simulation: {e}"),
         }
     }
@@ -88,14 +89,8 @@ from_err!(Cell, CellError);
 from_err!(Microcode, MicrocodeError);
 from_err!(Pla, PlaLayoutError);
 from_err!(Route, RouteError);
-from_err!(Stretch, bristle_cell::stretch::StretchError);
+from_err!(Interface, InterfaceViolation);
 from_err!(Sim, SimError);
-
-impl From<InterfaceViolation> for CompileError {
-    fn from(e: InterfaceViolation) -> CompileError {
-        CompileError::Gen(GenError::Unsupported(e.to_string()))
-    }
-}
 
 /// Per-element record in the compiled chip.
 #[derive(Debug, Clone)]
@@ -189,8 +184,8 @@ impl Compiler {
             generator: Box<dyn bristle_cell::CellGenerator>,
         }
         let mut pending: Vec<Pending> = Vec::new();
-        let push_precharge = |pending: &mut Vec<Pending>, n: &mut usize, width: u32| {
-            let mut ctx = GenCtx::new(width);
+        let push_precharge = |pending: &mut Vec<Pending>, n: &mut usize| {
+            let mut ctx = GenCtx::new();
             ctx.prefix = format!("pc{n}");
             *n += 1;
             pending.push(Pending {
@@ -201,7 +196,7 @@ impl Compiler {
             });
         };
         let mut pc_count = 0usize;
-        push_precharge(&mut pending, &mut pc_count, spec.data_width);
+        push_precharge(&mut pending, &mut pc_count);
         // Escape-lane numbering: every port of one kind gets its own lane
         // so the pad pass can route all their east escape wires without
         // the < 7λ collision that used to cap specs at one port per kind.
@@ -209,7 +204,7 @@ impl Compiler {
         for (i, e) in spec.elements.iter().enumerate() {
             let generator = generator_named(&e.kind)
                 .ok_or_else(|| CompileError::UnknownElement(e.kind.clone()))?;
-            let mut ctx = GenCtx::new(spec.data_width);
+            let mut ctx = GenCtx::new();
             ctx.prefix = format!("e{i}_{}", e.kind);
             ctx.params = e.params.clone();
             // The lane is the compiler's own numbering: it overrides a
@@ -226,7 +221,7 @@ impl Compiler {
                 generator,
             });
             if e.break_bus_a || e.break_bus_b {
-                push_precharge(&mut pending, &mut pc_count, spec.data_width);
+                push_precharge(&mut pending, &mut pc_count);
             }
         }
 
@@ -251,11 +246,8 @@ impl Compiler {
         let std = InterfaceStd::from_tracks(&tracks);
 
         // Stretch-align every column to the standard.
-        for (&col, ts) in columns.iter().flatten().zip(&tracks) {
-            let lines = lib.cell(col).stretch_y().to_vec();
-            let plan = std.plan_alignment(ts, &lines, lib.cell(col).name())?;
-            bristle_cell::stretch::apply_plan(lib.cell_mut(col), bristle_geom::Axis::Y, &plan);
-            std.check(lib.cell(col))?;
+        for &col in columns.iter().flatten() {
+            std.align(lib.cell_mut(col))?;
         }
 
         // Stack columns into the core cell.

@@ -100,41 +100,3 @@ pub const MAX_COORD: i64 = 1 << 29;
 /// distances are expressed in centimicrons, so a λ-unit coordinate is
 /// multiplied by this constant on output.
 pub const LAMBDA_CENTIMICRONS: i64 = 250;
-
-/// Manhattan axes.
-///
-/// Bristle Blocks stacks core elements along [`Axis::X`] (the chip
-/// "length" in the paper's vocabulary) and measures the common cell pitch
-/// along [`Axis::Y`] (the paper's "width").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Axis {
-    /// Horizontal axis (chip length; element stacking direction).
-    X,
-    /// Vertical axis (datapath pitch; bit-stacking direction).
-    Y,
-}
-
-impl Axis {
-    /// The other axis.
-    ///
-    /// ```
-    /// use bristle_geom::Axis;
-    /// assert_eq!(Axis::X.perpendicular(), Axis::Y);
-    /// ```
-    #[must_use]
-    pub fn perpendicular(self) -> Axis {
-        match self {
-            Axis::X => Axis::Y,
-            Axis::Y => Axis::X,
-        }
-    }
-}
-
-impl std::fmt::Display for Axis {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Axis::X => f.write_str("x"),
-            Axis::Y => f.write_str("y"),
-        }
-    }
-}

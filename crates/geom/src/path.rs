@@ -142,7 +142,7 @@ impl Path {
             })
     }
 
-    /// Axis-aligned bounding box of the full wire (including width).
+    /// Bounding box of the full wire (including width).
     #[must_use]
     pub fn bbox(&self) -> Rect {
         self.rects()

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Neg, Sub, SubAssign};
 
-use crate::Axis;
-
 /// A point on the λ lattice.
 ///
 /// # Examples
@@ -41,24 +39,6 @@ impl Point {
     #[must_use]
     pub fn manhattan(self, other: Point) -> i64 {
         (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
-    /// Coordinate along `axis`.
-    #[must_use]
-    pub fn along(self, axis: Axis) -> i64 {
-        match axis {
-            Axis::X => self.x,
-            Axis::Y => self.y,
-        }
-    }
-
-    /// Returns a copy with the coordinate along `axis` replaced by `v`.
-    #[must_use]
-    pub fn with_along(self, axis: Axis, v: i64) -> Point {
-        match axis {
-            Axis::X => Point::new(v, self.y),
-            Axis::Y => Point::new(self.x, v),
-        }
     }
 
     /// Component-wise minimum.
@@ -144,15 +124,6 @@ mod tests {
         // Symmetric.
         let (a, b) = (Point::new(7, -3), Point::new(-1, 9));
         assert_eq!(a.manhattan(b), b.manhattan(a));
-    }
-
-    #[test]
-    fn axis_access() {
-        let p = Point::new(8, 9);
-        assert_eq!(p.along(crate::Axis::X), 8);
-        assert_eq!(p.along(crate::Axis::Y), 9);
-        assert_eq!(p.with_along(crate::Axis::X, 1), Point::new(1, 9));
-        assert_eq!(p.with_along(crate::Axis::Y, 1), Point::new(8, 1));
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl Polygon {
         twice.abs() / 2
     }
 
-    /// Axis-aligned bounding box.
+    /// Bounding box, edges parallel to the axes.
     #[must_use]
     pub fn bbox(&self) -> Rect {
         let mut lo = self.vertices[0];

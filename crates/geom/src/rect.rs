@@ -1,8 +1,8 @@
-//! Axis-aligned rectangles, the workhorse of mask geometry.
+//! Rectangles with edges parallel to the axes, the workhorse of mask geometry.
 
 use std::fmt;
 
-use crate::{Axis, Point};
+use crate::Point;
 
 /// An axis-aligned rectangle in λ units.
 ///
@@ -80,15 +80,6 @@ impl Rect {
     #[must_use]
     pub fn height(&self) -> i64 {
         self.y1 - self.y0
-    }
-
-    /// Extent along `axis`.
-    #[must_use]
-    pub fn extent(&self, axis: Axis) -> i64 {
-        match axis {
-            Axis::X => self.width(),
-            Axis::Y => self.height(),
-        }
     }
 
     /// Area in λ².
@@ -210,15 +201,6 @@ impl Rect {
         };
         assert!(r.x0 <= r.x1 && r.y0 <= r.y1, "inflate({d}) inverted {self:?}");
         r
-    }
-
-    /// Interval `[lo, hi]` covered along `axis`.
-    #[must_use]
-    pub fn span(&self, axis: Axis) -> (i64, i64) {
-        match axis {
-            Axis::X => (self.x0, self.x1),
-            Axis::Y => (self.y0, self.y1),
-        }
     }
 
     /// Subtracts `cuts` from this rectangle, returning disjoint residual

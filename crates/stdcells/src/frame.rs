@@ -470,8 +470,8 @@ impl BitCellSpec {
         // Tracks.
         let flavors = [
             Flavor::Power(Rail::Gnd),
-            Flavor::Bus { bus: 0, bit: 0 },
-            Flavor::Bus { bus: 1, bit: 0 },
+            Flavor::Bus { bus: 0 },
+            Flavor::Bus { bus: 1 },
             Flavor::Power(Rail::Vdd),
         ];
         for ((name, y), flavor) in t.iter().zip(flavors) {
@@ -796,7 +796,9 @@ mod tests {
         let cell = demo_spec().build().unwrap();
         let ts = TrackSet::from_cell(&cell).unwrap();
         let std = InterfaceStd::from_tracks(&[ts]);
-        std.check(&cell).unwrap();
+        let mut aligned = cell.clone();
+        std.align(&mut aligned).unwrap();
+        assert_eq!(aligned, cell, "a cell's own standard needs no stretch");
     }
 
     #[test]
@@ -813,12 +815,7 @@ mod tests {
         let std = InterfaceStd::from_tracks(&[ts, taller]);
         let mut lib = Library::new("t");
         let id = lib.add_cell(cell).unwrap();
-        let lines = lib.cell(id).stretch_y().to_vec();
-        let plan = std
-            .plan_alignment(&ts, &lines, "demo_bit")
-            .unwrap();
-        bristle_cell::stretch::apply_plan(lib.cell_mut(id), bristle_geom::Axis::Y, &plan);
-        std.check(lib.cell(id)).unwrap();
+        std.align(lib.cell_mut(id)).unwrap();
         let report = check_flat(&lib, id, &RuleSet::mead_conway());
         assert!(report.is_clean(), "{report}");
         // Devices survive: same transistor count after stretching.
@@ -977,10 +974,7 @@ mod tests {
         let std = InterfaceStd::from_tracks(&[ts, taller]);
         let mut lib = Library::new("t");
         let id = lib.add_cell(cell).unwrap();
-        let lines = lib.cell(id).stretch_y().to_vec();
-        let plan = std.plan_alignment(&ts, &lines, "restore_bit").unwrap();
-        bristle_cell::stretch::apply_plan(lib.cell_mut(id), bristle_geom::Axis::Y, &plan);
-        std.check(lib.cell(id)).unwrap();
+        std.align(lib.cell_mut(id)).unwrap();
         let report = check_flat(&lib, id, &RuleSet::mead_conway());
         assert!(report.is_clean(), "{report}");
         assert_eq!(extract(&lib, id).transistors.len(), 5);

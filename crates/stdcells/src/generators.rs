@@ -631,7 +631,7 @@ mod tests {
     use bristle_extract::extract;
 
     fn ctx() -> GenCtx {
-        let mut c = GenCtx::new(8);
+        let mut c = GenCtx::new();
         c.prefix = "e0".into();
         c
     }

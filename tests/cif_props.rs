@@ -126,7 +126,7 @@ fn other_punctuation_in_chip_names_round_trips() {
 #[test]
 fn boxes_centred_at_i64_extremes_are_rejected() {
     for (cx, cy) in [(i64::MIN, 0), (i64::MAX, 0), (0, i64::MIN), (0, i64::MAX)] {
-        let text = format!("DS 1 1 1;\n9 edge;\nL NM;\nB 4 2 {cx} {cy};\nDF;\nE\n");
+        let text = format!("DS 1 125 1;\n9 edge;\nL NM;\nB 4 2 {cx} {cy};\nDF;\nE\n");
         let file = parse_cif(&text).unwrap_or_else(|e| panic!("({cx}, {cy}) parses: {e}"));
         let got = cif_to_library(&file);
         assert!(

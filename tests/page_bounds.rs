@@ -289,7 +289,7 @@ fn pages_load_cleanly_or_get_a_typed_error() {
 fn huge_box_refused_in_both_formats() {
     // 2^61 λ wide, which once overflowed `Rect::area` downstream.
     let big = 1i64 << 61;
-    let cif = format!("DS 1; 9 big; L NM; B {} {} 0 0; DF; C 1; E", 2 * big, 2 * big);
+    let cif = format!("DS 1 125 1; 9 big; L NM; B {} {} 0 0; DF; C 1; E", 2 * big, 2 * big);
     assert!(matches!(
         parse_cif(&cif).and_then(|f| cif_to_library(&f)),
         Err(ParseCifError::Syntax { .. })
