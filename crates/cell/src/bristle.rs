@@ -27,17 +27,6 @@ impl Side {
     /// All four sides, clockwise from North.
     pub const ALL: [Side; 4] = [Side::North, Side::East, Side::South, Side::West];
 
-    /// The opposite side.
-    #[must_use]
-    pub fn opposite(self) -> Side {
-        match self {
-            Side::North => Side::South,
-            Side::East => Side::West,
-            Side::South => Side::North,
-            Side::West => Side::East,
-        }
-    }
-
     /// The side as seen through an instance orientation: where the
     /// side's outward normal points once `orient` is applied.
     pub(crate) fn oriented(self, orient: Orientation) -> Side {
@@ -81,17 +70,6 @@ pub enum Phase {
     Phi1,
     /// Element-operation / bus-precharge phase.
     Phi2,
-}
-
-impl Phase {
-    /// The other phase.
-    #[must_use]
-    pub fn other(self) -> Phase {
-        match self {
-            Phase::Phi1 => Phase::Phi2,
-            Phase::Phi2 => Phase::Phi1,
-        }
-    }
 }
 
 impl fmt::Display for Phase {
@@ -349,20 +327,6 @@ impl fmt::Display for Bristle {
 mod tests {
     use super::*;
     use bristle_geom::Orientation;
-
-    #[test]
-    fn side_opposites() {
-        for side in Side::ALL {
-            assert_eq!(side.opposite().opposite(), side);
-        }
-        assert_eq!(Side::North.opposite(), Side::South);
-    }
-
-    #[test]
-    fn phase_other() {
-        assert_eq!(Phase::Phi1.other(), Phase::Phi2);
-        assert_eq!(Phase::Phi2.other(), Phase::Phi1);
-    }
 
     #[test]
     fn active_when_eval() {

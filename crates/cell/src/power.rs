@@ -60,14 +60,6 @@ impl PowerInfo {
         self.current_ua
     }
 
-    /// Adds another cell's demand.
-    #[must_use]
-    pub fn plus(self, other: PowerInfo) -> PowerInfo {
-        PowerInfo {
-            current_ua: self.current_ua + other.current_ua,
-        }
-    }
-
     /// The metal rail width (λ) needed to carry this cell's current:
     /// `ceil(current / UA_PER_LAMBDA)`, clamped to the metal minimum
     /// width, and rounded up to even so rail center-lines stay on the
@@ -106,12 +98,5 @@ mod tests {
         assert_eq!(PowerInfo::new(1600).rail_width_lambda(), 4);
         assert_eq!(PowerInfo::new(2000).rail_width_lambda(), 6); // ceil(5) -> 6 even
         assert_eq!(PowerInfo::new(4000).rail_width_lambda(), 10);
-    }
-
-    #[test]
-    fn plus_accumulates() {
-        let a = PowerInfo::new(100);
-        let b = PowerInfo::new(250);
-        assert_eq!(a.plus(b).current_ua(), 350);
     }
 }

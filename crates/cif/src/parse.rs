@@ -63,8 +63,11 @@ pub struct CifSymbol {
     pub scale: (i64, i64),
     /// Name from a `9 name;` extension, if present.
     pub name: Option<String>,
-    /// Commands in definition order.
-    pub commands: Vec<CifCommand>,
+    /// Index of the symbol's `DS` command within the file (0-based).
+    pub ds_index: usize,
+    /// Commands in definition order, each with its index within the
+    /// file (0-based), so conversion errors can name the command.
+    pub commands: Vec<(usize, CifCommand)>,
 }
 
 /// A parsed CIF file.
@@ -254,6 +257,7 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
                     number,
                     scale: (a, b),
                     name: None,
+                    ds_index: index,
                     commands: Vec::new(),
                 });
             }
@@ -282,7 +286,7 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
                 let sym = current
                     .as_mut()
                     .ok_or_else(|| syntax("L outside DS".into()))?;
-                sym.commands.push(CifCommand::Layer(layer));
+                sym.commands.push((index, CifCommand::Layer(layer)));
             }
             "B" => {
                 let v = ints(body).map_err(syntax)?;
@@ -292,12 +296,15 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
                 let sym = current
                     .as_mut()
                     .ok_or_else(|| syntax("B outside DS".into()))?;
-                sym.commands.push(CifCommand::BoxCmd {
-                    length: *length,
-                    width: *width,
-                    cx: *cx,
-                    cy: *cy,
-                });
+                sym.commands.push((
+                    index,
+                    CifCommand::BoxCmd {
+                        length: *length,
+                        width: *width,
+                        cx: *cx,
+                        cy: *cy,
+                    },
+                ));
             }
             "W" => {
                 let v = ints(body).map_err(syntax)?;
@@ -312,7 +319,8 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
                 let sym = current
                     .as_mut()
                     .ok_or_else(|| syntax("W outside DS".into()))?;
-                sym.commands.push(CifCommand::Wire { width, points });
+                sym.commands
+                    .push((index, CifCommand::Wire { width, points }));
             }
             "P" => {
                 let v = ints(body).map_err(syntax)?;
@@ -323,12 +331,12 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
                 let sym = current
                     .as_mut()
                     .ok_or_else(|| syntax("P outside DS".into()))?;
-                sym.commands.push(CifCommand::Poly { points });
+                sym.commands.push((index, CifCommand::Poly { points }));
             }
             "C" => {
                 let call = parse_call(body, index)?;
                 match current.as_mut() {
-                    Some(sym) => sym.commands.push(call),
+                    Some(sym) => sym.commands.push((index, call)),
                     None => file.top_calls.push(call),
                 }
             }
@@ -344,7 +352,7 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
     let all_calls = file
         .symbols
         .iter()
-        .flat_map(|s| s.commands.iter())
+        .flat_map(|s| s.commands.iter().map(|(_, c)| c))
         .chain(file.top_calls.iter());
     for c in all_calls {
         if let CifCommand::Call { symbol, .. } = c {
@@ -372,27 +380,16 @@ pub fn parse_cif(text: &str) -> Result<CifFile, ParseCifError> {
 pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
     let mut lib = Library::new("from-cif");
     let mut ids: HashMap<i64, bristle_cell::CellId> = HashMap::new();
-    for (si, sym) in file.symbols.iter().enumerate() {
-        let err = |message: String| ParseCifError::Syntax {
-            command_index: si,
-            message,
-        };
-        // Every value fits, so `cx ± length / 2` cannot overflow.
-        let bounded = |v: i64| {
-            fits(v)
-                .then_some(v)
-                .ok_or_else(|| err(format!("CIF value {v} beyond ±{} λ", 2 * MAX_COORD)))
-        };
-        let half = |v: i64| match bounded(v)? {
-            v if v % 2 != 0 => Err(err(format!("odd half-λ coordinate {v}"))),
-            v => Ok(v / 2),
-        };
+    for sym in &file.symbols {
         let (a, b) = sym.scale;
         if b <= 0 || a % CIF_SCALE_NUM != 0 || a / CIF_SCALE_NUM != b {
-            return Err(err(format!(
-                "symbol {} has scale {a}/{b}; only the half-λ {CIF_SCALE_NUM}/1 is read",
-                sym.number
-            )));
+            return Err(ParseCifError::Syntax {
+                command_index: sym.ds_index,
+                message: format!(
+                    "symbol {} has scale {a}/{b}; only the half-λ {CIF_SCALE_NUM}/1 is read",
+                    sym.number
+                ),
+            });
         }
         let name = sym
             .name
@@ -401,7 +398,21 @@ pub fn cif_to_library(file: &CifFile) -> Result<Library, ParseCifError> {
         let mut cell = Cell::new(name);
         let mut layer = Layer::Metal;
         let mut inst_counter = 0usize;
-        for cmd in &sym.commands {
+        for (index, cmd) in &sym.commands {
+            let err = |message: String| ParseCifError::Syntax {
+                command_index: *index,
+                message,
+            };
+            // Every value fits, so `cx ± length / 2` cannot overflow.
+            let bounded = |v: i64| {
+                fits(v)
+                    .then_some(v)
+                    .ok_or_else(|| err(format!("CIF value {v} beyond ±{} λ", 2 * MAX_COORD)))
+            };
+            let half = |v: i64| match bounded(v)? {
+                v if v % 2 != 0 => Err(err(format!("odd half-λ coordinate {v}"))),
+                v => Ok(v / 2),
+            };
             match cmd {
                 CifCommand::Layer(l) => layer = *l,
                 CifCommand::BoxCmd {
@@ -610,6 +621,22 @@ mod tests {
             let id = lib.find("sym1").unwrap();
             assert_eq!(lib.bbox(id), Some(Rect::new(-2, -2, 2, 2)), "{ds}");
         }
+    }
+
+    /// A conversion error names the offending command's own position in
+    /// the file, a scale error the symbol's `DS`.
+    #[test]
+    fn conversion_errors_name_their_command() {
+        let index_of = |text: &str| match cif_to_library(&parse_cif(text).unwrap()) {
+            Err(ParseCifError::Syntax { command_index, .. }) => command_index,
+            other => panic!("expected a syntax error, got {other:?}"),
+        };
+        // 0 DS, 1 9, 2 L, 3 B, 4 DF, 5 DS, 6 9, 7 L, 8 B, 9 B (odd cx).
+        let odd = "DS 1 125 1; 9 a; L NM; B 8 8 0 0; DF; \
+                   DS 2 125 1; 9 b; L NM; B 8 8 0 0; B 8 8 1 0; DF; E";
+        assert_eq!(index_of(odd), 9);
+        let scale = "DS 1 125 1; L NM; B 8 8 0 0; DF; DS 2 250 1; L NM; B 8 8 0 0; DF; E";
+        assert_eq!(index_of(scale), 4);
     }
 
     #[test]

@@ -113,7 +113,8 @@ pub struct ElementInfo {
 pub struct Compiler {
     /// Disable the Roto-Router's optimization (ablation A2).
     pub naive_pads: bool,
-    /// Disable PLA optimization (ablation A3).
+    /// Skip the two-tape machine and its term sharing: one PLA row per
+    /// text-array cube (ablation A3).
     pub unoptimized_decoder: bool,
 }
 
@@ -727,7 +728,7 @@ pub struct CompiledChip {
     pub elements: Vec<ElementInfo>,
     /// All decoder-driven control lines `(name, decode)`.
     pub controls: Vec<(String, ControlLine)>,
-    /// The optimized decoder personality.
+    /// The decoder personality the two-tape machine wrote.
     pub pla: Pla,
     /// Steps the two-tape Turing machine executed.
     pub tape_steps: u64,

@@ -106,12 +106,6 @@ impl Rect {
         Point::new(self.x1, self.y1)
     }
 
-    /// Center point, rounded toward the bottom-left on odd extents.
-    #[must_use]
-    pub fn center(&self) -> Point {
-        Point::new((self.x0 + self.x1).div_euclid(2), (self.y0 + self.y1).div_euclid(2))
-    }
-
     /// True if `p` lies inside or on the boundary.
     #[must_use]
     pub fn contains(&self, p: Point) -> bool {
@@ -381,7 +375,6 @@ mod tests {
     #[test]
     fn center_and_contains() {
         let r = Rect::new(0, 0, 4, 4);
-        assert_eq!(r.center(), Point::new(2, 2));
         assert!(r.contains(Point::new(0, 4)));
         assert!(!r.contains(Point::new(5, 2)));
         assert!(r.contains_rect(&Rect::new(1, 1, 3, 3)));

@@ -18,9 +18,9 @@
 //!    serialized text array and writes *silicon code* (PLA programming
 //!    commands), sharing identical product terms by scanning back over
 //!    its output tape,
-//! 3. [`Pla`] — the programmable logic array personality, with logic
-//!    optimization ([`Pla::optimize`]: term sharing, cube merging, cube
-//!    subsumption, input trimming) and exhaustive equivalence checking,
+//! 3. [`Pla`] — the programmable logic array personality the output tape
+//!    loads into, with exhaustive equivalence checking. The machine's
+//!    scan-back is the decoder's one optimization,
 //! 4. [`layout_pla`] — nMOS PLA artwork (AND/OR NOR–NOR planes, ground
 //!    columns, depletion pull-ups, input drivers with true/complement
 //!    columns) that passes `bristle-drc` and extracts/simulates correctly

@@ -1,6 +1,5 @@
-//! The PLA personality and its logic optimizer.
+//! The PLA personality.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::spec::Cube;
@@ -127,135 +126,6 @@ impl Pla {
         (0..self.inputs).filter(|&b| used_mask >> b & 1 == 1).collect()
     }
 
-    /// Optimizes the PLA in place, preserving function (the work the
-    /// paper assigns to the two-tape Turing machine):
-    ///
-    /// 1. **term sharing** — identical cubes collapse to one row,
-    /// 2. **subsumption** — within an output, a cube covered by another
-    ///    of that output's cubes is dropped,
-    /// 3. **adjacency merging** — two cubes of an output differing in one
-    ///    care-bit value merge, when both are exclusive to compatible
-    ///    output sets,
-    /// 4. **garbage collection** — unreferenced terms vanish.
-    ///
-    /// Returns the number of rows eliminated.
-    pub fn optimize(&mut self) -> usize {
-        let before = self.terms.len();
-        loop {
-            let mut changed = false;
-            changed |= self.share_terms();
-            changed |= self.subsume();
-            changed |= self.merge_adjacent();
-            changed |= self.collect_garbage();
-            if !changed {
-                break;
-            }
-        }
-        before - self.terms.len()
-    }
-
-    /// Collapses identical cubes to a single term row.
-    fn share_terms(&mut self) -> bool {
-        let mut canon: HashMap<Cube, usize> = HashMap::new();
-        let mut remap: Vec<usize> = Vec::with_capacity(self.terms.len());
-        for (i, &t) in self.terms.iter().enumerate() {
-            remap.push(*canon.entry(t).or_insert(i));
-        }
-        let mut changed = false;
-        for (_, ids) in &mut self.outputs {
-            for id in ids.iter_mut() {
-                if remap[*id] != *id {
-                    *id = remap[*id];
-                    changed = true;
-                }
-            }
-            ids.sort_unstable();
-            ids.dedup();
-        }
-        changed
-    }
-
-    /// Drops, per output, cubes covered by another cube of that output.
-    fn subsume(&mut self) -> bool {
-        let mut changed = false;
-        let terms = &self.terms;
-        for (_, ids) in &mut self.outputs {
-            let snapshot = ids.clone();
-            ids.retain(|&id| {
-                let covered = snapshot.iter().any(|&other| {
-                    other != id && terms[other].covers(&terms[id])
-                        // Break mutual-cover ties deterministically.
-                        && !(terms[id].covers(&terms[other]) && other > id)
-                });
-                if covered {
-                    changed = true;
-                }
-                !covered
-            });
-        }
-        changed
-    }
-
-    /// Merges adjacent cube pairs within outputs when both cubes belong
-    /// to exactly the same set of outputs (so the merge is sound for all
-    /// of them).
-    fn merge_adjacent(&mut self) -> bool {
-        // Which outputs reference each term?
-        let mut users: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (oi, (_, ids)) in self.outputs.iter().enumerate() {
-            for &id in ids {
-                users.entry(id).or_default().push(oi);
-            }
-        }
-        let term_ids: Vec<usize> = users.keys().copied().collect();
-        for (k, &a) in term_ids.iter().enumerate() {
-            for &b in &term_ids[k + 1..] {
-                if users[&a] != users[&b] {
-                    continue;
-                }
-                if let Some(merged) = self.terms[a].merge(&self.terms[b]) {
-                    // Rewrite a to the merged cube; drop b everywhere.
-                    self.terms[a] = merged;
-                    for (_, ids) in &mut self.outputs {
-                        ids.retain(|&id| id != b);
-                    }
-                    return true; // restart: users map is stale
-                }
-            }
-        }
-        false
-    }
-
-    /// Removes unreferenced terms, compacting indices.
-    fn collect_garbage(&mut self) -> bool {
-        let mut used = vec![false; self.terms.len()];
-        for (_, ids) in &self.outputs {
-            for &id in ids {
-                used[id] = true;
-            }
-        }
-        if used.iter().all(|&u| u) {
-            return false;
-        }
-        let mut remap = vec![usize::MAX; self.terms.len()];
-        let mut next = 0;
-        let mut new_terms = Vec::new();
-        for (i, &u) in used.iter().enumerate() {
-            if u {
-                remap[i] = next;
-                new_terms.push(self.terms[i]);
-                next += 1;
-            }
-        }
-        self.terms = new_terms;
-        for (_, ids) in &mut self.outputs {
-            for id in ids.iter_mut() {
-                *id = remap[*id];
-            }
-        }
-        true
-    }
-
     /// Exhaustively verifies functional equivalence with another PLA over
     /// all words of the used input bits.
     ///
@@ -325,7 +195,7 @@ mod tests {
 
     fn sample_spec() -> DecodeSpec {
         let mut s = DecodeSpec::new(4);
-        // Two lines sharing the identical cube, plus mergeable pair.
+        // Two lines with the identical cube, plus a two-cube line.
         s.add_line("x", vec![cube(0b0011, 0b0001)]);
         s.add_line("y", vec![cube(0b0011, 0b0001)]);
         s.add_line("z", vec![cube(0b0011, 0b0000), cube(0b0011, 0b0010)]);
@@ -344,46 +214,6 @@ mod tests {
         assert_eq!(output(0b0000, "z"), Some(true));
         assert_eq!(output(0b0010, "z"), Some(true));
         assert_eq!(output(0, "ghost"), None);
-    }
-
-    #[test]
-    fn optimize_shares_and_merges() {
-        let mut pla = sample_spec().to_pla();
-        let original = pla.clone();
-        assert_eq!(pla.terms().len(), 4);
-        let removed = pla.optimize();
-        // x/y share one term; z's pair merges (00 and 10 differ in bit1):
-        // 2 + 1 = 3 removed, 2 rows remain... z: 00,10 -> -0 (bit1 dropped).
-        assert_eq!(removed, 2);
-        assert_eq!(pla.terms().len(), 2);
-        assert!(pla.equivalent(&original, 8));
-    }
-
-    #[test]
-    fn subsumption_drops_covered() {
-        let mut s = DecodeSpec::new(4);
-        s.add_line("o", vec![cube(0b0001, 0b0001), cube(0b0011, 0b0011)]);
-        let mut pla = s.to_pla();
-        let original = pla.clone();
-        pla.optimize();
-        assert_eq!(pla.terms().len(), 1);
-        assert!(pla.equivalent(&original, 8));
-    }
-
-    #[test]
-    fn optimization_never_changes_function() {
-        // A tangle of overlapping lines.
-        let mut s = DecodeSpec::new(6);
-        s.add_line("a", vec![cube(0b000111, 0b000101), cube(0b000111, 0b000111)]);
-        s.add_line("b", vec![cube(0b000111, 0b000101), cube(0b000111, 0b000111)]);
-        s.add_line("c", vec![cube(0b111000, 0b101000)]);
-        s.add_line("d", vec![cube(0b000100, 0b000100), cube(0b000111, 0b000101)]);
-        s.add_line("e", vec![cube(0, 0)]);
-        let mut pla = s.to_pla();
-        let original = pla.clone();
-        pla.optimize();
-        assert!(pla.equivalent(&original, 12));
-        assert!(pla.terms().len() < original.terms().len());
     }
 
     #[test]

@@ -23,31 +23,6 @@ impl Cube {
     pub fn matches(&self, word: u64) -> bool {
         word & self.care == self.value
     }
-
-    /// True if every word matched by `other` is matched by `self`.
-    #[must_use]
-    pub fn covers(&self, other: &Cube) -> bool {
-        // self's cares must be a subset of other's, and agree there.
-        self.care & other.care == self.care && other.value & self.care == self.value
-    }
-
-    /// Tries to merge two cubes differing in exactly one care bit's value
-    /// (same care mask): the classic adjacency merge.
-    #[must_use]
-    pub fn merge(&self, other: &Cube) -> Option<Cube> {
-        if self.care != other.care {
-            return None;
-        }
-        let diff = self.value ^ other.value;
-        if diff.count_ones() == 1 {
-            Some(Cube {
-                care: self.care & !diff,
-                value: self.value & !diff,
-            })
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for Cube {
@@ -226,41 +201,6 @@ mod tests {
         assert!(c.matches(0b0100));
         assert!(c.matches(0b0111)); // low bits don't care
         assert!(!c.matches(0b1100));
-    }
-
-    #[test]
-    fn cube_cover() {
-        let wide = Cube {
-            care: 0b1000,
-            value: 0b1000,
-        };
-        let narrow = Cube {
-            care: 0b1100,
-            value: 0b1100,
-        };
-        assert!(wide.covers(&narrow));
-        assert!(!narrow.covers(&wide));
-        assert!(wide.covers(&wide));
-    }
-
-    #[test]
-    fn cube_merge_adjacent() {
-        let a = Cube {
-            care: 0b11,
-            value: 0b00,
-        };
-        let b = Cube {
-            care: 0b11,
-            value: 0b01,
-        };
-        let m = a.merge(&b).unwrap();
-        assert_eq!(m, Cube { care: 0b10, value: 0b00 });
-        // Two-bit difference: no merge.
-        let c = Cube {
-            care: 0b11,
-            value: 0b11,
-        };
-        assert_eq!(a.merge(&c), None);
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! sharing**: before emitting a product term it rewinds the output head
 //! and scans the already-written tape for an identical term, emitting a
 //! back-reference instead of a duplicate — the decoder optimization the
-//! paper credits to this machine. (Cube-level merging lives in
-//! [`crate::Pla::optimize`], which the compiler runs on the loaded
-//! result.)
+//! paper credits to this machine, and the only one the compiler runs.
 
 use std::fmt;
 
@@ -216,17 +214,15 @@ impl TwoTapeMachine {
     }
 }
 
-/// Convenience: run the whole Pass-2 pipeline — serialize the text array
-/// onto the input tape, run the machine, load the silicon-code tape, and
-/// apply the cube-level optimizer. Returns the optimized PLA and the
-/// machine's step count.
+/// Runs the whole Pass-2 pipeline: serializes the text array onto the
+/// input tape, runs the machine to halt and loads the silicon-code tape.
+/// Returns the PLA, whose identical terms the machine's scan-back has
+/// shared, and the machine's step count.
 #[must_use]
 pub fn compile_on_tape(spec: &DecodeSpec) -> (Pla, u64) {
     let mut machine = TwoTapeMachine::new(spec);
     machine.run();
-    let mut pla = machine.load_output(spec.inputs());
-    pla.optimize();
-    (pla, machine.steps())
+    (machine.load_output(spec.inputs()), machine.steps())
 }
 
 #[cfg(test)]

@@ -34,8 +34,8 @@ pub enum RouteError {
     SlotsTooDense,
     /// A point does not lie on the core boundary.
     PointOffCore(String),
-    /// No spoke coordinate exists for this net that avoids shorting a
-    /// foreign pad square or overlapping another spoke.
+    /// No spoke coordinate within reach of this net's pad keeps clear of
+    /// the pad squares and of the other spokes' via constructs.
     SpokeCongestion(String),
 }
 
@@ -102,56 +102,28 @@ fn via(at: Point, label: &str) -> Vec<Shape> {
 }
 
 /// Polyline along a rectangle boundary from parameter `s0` to `s1`,
-/// walking the shorter way, corners included.
+/// walking the shorter way (clockwise on a tie), corners included.
 fn rect_walk(r: Rect, s0: i64, s1: i64) -> Vec<Point> {
     let (w, h) = (r.width(), r.height());
     let l = 2 * (w + h);
     let (a, b) = (s0.rem_euclid(l), s1.rem_euclid(l));
     let cw = (b - a).rem_euclid(l);
-    let ccw = l - cw;
-    let corners_cw = [w, w + h, 2 * w + h, 0]; // params of NE, SE, SW, NW
-    let mut pts = vec![perimeter_point(r, a).0];
-    if cw <= ccw {
-        // Walk clockwise from a to b, inserting corners passed.
-        let mut s = a;
-        while s != b {
-            // Next corner strictly ahead (clockwise).
-            let next_corner = corners_cw
-                .iter()
-                .map(|&c| ((c - s).rem_euclid(l), c))
-                .filter(|&(d, _)| d > 0)
-                .min()
-                .unwrap();
-            let dist_to_b = (b - s).rem_euclid(l);
-            if next_corner.0 < dist_to_b {
-                s = next_corner.1;
-                pts.push(perimeter_point(r, s).0);
-            } else {
-                s = b;
-                pts.push(perimeter_point(r, s).0);
-            }
-        }
-    } else {
-        // Walk counter-clockwise.
-        let mut s = a;
-        while s != b {
-            let next_corner = corners_cw
-                .iter()
-                .map(|&c| ((s - c).rem_euclid(l), c))
-                .filter(|&(d, _)| d > 0)
-                .min()
-                .unwrap();
-            let dist_to_b = (s - b).rem_euclid(l);
-            if next_corner.0 < dist_to_b {
-                s = next_corner.1;
-                pts.push(perimeter_point(r, s).0);
-            } else {
-                s = b;
-                pts.push(perimeter_point(r, s).0);
-            }
-        }
-    }
-    // Drop consecutive duplicates (corner == endpoint).
+    let dir = if cw <= l - cw { 1 } else { -1 };
+    // Distance from `a` along the walk.
+    let along = |s: i64| (dir * (s - a)).rem_euclid(l);
+    // Corners strictly between the ends (params of NW, NE, SE, SW).
+    let mut corners: Vec<i64> = [0, w, w + h, 2 * w + h]
+        .into_iter()
+        .filter(|&c| (1..along(b)).contains(&along(c)))
+        .collect();
+    corners.sort_by_key(|&c| along(c));
+    let mut pts: Vec<Point> = std::iter::once(a)
+        .chain(corners)
+        .chain(std::iter::once(b))
+        .map(|s| perimeter_point(r, s).0)
+        .collect();
+    // Drop consecutive duplicates (a == b, or the coincident corners of
+    // a degenerate rectangle).
     pts.dedup();
     pts
 }
@@ -201,9 +173,11 @@ pub fn route_wires(
         return Err(RouteError::SlotsTooDense);
     }
 
-    // Spoke coordinates already claimed, per side, with their radial
-    // track span (for conflict checks): (side, coord, lo_track, hi_track).
-    let mut claimed: Vec<(Side, i64, usize, usize)> = Vec::new();
+    // Spoke coordinates already claimed, per side, with the outermost
+    // track each spoke crosses: (side, coord, hi_track). A point spoke
+    // runs out from the core to its track; a pad spoke runs in from the
+    // ring, past every outer track, so its `hi_track` is `ring.tracks`.
+    let mut claimed: Vec<(Side, i64, usize)> = Vec::new();
     let coord_of = |side: Side, p: Point| match side {
         Side::North | Side::South => p.x,
         Side::East | Side::West => p.y,
@@ -211,7 +185,7 @@ pub fn route_wires(
     for (i, (_, p, _)) in points.iter().enumerate() {
         let side = side_of(core, *p);
         let track = assignment.slot_of[i];
-        claimed.push((side, coord_of(side, *p), 0, track));
+        claimed.push((side, coord_of(side, *p), track));
     }
 
     let mut wires = Vec::with_capacity(n);
@@ -248,7 +222,7 @@ pub fn route_wires(
         //     spokes or a track corner.
         let pad = &slots[slot];
         let side_s = pad.side;
-        let mut coord = coord_of(side_s, pad.pos);
+        let pin = coord_of(side_s, pad.pos);
         // Keep inside the track rectangle's straight segment, 7λ clear
         // of the corners: the arc turns the corner with a 4λ-wide bend,
         // and a spoke via closer than 7λ leaves a 1λ notch between its
@@ -257,70 +231,38 @@ pub fn route_wires(
             Side::North | Side::South => (track_rect.x0 + 7, track_rect.x1 - 7),
             Side::East | Side::West => (track_rect.y0 + 7, track_rect.y1 - 7),
         };
-        coord = coord.clamp(seg_lo, seg_hi);
-        // Shift until ≥ 7λ from every claimed spoke whose track span
-        // overlaps ours ([track..tracks]): the via constructs are 4λ
-        // wide, so anything closer than 7λ center-to-center leaves a
-        // sub-3λ metal notch between the via pads (two vias on one track
-        // edge bridged by the arc are the classic case). The pad square
-        // itself is a keep-out band too: a via landing 22..24λ from the
-        // pin sits 1..2λ off the 40λ pad's edge.
-        let pin = coord_of(side_s, pad.pos);
-        // Conflict rules, tiered so a crowded edge degrades gracefully:
-        // tier 0 also avoids 1–2λ notches against pad squares; tier 1
-        // gives those up but still refuses shorts (overlapping a foreign
-        // pad square) and sub-7λ spoke pitch; tier 2 falls back to the
-        // 4λ spoke pitch of the original construct. A short is never
-        // emitted.
-        let conflict = |c: i64, tier: u8, claimed: &[(Side, i64, usize, usize)]| {
-            let d_pin = (c - pin).abs();
-            if tier == 0 && d_pin > 21 && d_pin < 25 {
-                return true;
-            }
-            for (si, s) in slots.iter().enumerate() {
-                if si != slot && s.side == side_s {
-                    let d = (c - coord_of(side_s, s.pos)).abs();
-                    if d < if tier == 0 { 25 } else { 22 } {
-                        return true;
-                    }
-                }
-            }
-            let min_pitch = if tier >= 2 { 4 } else { 7 };
-            claimed.iter().any(|&(s, cc, lo, hi)| {
-                s == side_s
-                    && (cc - c).abs() < min_pitch
-                    && lo <= ring.tracks
-                    && track <= hi.max(lo)
-                    // our span is [track, tracks-1]; theirs [lo, hi]
-                    && hi >= track
-            })
+        let mut coord = pin.clamp(seg_lo, seg_hi);
+        // A coordinate conflicts when it is < 7λ from a claimed spoke
+        // that reaches our track or beyond (ours runs from `track` out
+        // to the ring): the via constructs are 4λ wide, so anything
+        // closer leaves a sub-3λ metal notch between the via pads. The
+        // pad squares are keep-out bands too: a via < 25λ from a foreign
+        // pin shorts or notches that 40λ pad, and one 22..24λ from our
+        // own pin sits 1..2λ off its edge.
+        let conflict = |c: i64| {
+            (22..25).contains(&(c - pin).abs())
+                || slots.iter().enumerate().any(|(si, s)| {
+                    si != slot && s.side == side_s && (c - coord_of(side_s, s.pos)).abs() < 25
+                })
+                || claimed
+                    .iter()
+                    .any(|&(s, cc, hi)| s == side_s && (cc - c).abs() < 7 && hi >= track)
         };
         // Symmetric outward search for the nearest clear coordinate, so
         // a crowded edge does not send the stub wandering across half
-        // the ring (and through foreign pad territory). If even the
-        // loosest tier finds nothing, the edge cannot be routed without
-        // a short — a hard error, never silently emitted.
-        let mut placed = false;
-        'tiers: for tier in 0..3u8 {
-            if !conflict(coord, tier, &claimed) {
-                placed = true;
-                break;
-            }
-            let found = (1..=64).find_map(|k| {
-                [coord + 4 * k, coord - 4 * k]
-                    .into_iter()
-                    .find(|&c| (seg_lo..=seg_hi).contains(&c) && !conflict(c, tier, &claimed))
-            });
-            if let Some(c) = found {
-                coord = c;
-                placed = true;
-                break 'tiers;
-            }
+        // the ring (and through foreign pad territory). If none is
+        // clear, the edge cannot be routed clean: a hard error, never a
+        // dirty wire.
+        if conflict(coord) {
+            coord = (1..=64)
+                .find_map(|k| {
+                    [coord + 4 * k, coord - 4 * k]
+                        .into_iter()
+                        .find(|&c| (seg_lo..=seg_hi).contains(&c) && !conflict(c))
+                })
+                .ok_or_else(|| RouteError::SpokeCongestion(name.clone()))?;
         }
-        if !placed {
-            return Err(RouteError::SpokeCongestion(name.clone()));
-        }
-        claimed.push((side_s, coord, track, ring.tracks));
+        claimed.push((side_s, coord, ring.tracks));
 
         // The boundary stub runs 2λ outside the ring rectangle: core
         // connection points sit on the frame boundary 5λ in, and their
@@ -486,6 +428,25 @@ mod tests {
         assert!(matches!(
             route_wires(&ring, core, &points, &assignment),
             Err(RouteError::PointsTooClose(_, _))
+        ));
+    }
+
+    #[test]
+    fn crowded_edge_is_spoke_congestion() {
+        // Ten points 8λ apart crowd the north edge: for some pad spoke
+        // every coordinate in reach lies < 7λ from another spoke or in a
+        // pad square's keep-out band, so the router refuses the set
+        // instead of emitting a notched via.
+        let core = Rect::new(0, 0, 88, 39);
+        let points: Vec<(String, Point, Layer)> = (1..=10)
+            .map(|k| (format!("p{k}"), Point::new(8 * k, 39), Layer::Metal))
+            .collect();
+        let ring = Ring::around(core, points.len());
+        let raw: Vec<Point> = points.iter().map(|p| p.1).collect();
+        let assignment = RotoRouter::new().assign(&ring, &raw);
+        assert!(matches!(
+            route_wires(&ring, core, &points, &assignment),
+            Err(RouteError::SpokeCongestion(_))
         ));
     }
 

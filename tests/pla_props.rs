@@ -1,5 +1,6 @@
-//! Property tests for the instruction-decoder pipeline: optimization and
-//! the two-tape Turing machine never change the decode function.
+//! Property tests for the instruction-decoder pipeline: the two-tape
+//! Turing machine, whose scan-back term sharing is the decoder's one
+//! optimization, never changes the decode function.
 //!
 //! Randomized with a deterministic xorshift generator (no external
 //! dependencies are available in this workspace).
@@ -25,22 +26,6 @@ fn arb_spec(rng: &mut Rng) -> DecodeSpec {
         spec.add_line(format!("c{i}"), cubes);
     }
     spec
-}
-
-#[test]
-fn optimizer_preserves_function() {
-    let mut rng = Rng::new(0x91A0_0001);
-    for case in 0..48 {
-        let spec = arb_spec(&mut rng);
-        let original = spec.to_pla();
-        let mut optimized = original.clone();
-        optimized.optimize();
-        assert!(
-            optimized.terms().len() <= original.terms().len(),
-            "case {case}"
-        );
-        assert!(optimized.equivalent(&original, 12), "case {case}");
-    }
 }
 
 #[test]
