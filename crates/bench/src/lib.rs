@@ -1,6 +1,6 @@
 //! # bristle-bench
 //!
-//! The four reference chips, the chip-space sweep and the hand-layout
+//! The four reference chips, the chip-space sweep and the natural-pitch
 //! baseline, shared by the `experiments` binary (the paper's figures,
 //! tables and ablations), the integration tests and the `perfbench`
 //! benchmark.
@@ -10,7 +10,7 @@
 
 use bristle_core::{ChipSpec, CompileError, CompiledChip, Compiler};
 
-/// The four reference chips of experiment T1/T2.
+/// The four reference chips of the experiments.
 #[must_use]
 pub fn reference_specs() -> Vec<ChipSpec> {
     vec![
@@ -85,10 +85,9 @@ pub fn compile(spec: &ChipSpec) -> Result<CompiledChip, CompileError> {
     Compiler::new().compile(spec)
 }
 
-/// The "hand layout" baseline of experiment T1: the same elements laid
-/// out by an expert with **no uniform-pitch constraint** — every element
-/// keeps its natural pitch, the decoder and wiring overhead are the same
-/// as the compiler's. Returns the baseline core area in λ².
+/// The natural-pitch baseline of experiment A1: the chip's own elements
+/// with **no uniform-pitch constraint**, each column at the pitch it
+/// would have alone. Returns the baseline core area in λ².
 ///
 /// The measure is like-for-like with [`CompiledChip::core_area`]. Each
 /// column's natural pitch comes from the compiler's one pitch rule,
@@ -98,14 +97,14 @@ pub fn compile(spec: &ChipSpec) -> Result<CompiledChip, CompileError> {
 /// bounding box does. Stretching only grows cells, so the baseline
 /// never exceeds the compiled core.
 #[must_use]
-pub fn hand_core_area(chip: &CompiledChip) -> i64 {
+pub fn natural_core_area(chip: &CompiledChip) -> i64 {
     use bristle_cell::{GenCtx, InterfaceStd, TrackSet};
     use bristle_stdcells::generator_named;
     let mut total = 0i64;
     // One library and one context serve every element; the per-element
     // prefix keeps generated cell names unique, and `clone_from` reuses
     // the parameter map's allocation instead of cloning afresh.
-    let mut lib = bristle_cell::Library::new("hand");
+    let mut lib = bristle_cell::Library::new("natural");
     let mut ctx = GenCtx::new();
     let stacked = i64::from(chip.spec.data_width) - 1;
     for e in &chip.elements {
@@ -113,7 +112,7 @@ pub fn hand_core_area(chip: &CompiledChip) -> i64 {
             continue;
         };
         ctx.prefix.clear();
-        ctx.prefix.push_str("hand_");
+        ctx.prefix.push_str("natural_");
         ctx.prefix.push_str(&e.prefix);
         match e.index {
             Some(i) => ctx.params.clone_from(&chip.spec.elements[i].params),

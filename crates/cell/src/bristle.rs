@@ -110,8 +110,6 @@ pub enum PadKind {
     Input,
     /// Signal output pad (with driver).
     Output,
-    /// Bidirectional / tri-state pad.
-    TriState,
     /// Positive supply pad.
     Vdd,
     /// Ground pad.
@@ -124,10 +122,9 @@ pub enum PadKind {
 
 impl PadKind {
     /// All pad kinds.
-    pub const ALL: [PadKind; 7] = [
+    pub const ALL: [PadKind; 6] = [
         PadKind::Input,
         PadKind::Output,
-        PadKind::TriState,
         PadKind::Vdd,
         PadKind::Gnd,
         PadKind::Phi1,
@@ -140,7 +137,6 @@ impl fmt::Display for PadKind {
         let s = match self {
             PadKind::Input => "input",
             PadKind::Output => "output",
-            PadKind::TriState => "tristate",
             PadKind::Vdd => "vdd",
             PadKind::Gnd => "gnd",
             PadKind::Phi1 => "phi1",
@@ -155,12 +151,8 @@ impl fmt::Display for PadKind {
 pub enum ActiveWhen {
     /// Asserted when the field equals this value.
     Equals(u64),
-    /// Asserted when the field equals any of these values.
-    AnyOf(Vec<u64>),
     /// Asserted when this bit (LSB = 0) of the field is set.
     Bit(u8),
-    /// Always asserted (a clock-qualified constant).
-    Always,
 }
 
 impl ActiveWhen {
@@ -169,9 +161,7 @@ impl ActiveWhen {
     pub fn eval(&self, field_value: u64) -> bool {
         match self {
             ActiveWhen::Equals(v) => field_value == *v,
-            ActiveWhen::AnyOf(vs) => vs.contains(&field_value),
             ActiveWhen::Bit(b) => (field_value >> b) & 1 == 1,
-            ActiveWhen::Always => true,
         }
     }
 }
@@ -180,18 +170,7 @@ impl fmt::Display for ActiveWhen {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ActiveWhen::Equals(v) => write!(f, "={v}"),
-            ActiveWhen::AnyOf(vs) => {
-                write!(f, "in{{")?;
-                for (i, v) in vs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
             ActiveWhen::Bit(b) => write!(f, "bit{b}"),
-            ActiveWhen::Always => f.write_str("always"),
         }
     }
 }
@@ -332,11 +311,8 @@ mod tests {
     fn active_when_eval() {
         assert!(ActiveWhen::Equals(3).eval(3));
         assert!(!ActiveWhen::Equals(3).eval(4));
-        assert!(ActiveWhen::AnyOf(vec![1, 5]).eval(5));
-        assert!(!ActiveWhen::AnyOf(vec![1, 5]).eval(2));
         assert!(ActiveWhen::Bit(2).eval(0b100));
         assert!(!ActiveWhen::Bit(2).eval(0b011));
-        assert!(ActiveWhen::Always.eval(0));
     }
 
     #[test]

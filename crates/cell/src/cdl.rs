@@ -15,9 +15,13 @@
 //! A `library <name>` line comes first. Each `cell <name>` … `end` block
 //! holds `power`, `doc`, `behavior`, `blocklabel`, `stretchy`, `box`,
 //! `wire`, `poly`, `bristle`, `gate` and `inst` statements; any other
-//! keyword is a parse error. There is no `stick` statement: a chip's
-//! STICKS are derived from its layout. Stretch lines are horizontal
-//! only: cells stretch along y, to the slice pitch.
+//! keyword is a parse error. A bristle's flavor token is `pad:<kind>`
+//! (`input`, `output`, `vdd`, `gnd`, `phi1`, `phi2`),
+//! `ctl:<field>:eq:<value>:<phase>`, `ctl:<field>:bit:<bit>:<phase>`,
+//! `bus:<n>`, `power:vdd`, `power:gnd`, `clock:<phase>` or `signal`; a
+//! gate kind is `and`, `xor`, `pass` or `latch`. There is no `stick`
+//! statement: a chip's STICKS are derived from its layout. Stretch
+//! lines are horizontal only: cells stretch along y, to the slice pitch.
 
 use std::fmt::Write as _;
 
@@ -111,12 +115,7 @@ fn flavor_to_token(flavor: &Flavor) -> String {
         Flavor::Control(c) => {
             let cond = match &c.active {
                 ActiveWhen::Equals(v) => format!("eq:{v}"),
-                ActiveWhen::AnyOf(vs) => format!(
-                    "any:{}",
-                    vs.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-                ),
                 ActiveWhen::Bit(b) => format!("bit:{b}"),
-                ActiveWhen::Always => "always".to_owned(),
             };
             format!("ctl:{}:{}:{}", c.field, cond, c.phase)
         }
@@ -144,7 +143,6 @@ fn parse_flavor(tok: &str) -> Option<Flavor> {
             let k = match parts.next()? {
                 "input" => PadKind::Input,
                 "output" => PadKind::Output,
-                "tristate" => PadKind::TriState,
                 "vdd" => PadKind::Vdd,
                 "gnd" => PadKind::Gnd,
                 "phi1" => PadKind::Phi1,
@@ -158,15 +156,7 @@ fn parse_flavor(tok: &str) -> Option<Flavor> {
             let cond_kind = parts.next()?;
             let active = match cond_kind {
                 "eq" => ActiveWhen::Equals(parts.next()?.parse().ok()?),
-                "any" => ActiveWhen::AnyOf(
-                    parts
-                        .next()?
-                        .split(',')
-                        .map(|v| v.parse().ok())
-                        .collect::<Option<Vec<u64>>>()?,
-                ),
                 "bit" => ActiveWhen::Bit(parts.next()?.parse().ok()?),
-                "always" => ActiveWhen::Always,
                 _ => return None,
             };
             let phase = parse_phase(parts.next()?)?;
@@ -323,15 +313,10 @@ pub fn save_library(lib: &Library) -> Result<String, CdlError> {
                 check_name(i)?;
             }
             let kind = match g.kind {
-                LogicKind::Not => "not",
-                LogicKind::Nand => "nand",
-                LogicKind::Nor => "nor",
                 LogicKind::And => "and",
-                LogicKind::Or => "or",
                 LogicKind::Xor => "xor",
                 LogicKind::Pass => "pass",
                 LogicKind::Latch => "latch",
-                LogicKind::Buf => "buf",
             };
             let _ = writeln!(out, "  gate {kind} {} {}", g.output, g.inputs.join(" "));
         }
@@ -552,15 +537,10 @@ pub fn load_library(text: &str) -> Result<Library, CdlError> {
                     "gate" => {
                         let kind_tok = p.next("gate kind")?;
                         let kind = match kind_tok {
-                            "not" => LogicKind::Not,
-                            "nand" => LogicKind::Nand,
-                            "nor" => LogicKind::Nor,
                             "and" => LogicKind::And,
-                            "or" => LogicKind::Or,
                             "xor" => LogicKind::Xor,
                             "pass" => LogicKind::Pass,
                             "latch" => LogicKind::Latch,
-                            "buf" => LogicKind::Buf,
                             _ => return Err(p.err(format!("unknown gate kind `{kind_tok}`"))),
                         };
                         let output = p.next("output net")?.to_owned();
@@ -641,14 +621,14 @@ mod tests {
             Side::South,
             Flavor::Control(ControlLine {
                 field: "op".into(),
-                active: ActiveWhen::AnyOf(vec![1, 3]),
+                active: ActiveWhen::Bit(1),
                 phase: Phase::Phi2,
             }),
         ));
         inv.add_stretch_y(2);
         inv.reprs_mut()
             .logic
-            .push(LogicGate::new(LogicKind::Not, ["in"], "out"));
+            .push(LogicGate::new(LogicKind::Pass, ["ctl", "in"], "out"));
         let inv_id = lib.add_cell(inv).unwrap();
         let mut pair = Cell::new("pair");
         pair.instances_mut().push(crate::cell::Instance::new(
@@ -713,6 +693,27 @@ mod tests {
         match load_library(bad) {
             Err(CdlError::Parse { line: 4, message }) => assert!(message.contains("stretchx")),
             other => panic!("expected a parse error on line 4, got {other:?}"),
+        }
+    }
+
+    /// The decode conditions, pad kind and gate kinds no compiled chip
+    /// used are unknown tokens.
+    #[test]
+    fn retired_tokens_refused() {
+        let flavors = ["ctl:f:any:1,3:phi1", "ctl:f:always:phi1", "pad:tristate"];
+        let gates = ["nand", "nor", "or", "buf", "not"];
+        let statements = flavors
+            .map(|t| (format!("bristle a NM 0 0 W {t}"), t))
+            .into_iter()
+            .chain(gates.map(|t| (format!("gate {t} y a"), t)));
+        for (statement, token) in statements {
+            let bad = format!("library l\ncell c\n  {statement}\nend\n");
+            match load_library(&bad) {
+                Err(CdlError::Parse { line: 3, message }) => {
+                    assert!(message.contains(token), "{statement}: {message}");
+                }
+                other => panic!("{statement}: expected a parse error on line 3, got {other:?}"),
+            }
         }
     }
 

@@ -48,38 +48,23 @@ impl fmt::Display for Stick {
 /// Gate kinds for the TTL-style LOGIC representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LogicKind {
-    /// Inverter.
-    Not,
-    /// NAND gate (the natural nMOS gate).
-    Nand,
-    /// NOR gate.
-    Nor,
     /// AND gate.
     And,
-    /// OR gate.
-    Or,
     /// Exclusive-OR gate.
     Xor,
     /// Transmission / pass gate (control input first).
     Pass,
-    /// Level-sensitive latch (data, enable).
+    /// Level-sensitive latch (enable input first).
     Latch,
-    /// Plain buffer / super-buffer.
-    Buf,
 }
 
 impl fmt::Display for LogicKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            LogicKind::Not => "NOT",
-            LogicKind::Nand => "NAND",
-            LogicKind::Nor => "NOR",
             LogicKind::And => "AND",
-            LogicKind::Or => "OR",
             LogicKind::Xor => "XOR",
             LogicKind::Pass => "PASS",
             LogicKind::Latch => "LATCH",
-            LogicKind::Buf => "BUF",
         };
         f.write_str(s)
     }
@@ -118,12 +103,7 @@ impl LogicGate {
     #[must_use]
     pub fn eval(&self, inputs: &[bool]) -> Option<bool> {
         match self.kind {
-            LogicKind::Not => Some(!inputs[0]),
-            LogicKind::Buf => Some(inputs[0]),
-            LogicKind::Nand => Some(!inputs.iter().all(|&b| b)),
-            LogicKind::Nor => Some(!inputs.iter().any(|&b| b)),
             LogicKind::And => Some(inputs.iter().all(|&b| b)),
-            LogicKind::Or => Some(inputs.iter().any(|&b| b)),
             LogicKind::Xor => Some(inputs.iter().filter(|&&b| b).count() % 2 == 1),
             LogicKind::Pass | LogicKind::Latch => {
                 if inputs[0] {
@@ -164,14 +144,15 @@ mod tests {
 
     #[test]
     fn gate_truth_tables() {
-        let nand = LogicGate::new(LogicKind::Nand, ["a", "b"], "y");
-        assert_eq!(nand.eval(&[true, true]), Some(false));
-        assert_eq!(nand.eval(&[true, false]), Some(true));
+        let and = LogicGate::new(LogicKind::And, ["a", "b"], "y");
+        assert_eq!(and.eval(&[true, true]), Some(true));
+        assert_eq!(and.eval(&[true, false]), Some(false));
         let xor = LogicGate::new(LogicKind::Xor, ["a", "b"], "y");
         assert_eq!(xor.eval(&[true, false]), Some(true));
         assert_eq!(xor.eval(&[true, true]), Some(false));
-        let not = LogicGate::new(LogicKind::Not, ["a"], "y");
-        assert_eq!(not.eval(&[false]), Some(true));
+        let latch = LogicGate::new(LogicKind::Latch, ["en", "d"], "q");
+        assert_eq!(latch.eval(&[true, false]), Some(false));
+        assert_eq!(latch.eval(&[false, true]), None);
     }
 
     #[test]
@@ -183,8 +164,8 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        let g = LogicGate::new(LogicKind::Nor, ["p", "q"], "out");
-        assert_eq!(g.to_string(), "NOR out <- p, q");
+        let g = LogicGate::new(LogicKind::Xor, ["p", "q"], "out");
+        assert_eq!(g.to_string(), "XOR out <- p, q");
         let s = Stick::new(Layer::Poly, Point::new(0, 0), Point::new(0, 8));
         assert_eq!(s.to_string(), "NP (0, 0)–(0, 8)");
     }

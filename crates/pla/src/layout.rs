@@ -304,18 +304,15 @@ mod tests {
     use bristle_extract::extract;
     use bristle_sim::{Level, SwitchSim};
 
+    /// x = (b1 b0 == 01), y = (b1 b0 == 10) OR (b2 == 1): a two-term OR
+    /// column, which no decode line asks for but the OR plane supports.
     fn small_pla() -> Pla {
-        let mut spec = DecodeSpec::new(3);
-        // x = (b1 b0 == 01), y = (b1 b0 == 10) OR (b2 == 1)
-        spec.add_line("x", vec![Cube { care: 0b011, value: 0b001 }]);
-        spec.add_line(
-            "y",
-            vec![
-                Cube { care: 0b011, value: 0b010 },
-                Cube { care: 0b100, value: 0b100 },
-            ],
-        );
-        spec.to_pla()
+        let terms = vec![
+            Cube { care: 0b011, value: 0b001 },
+            Cube { care: 0b011, value: 0b010 },
+            Cube { care: 0b100, value: 0b100 },
+        ];
+        Pla::from_parts(3, terms, vec![("x".into(), vec![0]), ("y".into(), vec![1, 2])])
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!
 //! // 4-bit word; assert `ld` when bits1:0 == 2, `op` when bit3 is set.
 //! let mut spec = DecodeSpec::new(4);
-//! spec.add_line("ld", vec![Cube { care: 0b0011, value: 0b0010 }]);
-//! spec.add_line("op", vec![Cube { care: 0b1000, value: 0b1000 }]);
+//! spec.add_line("ld", Cube { care: 0b0011, value: 0b0010 });
+//! spec.add_line("op", Cube { care: 0b1000, value: 0b1000 });
 //! let pla = spec.to_pla();
 //! assert_eq!(pla.eval(0b1010), vec![("ld".to_string(), true), ("op".to_string(), true)]);
 //! assert_eq!(pla.eval(0b0001), vec![("ld".to_string(), false), ("op".to_string(), false)]);

@@ -195,10 +195,10 @@ mod tests {
 
     fn sample_spec() -> DecodeSpec {
         let mut s = DecodeSpec::new(4);
-        // Two lines with the identical cube, plus a two-cube line.
-        s.add_line("x", vec![cube(0b0011, 0b0001)]);
-        s.add_line("y", vec![cube(0b0011, 0b0001)]);
-        s.add_line("z", vec![cube(0b0011, 0b0000), cube(0b0011, 0b0010)]);
+        // Two lines with the identical cube, plus a third line.
+        s.add_line("x", cube(0b0011, 0b0001));
+        s.add_line("y", cube(0b0011, 0b0001));
+        s.add_line("z", cube(0b0011, 0b0010));
         s
     }
 
@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(output(0b0001, "x"), Some(true));
         assert_eq!(output(0b0001, "y"), Some(true));
         assert_eq!(output(0b0001, "z"), Some(false));
-        assert_eq!(output(0b0000, "z"), Some(true));
+        assert_eq!(output(0b0000, "z"), Some(false));
         assert_eq!(output(0b0010, "z"), Some(true));
         assert_eq!(output(0, "ghost"), None);
     }
@@ -220,18 +220,18 @@ mod tests {
     fn stats_and_grid_area() {
         let pla = sample_spec().to_pla();
         let st = pla.stats();
-        assert_eq!(st.terms, 4);
+        assert_eq!(st.terms, 3);
         assert_eq!(st.outputs, 3);
         assert_eq!(st.used_inputs, 2);
-        assert_eq!(st.grid_area(), (2 * 2 + 3) * 4);
+        assert_eq!(st.grid_area(), (2 * 2 + 3) * 3);
     }
 
     #[test]
     fn inequivalent_detected() {
         let mut a = DecodeSpec::new(4);
-        a.add_line("o", vec![cube(0b1, 0b1)]);
+        a.add_line("o", cube(0b1, 0b1));
         let mut b = DecodeSpec::new(4);
-        b.add_line("o", vec![cube(0b1, 0b0)]);
+        b.add_line("o", cube(0b1, 0b0));
         assert!(!a.to_pla().equivalent(&b.to_pla(), 8));
     }
 

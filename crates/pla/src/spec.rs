@@ -46,13 +46,14 @@ impl fmt::Display for Cube {
     }
 }
 
-/// One output line of the decoder: a named sum of cubes.
+/// One output line of the decoder: a named product term.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeLine {
     /// Control line name.
     pub name: String,
-    /// Sum-of-products condition.
-    pub cubes: Vec<Cube>,
+    /// The condition: every decode a control bristle can ask for is one
+    /// cube.
+    pub cube: Cube,
 }
 
 /// The text array: all decode functions the core's control bristles
@@ -91,27 +92,24 @@ impl DecodeSpec {
     }
 
     /// Appends a decode line.
-    pub fn add_line(&mut self, name: impl Into<String>, cubes: Vec<Cube>) {
+    pub fn add_line(&mut self, name: impl Into<String>, cube: Cube) {
         self.lines.push(DecodeLine {
             name: name.into(),
-            cubes,
+            cube,
         });
     }
 
-    /// Builds the (unoptimized) PLA personality: every cube becomes a
-    /// product term, duplicated across lines.
+    /// Builds the (unoptimized) PLA personality: every line's cube
+    /// becomes its own product term, duplicates included.
     #[must_use]
     pub fn to_pla(&self) -> Pla {
-        let mut terms: Vec<Cube> = Vec::new();
-        let mut outputs: Vec<(String, Vec<usize>)> = Vec::new();
-        for line in &self.lines {
-            let mut term_ids = Vec::with_capacity(line.cubes.len());
-            for &cube in &line.cubes {
-                terms.push(cube);
-                term_ids.push(terms.len() - 1);
-            }
-            outputs.push((line.name.clone(), term_ids));
-        }
+        let terms = self.lines.iter().map(|l| l.cube).collect();
+        let outputs = self
+            .lines
+            .iter()
+            .enumerate()
+            .map(|(i, l)| (l.name.clone(), vec![i]))
+            .collect();
         Pla::from_parts(self.inputs, terms, outputs)
     }
 }
@@ -120,41 +118,33 @@ impl fmt::Display for DecodeSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "text array ({} inputs):", self.inputs)?;
         for line in &self.lines {
-            write!(f, "  {} =", line.name)?;
-            for (i, c) in line.cubes.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " +")?;
-                }
-                write!(f, " {c}")?;
-            }
-            writeln!(f)?;
+            writeln!(f, "  {} = {}", line.name, line.cube)?;
         }
         Ok(())
     }
 }
 
-/// Converts a control line's decode condition into cubes over the word.
+/// Converts a control line's decode condition into a cube over the word.
 ///
 /// Returns `None` if the referenced field is absent from the format.
 #[must_use]
-pub fn cubes_for_control(mc: &Microcode, line: &ControlLine) -> Option<Vec<Cube>> {
+pub fn cube_for_control(mc: &Microcode, line: &ControlLine) -> Option<Cube> {
     let field = mc.field(&line.field)?;
-    let mask = field.mask();
-    let at = |v: u64| Cube {
-        care: mask,
-        value: (v << field.offset) & mask,
-    };
-    Some(match &line.active {
-        ActiveWhen::Equals(v) => vec![at(*v)],
-        ActiveWhen::AnyOf(vs) => vs.iter().map(|&v| at(v)).collect(),
+    Some(match line.active {
+        ActiveWhen::Equals(v) => {
+            let care = field.mask();
+            Cube {
+                care,
+                value: (v << field.offset) & care,
+            }
+        }
         ActiveWhen::Bit(b) => {
-            let bit = 1u64 << (field.offset + u32::from(*b));
-            vec![Cube {
+            let bit = 1u64 << (field.offset + u32::from(b));
+            Cube {
                 care: bit,
                 value: bit,
-            }]
+            }
         }
-        ActiveWhen::Always => vec![Cube { care: 0, value: 0 }],
     })
 }
 
@@ -175,8 +165,8 @@ pub fn decode_spec_from_controls(
     let mut spec = DecodeSpec::new(width);
     let mut missing = Vec::new();
     for (name, line) in controls {
-        match cubes_for_control(mc, line) {
-            Some(cubes) => spec.add_line(name.clone(), cubes),
+        match cube_for_control(mc, line) {
+            Some(cube) => spec.add_line(name.clone(), cube),
             None => missing.push(name.clone()),
         }
     }
@@ -224,11 +214,11 @@ mod tests {
             phase: Phase::Phi1,
         };
         assert_eq!(
-            cubes_for_control(&mc, &eq).unwrap(),
-            vec![Cube {
+            cube_for_control(&mc, &eq).unwrap(),
+            Cube {
                 care: 0b11100,
                 value: 0b10100
-            }]
+            }
         );
         let bit = ControlLine {
             field: "b".into(),
@@ -236,18 +226,12 @@ mod tests {
             phase: Phase::Phi1,
         };
         assert_eq!(
-            cubes_for_control(&mc, &bit).unwrap(),
-            vec![Cube {
+            cube_for_control(&mc, &bit).unwrap(),
+            Cube {
                 care: 0b01000,
                 value: 0b01000
-            }]
+            }
         );
-        let any = ControlLine {
-            field: "a".into(),
-            active: ActiveWhen::AnyOf(vec![1, 2]),
-            phase: Phase::Phi1,
-        };
-        assert_eq!(cubes_for_control(&mc, &any).unwrap().len(), 2);
     }
 
     #[test]
@@ -261,7 +245,7 @@ mod tests {
         };
         let bad = ControlLine {
             field: "ghost".into(),
-            active: ActiveWhen::Always,
+            active: ActiveWhen::Bit(0),
             phase: Phase::Phi1,
         };
         let err = decode_spec_from_controls(

@@ -49,26 +49,13 @@ impl fmt::Display for TapeSymbol {
     }
 }
 
-/// Machine states of the finite control.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Expecting a `Line` or `End`.
-    AtLine,
-    /// Inside a line, expecting `Cube`, `Line` or `End`.
-    InLine,
-    /// Finished.
-    Halted,
-}
-
 /// The two-tape machine.
 #[derive(Debug)]
 pub struct TwoTapeMachine {
     input: Vec<TapeSymbol>,
     input_head: usize,
     output: Vec<TapeSymbol>,
-    /// Output head position (used by the scan-back sharing pass).
-    output_head: usize,
-    state: State,
+    halted: bool,
     /// Steps executed (for the compile-time bench).
     steps: u64,
 }
@@ -80,17 +67,14 @@ impl TwoTapeMachine {
         let mut input = Vec::new();
         for line in spec.lines() {
             input.push(TapeSymbol::Line(line.name.clone()));
-            for c in &line.cubes {
-                input.push(TapeSymbol::Cube(c.care, c.value));
-            }
+            input.push(TapeSymbol::Cube(line.cube.care, line.cube.value));
         }
         input.push(TapeSymbol::End);
         TwoTapeMachine {
             input,
             input_head: 0,
             output: Vec::new(),
-            output_head: 0,
-            state: State::AtLine,
+            halted: false,
             steps: 0,
         }
     }
@@ -104,77 +88,55 @@ impl TwoTapeMachine {
     /// True once the machine has halted.
     #[must_use]
     pub fn halted(&self) -> bool {
-        self.state == State::Halted
+        self.halted
     }
 
-    /// Scan-back on the output tape: find an existing identical term.
-    /// Every cell visited costs a step, exactly as a physical head would.
-    fn scan_back_for_term(&mut self, care: u64, value: u64) -> Option<usize> {
+    /// Scan-back on the output tape: `Ok` with the index of an existing
+    /// identical term, or `Err` with the number of terms on the tape,
+    /// which is the index a new term gets. Every cell visited costs a
+    /// step, exactly as a physical head would.
+    fn scan_back_for_term(&mut self, care: u64, value: u64) -> Result<usize, usize> {
         let mut term_index = 0usize;
-        let mut found = None;
-        for i in 0..self.output.len() {
+        for sym in &self.output {
             self.steps += 1;
-            self.output_head = i;
-            if let TapeSymbol::EmitTerm(c, v) = self.output[i] {
+            if let TapeSymbol::EmitTerm(c, v) = *sym {
                 if c == care && v == value {
-                    found = Some(term_index);
-                    break;
+                    return Ok(term_index);
                 }
                 term_index += 1;
             }
         }
-        found
+        Err(term_index)
     }
 
     /// Executes one transition. Returns `false` once halted.
     pub fn step(&mut self) -> bool {
-        if self.state == State::Halted {
+        if self.halted {
             return false;
         }
         self.steps += 1;
         let sym = self.input.get(self.input_head).cloned();
         self.input_head += 1;
-        match (self.state, sym) {
-            (_, Some(TapeSymbol::End)) | (_, None) => {
-                self.output.push(TapeSymbol::End);
-                self.state = State::Halted;
-            }
-            (State::AtLine | State::InLine, Some(TapeSymbol::Line(name))) => {
-                self.output.push(TapeSymbol::BeginOutput(name));
-                self.output_head = self.output.len() - 1;
-                self.state = State::InLine;
-            }
-            (State::InLine, Some(TapeSymbol::Cube(care, value))) => {
-                let existing = self.scan_back_for_term(care, value);
-                let term = match existing {
-                    Some(k) => k,
-                    None => {
-                        // Count terms already on tape to number the new one.
-                        let k = self
-                            .output
-                            .iter()
-                            .filter(|s| matches!(s, TapeSymbol::EmitTerm(..)))
-                            .count();
+        match sym {
+            Some(TapeSymbol::Line(name)) => self.output.push(TapeSymbol::BeginOutput(name)),
+            Some(TapeSymbol::Cube(care, value)) => {
+                let term = match self.scan_back_for_term(care, value) {
+                    Ok(k) => k,
+                    Err(k) => {
                         self.output.push(TapeSymbol::EmitTerm(care, value));
                         k
                     }
                 };
                 self.output.push(TapeSymbol::Connect(term));
-                self.output_head = self.output.len() - 1;
             }
-            (State::AtLine, Some(TapeSymbol::Cube(..))) => {
-                // A cube with no line header: malformed tape; halt.
+            // `End`: `new` writes only a `Line` and its `Cube` per decode
+            // line, then `End`, so no other symbol reaches this arm.
+            _ => {
                 self.output.push(TapeSymbol::End);
-                self.state = State::Halted;
-            }
-            (_, Some(other)) => {
-                // Output-only symbols on the input tape are malformed.
-                let _ = other;
-                self.output.push(TapeSymbol::End);
-                self.state = State::Halted;
+                self.halted = true;
             }
         }
-        self.state != State::Halted
+        !self.halted
     }
 
     /// Runs to halt.
@@ -241,8 +203,8 @@ mod tests {
     #[test]
     fn machine_compiles_simple_spec() {
         let mut spec = DecodeSpec::new(4);
-        spec.add_line("a", vec![cube(0b11, 0b01)]);
-        spec.add_line("b", vec![cube(0b11, 0b10)]);
+        spec.add_line("a", cube(0b11, 0b01));
+        spec.add_line("b", cube(0b11, 0b10));
         let (pla, steps) = compile_on_tape(&spec);
         assert!(steps > 0);
         assert_eq!(output(&pla, 0b01, "a"), Some(true));
@@ -253,8 +215,8 @@ mod tests {
     #[test]
     fn scan_back_shares_terms() {
         let mut spec = DecodeSpec::new(4);
-        spec.add_line("a", vec![cube(0b11, 0b01)]);
-        spec.add_line("b", vec![cube(0b11, 0b01)]); // identical cube
+        spec.add_line("a", cube(0b11, 0b01));
+        spec.add_line("b", cube(0b11, 0b01)); // identical cube
         let mut m = TwoTapeMachine::new(&spec);
         m.run();
         let emits = m
@@ -272,9 +234,10 @@ mod tests {
     #[test]
     fn tape_machine_equivalent_to_direct() {
         let mut spec = DecodeSpec::new(6);
-        spec.add_line("x", vec![cube(0b111, 0b101), cube(0b111, 0b111)]);
-        spec.add_line("y", vec![cube(0b111, 0b101)]);
-        spec.add_line("z", vec![cube(0, 0)]);
+        spec.add_line("x", cube(0b111, 0b101));
+        spec.add_line("y", cube(0b111, 0b101));
+        spec.add_line("z", cube(0b111, 0b111));
+        spec.add_line("w", cube(0, 0));
         let (pla, _) = compile_on_tape(&spec);
         let direct = spec.to_pla();
         assert!(pla.equivalent(&direct, 12));
@@ -283,7 +246,7 @@ mod tests {
     #[test]
     fn halting_and_output_tape_shape() {
         let mut spec = DecodeSpec::new(2);
-        spec.add_line("only", vec![cube(0b1, 0b1)]);
+        spec.add_line("only", cube(0b1, 0b1));
         let mut m = TwoTapeMachine::new(&spec);
         assert!(!m.halted());
         m.run();

@@ -566,7 +566,7 @@ mod tests {
                 ("rda0", ctl("rd", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("rda1", ctl("rd", ActiveWhen::Equals(2), Phase::Phi1)),
                 ("rdb0", ctl("rd", ActiveWhen::Equals(3), Phase::Phi1)),
-                ("rdb1", ctl("rd", ActiveWhen::AnyOf(vec![1, 2]), Phase::Phi1)),
+                ("rdb1", ctl("rd", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("ld0", ctl("ld", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("ld1", ctl("ld", ActiveWhen::Equals(2), Phase::Phi1)),
             ],
@@ -681,8 +681,8 @@ mod tests {
             literal("lit"),
             &[
                 ("en", ctl("rw", ActiveWhen::Equals(1), Phase::Phi1)),
-                ("b0", ctl("rw", ActiveWhen::Always, Phase::Phi1)),
-                ("b2", ctl("rw", ActiveWhen::Always, Phase::Phi1)),
+                ("b0", ctl("rw", ActiveWhen::Equals(1), Phase::Phi1)),
+                ("b2", ctl("rw", ActiveWhen::Equals(1), Phase::Phi1)),
             ],
         )
         .unwrap();
@@ -721,7 +721,7 @@ mod tests {
             literal("lit"),
             &[
                 ("en", ctl("stk", ActiveWhen::Equals(1), Phase::Phi1)),
-                ("b1", ctl("stk", ActiveWhen::Always, Phase::Phi1)),
+                ("b1", ctl("stk", ActiveWhen::Equals(1), Phase::Phi1)),
                 ("b0", ctl("sp", ActiveWhen::Equals(2), Phase::Phi1)),
             ],
         )

@@ -496,26 +496,22 @@ mod tests {
 
     #[test]
     fn wired_and_of_two_drivers() {
-        let mut m = simple_machine();
-        m.poke("regs", "r0", 0x0F).unwrap();
-        m.poke("regs", "r1", 0x3C).unwrap();
-        // Assert both read lines by driving rd=1 and rd=2… impossible with
-        // one field value; craft a machine-level test with AnyOf instead.
+        // Both read lines decode one bit of `rd`, so rd=3 asserts both.
         let mut mc = Microcode::new();
         mc.add_field("rd", 2).unwrap();
-        let mut m2 = Machine::new(8, mc);
-        m2.add_element(
+        let mut m = Machine::new(8, mc);
+        m.add_element(
             behaviors::by_key("registers", "regs", 2).unwrap(),
             &[
-                ("rda0", ctl("rd", ActiveWhen::AnyOf(vec![1, 3]), Phase::Phi1)),
-                ("rda1", ctl("rd", ActiveWhen::AnyOf(vec![2, 3]), Phase::Phi1)),
+                ("rda0", ctl("rd", ActiveWhen::Bit(0), Phase::Phi1)),
+                ("rda1", ctl("rd", ActiveWhen::Bit(1), Phase::Phi1)),
             ],
         )
         .unwrap();
-        m2.poke("regs", "r0", 0x0F).unwrap();
-        m2.poke("regs", "r1", 0x3C).unwrap();
-        let word = m2.microcode().encode(&[("rd", 3)]).unwrap();
-        let buses = m2.step_word(word).unwrap();
+        m.poke("regs", "r0", 0x0F).unwrap();
+        m.poke("regs", "r1", 0x3C).unwrap();
+        let word = m.microcode().encode(&[("rd", 3)]).unwrap();
+        let buses = m.step_word(word).unwrap();
         assert_eq!(buses[0], 0x0F & 0x3C, "buses are wired-AND");
     }
 
@@ -537,7 +533,7 @@ mod tests {
         assert!(matches!(
             m.add_element(
                 behaviors::by_key("registers", "regs2", 1).unwrap(),
-                &[("x", ctl("nofield", ActiveWhen::Always, Phase::Phi1))]
+                &[("x", ctl("nofield", ActiveWhen::Equals(1), Phase::Phi1))]
             ),
             Err(SimError::UnknownControlField { .. })
         ));

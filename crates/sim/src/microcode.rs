@@ -41,7 +41,7 @@ pub enum MicrocodeError {
     DuplicateField(String),
     /// The word would exceed 64 bits.
     TooWide {
-        /// Total bits requested.
+        /// Total bits requested (`u32::MAX` if the sum overflows).
         requested: u32,
     },
     /// Zero-width fields are meaningless.
@@ -127,10 +127,9 @@ impl Microcode {
             return Err(MicrocodeError::DuplicateField(name));
         }
         let offset = self.word_width();
-        if offset + width > 64 {
-            return Err(MicrocodeError::TooWide {
-                requested: offset + width,
-            });
+        let requested = offset.saturating_add(width);
+        if requested > 64 {
+            return Err(MicrocodeError::TooWide { requested });
         }
         self.fields.push(MicrocodeField {
             name,
@@ -261,6 +260,12 @@ mod tests {
         assert!(matches!(
             mc.add_field("big", 62),
             Err(MicrocodeError::TooWide { requested: 65 })
+        ));
+        assert!(matches!(
+            mc.add_field("huge", u32::MAX),
+            Err(MicrocodeError::TooWide {
+                requested: u32::MAX
+            })
         ));
         assert!(matches!(
             mc.extract(0, "nope"),

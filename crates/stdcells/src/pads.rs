@@ -47,7 +47,7 @@ pub fn pad_cell(kind: PadKind, name: &str) -> Cell {
         flavor,
     ));
     cell.set_power(PowerInfo::new(match kind {
-        PadKind::Output | PadKind::TriState => 800,
+        PadKind::Output => 800,
         _ => 0,
     }));
     *cell.reprs_mut() = CellReprs {

@@ -1,7 +1,7 @@
 //! Integration tests spanning the whole workspace: compile complete
 //! chips and hold them to the paper's standards.
 
-use bristle_bench::{hand_core_area, reference_specs, sweep_spec};
+use bristle_bench::{natural_core_area, reference_specs, sweep_spec};
 use bristle_blocks::cif::{cif_to_library, parse_cif};
 use bristle_blocks::core::{ChipSpec, Compiler};
 use bristle_blocks::drc::{check_flat, RuleSet};
@@ -183,17 +183,17 @@ fn pitch_is_stable_across_recompiles() {
 }
 
 #[test]
-fn hand_baseline_never_exceeds_the_compiled_core() {
+fn natural_baseline_never_exceeds_the_compiled_core() {
     // Stretching only grows cells, so the natural-pitch baseline of
-    // experiments T1/A1 can never be larger than the compiled core: a
+    // experiment A1 can never be larger than the compiled core: a
     // negative alignment overhead means the two sides are measured
     // differently.
     for spec in reference_specs() {
         let chip = Compiler::new().compile(&spec).unwrap();
-        let (hand, compiled) = (hand_core_area(&chip), chip.core_area());
+        let (natural, compiled) = (natural_core_area(&chip), chip.core_area());
         assert!(
-            hand <= compiled,
-            "{}: hand {hand} > compiled {compiled}",
+            natural <= compiled,
+            "{}: natural {natural} > compiled {compiled}",
             spec.name
         );
     }

@@ -390,10 +390,28 @@ fn element_parameters_compile_or_get_a_typed_error() {
                     let spec = parse_page(&page).expect("the page parses");
                     if let Ok(chip) = Compiler::new().compile(&spec) {
                         chip.simulation().expect("a compiled chip simulates");
-                        assert!(bristle_bench::hand_core_area(&chip) <= chip.core_area());
+                        assert!(bristle_bench::natural_core_area(&chip) <= chip.core_area());
                     }
                 });
             }
         }
     }
+}
+
+#[test]
+fn field_width_past_u32_refused() {
+    use bristle_blocks::core::{parse_page, CompileError, Compiler};
+    use bristle_blocks::sim::MicrocodeError;
+    // 8 + 4294967295 bits overflows `u32`: a typed error, neither a
+    // panic nor a chip with a wrapped word.
+    let page = "chip t\nwidth 4\nfield a 8\nfield b 4294967295\nelement registers\n";
+    let result = on_page("field b 4294967295", page, || {
+        Compiler::new().compile(&parse_page(page).expect("the page parses"))
+    });
+    assert!(matches!(
+        result,
+        Err(CompileError::Microcode(MicrocodeError::TooWide {
+            requested: u32::MAX
+        }))
+    ));
 }
