@@ -43,6 +43,7 @@
 
 mod parse;
 mod svg;
+mod text;
 mod write;
 
 pub use parse::{cif_to_library, parse_cif, CifCommand, CifFile, CifSymbol, ParseCifError};

@@ -1,11 +1,16 @@
 //! SVG renderings of cell layouts, in the spirit of the Mead–Conway color
 //! plates, and of stick diagrams. Useful for eyeballing compiled chips
 //! without mask tooling.
-
-use std::fmt::Write as _;
+//!
+//! Both renderers write through the crate's one text sink: each element
+//! is string literals and integer pixels appended to one `String`,
+//! reserved once from the shape, bristle or stick count. A bristle's
+//! title is its `Display` text, XML-escaped.
 
 use bristle_cell::{CellId, Library, ShapeGeom, Stick};
 use bristle_geom::{Layer, Rect};
+
+use crate::text::Text;
 
 /// Pixels per λ in a layout rendering.
 const LAYOUT_SCALE: i64 = 4;
@@ -15,42 +20,56 @@ const STICKS_SCALE: i64 = 2;
 const MARGIN: i64 = 4;
 /// Fill opacity of layout shapes: layers overlap, so it stays below 1.
 const OPACITY: &str = "0.55";
+/// Room reserved per element, in bytes: a little over the longest
+/// `<rect>`, `<circle>` (title included) and `<line>` the reference
+/// chips draw, so the document is not regrown.
+const RECT_BYTES: usize = 100;
+const CIRCLE_BYTES: usize = 200;
+const LINE_BYTES: usize = 100;
+/// Room for a polygon's `points` pair and for the opening tag, the
+/// background and the header comment.
+const POINT_BYTES: usize = 16;
+const HEAD_BYTES: usize = 256;
 
-/// The SVG document both renderers write: a window of integer-λ layout
-/// (+y up) drawn at integer pixels per λ (+y down), so every coordinate
-/// is an integer, printed `N.0`.
+/// The SVG window both renderers draw in: integer-λ layout (+y up)
+/// drawn at integer pixels per λ (+y down), so every coordinate is an
+/// integer, printed `N.0`.
+#[derive(Clone, Copy)]
 struct Frame {
-    out: String,
     window: Rect,
     scale: i64,
 }
 
 impl Frame {
-    /// Writes the `<svg>` tag for `bbox` plus a [`MARGIN`] border.
-    fn open(bbox: Rect, scale: i64) -> Frame {
+    /// Writes the `<svg>` tag for `bbox` plus a [`MARGIN`] border to `out`.
+    fn open(out: &mut Text, bbox: Rect, scale: i64) -> Frame {
         let window = bbox.inflate(MARGIN);
         let (w, h) = (window.width() * scale, window.height() * scale);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            r#"<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">"#
-        );
-        Frame { out, window, scale }
+        out.str(r#"<svg xmlns="http://www.w3.org/2000/svg" width=""#)
+            .int(w)
+            .str(r#"" height=""#)
+            .int(h)
+            .str(r#"" viewBox="0 0 "#)
+            .int(w)
+            .str(" ")
+            .int(h)
+            .str("\">\n");
+        Frame { window, scale }
     }
 
-    fn x(&self, x: i64) -> i64 {
+    fn x(self, x: i64) -> i64 {
         (x - self.window.x0) * self.scale
     }
 
-    fn y(&self, y: i64) -> i64 {
+    fn y(self, y: i64) -> i64 {
         (self.window.y1 - y) * self.scale
     }
+}
 
-    /// Closes the `<svg>` tag and returns the document.
-    fn close(mut self) -> String {
-        self.out.push_str("</svg>\n");
-        self.out
-    }
+/// Closes the `<svg>` tag and returns the document.
+fn close(mut out: Text) -> String {
+    out.str("</svg>\n");
+    out.into_string()
 }
 
 /// Renders a cell hierarchy to an SVG string. The y axis is flipped so
@@ -64,60 +83,85 @@ impl Frame {
 /// ±[`MAX_COORD`](bristle_geom::MAX_COORD) λ, so every pixel fits `i64`.
 #[must_use]
 pub fn render_svg(lib: &Library, top: CellId) -> String {
-    fn rect(f: &mut Frame, r: Rect, color: &str) {
-        let _ = writeln!(
-            f.out,
-            r#"<rect x="{}.0" y="{}.0" width="{}.0" height="{}.0" fill="{color}" fill-opacity="{OPACITY}"/>"#,
-            f.x(r.x0),
-            f.y(r.y1),
-            r.width() * f.scale,
-            r.height() * f.scale,
-        );
+    fn rect(out: &mut Text, f: Frame, r: Rect, color: &str) {
+        out.str(r#"<rect x=""#)
+            .int(f.x(r.x0))
+            .str(r#".0" y=""#)
+            .int(f.y(r.y1))
+            .str(r#".0" width=""#)
+            .int(r.width() * f.scale)
+            .str(r#".0" height=""#)
+            .int(r.height() * f.scale)
+            .str(r#".0" fill=""#)
+            .str(color)
+            .str(r#"" fill-opacity=""#)
+            .str(OPACITY)
+            .str("\"/>\n");
     }
 
-    let bbox = lib.bbox(top).unwrap_or(Rect::new(0, 0, 1, 1));
-    let mut f = Frame::open(bbox, LAYOUT_SCALE);
-    let note = format!("cell `{}` bbox {}", lib.cell(top).name(), f.window);
-    let _ = writeln!(
-        f.out,
-        "<rect width=\"100%\" height=\"100%\" fill=\"#f8f5ee\"/>\n<!-- {} -->",
-        comment_text(&note)
-    );
-    // Draw in layer order so metal sits on top of poly on top of
-    // diffusion. The library memoizes the top cell's flat view, so
-    // rendering after DRC or extraction (or rendering twice) reuses the
-    // shapes they flattened.
+    // The library memoizes the top cell's flat view, so rendering after
+    // DRC or extraction (or rendering twice) reuses the shapes they
+    // flattened.
     let flat = lib.flatten_shared(top);
+    let bristles = lib.flat_bristles_shared(top);
+    let bytes = flat.iter().fold(HEAD_BYTES, |n, s| {
+        n + match &s.geom {
+            ShapeGeom::Box(_) => RECT_BYTES,
+            ShapeGeom::Wire(p) => RECT_BYTES * p.points().len(),
+            ShapeGeom::Poly(p) => RECT_BYTES + POINT_BYTES * p.vertices().len(),
+        }
+    }) + CIRCLE_BYTES * bristles.len();
+    let mut out = Text::with_capacity(bytes);
+
+    let bbox = lib.bbox(top).unwrap_or(Rect::new(0, 0, 1, 1));
+    let f = Frame::open(&mut out, bbox, LAYOUT_SCALE);
+    let note = format!("cell `{}` bbox {}", lib.cell(top).name(), f.window);
+    out.str("<rect width=\"100%\" height=\"100%\" fill=\"#f8f5ee\"/>\n<!-- ")
+        .str(&comment_text(&note))
+        .str(" -->\n");
+    // Draw in layer order so metal sits on top of poly on top of
+    // diffusion.
     for layer in Layer::ALL {
         let color = layer.color();
         for shape in flat.iter().filter(|s| s.layer == layer) {
             match &shape.geom {
-                ShapeGeom::Box(r) => rect(&mut f, *r, color),
+                ShapeGeom::Box(r) => rect(&mut out, f, *r, color),
                 ShapeGeom::Wire(p) => {
                     for r in p.to_rects() {
-                        rect(&mut f, r, color);
+                        rect(&mut out, f, r, color);
                     }
                 }
                 ShapeGeom::Poly(p) => {
-                    f.out.push_str(r#"<polygon points=""#);
+                    out.str(r#"<polygon points=""#);
                     for (i, v) in p.vertices().iter().enumerate() {
                         let sep = if i == 0 { "" } else { " " };
-                        let _ = write!(f.out, "{sep}{}.0,{}.0", f.x(v.x), f.y(v.y));
+                        out.str(sep)
+                            .int(f.x(v.x))
+                            .str(".0,")
+                            .int(f.y(v.y))
+                            .str(".0");
                     }
-                    let _ = writeln!(f.out, r#"" fill="{color}" fill-opacity="{OPACITY}"/>"#);
+                    out.str(r#"" fill=""#)
+                        .str(color)
+                        .str(r#"" fill-opacity=""#)
+                        .str(OPACITY)
+                        .str("\"/>\n");
                 }
             }
         }
     }
-    for b in lib.flat_bristles_shared(top).iter() {
-        let _ = writeln!(
-            f.out,
-            r##"<circle cx="{}.0" cy="{}.0" r="{LAYOUT_SCALE}.0" fill="none" stroke="#333" stroke-width="1"><title>{b}</title></circle>"##,
-            f.x(b.pos.x),
-            f.y(b.pos.y),
-        );
+    for b in bristles.iter() {
+        out.str(r#"<circle cx=""#)
+            .int(f.x(b.pos.x))
+            .str(r#".0" cy=""#)
+            .int(f.y(b.pos.y))
+            .str(r#".0" r=""#)
+            .int(LAYOUT_SCALE)
+            .str(r##".0" fill="none" stroke="#333" stroke-width="1"><title>"##)
+            .escaped(b)
+            .str("</title></circle>\n");
     }
-    f.close()
+    close(out)
 }
 
 /// `text` with a space between any two adjacent hyphens: XML 1.0
@@ -139,25 +183,28 @@ fn comment_text(text: &str) -> String {
 /// same y flip as [`render_svg`].
 #[must_use]
 pub fn render_sticks_svg(die: Rect, sticks: &[Stick]) -> String {
-    let mut f = Frame::open(die, STICKS_SCALE);
+    let mut out = Text::with_capacity(HEAD_BYTES + LINE_BYTES * sticks.len());
+    let f = Frame::open(&mut out, die, STICKS_SCALE);
     for st in sticks {
-        let _ = writeln!(
-            f.out,
-            r#"<line x1="{}.0" y1="{}.0" x2="{}.0" y2="{}.0" stroke="{}" stroke-width="1"/>"#,
-            f.x(st.from.x),
-            f.y(st.from.y),
-            f.x(st.to.x),
-            f.y(st.to.y),
-            st.layer.color()
-        );
+        out.str(r#"<line x1=""#)
+            .int(f.x(st.from.x))
+            .str(r#".0" y1=""#)
+            .int(f.y(st.from.y))
+            .str(r#".0" x2=""#)
+            .int(f.x(st.to.x))
+            .str(r#".0" y2=""#)
+            .int(f.y(st.to.y))
+            .str(r#".0" stroke=""#)
+            .str(st.layer.color())
+            .str("\" stroke-width=\"1\"/>\n");
     }
-    f.close()
+    close(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bristle_cell::{Bristle, Cell, Flavor, Shape, Side};
+    use bristle_cell::{load_library, Bristle, Cell, Flavor, Shape, Side};
     use bristle_geom::{Layer, Point, Polygon};
 
     fn demo_lib() -> (Library, CellId) {
@@ -201,6 +248,18 @@ mod tests {
             Layer::Metal.color()
         );
         assert!(render_svg(&lib, id).lines().any(|l| l == want));
+    }
+
+    /// A bristle name may hold XML markup; its title must still parse.
+    #[test]
+    fn titles_are_xml_escaped() {
+        let page = "library l\ncell c\n  box NM 0 0 4 4\n  bristle a<b&c NM 0 2 W signal\nend\n";
+        let lib = load_library(page).unwrap();
+        let svg = render_svg(&lib, lib.find("c").unwrap());
+        assert!(
+            svg.contains("<title>a&lt;b&amp;c@(0, 2)W [NM] signal</title>"),
+            "{svg}"
+        );
     }
 
     #[test]

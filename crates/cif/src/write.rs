@@ -1,10 +1,11 @@
-//! CIF 2.0 emission.
-
-use std::fmt::Write as _;
+//! CIF 2.0 emission, through the crate's one text sink: each command
+//! is string literals and half-λ integers appended to one `String`,
+//! reserved once from the reachable cells' shape and instance counts.
 
 use bristle_cell::{CellId, Library, ShapeGeom};
-use bristle_geom::Orientation;
+use bristle_geom::{Orientation, Point};
 
+use crate::text::Text;
 use crate::CIF_SCALE_NUM;
 
 /// Errors from CIF emission.
@@ -58,6 +59,12 @@ fn orient_ops(o: Orientation) -> &'static str {
     }
 }
 
+/// Room reserved per line, in bytes: a `B` or `C` line of six-digit
+/// numbers plus an `L` line before it. A `W` or `P` line adds
+/// [`PAIR_BYTES`] per coordinate pair.
+const LINE_BYTES: usize = 32;
+const PAIR_BYTES: usize = 16;
+
 /// Writes a cell hierarchy as a CIF 2.0 file. All cells reachable from
 /// `top` become symbol definitions; the file ends with a call to the top
 /// symbol and `E`.
@@ -79,77 +86,94 @@ pub fn write_cif(lib: &Library, top: CellId) -> Result<String, WriteCifError> {
     let mut seen = std::collections::HashSet::new();
     collect(lib, top, &mut seen, &mut order);
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "(CIF written by bristle-blocks for `{}`);",
-        writable(lib.name())?
-    );
-    // Stable symbol numbering: position in the reachable order, 1-based.
-    let number: std::collections::HashMap<CellId, usize> = order
+    let bytes: usize = order
         .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, i + 1))
-        .collect();
+        .map(|&id| {
+            let cell = lib.cell(id);
+            let pairs: usize = cell
+                .shapes()
+                .iter()
+                .map(|s| match &s.geom {
+                    ShapeGeom::Box(_) => 0,
+                    ShapeGeom::Wire(p) => p.points().len(),
+                    ShapeGeom::Poly(p) => p.vertices().len(),
+                })
+                .sum();
+            let lines = 3 + cell.shapes().len() + cell.instances().len();
+            cell.name().len() + LINE_BYTES * lines + PAIR_BYTES * pairs
+        })
+        .sum();
+    let mut out = Text::with_capacity(bytes + LINE_BYTES + lib.name().len());
+    out.str("(CIF written by bristle-blocks for `")
+        .str(writable(lib.name())?)
+        .str("`);\n");
+    // Stable symbol numbering: position in the reachable order, 1-based.
+    let number: std::collections::HashMap<CellId, i64> = order.iter().copied().zip(1..).collect();
 
     for &id in &order {
         let cell = lib.cell(id);
         if cell.shapes().is_empty() && cell.instances().is_empty() {
             return Err(WriteCifError::EmptyCell(cell.name().to_owned()));
         }
-        let _ = writeln!(out, "DS {} {} 1;", number[&id], CIF_SCALE_NUM);
-        let _ = writeln!(out, "9 {};", writable(cell.name())?);
+        out.str("DS ")
+            .int(number[&id])
+            .str(" ")
+            .int(CIF_SCALE_NUM)
+            .str(" 1;\n9 ")
+            .str(writable(cell.name())?)
+            .str(";\n");
         // Group shapes by layer to minimize L commands.
         let mut last_layer = None;
         for s in cell.shapes() {
             if last_layer != Some(s.layer) {
-                let _ = writeln!(out, "L {};", s.layer.cif_name());
+                out.str("L ").str(s.layer.cif_name()).str(";\n");
                 last_layer = Some(s.layer);
             }
             match &s.geom {
                 ShapeGeom::Box(r) => {
                     // B length width centerx centery — in half-λ all integral.
-                    let _ = writeln!(
-                        out,
-                        "B {} {} {} {};",
-                        r.width() * 2,
-                        r.height() * 2,
-                        r.x0 + r.x1,
-                        r.y0 + r.y1
-                    );
+                    out.str("B ")
+                        .int(r.width() * 2)
+                        .str(" ")
+                        .int(r.height() * 2)
+                        .str(" ")
+                        .int(r.x0 + r.x1)
+                        .str(" ")
+                        .int(r.y0 + r.y1);
                 }
                 ShapeGeom::Wire(p) => {
-                    let mut line = format!("W {}", p.width() * 2);
-                    for q in p.points() {
-                        let _ = write!(line, " {} {}", q.x * 2, q.y * 2);
-                    }
-                    let _ = writeln!(out, "{line};");
+                    out.str("W ").int(p.width() * 2);
+                    points(&mut out, p.points());
                 }
                 ShapeGeom::Poly(p) => {
-                    let mut line = String::from("P");
-                    for q in p.vertices() {
-                        let _ = write!(line, " {} {}", q.x * 2, q.y * 2);
-                    }
-                    let _ = writeln!(out, "{line};");
+                    out.str("P");
+                    points(&mut out, p.vertices());
                 }
             }
+            out.str(";\n");
         }
         for inst in cell.instances() {
             let t = &inst.transform;
-            let _ = writeln!(
-                out,
-                "C {}{} T {} {};",
-                number[&inst.cell],
-                orient_ops(t.orient),
-                t.offset.x * 2,
-                t.offset.y * 2
-            );
+            out.str("C ")
+                .int(number[&inst.cell])
+                .str(orient_ops(t.orient))
+                .str(" T ")
+                .int(t.offset.x * 2)
+                .str(" ")
+                .int(t.offset.y * 2)
+                .str(";\n");
         }
-        let _ = writeln!(out, "DF;");
+        out.str("DF;\n");
     }
-    let _ = writeln!(out, "C {} T 0 0;", number[&top]);
-    let _ = writeln!(out, "E");
-    Ok(out)
+    out.str("C ").int(number[&top]).str(" T 0 0;\nE\n");
+    Ok(out.into_string())
+}
+
+/// Writes ` x y` in half-λ for each of `pts`.
+fn points(out: &mut Text, pts: &[Point]) {
+    for q in pts {
+        out.str(" ").int(q.x * 2).str(" ").int(q.y * 2);
+    }
 }
 
 fn collect(
