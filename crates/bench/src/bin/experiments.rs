@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use bristle_bench::{compile, natural_core_area, reference_specs, sweep_spec};
-use bristle_cell::{ActiveWhen, Flavor, LogicKind, PadKind, Phase};
+use bristle_cell::{ActiveWhen, Cell, CellId, Flavor, LogicKind, PadKind, Phase};
 use bristle_core::{ChipSpec, Compiler};
 use bristle_drc::{check_flat, RuleSet};
 use bristle_geom::Point;
@@ -292,83 +292,28 @@ fn g1_glue_faults() {
     let trials = 12usize;
     let mut leaf_caught = 0;
     let mut glue_caught = 0;
+    let chip = compile(spec).unwrap();
+    let caught = |col: CellId, cell: Cell| {
+        let lib = chip.lib.with_cell_replaced(col, cell).unwrap();
+        !check_flat(&lib, chip.core_cell, &RuleSet::mead_conway()).is_clean()
+    };
     for k in 0..trials {
         // Leaf mutation: nudge one shape of one column cell by 1λ.
-        let mut chip = compile(spec).unwrap();
-        {
-            let col = chip.elements[1].columns[0];
-            let cell = chip.lib.cell_mut(col);
-            let i = (k * 7) % cell.shapes().len();
-            let moved = cell.shapes()[i]
-                .clone()
-                .map_points(|p| Point::new(p.x + 1, p.y));
-            cell.shapes_replace(i, moved);
-        }
-        if !check_flat(&chip.lib, chip.core_cell, &RuleSet::mead_conway()).is_clean() {
-            leaf_caught += 1;
-        }
+        let col = chip.elements[1].columns[0];
+        let mut cell = chip.lib.cell(col).clone();
+        let i = (k * 7) % cell.shapes().len();
+        let shape = &mut cell.shapes_mut()[i];
+        *shape = shape.clone().map_points(|p| Point::new(p.x + 1, p.y));
+        leaf_caught += usize::from(caught(col, cell));
         // Glue mutation: nudge one instance of the core by a few λ.
-        let mut chip = compile(spec).unwrap();
-        {
-            let core = chip.core_cell;
-            let cell = chip.lib.cell_mut(core);
-            let n = cell.instances().len();
-            let i = (k * 5) % n;
-            cell.nudge_instance(i, Point::new(1 + (k as i64 % 3), 0));
-        }
-        if !check_flat(&chip.lib, chip.core_cell, &RuleSet::mead_conway()).is_clean() {
-            glue_caught += 1;
-        }
+        let mut cell = chip.lib.cell(chip.core_cell).clone();
+        let i = (k * 5) % cell.instances().len();
+        cell.instances_mut()[i].transform.offset += Point::new(1 + (k as i64 % 3), 0);
+        glue_caught += usize::from(caught(chip.core_cell, cell));
     }
     println!("  leaf mutations caught by DRC : {leaf_caught}/{trials}");
     println!("  glue mutations caught by DRC : {glue_caught}/{trials}");
     println!("  (the paper's interface standards are what make the glue checkable)");
-}
-
-/// Test-support helpers the bench needs on `Cell`.
-trait CellMut {
-    fn shapes_replace(&mut self, index: usize, shape: bristle_cell::Shape);
-    fn nudge_instance(&mut self, index: usize, by: Point);
-}
-
-impl CellMut for bristle_cell::Cell {
-    fn shapes_replace(&mut self, index: usize, shape: bristle_cell::Shape) {
-        let mut shapes: Vec<_> = self.shapes().to_vec();
-        shapes[index] = shape;
-        // Rebuild in place: clear by retaining nothing, then push.
-        let bristles: Vec<_> = self.bristles().to_vec();
-        let name = self.name().to_owned();
-        let mut fresh = bristle_cell::Cell::new(name);
-        for s in shapes {
-            fresh.push_shape(s);
-        }
-        for b in bristles {
-            fresh.push_bristle(b);
-        }
-        for i in self.instances().to_vec() {
-            fresh.push_instance(i);
-        }
-        *self = fresh;
-    }
-
-    fn nudge_instance(&mut self, index: usize, by: Point) {
-        let mut insts = self.instances().to_vec();
-        insts[index].transform.offset += by;
-        let name = self.name().to_owned();
-        let shapes: Vec<_> = self.shapes().to_vec();
-        let bristles: Vec<_> = self.bristles().to_vec();
-        let mut fresh = bristle_cell::Cell::new(name);
-        for s in shapes {
-            fresh.push_shape(s);
-        }
-        for b in bristles {
-            fresh.push_bristle(b);
-        }
-        for i in insts {
-            fresh.push_instance(i);
-        }
-        *self = fresh;
-    }
 }
 
 /// CENSUS — how often the compiled corpus reaches each variant of the
@@ -393,7 +338,7 @@ fn census() {
         .map(|a| active_row(&a))
         .into_iter()
         .chain(PadKind::ALL.map(pad_row))
-        .chain([Phase::Phi1, Phase::Phi2].map(clock_row))
+        .chain(Phase::ALL.map(clock_row))
         .chain(
             [
                 LogicKind::And,

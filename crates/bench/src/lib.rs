@@ -101,19 +101,12 @@ pub fn natural_core_area(chip: &CompiledChip) -> i64 {
     use bristle_cell::{GenCtx, InterfaceStd, TrackSet};
     use bristle_stdcells::generator_named;
     let mut total = 0i64;
-    // One library and one context serve every element; the per-element
-    // prefix keeps generated cell names unique, and `clone_from` reuses
-    // the parameter map's allocation instead of cloning afresh.
-    let mut lib = bristle_cell::Library::new("natural");
     let mut ctx = GenCtx::new();
     let stacked = i64::from(chip.spec.data_width) - 1;
     for e in &chip.elements {
         let Some(generator) = generator_named(&e.kind) else {
             continue;
         };
-        ctx.prefix.clear();
-        ctx.prefix.push_str("natural_");
-        ctx.prefix.push_str(&e.prefix);
         match e.index {
             Some(i) => ctx.params.clone_from(&chip.spec.elements[i].params),
             None => ctx.params.clear(),
@@ -121,12 +114,13 @@ pub fn natural_core_area(chip: &CompiledChip) -> i64 {
         // As in pass 1, a spec's `lane` never reaches a generator; every
         // port keeps lane 0, its natural height.
         ctx.params.remove("lane");
-        let Ok(cols) = generator.generate(&ctx, &mut lib) else {
+        let Ok(cols) = generator.generate(&ctx) else {
             continue;
         };
-        for id in cols {
-            let bb = lib.bbox(id).unwrap();
-            let ts = TrackSet::from_cell(lib.cell(id)).unwrap();
+        for col in cols {
+            // A column is a leaf cell, so its own box is its whole box.
+            let bb = col.local_bbox().unwrap();
+            let ts = TrackSet::from_cell(&col).unwrap();
             let pitch = InterfaceStd::from_tracks(&[ts]).pitch;
             total += bb.width() * (stacked * pitch + bb.height());
         }

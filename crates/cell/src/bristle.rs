@@ -72,6 +72,11 @@ pub enum Phase {
     Phi2,
 }
 
+impl Phase {
+    /// Both phases, φ1 first.
+    pub const ALL: [Phase; 2] = [Phase::Phi1, Phase::Phi2];
+}
+
 impl fmt::Display for Phase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

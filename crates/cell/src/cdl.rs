@@ -122,35 +122,21 @@ fn flavor_to_token(flavor: &Flavor) -> String {
         Flavor::Bus { bus } => format!("bus:{bus}"),
         Flavor::Power(Rail::Vdd) => "power:vdd".to_owned(),
         Flavor::Power(Rail::Gnd) => "power:gnd".to_owned(),
-        Flavor::Clock(Phase::Phi1) => "clock:phi1".to_owned(),
-        Flavor::Clock(Phase::Phi2) => "clock:phi2".to_owned(),
+        Flavor::Clock(phase) => format!("clock:{phase}"),
         Flavor::Signal => "signal".to_owned(),
     }
 }
 
-fn parse_phase(s: &str) -> Option<Phase> {
-    match s {
-        "phi1" => Some(Phase::Phi1),
-        "phi2" => Some(Phase::Phi2),
-        _ => None,
-    }
+/// The value among `all` whose `Display` reads `s`: each token is
+/// spelled once, by its type's `Display`, for writing and parsing alike.
+fn parse_token<T: Copy + std::fmt::Display>(all: &[T], s: &str) -> Option<T> {
+    all.iter().copied().find(|v| v.to_string() == s)
 }
 
 fn parse_flavor(tok: &str) -> Option<Flavor> {
     let mut parts = tok.split(':');
     let flavor = match parts.next()? {
-        "pad" => {
-            let k = match parts.next()? {
-                "input" => PadKind::Input,
-                "output" => PadKind::Output,
-                "vdd" => PadKind::Vdd,
-                "gnd" => PadKind::Gnd,
-                "phi1" => PadKind::Phi1,
-                "phi2" => PadKind::Phi2,
-                _ => return None,
-            };
-            Flavor::Pad(k)
-        }
+        "pad" => Flavor::Pad(parse_token(&PadKind::ALL, parts.next()?)?),
         "ctl" => {
             let field = parts.next()?.to_owned();
             let cond_kind = parts.next()?;
@@ -159,7 +145,7 @@ fn parse_flavor(tok: &str) -> Option<Flavor> {
                 "bit" => ActiveWhen::Bit(parts.next()?.parse().ok()?),
                 _ => return None,
             };
-            let phase = parse_phase(parts.next()?)?;
+            let phase = parse_token(&Phase::ALL, parts.next()?)?;
             Flavor::Control(ControlLine {
                 field,
                 active,
@@ -174,49 +160,13 @@ fn parse_flavor(tok: &str) -> Option<Flavor> {
             "gnd" => Flavor::Power(Rail::Gnd),
             _ => return None,
         },
-        "clock" => Flavor::Clock(parse_phase(parts.next()?)?),
+        "clock" => Flavor::Clock(parse_token(&Phase::ALL, parts.next()?)?),
         "signal" => Flavor::Signal,
         _ => return None,
     };
     // A token is exactly what `flavor_to_token` writes: nothing trails it
     // (the former `bus:<n>:<bit>` form among them).
     parts.next().is_none().then_some(flavor)
-}
-
-fn side_token(side: Side) -> &'static str {
-    match side {
-        Side::North => "N",
-        Side::East => "E",
-        Side::South => "S",
-        Side::West => "W",
-    }
-}
-
-fn parse_side(s: &str) -> Option<Side> {
-    match s {
-        "N" => Some(Side::North),
-        "E" => Some(Side::East),
-        "S" => Some(Side::South),
-        "W" => Some(Side::West),
-        _ => None,
-    }
-}
-
-fn orient_token(o: Orientation) -> &'static str {
-    match o {
-        Orientation::R0 => "R0",
-        Orientation::R90 => "R90",
-        Orientation::R180 => "R180",
-        Orientation::R270 => "R270",
-        Orientation::MR0 => "MR0",
-        Orientation::MR90 => "MR90",
-        Orientation::MR180 => "MR180",
-        Orientation::MR270 => "MR270",
-    }
-}
-
-fn parse_orient(s: &str) -> Option<Orientation> {
-    Orientation::ALL.into_iter().find(|&o| orient_token(o) == s)
 }
 
 /// Serializes a library to the cell design language.
@@ -303,7 +253,7 @@ pub fn save_library(lib: &Library) -> Result<String, CdlError> {
                 b.layer,
                 b.pos.x,
                 b.pos.y,
-                side_token(b.side),
+                b.side,
                 flavor_to_token(&b.flavor)
             );
         }
@@ -327,7 +277,7 @@ pub fn save_library(lib: &Library) -> Result<String, CdlError> {
                 "  inst {} {} {} {} {}",
                 lib.cell(inst.cell).name(),
                 inst.name,
-                orient_token(inst.transform.orient),
+                inst.transform.orient,
                 inst.transform.offset.x,
                 inst.transform.offset.y
             );
@@ -521,7 +471,7 @@ pub fn load_library(text: &str) -> Result<Library, CdlError> {
                         let layer = p.next_layer()?;
                         let (x, y) = (p.next_i64("x")?, p.next_i64("y")?);
                         let side_tok = p.next("side")?;
-                        let side = parse_side(side_tok)
+                        let side = parse_token(&Side::ALL, side_tok)
                             .ok_or_else(|| p.err(format!("bad side `{side_tok}`")))?;
                         let flavor_tok = p.next("flavor")?;
                         let flavor = parse_flavor(flavor_tok)
@@ -556,7 +506,7 @@ pub fn load_library(text: &str) -> Result<Library, CdlError> {
                         let target = p.next("target cell name")?.to_owned();
                         let name = p.next("instance name")?.to_owned();
                         let orient_tok = p.next("orientation")?;
-                        let orient = parse_orient(orient_tok)
+                        let orient = parse_token(&Orientation::ALL, orient_tok)
                             .ok_or_else(|| p.err(format!("bad orientation `{orient_tok}`")))?;
                         let (dx, dy) = (p.next_i64("dx")?, p.next_i64("dy")?);
                         let target_id = lib

@@ -5,41 +5,47 @@
 //! cells to the LSI designer can be equated to the programmer's
 //! subroutines."* — Johannsen, DAC 1979.
 //!
+//! # A cell is final once it enters the library
+//!
+//! [`Library::add_cell`] is the only way a cell enters a library, and
+//! nothing changes a cell after that: the library hands out `&Cell`
+//! only. A cell is stretched, edited and completed while the caller
+//! owns it; to change a held cell, build a new library
+//! ([`Library::with_cell_replaced`]), which checks the new cell like any
+//! other. So every value derived from a cell stays valid for the
+//! library's life:
+//!
+//! * `add_cell` records each cell's hierarchy box and total power from
+//!   the cell's own items and its children's records (a child always
+//!   has a smaller id), so [`Library::bbox`] and
+//!   [`Library::total_power_ua`] are lookups.
+//! * [`Library::flatten_shared`], [`Library::flat_bristles_shared`] and
+//!   [`Library::flat_layers_shared`] (the per-layer indexed view that
+//!   extraction and DRC share) memoize their result for the cell that
+//!   was asked for, and only for it: the cells the walk passes through
+//!   get no entry. [`Library::flat_bristles_where`] keeps only the
+//!   bristles a filter accepts and caches nothing. An entry never goes
+//!   stale; [`Library::clear_flat_cache`] drops them all to free memory.
+//! * The cache sits behind an `RwLock`, so filling it needs only
+//!   `&Library` and the library stays `Sync`; cloning a library starts
+//!   with a cold cache.
+//!
 //! # Flat views
 //!
 //! Flattening is the gateway to every geometry back-end pass (DRC,
 //! extraction, CIF output, SVG): each needs the shapes or bristles of a
 //! whole hierarchy in one coordinate frame. Every flat view comes from
-//! one private depth-first walk:
-//!
-//! * The walk carries the composed transform (`t.after(&inst.transform)`)
-//!   and the instance-path prefix down the hierarchy, and emits each leaf
-//!   shape and bristle exactly once: a cell's own items first, then each
-//!   instance's subtree in instance order.
-//! * [`Library::flatten_shared`], [`Library::flat_bristles_shared`] and
-//!   [`Library::flat_layers_shared`] (the per-layer indexed view that
-//!   extraction and DRC share) memoize their result for the cell that
-//!   was asked for, and only for it: the cells the walk passes through
-//!   get no entry.
-//!   [`Library::flat_bristles_where`] keeps only the bristles a filter
-//!   accepts and caches nothing.
-//! * **Invalidation:** the one mutation entry point,
-//!   [`Library::cell_mut`], clears the cache. `add_cell` keeps it: a
-//!   new cell can only reference existing cells, so existing entries
-//!   stay valid. [`Library::clear_flat_cache`] drops it on demand.
-//! * The cache sits behind an `RwLock`, so filling it needs only
-//!   `&Library` and the library stays `Sync`; cloning a library starts
-//!   with a cold cache.
-//!
-//! [`Library::bbox`] needs no instance path, so it computes each
-//! distinct cell's box once per call instead of once per occurrence.
+//! one private depth-first walk, which carries the composed transform
+//! (`t.after(&inst.transform)`) and the instance-path prefix down the
+//! hierarchy, and emits each leaf shape and bristle exactly once: a
+//! cell's own items first, then each instance's subtree in instance
+//! order.
 //!
 //! # Bounded geometry
 //!
-//! [`Library::add_cell`] is the only way a cell enters a library, and it
-//! rejects any cell whose hierarchy leaves ±[`MAX_COORD`] λ. Every flat
-//! view, and every back-end pass over one, can therefore rely on the
-//! arithmetic that bound documents.
+//! [`Library::add_cell`] rejects any cell whose hierarchy leaves
+//! ±[`MAX_COORD`] λ. Every flat view, and every back-end pass over one,
+//! can therefore rely on the arithmetic that bound documents.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -172,8 +178,9 @@ impl Cell {
         &self.shapes
     }
 
-    /// Mutable access to shapes (used by the stretch engine).
-    pub(crate) fn shapes_mut(&mut self) -> &mut Vec<Shape> {
+    /// Mutable access to the shapes of a cell the caller owns: the
+    /// stretch engine's, or an edit before [`Library::with_cell_replaced`].
+    pub fn shapes_mut(&mut self) -> &mut Vec<Shape> {
         &mut self.shapes
     }
 
@@ -188,12 +195,13 @@ impl Cell {
         &self.instances
     }
 
-    /// Mutable access to instances (used by the stretch engine).
-    pub(crate) fn instances_mut(&mut self) -> &mut Vec<Instance> {
+    /// Mutable access to the instances of a cell the caller owns, as
+    /// [`Cell::shapes_mut`].
+    pub fn instances_mut(&mut self) -> &mut Vec<Instance> {
         &mut self.instances
     }
 
-    /// Adds an instance to a cell that is **not yet** in a library.
+    /// Adds an instance.
     ///
     /// [`Library::add_cell`] validates that every referenced id already
     /// exists in the library, which keeps the hierarchy acyclic, and that
@@ -266,8 +274,8 @@ impl Cell {
         if self.shapes.is_empty() && self.bristles.is_empty() {
             return None;
         }
-        // A plain fold over corners, no `Option` per item: every `bbox`
-        // call, `add_cell`'s check among them, boxes cells this way.
+        // A plain fold over corners, no `Option` per item: `add_cell`
+        // boxes every cell this way.
         let (lo, hi) = (Point::new(i64::MAX, i64::MAX), Point::new(i64::MIN, i64::MIN));
         let (lo, hi) = self.shapes.iter().fold((lo, hi), |(lo, hi), s| {
             let b = s.bbox();
@@ -298,25 +306,31 @@ impl fmt::Display for Cell {
 /// [`crate::load_library`] for the file format.
 ///
 /// Cells enter only through [`Library::add_cell`], which keeps the
-/// hierarchy acyclic and every coordinate within ±[`MAX_COORD`] λ.
-///
-/// The flat view of each cell a caller flattens is memoized
-/// ([`Library::flatten_shared`]); the one mutation entry point,
-/// [`Library::cell_mut`], clears the cache.
+/// hierarchy acyclic and every coordinate within ±[`MAX_COORD`] λ, and
+/// none changes after it entered: see the module docs.
 #[derive(Debug, Default)]
 pub struct Library {
     name: String,
-    cells: Vec<Cell>,
+    /// Every cell with its hierarchy's totals, in id order.
+    cells: Vec<Entry>,
     by_name: HashMap<String, CellId>,
     /// Flat shapes of each cell passed to `flatten_shared`, in that
-    /// cell's frame. Cleared on any mutation; see the module docs.
+    /// cell's frame; see the module docs.
     flat_cache: RwLock<HashMap<CellId, Arc<Vec<Shape>>>>,
-    /// Flat bristles of each cell passed to `flat_bristles_shared`,
-    /// same invariants as `flat_cache` (cleared together with it).
+    /// Flat bristles of each cell passed to `flat_bristles_shared`.
     bristle_cache: RwLock<HashMap<CellId, Arc<Vec<Bristle>>>>,
-    /// Indexed layer view of each cell passed to `flat_layers_shared`,
-    /// same invariants as `flat_cache` (cleared together with it).
+    /// Indexed layer view of each cell passed to `flat_layers_shared`.
     layers_cache: RwLock<HashMap<CellId, Arc<FlatLayers>>>,
+}
+
+/// A cell and the totals `add_cell` recorded for its hierarchy.
+#[derive(Debug, Clone)]
+struct Entry {
+    cell: Cell,
+    /// Box of the whole hierarchy; `None` when it is empty.
+    bbox: Option<Rect>,
+    /// Current of the whole hierarchy in microamps, saturating.
+    power_ua: u64,
 }
 
 /// The entry for `id` in one of a library's flat-view caches, computed
@@ -377,7 +391,8 @@ impl Library {
         self.cells.is_empty()
     }
 
-    /// Adds a cell, returning its id.
+    /// Adds a cell, returning its id, and records its hierarchy's box
+    /// and total power. The cell cannot change after this.
     ///
     /// # Errors
     ///
@@ -398,11 +413,37 @@ impl Library {
                 return Err(CellError::UnknownCell(inst.cell));
             }
         }
-        self.check_geometry(&cell)?;
+        let bbox = self.check_geometry(&cell)?;
+        let power_ua = cell.instances().iter().fold(cell.power().current_ua(), |sum, inst| {
+            sum.saturating_add(self.total_power_ua(inst.cell))
+        });
         let id = CellId(self.cells.len() as u32);
         self.by_name.insert(cell.name().to_owned(), id);
-        self.cells.push(cell);
+        self.cells.push(Entry { cell, bbox, power_ua });
         Ok(id)
+    }
+
+    /// A copy of this library with cell `id` replaced by `cell`: every
+    /// cell is added afresh in id order, so the new cell, and every cell
+    /// above it, passes [`Library::add_cell`]'s checks and gets its
+    /// totals recomputed. Ids stay the same.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Library::add_cell`] reports for `cell` or a cell that
+    /// instances it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from this library.
+    pub fn with_cell_replaced(&self, id: CellId, cell: Cell) -> Result<Library, CellError> {
+        assert!((id.0 as usize) < self.cells.len(), "unknown {id}");
+        let mut cell = Some(cell);
+        let mut lib = Library::new(self.name.clone());
+        for (k, old) in self.iter() {
+            lib.add_cell(if k == id { cell.take().expect("one id matches") } else { old.clone() })?;
+        }
+        Ok(lib)
     }
 
     /// Borrows a cell.
@@ -412,40 +453,18 @@ impl Library {
     /// Panics if `id` did not come from this library.
     #[must_use]
     pub fn cell(&self, id: CellId) -> &Cell {
-        &self.cells[id.0 as usize]
-    }
-
-    /// Mutably borrows a cell. Invalidates the flatten cache: the caller
-    /// may change geometry this cell's ancestors have cached.
-    ///
-    /// This is the one way around [`Library::add_cell`]'s checks: the
-    /// caller must keep the cell rectilinear and its hierarchy, and every
-    /// ancestor's, within ±[`MAX_COORD`] λ. It is meant for the compiler's
-    /// own edits to cells it generated, such as pass 1's stretch; no
-    /// loader calls it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this library.
-    #[must_use]
-    pub fn cell_mut(&mut self, id: CellId) -> &mut Cell {
-        self.invalidate_flat_cache();
-        &mut self.cells[id.0 as usize]
-    }
-
-    fn invalidate_flat_cache(&self) {
-        self.flat_cache.write().expect("flat cache poisoned").clear();
-        self.bristle_cache.write().expect("flat cache poisoned").clear();
-        self.layers_cache.write().expect("flat cache poisoned").clear();
+        &self.cells[id.0 as usize].cell
     }
 
     /// Drops every memoized flat view, releasing the cached geometry.
     /// The cache holds one flat copy per cell a caller flattened, so
     /// long-lived libraries that are done with back-end passes can call
-    /// this to reclaim the memory. Purely a performance hint: later
-    /// flattens recompute on demand.
+    /// this to reclaim the memory. Purely a memory hint: no entry is
+    /// ever stale, and later flattens recompute on demand.
     pub fn clear_flat_cache(&self) {
-        self.invalidate_flat_cache();
+        self.flat_cache.write().expect("flat cache poisoned").clear();
+        self.bristle_cache.write().expect("flat cache poisoned").clear();
+        self.layers_cache.write().expect("flat cache poisoned").clear();
     }
 
     /// Number of memoized flat views: shapes, bristles and layer views
@@ -468,50 +487,28 @@ impl Library {
         self.cells
             .iter()
             .enumerate()
-            .map(|(i, c)| (CellId(i as u32), c))
+            .map(|(i, e)| (CellId(i as u32), &e.cell))
     }
 
-    /// Bounding box of a cell including all sub-instances.
-    ///
-    /// Returns `None` for a cell whose entire hierarchy is empty. Each
-    /// distinct cell of the hierarchy is boxed once per call, however
-    /// often it is instanced.
+    /// Bounding box of a cell including all sub-instances, as
+    /// [`Library::add_cell`] recorded it. `None` for a cell whose entire
+    /// hierarchy is empty.
     ///
     /// # Panics
     ///
     /// Panics if `id` did not come from this library.
     #[must_use]
     pub fn bbox(&self, id: CellId) -> Option<Rect> {
-        if self.cell(id).instances().is_empty() {
-            return self.cell(id).local_bbox();
-        }
-        self.bbox_memo(id, &mut vec![None; self.cells.len()])
-    }
-
-    /// `bbox` with `memo[c]` holding the box of every cell `c` already
-    /// computed in this call.
-    fn bbox_memo(&self, id: CellId, memo: &mut [Option<Option<Rect>>]) -> Option<Rect> {
-        if let Some(bb) = memo[id.0 as usize] {
-            return bb;
-        }
-        let cell = self.cell(id);
-        let mut bb = cell.local_bbox();
-        for inst in cell.instances() {
-            if let Some(child_bb) = self.bbox_memo(inst.cell, memo) {
-                let moved = inst.transform.apply_rect(child_bb);
-                bb = Some(bb.map_or(moved, |acc| acc.union(&moved)));
-            }
-        }
-        memo[id.0 as usize] = Some(bb);
-        bb
+        self.cells[id.0 as usize].bbox
     }
 
     /// Checks that `cell`'s polygons are rectilinear and that it lies
     /// within [`BOUND`]: each own item, then each instance placed over
     /// its cell's box. A raw point or wire half-width is checked before
     /// it is added to anything, and a child's box is bounded because
-    /// `add_cell` took the child, so no step can overflow.
-    fn check_geometry(&self, cell: &Cell) -> Result<(), CellError> {
+    /// `add_cell` took the child, so no step can overflow. Returns the
+    /// box of the cell's hierarchy.
+    fn check_geometry(&self, cell: &Cell) -> Result<Option<Rect>, CellError> {
         let fail = |e: fn(String) -> CellError| Err(e(cell.name().to_owned()));
         for s in cell.shapes() {
             let inside = match &s.geom {
@@ -534,15 +531,21 @@ impl Library {
         if !cell.bristles().iter().all(|b| BOUND.contains(b.pos)) {
             return fail(CellError::OutOfBounds);
         }
-        let mut memo = vec![None; if cell.instances().is_empty() { 0 } else { self.cells.len() }];
+        let mut bb = cell.local_bbox();
         for inst in cell.instances() {
             let t = &inst.transform;
-            let placed = |bb: Rect| BOUND.contains_rect(&t.apply_rect(bb));
-            if !BOUND.contains(t.offset) || !self.bbox_memo(inst.cell, &mut memo).is_none_or(placed) {
+            if !BOUND.contains(t.offset) {
                 return fail(CellError::OutOfBounds);
             }
+            if let Some(child) = self.bbox(inst.cell) {
+                let moved = t.apply_rect(child);
+                if !BOUND.contains_rect(&moved) {
+                    return fail(CellError::OutOfBounds);
+                }
+                bb = Some(bb.map_or(moved, |acc| acc.union(&moved)));
+            }
         }
-        Ok(())
+        Ok(bb)
     }
 
     /// The one depth-first walk behind every flat view. Calls `visit`
@@ -570,8 +573,7 @@ impl Library {
 
     /// Flattens a cell: every shape in the hierarchy, transformed into
     /// the cell's own coordinate frame, in depth-first order. Memoized
-    /// for `id` alone: repeated calls for the same (unmutated) cell
-    /// return the same allocation.
+    /// for `id` alone: repeated calls return the same allocation.
     ///
     /// # Panics
     ///
@@ -589,10 +591,9 @@ impl Library {
 
     /// The per-layer indexed view of `flatten_shared(id)`: each layer's
     /// rectangles, their index and the transistor gates, built once for
-    /// extraction and DRC to share. Memoized for `id` alone with
-    /// `flatten_shared`'s invalidation: [`Library::cell_mut`] and
-    /// [`Library::clear_flat_cache`] clear it, `add_cell` keeps it, clones
-    /// start cold.
+    /// extraction and DRC to share. Memoized for `id` alone, like
+    /// `flatten_shared`: only [`Library::clear_flat_cache`] drops it, and
+    /// clones start cold.
     ///
     /// # Panics
     ///
@@ -604,9 +605,7 @@ impl Library {
 
     /// All bristles of a cell hierarchy, in the cell's frame, with
     /// instance-path-qualified names (`path/name`), in depth-first
-    /// order. Memoized for `id` alone with `flatten_shared`'s
-    /// invalidation: any mutation entry point clears it, `add_cell`
-    /// keeps it, clones start cold.
+    /// order. Memoized for `id` alone, like `flatten_shared`.
     ///
     /// # Panics
     ///
@@ -655,20 +654,15 @@ impl Library {
     }
 
     /// Total power requirement of a cell hierarchy in microamps: the
-    /// cell's own demand plus all instanced demands.
+    /// cell's own demand plus all instanced demands, saturating at
+    /// `u64::MAX`, as [`Library::add_cell`] recorded it.
     ///
     /// # Panics
     ///
     /// Panics if `id` did not come from this library.
     #[must_use]
     pub fn total_power_ua(&self, id: CellId) -> u64 {
-        let cell = self.cell(id);
-        let own = cell.power().current_ua();
-        own + cell
-            .instances()
-            .iter()
-            .map(|i| self.total_power_ua(i.cell))
-            .sum::<u64>()
+        self.cells[id.0 as usize].power_ua
     }
 }
 
@@ -872,6 +866,15 @@ mod tests {
         ];
         let t = lib.add_cell(top).unwrap();
         assert_eq!(lib.total_power_ua(t), 207);
+        // A total past `u64` saturates instead of wrapping or panicking.
+        let mut huge = leaf("huge");
+        huge.set_power(PowerInfo::new(u64::MAX / 2 + 1));
+        let huge = lib.add_cell(huge).unwrap();
+        let mut pair = Cell::new("pair");
+        pair.push_instance(Instance::new(huge, "i0", Transform::IDENTITY));
+        pair.push_instance(Instance::new(huge, "i1", Transform::IDENTITY));
+        let pair = lib.add_cell(pair).unwrap();
+        assert_eq!(lib.total_power_ua(pair), u64::MAX);
     }
 
     #[test]
@@ -924,6 +927,20 @@ mod tests {
         bb
     }
 
+    /// Power oracle: the unmemoized recursion, once per occurrence.
+    fn power_oracle(lib: &Library, id: CellId) -> u64 {
+        let cell = lib.cell(id);
+        cell.instances().iter().map(|i| power_oracle(lib, i.cell)).sum::<u64>() + cell.power().current_ua()
+    }
+
+    /// Every cell's stored box and power equal their oracles.
+    fn assert_totals_match(lib: &Library, what: &str) {
+        for (id, cell) in lib.iter() {
+            assert_eq!(lib.bbox(id), bbox_oracle(lib, id), "{what}: box of `{}`", cell.name());
+            assert_eq!(lib.total_power_ua(id), power_oracle(lib, id), "{what}: power of `{}`", cell.name());
+        }
+    }
+
     /// Adds `mid` with two instances of `a`, rotated and shifted.
     fn add_with_instances(lib: &mut Library, mut mid: Cell, a: CellId) -> CellId {
         let t = Transform::new(Orientation::R90, Point::new(5, 0));
@@ -941,11 +958,14 @@ mod tests {
         lib.add_cell(top).unwrap()
     }
 
+    /// `top` over `mid` over `a`; `mid` holds a transistor crossing, so
+    /// the layer view has a gate.
     fn three_level_library() -> (Library, CellId) {
         let mut lib = Library::new("t");
         let a = lib.add_cell(leaf("a")).unwrap();
         let mut mid = Cell::new("mid");
         mid.push_shape(Shape::rect(Layer::Poly, Rect::new(0, 0, 2, 2)));
+        mid.push_shape(Shape::rect(Layer::Diffusion, Rect::new(1, -3, 2, 5)));
         let m = add_with_instances(&mut lib, mid, a);
         let top = add_top(&mut lib, m, a);
         (lib, top)
@@ -968,18 +988,6 @@ mod tests {
         let a = lib.flatten_shared(top);
         let b = lib.flatten_shared(top);
         assert!(Arc::ptr_eq(&a, &b), "cache must hand out the same Arc");
-    }
-
-    #[test]
-    fn mutation_invalidates_flatten_cache() {
-        let (mut lib, top) = three_level_library();
-        let before = lib.flatten_shared(top);
-        let a = lib.find("a").unwrap();
-        lib.cell_mut(a)
-            .push_shape(Shape::rect(Layer::Metal, Rect::new(50, 50, 54, 52)));
-        let after = lib.flatten_shared(top);
-        assert_eq!(*after, flatten_oracle(&lib, top));
-        assert!(after.len() > before.len());
     }
 
     /// Like `three_level_library` but with bristles on every level.
@@ -1029,36 +1037,6 @@ mod tests {
         let a = lib.flat_bristles_shared(top);
         let b = lib.flat_bristles_shared(top);
         assert!(Arc::ptr_eq(&a, &b), "cache must hand out the same Arc");
-    }
-
-    #[test]
-    fn mutation_invalidates_bristle_cache() {
-        let (mut lib, top) = bristled_library();
-        let before = lib.flat_bristles_shared(top).len();
-        let a = lib.find("a").unwrap();
-        // `cell_mut` must clear the cache.
-        lib.cell_mut(a).push_bristle(Bristle::new(
-            "extra",
-            Layer::Metal,
-            Point::new(2, 2),
-            Side::East,
-            Flavor::Signal,
-        ));
-        let after = lib.flat_bristles_shared(top);
-        assert_eq!(*after, flat_bristles_oracle(&lib, top));
-        assert!(after.len() > before);
-        // `clear_flat_cache` clears; recompute still matches.
-        lib.clear_flat_cache();
-        assert_eq!(
-            *lib.flat_bristles_shared(top),
-            flat_bristles_oracle(&lib, top)
-        );
-        // Clones start cold and still agree.
-        let cloned = lib.clone();
-        assert_eq!(
-            cloned.flat_bristles_shared(top),
-            lib.flat_bristles_shared(top)
-        );
     }
 
     #[test]
@@ -1162,6 +1140,7 @@ mod tests {
                 for k in 0..rng.below(4) {
                     cell.push_bristle(random_bristle(rng, k));
                 }
+                cell.set_power(PowerInfo::new(rng.below(100) as u64));
                 if level > 0 {
                     for i in 0..1 + rng.below(3) {
                         // The first instance is of the level just below,
@@ -1224,12 +1203,9 @@ mod tests {
             for (k, c) in kept.iter_mut().zip(counts) {
                 *k += c;
             }
-            // Results track the invalidation entry point, and a cell
-            // added over cached ones sees them as they are.
+            assert_totals_match(&lib, &what);
+            // A cell added over cached ones sees them as they are.
             let leaf = CellId(0);
-            lib.cell_mut(leaf).push_shape(random_shape(&mut rng));
-            lib.cell_mut(leaf).push_bristle(random_bristle(&mut rng, 9));
-            assert_views_match(&lib, top, &format!("{what} after cell_mut"));
             let mut wrap = Cell::new("wrap");
             wrap.push_instance(Instance::new(top, "top", Transform::IDENTITY));
             let orient = Orientation::ALL[rng.below(8)];
@@ -1238,6 +1214,7 @@ mod tests {
             let wrap = lib.add_cell(wrap).unwrap();
             assert_views_match(&lib, wrap, &format!("{what} after add_cell"));
             assert_views_match(&lib, top, &format!("{what} after add_cell"));
+            assert_totals_match(&lib, &format!("{what} after add_cell"));
             lib.clear_flat_cache();
             assert_eq!(lib.cached_entries(), 0, "{what}");
             assert_views_match(&lib, wrap, &format!("{what} after clear_flat_cache"));
@@ -1281,11 +1258,7 @@ mod tests {
 
     #[test]
     fn flat_layers_are_cached_once_and_invalidated_with_the_flat_view() {
-        let (mut lib, top) = three_level_library();
-        // A transistor crossing, so the view has a gate.
-        let mid = lib.find("mid").unwrap();
-        lib.cell_mut(mid)
-            .push_shape(Shape::rect(Layer::Diffusion, Rect::new(1, -3, 2, 5)));
+        let (lib, top) = three_level_library();
         assert_layer_view_matches(&lib, top);
         let view = lib.flat_layers_shared(top);
         assert!(Arc::ptr_eq(&view, &lib.flat_layers_shared(top)), "cache must hand out the same Arc");
@@ -1294,20 +1267,35 @@ mod tests {
         let want = gate_regions_oracle(poly, view.rects(Layer::Diffusion));
         assert!(!want.is_empty());
         assert_eq!(view.gates(), &want[..]);
-        // `cell_mut` drops the view; the next one sees the edit.
-        let a = lib.find("a").unwrap();
-        lib.cell_mut(a)
-            .push_shape(Shape::rect(Layer::Metal, Rect::new(50, 50, 54, 52)));
-        assert_eq!(lib.cached_entries(), 0);
-        let after = lib.flat_layers_shared(top);
-        assert!(!Arc::ptr_eq(&view, &after));
-        assert!(after.rects(Layer::Metal).len() > view.rects(Layer::Metal).len());
-        assert_layer_view_matches(&lib, top);
-        // So does `clear_flat_cache`, and a clone starts cold.
+        // `clear_flat_cache` drops the view together with the flat
+        // shapes, and a clone starts cold.
         assert_eq!(lib.clone().cached_entries(), 0, "clones start cold");
         lib.clear_flat_cache();
         assert_eq!(lib.cached_entries(), 0);
-        assert!(!Arc::ptr_eq(&after, &lib.flat_layers_shared(top)));
+        assert!(!Arc::ptr_eq(&view, &lib.flat_layers_shared(top)));
+        assert_layer_view_matches(&lib, top);
+    }
+
+    /// A replaced cell passes `add_cell`'s checks afresh, and every cell
+    /// above it gets its totals and flat views from the new one.
+    #[test]
+    fn replacing_a_cell_rebuilds_everything_above_it() {
+        let (lib, top) = bristled_library();
+        let a = lib.find("a").unwrap();
+        let mut wider = lib.cell(a).clone();
+        wider.push_shape(Shape::rect(Layer::Metal, Rect::new(50, 50, 54, 52)));
+        wider.set_power(PowerInfo::new(5));
+        let _ = lib.flatten_shared(top);
+        let new = lib.with_cell_replaced(a, wider).unwrap();
+        assert_eq!(new.len(), lib.len());
+        assert_eq!(new.find("top"), Some(top), "ids stay the same");
+        assert_views_match(&new, top, "replaced");
+        assert_totals_match(&new, "replaced");
+        assert!(new.flatten_shared(top).len() > lib.flatten_shared(top).len());
+        assert_eq!(new.total_power_ua(top), 15, "`a` is placed three times");
+        let mut past = lib.cell(a).clone();
+        past.push_shape(Shape::rect(Layer::Metal, Rect::new(0, 0, MAX_COORD + 1, 2)));
+        assert_eq!(lib.with_cell_replaced(a, past).err(), Some(CellError::OutOfBounds("a".into())));
     }
 
     /// Gates by brute force, with no buried contacts: every poly ∩
@@ -1327,7 +1315,9 @@ mod tests {
         // Sixty levels, each instancing the one below twice: 2^60
         // occurrences, which a once-per-occurrence recursion never ends.
         let mut lib = Library::new("chain");
-        let mut below = lib.add_cell(leaf("l0")).unwrap();
+        let mut l0 = leaf("l0");
+        l0.set_power(PowerInfo::new(3));
+        let mut below = lib.add_cell(l0).unwrap();
         for level in 1..=60 {
             let mut cell = Cell::new(format!("l{level}"));
             cell.push_instance(Instance::new(below, "a", Transform::IDENTITY));
@@ -1337,5 +1327,6 @@ mod tests {
         }
         let bb = lib.bbox(below).unwrap();
         assert!(bb.width() >= 4 && bb.height() >= 4, "{bb}");
+        assert_eq!(lib.total_power_ua(below), 3 << 60, "3 µA in each of 2^60 leaves");
     }
 }

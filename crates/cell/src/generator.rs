@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::cell::{CellError, CellId, Library};
+use crate::cell::Cell;
 
 /// Everything a procedural cell may consult while generating itself.
 #[derive(Debug, Clone, Default)]
@@ -60,8 +60,6 @@ pub enum GenError {
         /// Human-readable constraint.
         reason: String,
     },
-    /// The library rejected a generated cell.
-    Cell(CellError),
     /// The generator does not support the requested configuration.
     Unsupported(String),
 }
@@ -72,26 +70,12 @@ impl fmt::Display for GenError {
             GenError::BadParam { name, value, reason } => {
                 write!(f, "bad parameter `{name}` = {value}: {reason}")
             }
-            GenError::Cell(e) => write!(f, "{e}"),
             GenError::Unsupported(what) => write!(f, "unsupported configuration: {what}"),
         }
     }
 }
 
-impl std::error::Error for GenError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            GenError::Cell(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CellError> for GenError {
-    fn from(e: CellError) -> GenError {
-        GenError::Cell(e)
-    }
-}
+impl std::error::Error for GenError {}
 
 /// A procedural cell: "a little program that can draw itself".
 ///
@@ -102,8 +86,10 @@ impl From<CellError> for GenError {
 ///
 /// The compiler calls [`CellGenerator::generate`] once per element: every
 /// column's natural tracks vote on the chip's interface standard, and
-/// each column is then stretched to it with [`crate::InterfaceStd::align`].
-/// A generator offers one layout.
+/// each column is then stretched to it with [`crate::InterfaceStd::align`]
+/// before the compiler adds it to the chip's library, where it cannot
+/// change any more. A generator offers one layout and never sees the
+/// library.
 pub trait CellGenerator {
     /// The element type name users write in the chip description
     /// (e.g. `"alu"`, `"registers"`).
@@ -119,12 +105,13 @@ pub trait CellGenerator {
     }
 
     /// Generates the element's column bit cells at natural size, left to
-    /// right, adding them to `lib`.
+    /// right. Each is a leaf cell, named through [`GenCtx::cell_name`].
     ///
     /// # Errors
     ///
-    /// Implementations report missing/bad parameters and library failures.
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError>;
+    /// Implementations report missing/bad parameters and layouts they
+    /// cannot draw.
+    fn generate(&self, ctx: &GenCtx) -> Result<Vec<Cell>, GenError>;
 }
 
 #[cfg(test)]

@@ -235,44 +235,44 @@ impl Compiler {
 
         // Generate each element's columns, reading each column's natural
         // tracks once; all of them vote on the interface standard.
-        let mut columns: Vec<Vec<CellId>> = Vec::new();
+        let mut columns: Vec<Vec<Cell>> = Vec::new();
         let mut tracks: Vec<TrackSet> = Vec::new();
         for p in &pending {
-            let cols = p.generator.generate(&p.ctx, lib)?;
-            for &col in &cols {
-                tracks.push(TrackSet::from_cell(lib.cell(col))?);
+            let cols = p.generator.generate(&p.ctx)?;
+            for col in &cols {
+                tracks.push(TrackSet::from_cell(col)?);
             }
             columns.push(cols);
         }
         let std = InterfaceStd::from_tracks(&tracks);
 
-        // Stretch-align every column to the standard.
-        for &col in columns.iter().flatten() {
-            std.align(lib.cell_mut(col))?;
-        }
-
-        // Stack columns into the core cell.
+        // Stretch-align every column to the standard, add it to the
+        // library, where it cannot change any more, and stack it into
+        // the core cell.
         let mut core = Cell::new(format!("{}_core", spec.name));
         let mut x = 0i64;
         let mut elements = Vec::new();
         for (p, cols) in pending.into_iter().zip(columns) {
             let x_start = x;
-            for (ci, &col) in cols.iter().enumerate() {
-                let w = lib.bbox(col).map_or(0, |b| b.width());
+            let mut ids = Vec::with_capacity(cols.len());
+            for (ci, mut col) in cols.into_iter().enumerate() {
+                std.align(&mut col)?;
+                let id = lib.add_cell(col)?;
                 for bit in 0..spec.data_width {
                     core.push_instance(bristle_cell::Instance::new(
-                        col,
+                        id,
                         format!("{}_c{ci}_b{bit}", p.ctx.prefix),
                         Transform::translate(Point::new(x, i64::from(bit) * std.pitch)),
                     ));
                 }
-                x += w;
+                x += lib.bbox(id).map_or(0, |b| b.width());
+                ids.push(id);
             }
             elements.push(ElementInfo {
                 index: p.index,
                 kind: p.kind,
                 prefix: p.ctx.prefix,
-                columns: cols,
+                columns: ids,
                 x_span: (x_start, x),
             });
         }
@@ -861,7 +861,9 @@ mod tests {
     fn simulation_refuses_an_unknown_behavior_key() {
         let mut chip = Compiler::new().compile(&small_spec()).unwrap();
         let col = chip.elements.iter().find(|e| e.kind == "alu").unwrap().columns[0];
-        chip.lib.cell_mut(col).reprs_mut().behavior = Some("abacus".into());
+        let mut cell = chip.lib.cell(col).clone();
+        cell.reprs_mut().behavior = Some("abacus".into());
+        chip.lib = chip.lib.with_cell_replaced(col, cell).unwrap();
         match chip.simulation().err() {
             Some(CompileError::UnknownElement(key)) => assert_eq!(key, "abacus"),
             other => panic!("expected the key refused, got {other:?}"),

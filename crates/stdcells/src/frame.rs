@@ -805,7 +805,7 @@ mod tests {
     fn stretching_to_taller_pitch_stays_clean() {
         // The key Pass-1 operation: stretch the cell so its tracks match
         // a taller standard; DRC must still pass (stretch only grows).
-        let cell = demo_spec().build().unwrap();
+        let mut cell = demo_spec().build().unwrap();
         let ts = TrackSet::from_cell(&cell).unwrap();
         let [gnd, a, b, vdd] = ts.tracks.ys();
         let taller = TrackSet {
@@ -813,9 +813,9 @@ mod tests {
             top: ts.top + 14,
         };
         let std = InterfaceStd::from_tracks(&[ts, taller]);
+        std.align(&mut cell).unwrap();
         let mut lib = Library::new("t");
         let id = lib.add_cell(cell).unwrap();
-        std.align(lib.cell_mut(id)).unwrap();
         let report = check_flat(&lib, id, &RuleSet::mead_conway());
         assert!(report.is_clean(), "{report}");
         // Devices survive: same transistor count after stretching.
@@ -964,7 +964,7 @@ mod tests {
 
     #[test]
     fn restoring_cell_stretches_clean() {
-        let cell = restoring_spec().build().unwrap();
+        let mut cell = restoring_spec().build().unwrap();
         let ts = TrackSet::from_cell(&cell).unwrap();
         let [gnd, a, b, vdd] = ts.tracks.ys();
         let taller = TrackSet {
@@ -972,9 +972,9 @@ mod tests {
             top: ts.top + 14,
         };
         let std = InterfaceStd::from_tracks(&[ts, taller]);
+        std.align(&mut cell).unwrap();
         let mut lib = Library::new("t");
         let id = lib.add_cell(cell).unwrap();
-        std.align(lib.cell_mut(id)).unwrap();
         let report = check_flat(&lib, id, &RuleSet::mead_conway());
         assert!(report.is_clean(), "{report}");
         assert_eq!(extract(&lib, id).transistors.len(), 5);

@@ -10,11 +10,11 @@
 //! representation automatically. The precharge cell carries no key.
 
 use bristle_cell::{
-    ActiveWhen, CellGenerator, CellId, CellReprs, ControlLine, GenCtx, GenError, Library,
-    LogicGate, LogicKind, PadKind, Phase,
+    ActiveWhen, Cell, CellGenerator, CellReprs, ControlLine, GenCtx, GenError, LogicGate,
+    LogicKind, PadKind, Phase,
 };
 
-use crate::frame::{BitCellSpec, Chain, Region, Slot, Tap};
+use crate::frame::{BitCellSpec, Chain, FrameError, Region, Slot, Tap};
 
 fn ctl(name: &str, field: &str, active: ActiveWhen, phase: Phase) -> Slot {
     Slot::Control {
@@ -53,11 +53,10 @@ fn columns_param(ctx: &GenCtx, name: &str, default: i64, what: &str) -> Result<i
     Ok(n)
 }
 
-fn add_cell(lib: &mut Library, spec: &BitCellSpec) -> Result<CellId, GenError> {
-    let cell = spec
-        .build()
-        .map_err(|e| GenError::Unsupported(e.to_string()))?;
-    Ok(lib.add_cell(cell)?)
+impl From<FrameError> for GenError {
+    fn from(e: FrameError) -> GenError {
+        GenError::Unsupported(e.to_string())
+    }
 }
 
 /// `registers` — a bank of `count` dynamic registers. Each register is
@@ -80,7 +79,7 @@ impl CellGenerator for RegistersGen {
         ]
     }
 
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
+    fn generate(&self, ctx: &GenCtx) -> Result<Vec<Cell>, GenError> {
         let count = columns_param(ctx, "count", 2, "registers")?;
         let rda_field = format!("{}_rda", ctx.prefix);
         let rdb_field = format!("{}_rdb", ctx.prefix);
@@ -168,7 +167,7 @@ impl CellGenerator for RegistersGen {
                     ),
                 ],
             };
-            columns.push(add_cell(lib, &spec)?);
+            columns.push(spec.build()?);
         }
         Ok(columns)
     }
@@ -191,7 +190,7 @@ impl CellGenerator for AluGen {
         ]
     }
 
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
+    fn generate(&self, ctx: &GenCtx) -> Result<Vec<Cell>, GenError> {
         let op_field = format!("{}_op", ctx.prefix);
         let actl_field = format!("{}_actl", ctx.prefix);
         let mut spec = BitCellSpec::new(ctx.cell_name("alu_bit"));
@@ -257,7 +256,7 @@ impl CellGenerator for AluGen {
                 LogicGate::new(LogicKind::And, ["opa", "opb"], "carry"),
             ],
         };
-        Ok(vec![add_cell(lib, &spec)?])
+        Ok(vec![spec.build()?])
     }
 }
 
@@ -275,7 +274,7 @@ impl CellGenerator for ShifterGen {
         vec![(format!("{}_sh", ctx.prefix), 3)]
     }
 
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
+    fn generate(&self, ctx: &GenCtx) -> Result<Vec<Cell>, GenError> {
         let f = format!("{}_sh", ctx.prefix);
         let mut spec = BitCellSpec::new(ctx.cell_name("shift_bit"));
         spec.slots = vec![
@@ -320,7 +319,7 @@ impl CellGenerator for ShifterGen {
             block_label: Some("SHIFT".into()),
             logic: vec![LogicGate::new(LogicKind::Latch, ["ld", "busA"], "hold")],
         };
-        Ok(vec![add_cell(lib, &spec)?])
+        Ok(vec![spec.build()?])
     }
 }
 
@@ -394,7 +393,7 @@ impl CellGenerator for RamGen {
         ]
     }
 
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
+    fn generate(&self, ctx: &GenCtx) -> Result<Vec<Cell>, GenError> {
         let words = columns_param(ctx, "words", 4, "words")?;
         let sel_field = format!("{}_sel", ctx.prefix);
         let rw_field = format!("{}_rw", ctx.prefix);
@@ -417,7 +416,7 @@ impl CellGenerator for RamGen {
                 block_label: Some("RAM".into()),
                 ..CellReprs::default()
             };
-            columns.push(add_cell(lib, &spec)?);
+            columns.push(spec.build()?);
         }
         Ok(columns)
     }
@@ -444,7 +443,7 @@ impl CellGenerator for StackGen {
         ]
     }
 
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
+    fn generate(&self, ctx: &GenCtx) -> Result<Vec<Cell>, GenError> {
         let depth = columns_param(ctx, "depth", 4, "levels")?;
         let stk_field = format!("{}_stk", ctx.prefix);
         let sp_field = format!("{}_sp", ctx.prefix);
@@ -465,7 +464,7 @@ impl CellGenerator for StackGen {
                 block_label: Some("STACK".into()),
                 ..CellReprs::default()
             };
-            columns.push(add_cell(lib, &spec)?);
+            columns.push(spec.build()?);
         }
         Ok(columns)
     }
@@ -484,7 +483,7 @@ impl CellGenerator for InPortGen {
         vec![(format!("{}_io", ctx.prefix), 1)]
     }
 
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
+    fn generate(&self, ctx: &GenCtx) -> Result<Vec<Cell>, GenError> {
         let f = format!("{}_io", ctx.prefix);
         let lane = ctx.param_or("lane", 0).max(0);
         let mut spec = BitCellSpec::new(ctx.cell_name("inport_bit"));
@@ -509,7 +508,7 @@ impl CellGenerator for InPortGen {
             block_label: Some("IN".into()),
             ..CellReprs::default()
         };
-        Ok(vec![add_cell(lib, &spec)?])
+        Ok(vec![spec.build()?])
     }
 }
 
@@ -526,7 +525,7 @@ impl CellGenerator for OutPortGen {
         vec![(format!("{}_io", ctx.prefix), 1)]
     }
 
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
+    fn generate(&self, ctx: &GenCtx) -> Result<Vec<Cell>, GenError> {
         let f = format!("{}_io", ctx.prefix);
         let lane = ctx.param_or("lane", 0).max(0);
         let mut spec = BitCellSpec::new(ctx.cell_name("outport_bit"));
@@ -551,7 +550,7 @@ impl CellGenerator for OutPortGen {
             block_label: Some("OUT".into()),
             ..CellReprs::default()
         };
-        Ok(vec![add_cell(lib, &spec)?])
+        Ok(vec![spec.build()?])
     }
 }
 
@@ -565,7 +564,7 @@ impl CellGenerator for PrechargeGen {
         "precharge"
     }
 
-    fn generate(&self, ctx: &GenCtx, lib: &mut Library) -> Result<Vec<CellId>, GenError> {
+    fn generate(&self, ctx: &GenCtx) -> Result<Vec<Cell>, GenError> {
         let mut spec = BitCellSpec::new(ctx.cell_name("precharge_bit"));
         spec.slots = vec![
             Slot::Clock(Phase::Phi2),
@@ -598,7 +597,7 @@ impl CellGenerator for PrechargeGen {
             block_label: Some("PCHG".into()),
             ..CellReprs::default()
         };
-        Ok(vec![add_cell(lib, &spec)?])
+        Ok(vec![spec.build()?])
     }
 }
 
@@ -626,7 +625,7 @@ pub fn generator_named(name: &str) -> Option<Box<dyn CellGenerator>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bristle_cell::{Flavor, TrackSet};
+    use bristle_cell::{CellId, Flavor, Library, TrackSet};
     use bristle_drc::{check_flat, RuleSet};
     use bristle_extract::extract;
 
@@ -636,11 +635,17 @@ mod tests {
         c
     }
 
+    /// A library holding `gen`'s columns for `ctx`, and their ids.
+    fn generated(gen: &dyn CellGenerator, ctx: &GenCtx) -> (Library, Vec<CellId>) {
+        let mut lib = Library::new("t");
+        let ids = gen.generate(ctx).unwrap().into_iter().map(|c| lib.add_cell(c).unwrap()).collect();
+        (lib, ids)
+    }
+
     #[test]
     fn every_generator_is_drc_clean() {
         for gen in all_generators() {
-            let mut lib = Library::new("t");
-            let cols = gen.generate(&ctx(), &mut lib).unwrap();
+            let (lib, cols) = generated(gen.as_ref(), &ctx());
             assert!(!cols.is_empty(), "{} made no columns", gen.name());
             for id in cols {
                 let report = check_flat(&lib, id, &RuleSet::mead_conway());
@@ -657,10 +662,10 @@ mod tests {
     #[test]
     fn every_bit_cell_has_standard_tracks() {
         for gen in all_generators() {
-            let mut lib = Library::new("t");
-            for id in gen.generate(&ctx(), &mut lib).unwrap() {
-                TrackSet::from_cell(lib.cell(id)).unwrap_or_else(|e| {
-                    panic!("{}: {e}", lib.cell(id).name());
+            for cell in gen.generate(&ctx()).unwrap() {
+                assert!(cell.instances().is_empty(), "{}: a column is a leaf", cell.name());
+                TrackSet::from_cell(&cell).unwrap_or_else(|e| {
+                    panic!("{}: {e}", cell.name());
                 });
             }
         }
@@ -669,8 +674,7 @@ mod tests {
     #[test]
     fn register_extracts_working_devices() {
         use bristle_extract::TransistorKind;
-        let mut lib = Library::new("t");
-        let cols = RegistersGen.generate(&ctx(), &mut lib).unwrap();
+        let (lib, cols) = generated(&RegistersGen, &ctx());
         let n = extract(&lib, cols[0]);
         // readA (rda + ~storeA), writeA (ld + tie), writeB (ldb + tie),
         // readB (rdb + ~storeB), plus two restoring inverters (driver +
@@ -689,8 +693,7 @@ mod tests {
         use bristle_sim::{Level, SwitchSim};
         let mut c = ctx();
         c.params.insert("words".into(), 2);
-        let mut lib = Library::new("t");
-        let cols = RamGen.generate(&c, &mut lib).unwrap();
+        let (lib, cols) = generated(&RamGen, &c);
         // Word 1's cell: assert wr WITHOUT selw1 — the plate must hold.
         let n = extract(&lib, cols[1]);
         let mut sim = SwitchSim::new(&n);
@@ -708,38 +711,27 @@ mod tests {
         assert_eq!(sim.level("cell").unwrap(), Level::L1);
     }
 
+    /// The pad bristles of `cell`.
+    fn pads(cell: &Cell) -> Vec<&bristle_cell::Bristle> {
+        cell.bristles().iter().filter(|b| matches!(b.flavor, Flavor::Pad(_))).collect()
+    }
+
     #[test]
     fn port_lanes_spread_escape_wires() {
-        let mut lib = Library::new("t");
         let mut c0 = ctx();
         c0.prefix = "e0_inport".into();
-        let a = InPortGen.generate(&c0, &mut lib).unwrap();
+        let a = InPortGen.generate(&c0).unwrap();
         let mut c1 = ctx();
         c1.prefix = "e1_inport".into();
         c1.params.insert("lane".into(), 1);
-        let b = InPortGen.generate(&c1, &mut lib).unwrap();
-        let y = |id: bristle_cell::CellId| {
-            lib.cell(id)
-                .bristles()
-                .iter()
-                .find(|br| matches!(br.flavor, Flavor::Pad(_)))
-                .unwrap()
-                .pos
-                .y
-        };
-        assert_eq!(y(b[0]) - y(a[0]), 8, "escape lanes 8λ apart");
+        let b = InPortGen.generate(&c1).unwrap();
+        assert_eq!(pads(&b[0])[0].pos.y - pads(&a[0])[0].pos.y, 8, "escape lanes 8λ apart");
     }
 
     #[test]
     fn ports_request_pads() {
-        let mut lib = Library::new("t");
-        let cols = InPortGen.generate(&ctx(), &mut lib).unwrap();
-        let pads: Vec<_> = lib
-            .cell(cols[0])
-            .bristles()
-            .iter()
-            .filter(|b| matches!(b.flavor, Flavor::Pad(_)))
-            .collect();
+        let cols = InPortGen.generate(&ctx()).unwrap();
+        let pads = pads(&cols[0]);
         assert_eq!(pads.len(), 1);
         assert_eq!(pads[0].name, "pad_in");
     }
@@ -764,21 +756,18 @@ mod tests {
 
     #[test]
     fn bad_params_rejected() {
-        let mut lib = Library::new("t");
         let mut c = ctx();
         c.params.insert("count".into(), 99);
         assert!(matches!(
-            RegistersGen.generate(&c, &mut lib),
+            RegistersGen.generate(&c),
             Err(GenError::BadParam { .. })
         ));
     }
 
     #[test]
     fn precharge_has_two_clock_columns() {
-        let mut lib = Library::new("t");
-        let cols = PrechargeGen.generate(&ctx(), &mut lib).unwrap();
-        let clocks = lib
-            .cell(cols[0])
+        let cols = PrechargeGen.generate(&ctx()).unwrap();
+        let clocks = cols[0]
             .bristles()
             .iter()
             .filter(|b| matches!(b.flavor, Flavor::Clock(Phase::Phi2)))

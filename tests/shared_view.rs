@@ -35,20 +35,20 @@ fn extract_then_check_flat_share_one_view() {
     }
 }
 
-/// `clear_flat_cache` and `cell_mut` drop the view; the next checker
-/// builds a fresh one and reports the same.
+/// `clear_flat_cache` drops the view; the next checkers build a fresh
+/// one and report the same. It is the only way a view goes: a cell in a
+/// library never changes, so no view goes stale.
 #[test]
-fn clearing_or_mutating_drops_the_view() {
+fn clearing_drops_the_view() {
     let rules = RuleSet::mead_conway();
-    let mut chip = compile(&reference_specs()[0]).unwrap();
+    let chip = compile(&reference_specs()[0]).unwrap();
     let want = check_flat(&chip.lib, chip.top, &rules);
+    let netlist = extract(&chip.lib, chip.top);
     let view = chip.lib.flat_layers_shared(chip.top);
     chip.lib.clear_flat_cache();
     assert_eq!(check_flat(&chip.lib, chip.top, &rules), want);
     let rebuilt = chip.lib.flat_layers_shared(chip.top);
     assert!(!Arc::ptr_eq(&view, &rebuilt), "clear_flat_cache kept the view");
-    let _ = chip.lib.cell_mut(chip.top);
-    let netlist = extract(&chip.lib, chip.top);
-    assert!(!Arc::ptr_eq(&rebuilt, &chip.lib.flat_layers_shared(chip.top)), "cell_mut kept the view");
-    assert_eq!(netlist, extract(&chip.lib.clone(), chip.top));
+    assert_eq!(extract(&chip.lib, chip.top), netlist);
+    assert!(Arc::ptr_eq(&rebuilt, &chip.lib.flat_layers_shared(chip.top)));
 }

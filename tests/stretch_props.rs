@@ -17,8 +17,7 @@ use common::Rng;
 /// A randomized-but-legal bit cell: a transistor pair plus wiring, with
 /// a stretch line between the devices and the four track bristles on its
 /// west edge (GND below the line, the buses and VDD above it).
-fn testbed(gap: i64) -> (Library, CellId) {
-    let mut lib = Library::new("prop");
+fn testbed(gap: i64) -> Cell {
     let mut c = Cell::new("dut");
     // Lower transistor.
     c.push_shape(Shape::rect(Layer::Diffusion, Rect::new(0, 0, 2, 10)));
@@ -38,22 +37,30 @@ fn testbed(gap: i64) -> (Library, CellId) {
     ] {
         c.push_bristle(Bristle::new(name, Layer::Metal, Point::new(-2, ty), Side::West, flavor));
     }
-    let id = lib.add_cell(c).unwrap();
+    c
+}
+
+/// A library holding `cell` alone, and its id.
+fn library(cell: Cell) -> (Library, CellId) {
+    let mut lib = Library::new("prop");
+    let id = lib.add_cell(cell).unwrap();
     (lib, id)
 }
 
-/// Grows cell `id` by `extra` λ along y the way pass 1 does: the cell's
-/// natural tracks and a column `extra` λ taller above GND vote on the
-/// standard, and [`InterfaceStd::align`] stretches the cell onto it.
-fn grow(lib: &mut Library, id: CellId, extra: i64) {
-    let natural = TrackSet::from_cell(lib.cell(id)).unwrap();
+/// Grows `cell` by `extra` λ along y the way pass 1 does, before the
+/// cell enters a library: the cell's natural tracks and a column
+/// `extra` λ taller above GND vote on the standard, and
+/// [`InterfaceStd::align`] stretches the cell onto it.
+fn grow(mut cell: Cell, extra: i64) -> Cell {
+    let natural = TrackSet::from_cell(&cell).unwrap();
     let [gnd, a, b, vdd] = natural.tracks.ys();
     let taller = TrackSet {
         tracks: Tracks::from_ys([gnd, a + extra, b + extra, vdd + extra]),
         top: natural.top + extra,
     };
     let std = InterfaceStd::from_tracks(&[natural, taller]);
-    std.align(lib.cell_mut(id)).unwrap();
+    std.align(&mut cell).unwrap();
+    cell
 }
 
 #[test]
@@ -61,9 +68,8 @@ fn stretching_preserves_drc() {
     let mut rng = Rng::new(0x57E7_0001);
     for case in 0..64 {
         let extra = rng.range(0, 200);
-        let (mut lib, id) = testbed(4);
-        let before = lib.bbox(id).unwrap().height();
-        grow(&mut lib, id, extra);
+        let before = testbed(4).local_bbox().unwrap().height();
+        let (lib, id) = library(grow(testbed(4), extra));
         let report = check_flat(&lib, id, &RuleSet::mead_conway());
         assert!(report.is_clean(), "case {case}: {report}");
         assert_eq!(lib.bbox(id).unwrap().height(), before + extra, "case {case}");
@@ -76,10 +82,10 @@ fn stretching_preserves_devices() {
     for case in 0..64 {
         let extra = rng.range(0, 200);
         let gap = rng.range(0, 40);
-        let (mut lib, id) = testbed(gap);
+        let (lib, id) = library(testbed(gap));
         let devices_before = extract(&lib, id).transistors.len();
         let before = lib.bbox(id).unwrap().height();
-        grow(&mut lib, id, extra);
+        let (lib, id) = library(grow(testbed(gap), extra));
         assert_eq!(lib.bbox(id).unwrap().height(), before + extra, "case {case}");
         let devices_after = extract(&lib, id).transistors.len();
         assert_eq!(devices_before, devices_after, "case {case}");
