@@ -339,15 +339,7 @@ fn census() {
         .into_iter()
         .chain(PadKind::ALL.map(pad_row))
         .chain(Phase::ALL.map(clock_row))
-        .chain(
-            [
-                LogicKind::And,
-                LogicKind::Xor,
-                LogicKind::Pass,
-                LogicKind::Latch,
-            ]
-            .map(gate_row),
-        );
+        .chain(LogicKind::ALL.map(gate_row));
     let mut rows: Vec<(String, usize)> = seeds.map(|label| (label.to_owned(), 0)).collect();
     let mut hit = |label: &str| match rows.iter_mut().find(|(l, _)| l == label) {
         Some(row) => row.1 += 1,

@@ -95,6 +95,11 @@ pub enum Rail {
     Gnd,
 }
 
+impl Rail {
+    /// Both rails, VDD first.
+    pub(crate) const ALL: [Rail; 2] = [Rail::Vdd, Rail::Gnd];
+}
+
 impl fmt::Display for Rail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

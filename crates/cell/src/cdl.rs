@@ -120,8 +120,7 @@ fn flavor_to_token(flavor: &Flavor) -> String {
             format!("ctl:{}:{}:{}", c.field, cond, c.phase)
         }
         Flavor::Bus { bus } => format!("bus:{bus}"),
-        Flavor::Power(Rail::Vdd) => "power:vdd".to_owned(),
-        Flavor::Power(Rail::Gnd) => "power:gnd".to_owned(),
+        Flavor::Power(rail) => format!("power:{}", lower_token(rail)),
         Flavor::Clock(phase) => format!("clock:{phase}"),
         Flavor::Signal => "signal".to_owned(),
     }
@@ -131,6 +130,17 @@ fn flavor_to_token(flavor: &Flavor) -> String {
 /// spelled once, by its type's `Display`, for writing and parsing alike.
 fn parse_token<T: Copy + std::fmt::Display>(all: &[T], s: &str) -> Option<T> {
     all.iter().copied().find(|v| v.to_string() == s)
+}
+
+/// CDL's token for a gate kind or a rail: its `Display`, which the other
+/// representations print upper case (`AND`, `VDD`), in lower case.
+fn lower_token(v: impl std::fmt::Display) -> String {
+    v.to_string().to_ascii_lowercase()
+}
+
+/// The value among `all` whose [`lower_token`] reads `s`.
+fn parse_lower_token<T: Copy + std::fmt::Display>(all: &[T], s: &str) -> Option<T> {
+    all.iter().copied().find(|&v| lower_token(v) == s)
 }
 
 fn parse_flavor(tok: &str) -> Option<Flavor> {
@@ -155,11 +165,7 @@ fn parse_flavor(tok: &str) -> Option<Flavor> {
         "bus" => Flavor::Bus {
             bus: parts.next()?.parse().ok()?,
         },
-        "power" => match parts.next()? {
-            "vdd" => Flavor::Power(Rail::Vdd),
-            "gnd" => Flavor::Power(Rail::Gnd),
-            _ => return None,
-        },
+        "power" => Flavor::Power(parse_lower_token(&Rail::ALL, parts.next()?)?),
         "clock" => Flavor::Clock(parse_token(&Phase::ALL, parts.next()?)?),
         "signal" => Flavor::Signal,
         _ => return None,
@@ -262,12 +268,7 @@ pub fn save_library(lib: &Library) -> Result<String, CdlError> {
             for i in &g.inputs {
                 check_name(i)?;
             }
-            let kind = match g.kind {
-                LogicKind::And => "and",
-                LogicKind::Xor => "xor",
-                LogicKind::Pass => "pass",
-                LogicKind::Latch => "latch",
-            };
+            let kind = lower_token(g.kind);
             let _ = writeln!(out, "  gate {kind} {} {}", g.output, g.inputs.join(" "));
         }
         for inst in cell.instances() {
@@ -486,13 +487,8 @@ pub fn load_library(text: &str) -> Result<Library, CdlError> {
                     }
                     "gate" => {
                         let kind_tok = p.next("gate kind")?;
-                        let kind = match kind_tok {
-                            "and" => LogicKind::And,
-                            "xor" => LogicKind::Xor,
-                            "pass" => LogicKind::Pass,
-                            "latch" => LogicKind::Latch,
-                            _ => return Err(p.err(format!("unknown gate kind `{kind_tok}`"))),
-                        };
+                        let kind = parse_lower_token(&LogicKind::ALL, kind_tok)
+                            .ok_or_else(|| p.err(format!("unknown gate kind `{kind_tok}`")))?;
                         let output = p.next("output net")?.to_owned();
                         let inputs: Vec<String> =
                             p.rest().iter().map(|s| (*s).to_owned()).collect();

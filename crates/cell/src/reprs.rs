@@ -58,6 +58,16 @@ pub enum LogicKind {
     Latch,
 }
 
+impl LogicKind {
+    /// All gate kinds.
+    pub const ALL: [LogicKind; 4] = [
+        LogicKind::And,
+        LogicKind::Xor,
+        LogicKind::Pass,
+        LogicKind::Latch,
+    ];
+}
+
 impl fmt::Display for LogicKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

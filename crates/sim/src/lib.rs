@@ -66,4 +66,4 @@ mod switch;
 pub use bridge::{parse_terminal, BridgeError, NetlistBridge};
 pub use machine::{ElementCtx, Behavior, Machine, SimError};
 pub use microcode::{Microcode, MicrocodeError, MicrocodeField};
-pub use switch::{Level, Strength, SwitchError, SwitchSim};
+pub use switch::{Level, SwitchError, SwitchSim};
